@@ -1,8 +1,9 @@
 """Exact engine for repeatable quantum measurements on a countable basis.
 
-Operators are finite sums of dyads and arithmetic-progression families,
-closed under adjoint, sum, and composition, with equality decided exactly
-on a provably sufficient window.  On top of that algebra sit instrument
+Operators are finite sums of one term type, an arithmetic progression of
+matrix units that runs for one step or forever; ``Dyad`` and ``Family``
+build the two lengths.  The class is closed under adjoint, sum, and
+composition, with equality decided exactly on a provably sufficient window.  On top of that algebra sit instrument
 builders, a repeatability certifier, POVM classification, shift-orbit
 decomposition with its repetition counter, and seeded Born-rule
 simulation cross-checked by a dense truncation oracle.
@@ -16,9 +17,9 @@ from .errors import (BadProbabilityVector, CompletenessViolation,
 from .indexsets import PERIOD_CAP, IndexSet, set_period_cap
 from .opalgebra import (TOLERANCE, Dyad, Family, StateVector,
                         StructuredOperator, add, adjoint, apply, compose,
-                        diagonal_part, dyad, entries_in_window, equals, family,
-                        is_diagonal, is_monomial, max_deviation, norm_sq,
-                        operator_norm, projector, random_state, set_tolerance)
+                        diagonal_part, equals, is_diagonal, is_monomial,
+                        max_deviation, operator_norm, projector, random_state,
+                        set_tolerance)
 from .instruments import (Instrument, Povm, build_binary_example,
                           build_example_family, build_from_parts,
                           build_nonrepeatable_sibling, build_orthogonal,
@@ -52,12 +53,11 @@ __all__ = [
     "build_binary_example", "build_example_family", "build_from_parts",
     "build_nonrepeatable_sibling", "build_orthogonal", "certify_repeatable",
     "check_orthogonal", "check_repeatability_numerical", "classify_povm",
-    "compose", "dense_oracle", "dense_state", "diagonal_part", "dyad",
-    "empirical_conditionals", "entries_in_window", "equals", "family",
-    "finite_dim_corollary_suite", "fixed_state_sampler", "is_diagonal",
-    "is_monomial", "make_instrument", "make_povm", "max_deviation",
-    "memory_map", "measure_once", "norm_sq", "operator_norm", "povm",
-    "projector", "random_state", "random_state_sampler", "read_memory",
-    "run_trajectory", "set_period_cap", "set_tolerance", "split",
-    "wold_decompose", "window_for",
+    "compose", "dense_oracle", "dense_state", "diagonal_part",
+    "empirical_conditionals", "equals", "finite_dim_corollary_suite",
+    "fixed_state_sampler", "is_diagonal", "is_monomial", "make_instrument",
+    "make_povm", "max_deviation", "memory_map", "measure_once",
+    "operator_norm", "povm", "projector", "random_state",
+    "random_state_sampler", "read_memory", "run_trajectory", "set_period_cap",
+    "set_tolerance", "split", "wold_decompose", "window_for",
 ]

@@ -296,13 +296,9 @@ class PovmClassification:
 def _diag_value(op: StructuredOperator, i: int) -> float:
     val = 0.0 + 0.0j
     for t in op.terms:
-        if isinstance(t, Dyad):
-            if t.out == i and t.in_ == i:
-                val += t.coeff
-        else:
-            d = i - t.in_offset
-            if d >= 0 and d % t.in_stride == 0 and t.out_stride * (d // t.in_stride) + t.out_offset == i:
-                val += t.coeff
+        j = t.step_at(i)
+        if j is not None and t.out_stride * j + t.out_offset == i:
+            val += t.coeff
     return val.real
 
 
@@ -329,11 +325,8 @@ def classify_povm(pv: Povm, tol: float | None = None) -> PovmClassification:
     period = 1
     for _, p in pv.items():
         for t in p.terms:
-            if isinstance(t, Dyad):
-                bound = max(bound, t.out + 1, t.in_ + 1)
-            else:
-                bound = max(bound, t.out_offset + 1, t.in_offset + 1)
-                period = math.lcm(period, t.in_stride)
+            bound = max(bound, t.out_offset + 1, t.in_offset + 1)
+            period = math.lcm(period, t.in_stride)
 
     labels = pv.outcomes
 

@@ -61,9 +61,9 @@ def _apply_knobs(tolerance: float | None, period_cap: int | None):
 
 
 def _term_doc(t) -> dict:
-    if isinstance(t, Dyad):
+    if t.length == 1:
         return {"kind": "dyad", "coeff": [t.coeff.real, t.coeff.imag],
-                "out": t.out, "in": t.in_}
+                "out": t.out_offset, "in": t.in_offset}
     return {"kind": "family", "coeff": [t.coeff.real, t.coeff.imag],
             "outStride": t.out_stride, "outOffset": t.out_offset,
             "inStride": t.in_stride, "inOffset": t.in_offset}
@@ -88,10 +88,9 @@ def _term_from(doc, where: str):
     if kind == "dyad":
         return Dyad(coeff, index("out"), index("in"))
     if kind == "family":
-        oas, oao = index("outStride", 1), index("outOffset")
-        ias, iao = index("inStride", 1), index("inOffset")
-        j0 = index("jStart") if "jStart" in doc else 0
-        return Family(coeff, oas, oao + j0 * oas, ias, iao + j0 * ias)
+        return Family(coeff, index("outStride", 1), index("outOffset"),
+                      index("inStride", 1), index("inOffset"),
+                      index("jStart") if "jStart" in doc else 0)
     raise ValueError(f"{where}: kind must be 'dyad' or 'family'")
 
 

@@ -204,25 +204,3 @@ def _combine(a: IndexSet, b: IndexSet, fn) -> IndexSet:
         r for r in range(period)
         if fn((r % a.period) in a.residues, (r % b.period) in b.residues))
     return IndexSet(transient, bound, period, residues)
-
-
-# Functional aliases, convenient in tests and scripts.
-
-def union(a: IndexSet, b: IndexSet) -> IndexSet:
-    return a.union(b)
-
-
-def intersect(a: IndexSet, b: IndexSet) -> IndexSet:
-    return a.intersect(b)
-
-
-def difference(a: IndexSet, b: IndexSet) -> IndexSet:
-    return a.difference(b)
-
-
-def complement(a: IndexSet) -> IndexSet:
-    return a.complement()
-
-
-def member(a: IndexSet, i: int) -> bool:
-    return a.member(i)

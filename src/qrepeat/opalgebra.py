@@ -1,7 +1,10 @@
 """Structured operators on l2 of the nonnegative integers.
 
-An operator is a finite formal sum of rank-one dyads ``c |out><in|`` and
-shift families ``c * sum_{j>=0} |os*j+oo><is*j+io|``.  The class is closed
+An operator is a finite formal sum of terms of one type, :class:`Term`:
+progressions ``c * sum_j |os*j+oo><is*j+io|`` that run for one step (a
+point, the matrix unit ``c |oo><io|``) or for every ``j >= 0`` (a shift
+family).  ``Dyad`` and ``Family`` are its two constructors, matching the
+``dyad`` and ``family`` kinds of the instrument files.  The class is closed
 under adjoint, sum, and composition, which makes completeness and
 repeatability checks exact rather than truncation-limited.
 
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -25,6 +29,7 @@ from .indexsets import IndexSet
 
 TOLERANCE = 1e-12
 WINDOW_CAP = 4 * 10**6
+_setattr = object.__setattr__
 
 
 def set_tolerance(value: float) -> None:
@@ -39,39 +44,53 @@ def _tol(tol: float | None) -> float:
     return TOLERANCE if tol is None else tol
 
 
-@dataclass(frozen=True)
-class Dyad:
-    """Rank-one term ``coeff * |out><in_|``."""
+@dataclass(frozen=True, slots=True, init=False)
+class Term:
+    """``coeff * sum_{0 <= j < length} |out_stride*j + out_offset><in_stride*j + in_offset|``.
 
-    coeff: complex
-    out: int
-    in_: int
-
-    def __post_init__(self):
-        _check_coeff(self.coeff)
-        if self.out < 0 or self.in_ < 0:
-            raise ValueError("dyad indices must be nonnegative")
-
-
-@dataclass(frozen=True)
-class Family:
-    """Shift family ``coeff * sum_{j>=0} |out_stride*j + out_offset><in_stride*j + in_offset|``."""
+    ``length`` is 1, a point ``coeff |out_offset><in_offset|``, or None, an
+    infinite progression family.  A point's strides carry nothing, so they
+    are stored as 1 and equal points compare equal.
+    """
 
     coeff: complex
     out_stride: int
     out_offset: int
     in_stride: int
     in_offset: int
+    length: int | None
 
-    def __post_init__(self):
-        _check_coeff(self.coeff)
-        if self.out_stride < 1 or self.in_stride < 1:
+    # Written out rather than generated: compose builds a Term per product,
+    # and the generated frozen __init__ costs about half as much again.
+    def __init__(self, coeff: complex, out_stride: int, out_offset: int,
+                 in_stride: int, in_offset: int, length: int | None = None):
+        if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
+            raise ValueError("coefficients must be finite")
+        if length not in (1, None):
+            raise ValueError("a term has length 1 (a point) or None (a progression)")
+        if out_stride < 1 or in_stride < 1:
             raise ValueError("family strides must be at least 1; use a Dyad for stride-0 terms")
-        if self.out_offset < 0 or self.in_offset < 0:
-            raise ValueError("family offsets must be nonnegative")
+        if out_offset < 0 or in_offset < 0:
+            raise ValueError("term indices must be nonnegative")
+        if length == 1:
+            out_stride = in_stride = 1
+        _setattr(self, "coeff", coeff)
+        _setattr(self, "out_stride", out_stride)
+        _setattr(self, "out_offset", out_offset)
+        _setattr(self, "in_stride", in_stride)
+        _setattr(self, "in_offset", in_offset)
+        _setattr(self, "length", length)
 
+    def step_at(self, i: int) -> int | None:
+        """The ``j`` whose input index is ``i``, or None when ``i`` is not an input."""
+        j, rem = divmod(i - self.in_offset, self.in_stride)
+        if rem or j < 0 or (self.length is not None and j >= self.length):
+            return None
+        return j
 
-Term = Dyad | Family
+    def adjoint(self) -> "Term":
+        return Term(self.coeff.conjugate(), self.in_stride, self.in_offset,
+                    self.out_stride, self.out_offset, self.length)
 
 
 def _check_coeff(c: complex) -> None:
@@ -80,25 +99,29 @@ def _check_coeff(c: complex) -> None:
         raise ValueError("coefficients must be finite")
 
 
-def dyad(coeff: complex, out: int, in_: int) -> Dyad:
-    return Dyad(complex(coeff), int(out), int(in_))
+def Dyad(coeff: complex, out: int, in_: int) -> Term:
+    """Point term ``coeff * |out><in_|``."""
+    return Term(complex(coeff), 1, int(out), 1, int(in_), 1)
 
 
-def family(coeff: complex, out_stride: int, out_offset: int,
-           in_stride: int, in_offset: int, j_start: int = 0) -> Family:
-    """Build a shift family; a nonzero ``j_start`` is folded into the offsets."""
+def Family(coeff: complex, out_stride: int, out_offset: int,
+           in_stride: int, in_offset: int, j_start: int = 0) -> Term:
+    """Progression ``coeff * sum_{j>=j_start} |out_stride*j+out_offset><in_stride*j+in_offset|``.
+
+    A nonzero ``j_start`` is folded into the offsets.
+    """
     if j_start < 0:
         raise ValueError("j_start must be nonnegative")
-    return Family(complex(coeff),
-                  int(out_stride), int(out_offset) + int(j_start) * int(out_stride),
-                  int(in_stride), int(in_offset) + int(j_start) * int(in_stride))
+    return Term(complex(coeff),
+                int(out_stride), int(out_offset) + int(j_start) * int(out_stride),
+                int(in_stride), int(in_offset) + int(j_start) * int(in_stride))
 
 
 class StructuredOperator:
-    """Finite formal sum of dyads and shift families, kept canonical.
+    """Finite formal sum of terms, kept canonical.
 
     Canonicalization merges duplicate signatures, drops negligible
-    coefficients, and absorbs dyads that exactly cancel a family head or
+    coefficients, and absorbs points that exactly cancel a family head or
     extend a family one step backward.  None of these steps changes the
     entrywise realization.
     """
@@ -134,35 +157,23 @@ class StructuredOperator:
     # -- structure queries ---------------------------------------------
 
     @property
-    def dyads(self) -> tuple[Dyad, ...]:
-        return tuple(t for t in self.terms if isinstance(t, Dyad))
+    def dyads(self) -> tuple[Term, ...]:
+        return tuple(t for t in self.terms if t.length == 1)
 
     @property
-    def families(self) -> tuple[Family, ...]:
-        return tuple(t for t in self.terms if isinstance(t, Family))
+    def families(self) -> tuple[Term, ...]:
+        return tuple(t for t in self.terms if t.length is None)
 
     def is_zero(self, tol: float | None = None) -> bool:
         return equals(self, StructuredOperator.zero(), tol)
 
     def support_set(self) -> IndexSet:
         """Input indices touched by some term (columns carrying entries)."""
-        out = IndexSet.empty()
-        for t in self.terms:
-            if isinstance(t, Dyad):
-                out = out.union(IndexSet.from_indices([t.in_]))
-            else:
-                out = out.union(IndexSet.from_progression(t.in_stride, t.in_offset))
-        return out
+        return _index_set((t.in_stride, t.in_offset, t.length) for t in self.terms)
 
     def range_set(self) -> IndexSet:
         """Output indices touched by some term (rows carrying entries)."""
-        out = IndexSet.empty()
-        for t in self.terms:
-            if isinstance(t, Dyad):
-                out = out.union(IndexSet.from_indices([t.out]))
-            else:
-                out = out.union(IndexSet.from_progression(t.out_stride, t.out_offset))
-        return out
+        return _index_set((t.out_stride, t.out_offset, t.length) for t in self.terms)
 
     # -- algebra ---------------------------------------------------------
 
@@ -195,34 +206,36 @@ class StructuredOperator:
     def __repr__(self) -> str:
         if not self.terms:
             return "StructuredOperator(0)"
-        bits = []
-        for t in self.terms:
-            if isinstance(t, Dyad):
-                bits.append(f"{t.coeff:.6g}|{t.out}><{t.in_}|")
-            else:
-                bits.append(f"{t.coeff:.6g}*sum_j|{t.out_stride}j+{t.out_offset}>"
-                            f"<{t.in_stride}j+{t.in_offset}|")
+        bits = [f"{t.coeff:.6g}|{t.out_offset}><{t.in_offset}|" if t.length == 1 else
+                f"{t.coeff:.6g}*sum_j|{t.out_stride}j+{t.out_offset}><{t.in_stride}j+{t.in_offset}|"
+                for t in self.terms]
         return "StructuredOperator(" + " + ".join(bits) + ")"
 
 
+def _index_set(progressions) -> IndexSet:
+    out = IndexSet.empty()
+    for stride, offset, length in progressions:
+        out = out.union(IndexSet.from_indices([offset]) if length == 1
+                        else IndexSet.from_progression(stride, offset))
+    return out
+
+
 def _scaled(t: Term, factor: complex) -> Term:
-    if isinstance(t, Dyad):
-        return Dyad(t.coeff * factor, t.out, t.in_)
-    return Family(t.coeff * factor, t.out_stride, t.out_offset, t.in_stride, t.in_offset)
+    return Term(t.coeff * factor, t.out_stride, t.out_offset, t.in_stride, t.in_offset, t.length)
 
 
 def _canonicalize(terms: Iterable[Term], tol: float) -> tuple[Term, ...]:
     fams: dict[tuple[int, int, int, int], complex] = {}
     dyds: dict[tuple[int, int], complex] = {}
     for t in terms:
-        if isinstance(t, Dyad):
-            key = (t.out, t.in_)
+        if not isinstance(t, Term):
+            raise TypeError(f"not a structured term: {t!r}")
+        if t.length == 1:
+            key = (t.out_offset, t.in_offset)
             dyds[key] = dyds.get(key, 0.0) + complex(t.coeff)
-        elif isinstance(t, Family):
+        else:
             sig = (t.out_stride, t.out_offset, t.in_stride, t.in_offset)
             fams[sig] = fams.get(sig, 0.0) + complex(t.coeff)
-        else:
-            raise TypeError(f"not a structured term: {t!r}")
     dyds = {k: c for k, c in dyds.items() if abs(c) > tol}
     fams = {k: c for k, c in fams.items() if abs(c) > tol}
 
@@ -262,8 +275,8 @@ def _canonicalize(terms: Iterable[Term], tol: float) -> tuple[Term, ...]:
             if changed:
                 break
 
-    out: list[Term] = [Family(c, *sig) for sig, c in sorted(fams.items())]
-    out.extend(Dyad(c, o, i) for (o, i), c in sorted(dyds.items()))
+    out = [Term(c, *sig) for sig, c in sorted(fams.items())]
+    out.extend(Term(c, 1, o, 1, i, 1) for (o, i), c in sorted(dyds.items()))
     return tuple(out)
 
 
@@ -324,10 +337,6 @@ class StateVector:
         return f"StateVector({{{inner}}})"
 
 
-def norm_sq(psi: StateVector) -> float:
-    return psi.norm_sq()
-
-
 def random_state(rng: np.random.Generator, max_index: int, max_support: int = 8) -> StateVector:
     """Normalized state with small uniform support and Gaussian amplitudes."""
     size = min(int(rng.integers(1, max_support + 1)), max_index)
@@ -347,39 +356,32 @@ def apply(op: StructuredOperator, psi: StateVector) -> StateVector:
     """Image of ``psi`` under ``op`` (not renormalized)."""
     out: dict[int, complex] = {}
     for i, c in psi.items():
-        for t in op.terms:
-            if isinstance(t, Dyad):
-                if t.in_ == i:
-                    out[t.out] = out.get(t.out, 0.0) + t.coeff * c
-            else:
-                d = i - t.in_offset
-                if d >= 0 and d % t.in_stride == 0:
-                    j = d // t.in_stride
+        for t in op.terms:  # Term.step_at, inlined: this loop is the sampling hot path
+            d = i - t.in_offset
+            if d >= 0 and d % t.in_stride == 0:
+                j = d // t.in_stride
+                if t.length is None or j < t.length:
                     r = t.out_stride * j + t.out_offset
                     out[r] = out.get(r, 0.0) + t.coeff * c
     return StateVector(out)
 
 
 def adjoint(op: StructuredOperator) -> StructuredOperator:
-    terms: list[Term] = []
-    for t in op.terms:
-        if isinstance(t, Dyad):
-            terms.append(Dyad(t.coeff.conjugate(), t.in_, t.out))
-        else:
-            terms.append(Family(t.coeff.conjugate(), t.in_stride, t.in_offset,
-                                t.out_stride, t.out_offset))
-    return StructuredOperator(terms)
+    return StructuredOperator([t.adjoint() for t in op.terms])
 
 
 def add(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
     return StructuredOperator(a.terms + b.terms)
 
 
-def _match_progressions(s1: int, o1: int, s2: int, o2: int):
-    """Minimal nonnegative solution of ``s1*k + o1 == s2*j + o2``.
+def _match_progressions(s1: int, o1: int, n1: int | None,
+                        s2: int, o2: int, n2: int | None):
+    """Solutions of ``s1*k + o1 == s2*j + o2`` with ``0 <= k < n1``, ``0 <= j < n2``.
 
-    Returns ``(k0, j0, kstep, jstep)`` parametrizing all solutions as
-    ``k = k0 + kstep*t, j = j0 + jstep*t`` for ``t >= 0``, or None.
+    A length of None is unbounded.  Returns ``(k0, j0, kstep, jstep, n)``
+    parametrizing all solutions as ``k = k0 + kstep*t, j = j0 + jstep*t``
+    for ``0 <= t < n``, where ``n`` is 1 when either length is 1 and None
+    otherwise; or None when there is no solution.
     """
     g = math.gcd(s1, s2)
     d = o2 - o1
@@ -393,40 +395,38 @@ def _match_progressions(s1: int, o1: int, s2: int, o2: int):
         t = -(j0 // jstep)  # ceil(-j0 / jstep)
         k0 += kstep * t
         j0 += jstep * t
-    return k0, j0, kstep, jstep
+    if (n1 is not None and k0 >= n1) or (n2 is not None and j0 >= n2):
+        return None
+    return k0, j0, kstep, jstep, (None if n1 is None and n2 is None else 1)
 
 
 def _compose_terms(a: Term, b: Term) -> Term | None:
-    if isinstance(a, Dyad) and isinstance(b, Dyad):
-        if a.in_ == b.out:
-            return Dyad(a.coeff * b.coeff, a.out, b.in_)
-        return None
-    if isinstance(a, Dyad):
-        d = a.in_ - b.out_offset
-        if d >= 0 and d % b.out_stride == 0:
-            j = d // b.out_stride
-            return Dyad(a.coeff * b.coeff, a.out, b.in_stride * j + b.in_offset)
-        return None
-    if isinstance(b, Dyad):
-        d = b.out - a.in_offset
-        if d >= 0 and d % a.in_stride == 0:
-            k = d // a.in_stride
-            return Dyad(a.coeff * b.coeff, a.out_stride * k + a.out_offset, b.in_)
-        return None
-    m = _match_progressions(a.in_stride, a.in_offset, b.out_stride, b.out_offset)
+    m = _match_progressions(a.in_stride, a.in_offset, a.length,
+                            b.out_stride, b.out_offset, b.length)
     if m is None:
         return None
-    k0, j0, kstep, jstep = m
-    return Family(a.coeff * b.coeff,
-                  a.out_stride * kstep, a.out_stride * k0 + a.out_offset,
-                  b.in_stride * jstep, b.in_stride * j0 + b.in_offset)
+    k0, j0, kstep, jstep, n = m
+    return Term(a.coeff * b.coeff,
+                a.out_stride * kstep, a.out_stride * k0 + a.out_offset,
+                b.in_stride * jstep, b.in_stride * j0 + b.in_offset, n)
 
 
 def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
-    """Operator product ``a @ b`` (apply ``b`` first)."""
+    """Operator product ``a @ b`` (apply ``b`` first).
+
+    A point of ``a`` meets only the progressions of ``b`` and the points of
+    ``b`` whose output is its input, so those are looked up by index.
+    Canonical form lists progressions before points, so the products come
+    out in all-pairs order and their coefficient sums do not change.
+    """
+    progs = [t for t in b.terms if t.length is None]
+    points: dict[int, list[Term]] = {}
+    for t in b.terms[len(progs):]:
+        points.setdefault(t.out_offset, []).append(t)
     terms = []
     for ta in a.terms:
-        for tb in b.terms:
+        partners = b.terms if ta.length is None else progs + points.get(ta.in_offset, [])
+        for tb in partners:
             t = _compose_terms(ta, tb)
             if t is not None:
                 terms.append(t)
@@ -436,20 +436,12 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
 # -- equality on a sufficient window --------------------------------------
 
 
-def _window_size(terms: Iterable[Term], period_cap: int | None = None) -> int:
+def _window_size(terms: tuple[Term, ...], period_cap: int | None = None) -> int:
     from . import indexsets
 
     cap = indexsets.PERIOD_CAP if period_cap is None else period_cap
-    bound = 0
-    strides: list[int] = []
-    for t in terms:
-        if isinstance(t, Dyad):
-            bound = max(bound, t.out, t.in_)
-        else:
-            bound = max(bound, t.out_offset, t.in_offset)
-            strides.append(t.out_stride)
-            strides.append(t.in_stride)
-    period = math.lcm(*strides) if strides else 1
+    bound = max([t.out_offset for t in terms] + [t.in_offset for t in terms], default=0)
+    period = math.lcm(*{t.out_stride for t in terms}, *{t.in_stride for t in terms})
     if period > cap:
         raise PeriodCapExceeded(f"stride lcm {period} exceeds cap {cap}")
     w = max(2 * period * period * (bound + 2) + bound, 8)
@@ -461,17 +453,20 @@ def _window_size(terms: Iterable[Term], period_cap: int | None = None) -> int:
 def _entries(terms: Iterable[Term], window: int) -> dict[tuple[int, int], complex]:
     ents: dict[tuple[int, int], complex] = {}
     for t in terms:
-        if isinstance(t, Dyad):
-            if t.out < window and t.in_ < window:
-                key = (t.out, t.in_)
-                ents[key] = ents.get(key, 0.0) + t.coeff
-        else:
-            jmax = min((window - 1 - t.out_offset) // t.out_stride,
-                       (window - 1 - t.in_offset) // t.in_stride)
-            for j in range(jmax + 1):
-                key = (t.out_stride * j + t.out_offset, t.in_stride * j + t.in_offset)
-                ents[key] = ents.get(key, 0.0) + t.coeff
+        c = t.coeff
+        for key in islice(zip(range(t.out_offset, window, t.out_stride),
+                              range(t.in_offset, window, t.in_stride)), t.length):
+            ents[key] = ents.get(key, 0.0) + c
     return ents
+
+
+def _dense(op: StructuredOperator, dim: int) -> np.ndarray:
+    """Entries of ``op`` on ``[0, dim)^2`` as a matrix."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    ents = _entries(op.terms, dim)
+    if ents:
+        mat[tuple(zip(*ents))] = list(ents.values())
+    return mat
 
 
 def max_deviation(a: StructuredOperator, b: StructuredOperator):
@@ -496,11 +491,6 @@ def equals(a: StructuredOperator, b: StructuredOperator, tol: float | None = Non
     return dev <= _tol(tol)
 
 
-def entries_in_window(op: StructuredOperator, window: int) -> dict[tuple[int, int], complex]:
-    """Exact nonzero entries with both indices below ``window``."""
-    return {k: v for k, v in _entries(op.terms, window).items() if v != 0}
-
-
 # -- structural predicates -------------------------------------------------
 
 
@@ -513,26 +503,15 @@ def is_monomial(op: StructuredOperator) -> bool:
     terms = op.terms
     for idx, t1 in enumerate(terms):
         for t2 in terms[idx + 1:]:
-            if isinstance(t1, Dyad) and isinstance(t2, Dyad):
-                if t1.in_ == t2.in_:
-                    return False  # canonical form already merged equal positions
-            elif isinstance(t1, Dyad) != isinstance(t2, Dyad):
-                dy, fam_ = (t1, t2) if isinstance(t1, Dyad) else (t2, t1)
-                d = dy.in_ - fam_.in_offset
-                if d >= 0 and d % fam_.in_stride == 0:
-                    j = d // fam_.in_stride
-                    if fam_.out_stride * j + fam_.out_offset != dy.out:
-                        return False
-            else:
-                m = _match_progressions(t1.in_stride, t1.in_offset,
-                                        t2.in_stride, t2.in_offset)
-                if m is None:
-                    continue
-                k0, j0, kstep, jstep = m
-                r1 = t1.out_stride * k0 + t1.out_offset
-                r2 = t2.out_stride * j0 + t2.out_offset
-                if r1 != r2 or t1.out_stride * kstep != t2.out_stride * jstep:
-                    return False
+            m = _match_progressions(t1.in_stride, t1.in_offset, t1.length,
+                                    t2.in_stride, t2.in_offset, t2.length)
+            if m is None:
+                continue
+            k0, j0, kstep, jstep, n = m
+            r1 = t1.out_stride * k0 + t1.out_offset
+            r2 = t2.out_stride * j0 + t2.out_offset
+            if r1 != r2 or (n is None and t1.out_stride * kstep != t2.out_stride * jstep):
+                return False
     return True
 
 
@@ -540,20 +519,14 @@ def diagonal_part(op: StructuredOperator) -> StructuredOperator:
     """Terms restricted to the main diagonal (exact for the structured class)."""
     terms: list[Term] = []
     for t in op.terms:
-        if isinstance(t, Dyad):
-            if t.out == t.in_:
+        den = t.out_stride - t.in_stride
+        num = t.in_offset - t.out_offset
+        if den == 0:
+            if num == 0:
                 terms.append(t)
-        elif t.out_stride == t.in_stride:
-            if t.out_offset == t.in_offset:
-                terms.append(t)
-        else:
-            den = t.out_stride - t.in_stride
-            num = t.in_offset - t.out_offset
-            if num % den == 0:
-                j = num // den
-                if j >= 0:
-                    r = t.out_stride * j + t.out_offset
-                    terms.append(Dyad(t.coeff, r, r))
+        elif num % den == 0 and num // den >= 0:  # points have den == 0
+            r = t.out_stride * (num // den) + t.out_offset
+            terms.append(Dyad(t.coeff, r, r))
     return StructuredOperator(terms)
 
 
@@ -586,26 +559,10 @@ def operator_norm(op: StructuredOperator) -> tuple[float, str]:
         ents = _entries(gram.terms, window)
         top = max((abs(v) for v in ents.values()), default=0.0)
         return math.sqrt(top), "exact"
-    dim = _estimate_dim(op)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for t in op.terms:
-        if isinstance(t, Dyad):
-            if t.out < dim and t.in_ < dim:
-                mat[t.out, t.in_] += t.coeff
-        else:
-            jmax = min((dim - 1 - t.out_offset) // t.out_stride,
-                       (dim - 1 - t.in_offset) // t.in_stride)
-            for j in range(jmax + 1):
-                mat[t.out_stride * j + t.out_offset, t.in_stride * j + t.in_offset] += t.coeff
-    return float(np.linalg.norm(mat, 2)), "window-estimate"
+    return float(np.linalg.norm(_dense(op, _estimate_dim(op)), 2)), "window-estimate"
 
 
 def _estimate_dim(op: StructuredOperator) -> int:
-    bound, stride = 0, 1
-    for t in op.terms:
-        if isinstance(t, Dyad):
-            bound = max(bound, t.out, t.in_)
-        else:
-            bound = max(bound, t.out_offset, t.in_offset)
-            stride = max(stride, t.out_stride, t.in_stride)
+    bound = max([t.out_offset for t in op.terms] + [t.in_offset for t in op.terms])
+    stride = max([t.out_stride for t in op.terms] + [t.in_stride for t in op.terms])
     return min(max(bound + 4 * stride + 8, 16), 512)

@@ -22,7 +22,7 @@ import numpy as np
 from . import opalgebra as oa
 from .errors import DegenerateState, WindowInvalid
 from .instruments import Instrument, Outcome
-from .opalgebra import Dyad, StateVector, StructuredOperator
+from .opalgebra import StateVector, StructuredOperator
 from .wold import MemoryReading, memory_map, read_memory
 
 
@@ -44,11 +44,10 @@ def _max_output_below(op: StructuredOperator, input_dim: int) -> int:
     """Largest output index reachable from inputs below ``input_dim``, or -1."""
     top = -1
     for t in op.terms:
-        if isinstance(t, Dyad):
-            if t.in_ < input_dim:
-                top = max(top, t.out)
-        elif t.in_offset < input_dim:
-            j = (input_dim - 1 - t.in_offset) // t.in_stride
+        j = (input_dim - 1 - t.in_offset) // t.in_stride
+        if t.length is not None:
+            j = min(j, t.length - 1)
+        if j >= 0:
             top = max(top, t.out_stride * j + t.out_offset)
     return top
 
@@ -76,21 +75,7 @@ def dense_oracle(op: StructuredOperator, window: TruncationWindow) -> np.ndarray
         raise WindowInvalid(
             f"operator maps the valid span up to index {top}, "
             f"outside the window of dimension {window.dim}")
-    mat = np.zeros((window.dim, window.dim), dtype=complex)
-    for t in op.terms:
-        if isinstance(t, Dyad):
-            if t.out < window.dim and t.in_ < window.dim:
-                mat[t.out, t.in_] += t.coeff
-        else:
-            j = 0
-            while True:
-                r = t.out_stride * j + t.out_offset
-                c = t.in_stride * j + t.in_offset
-                if r >= window.dim or c >= window.dim:
-                    break
-                mat[r, c] += t.coeff
-                j += 1
-    return mat
+    return oa._dense(op, window.dim)
 
 
 def dense_state(psi: StateVector, dim: int) -> np.ndarray:

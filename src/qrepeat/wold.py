@@ -26,7 +26,7 @@ from . import opalgebra as oa
 from .errors import (NotIsometricOnSupport, PeriodCapExceeded,
                      SplitInvariantViolation, UnsupportedForm)
 from .indexsets import IndexSet
-from .opalgebra import Dyad, Family, StateVector, StructuredOperator
+from .opalgebra import StateVector, StructuredOperator
 
 _WALK_CAP = 500_000
 
@@ -183,47 +183,16 @@ class WoldDecomposition:
 # -- the index map sigma -----------------------------------------------------
 
 
-class _Piece:
-    __slots__ = ("pid", "kind", "a", "b", "stride", "offset", "shift")
-
-    def __init__(self, pid, kind, a=0, b=0, stride=1, offset=0, shift=0):
-        self.pid = pid
-        self.kind = kind  # "dyad" or "family"
-        self.a = a
-        self.b = b
-        self.stride = stride
-        self.offset = offset
-        self.shift = shift
-
-
-def _pieces_of(terms, inverse: bool) -> list[_Piece]:
-    out = []
+def _lookup(terms, i: int) -> tuple[int, int] | None:
+    """Position of the first term taking input ``i``, and the step it is at."""
     for n, t in enumerate(terms):
-        if isinstance(t, Dyad):
-            a, b = (t.out, t.in_) if inverse else (t.in_, t.out)
-            out.append(_Piece(n, "dyad", a=a, b=b))
-        else:
-            shift = t.out_offset - t.in_offset
-            if inverse:
-                out.append(_Piece(n, "family", stride=t.in_stride,
-                                  offset=t.out_offset, shift=-shift))
-            else:
-                out.append(_Piece(n, "family", stride=t.in_stride,
-                                  offset=t.in_offset, shift=shift))
-    return out
-
-
-def _lookup(pieces: list[_Piece], i: int) -> _Piece | None:
-    for p in pieces:
-        if p.kind == "dyad":
-            if p.a == i:
-                return p
-        elif i >= p.offset and (i - p.offset) % p.stride == 0:
-            return p
+        j = t.step_at(i)
+        if j is not None:
+            return n, j
     return None
 
 
-def _walk(pieces: list[_Piece], start: int, modulus: int):
+def _walk(terms, start: int, modulus: int):
     """Follow sigma from ``start`` until the orbit closes or turns periodic.
 
     Returns ("cycle", indices) or ("ray", prefix, phases, step).
@@ -233,19 +202,20 @@ def _walk(pieces: list[_Piece], start: int, modulus: int):
     seen: dict[tuple[int, int], int] = {}
     while len(seq) <= _WALK_CAP:
         i = seq[-1]
-        piece = _lookup(pieces, i)
-        if piece is None:
+        hit = _lookup(terms, i)
+        if hit is None:
             raise RuntimeError(f"index map is not total at {i}")
-        if piece.kind == "family":
-            key = (piece.pid, i % modulus)
+        n, j = hit
+        t = terms[n]
+        if t.length is None:
+            key = (n, i % modulus)
             at = seen.get(key)
             if at is not None and seq[at] < i:
                 return "ray", tuple(seq[:at]), tuple(seq[at:-1]), i - seq[at]
             seen[key] = len(seq) - 1
-            nxt = i + piece.shift
         else:
             seen.clear()
-            nxt = piece.b
+        nxt = t.out_stride * j + t.out_offset
         if nxt == start:
             return "cycle", tuple(seq)
         if nxt in visited:
@@ -265,7 +235,7 @@ def _validate(v: StructuredOperator, tol: float) -> tuple[IndexSet, IndexSet]:
         raise NotIsometricOnSupport(
             "columns share output rows, so the squared modulus is not a projector")
     for t in v.terms:
-        if isinstance(t, Family) and t.out_stride != t.in_stride:
+        if t.out_stride != t.in_stride:
             raise UnsupportedForm(
                 "a family changes stride, so its orbits are not eventually arithmetic")
         if abs(abs(t.coeff) - 1.0) > tol:
@@ -299,14 +269,12 @@ def wold_decompose(v: StructuredOperator, tol: float | None = None) -> WoldDecom
     fixed = IndexSet.empty()
     active = []
     for t in v.terms:
-        if isinstance(t, Family) and t.out_offset == t.in_offset:
+        if t.length is None and t.out_offset == t.in_offset:
             fixed = fixed.union(IndexSet.from_progression(t.in_stride, t.in_offset))
         else:
             active.append(t)
-    pieces = _pieces_of(active, inverse=False)
-    inv_pieces = _pieces_of(active, inverse=True)
-    fam_pieces = [p for p in pieces if p.kind == "family"]
-    modulus = math.lcm(*[p.stride for p in fam_pieces]) if fam_pieces else 1
+    inverse = [t.adjoint() for t in active]
+    modulus = math.lcm(*(t.in_stride for t in active))
 
     generators = support.difference(rng)
     if not generators.is_finite:
@@ -314,7 +282,7 @@ def wold_decompose(v: StructuredOperator, tol: float | None = None) -> WoldDecom
     orbits: list[ShiftOrbit] = []
     shift_domain = IndexSet.empty()
     for g in generators.members_below(generators.bound):
-        kind, *rest = _walk(pieces, g, modulus)
+        kind, *rest = _walk(active, g, modulus)
         if kind != "ray":
             raise RuntimeError("a generator orbit closed into a cycle")
         prefix, phases, step = rest
@@ -327,23 +295,22 @@ def wold_decompose(v: StructuredOperator, tol: float | None = None) -> WoldDecom
 
     # everything else is recurrent: cycles, cycle families, bilateral chains
     leftover = support.difference(fixed).difference(shift_domain)
-    dyad_indices = [x for p in pieces if p.kind == "dyad" for x in (p.a, p.b)]
     horizon = max([leftover.bound, 1]
-                  + [p.offset + p.stride for p in fam_pieces]
-                  + [x + 1 for x in dyad_indices])
+                  + [t.in_offset + t.in_stride for t in active]
+                  + [t.out_offset + 1 for t in active if t.length == 1])
     cycles: list[tuple[int, ...]] = []
     bilaterals: list[BilateralOrbit] = []
     claimed = IndexSet.empty()
     for q in leftover.members_below(horizon):
         if q in claimed:
             continue
-        kind, *rest = _walk(pieces, q, modulus)
+        kind, *rest = _walk(active, q, modulus)
         if kind == "cycle":
             cycles.append(rest[0])
             claimed = claimed.union(IndexSet.from_indices(rest[0]))
             continue
         fprefix, fphases, fstep = rest
-        bkind, *brest = _walk(inv_pieces, q, modulus)
+        bkind, *brest = _walk(inverse, q, modulus)
         if bkind != "ray":
             raise RuntimeError("backward walk closed a cycle the forward walk missed")
         bprefix, bphases, bstep = brest
@@ -353,7 +320,7 @@ def wold_decompose(v: StructuredOperator, tol: float | None = None) -> WoldDecom
         bilaterals.append(orbit)
         claimed = claimed.union(orbit.index_set())
 
-    cycle_families = _tail_cycle_families(leftover, fam_pieces, modulus, horizon)
+    cycle_families = _tail_cycle_families(leftover, active, modulus, horizon)
 
     covered = fixed.union(shift_domain).union(claimed)
     for cf in cycle_families:
@@ -375,7 +342,7 @@ def wold_decompose(v: StructuredOperator, tol: float | None = None) -> WoldDecom
                              fixed, unitary_domain, shift_domain)
 
 
-def _tail_cycle_families(leftover: IndexSet, fam_pieces: list[_Piece],
+def _tail_cycle_families(leftover: IndexSet, active: list[oa.Term],
                          modulus: int, horizon: int) -> tuple[CycleFamily, ...]:
     """Cycle families hiding in the periodic tail of the recurrent region.
 
@@ -408,11 +375,13 @@ def _tail_cycle_families(leftover: IndexSet, fam_pieces: list[_Piece],
             done.add(r)
             deltas.append(lift)
             rep = horizon + ((r - horizon) % lam)
-            owner = _lookup(fam_pieces, rep)
-            if owner is None:
+            hit = _lookup(active, rep)
+            if hit is None:
                 raise RuntimeError(f"tail index {rep} has no owning family")
-            lift += owner.shift
-            r = (r + owner.shift) % lam
+            owner, j = active[hit[0]], hit[1]
+            shift = owner.out_stride * j + owner.out_offset - rep
+            lift += shift
+            r = (r + shift) % lam
             if r == r0:
                 break
             if r not in residues or r in done:

@@ -16,16 +16,13 @@ from qrepeat import Dyad, Family, IndexSet, StateVector, StructuredOperator
 def dense(op, dim):
     m = np.zeros((dim, dim), dtype=complex)
     for t in op.terms:
-        if isinstance(t, Dyad):
-            if t.out < dim and t.in_ < dim:
-                m[t.out, t.in_] += t.coeff
-        else:
-            j = 0
-            while (t.out_stride * j + t.out_offset < dim
-                   and t.in_stride * j + t.in_offset < dim):
-                m[t.out_stride * j + t.out_offset,
-                  t.in_stride * j + t.in_offset] += t.coeff
-                j += 1
+        j = 0
+        while ((t.length is None or j < t.length)
+               and t.out_stride * j + t.out_offset < dim
+               and t.in_stride * j + t.in_offset < dim):
+            m[t.out_stride * j + t.out_offset,
+              t.in_stride * j + t.in_offset] += t.coeff
+            j += 1
     return m
 
 

@@ -5,6 +5,8 @@ library's own windowing.  Composition is checked through vector application,
 which is exact and free of truncation artifacts.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,16 +27,16 @@ def mat(op):
 
 
 def test_family_folds_j_start_into_offsets():
-    assert oa.family(1.0, 2, 1, 2, 0, j_start=3) == oa.family(1.0, 2, 7, 2, 6)
+    assert Family(1.0, 2, 1, 2, 0, j_start=3) == Family(1.0, 2, 7, 2, 6)
 
 
 def test_family_rejects_bad_strides():
     with pytest.raises(ValueError):
-        oa.family(1.0, 0, 0, 1, 0)
+        Family(1.0, 0, 0, 1, 0)
     with pytest.raises(ValueError):
-        oa.family(1.0, 1, 0, -2, 0)
+        Family(1.0, 1, 0, -2, 0)
     with pytest.raises(ValueError):
-        oa.dyad(1.0, -1, 0)
+        Dyad(1.0, -1, 0)
 
 
 def test_canonical_order_is_presentation_independent():
@@ -53,6 +55,22 @@ def test_canonical_drops_cancelled_terms():
     op = StructuredOperator((Dyad(1.0, 2, 3), Dyad(-1.0, 2, 3)))
     assert op.is_zero()
     assert op.terms == ()
+
+
+def test_point_cancelling_a_family_head_moves_its_start():
+    op = StructuredOperator((Family(1.0, 2, 3, 2, 1), Dyad(-1.0, 3, 1)))
+    assert op.terms == (Family(1.0, 2, 5, 2, 3),)
+
+
+def test_point_before_a_family_head_extends_it_backward():
+    op = StructuredOperator((Family(0.5, 2, 5, 2, 3), Dyad(0.5, 3, 1)))
+    assert op.terms == (Family(0.5, 2, 3, 2, 1),)
+
+
+def test_point_inside_a_family_stays_separate():
+    op = StructuredOperator((Family(1.0, 2, 3, 2, 1), Dyad(0.25, 5, 3)))
+    assert op.terms == (Family(1.0, 2, 3, 2, 1), Dyad(0.25, 5, 3))
+    assert mat(op)[5, 3] == 1.25
 
 
 def test_shift_family_dense_form():
@@ -167,6 +185,32 @@ def test_is_monomial():
     assert not oa.is_monomial(StructuredOperator(
         (Family(1.0, 2, 0, 2, 0), Family(1.0, 2, 1, 4, 2))))
     assert oa.is_monomial(StructuredOperator(()))
+
+
+# Offsets up to 6 and strides up to 3 put every clash between two terms of
+# operators() below row 64, so a 64-window is a faithful dense reference.
+# is_monomial is structural: entries of two terms that cancel in a column
+# still clash, so the reference renders the terms' magnitudes, which cannot.
+@given(operators())
+def test_is_monomial_matches_dense_columns(op):
+    magnitudes = SimpleNamespace(terms=[
+        oa.Term(abs(t.coeff), t.out_stride, t.out_offset, t.in_stride, t.in_offset, t.length)
+        for t in op.terms])
+    columns = dense(magnitudes, 64).T
+    assert oa.is_monomial(op) == all(np.count_nonzero(c) <= 1 for c in columns)
+
+
+def test_is_monomial_counts_a_cancelled_entry_as_a_clash():
+    # the point cancels the family's entry at row 2, column 2, leaving one
+    # nonzero in that column, but the two terms still feed rows 2 and 9
+    op = StructuredOperator((Family(1.0, 1, 0, 1, 0), Dyad(-1.0, 2, 2), Dyad(0.5, 9, 2)))
+    assert not oa.is_monomial(op)
+
+
+@given(operators())
+def test_diagonal_part_matches_dense_diagonal(op):
+    m = dense(op, 64)
+    assert np.allclose(dense(oa.diagonal_part(op), 64), np.diag(np.diag(m)), atol=1e-12)
 
 
 def test_is_diagonal_and_diagonal_part():
