@@ -3,10 +3,10 @@
 Operators are finite sums of one term type, an arithmetic progression of
 matrix units that runs for one step or forever; ``Dyad`` and ``Family``
 build the two lengths.  The class is closed under adjoint, sum, and
-composition, with equality decided exactly on a provably sufficient window.  On top of that algebra sit instrument
-builders, a repeatability certifier, POVM classification, shift-orbit
-decomposition with its repetition counter, and seeded Born-rule
-simulation cross-checked by a dense truncation oracle.
+composition, with equality decided exactly on the terms.  On top of that
+algebra sit instrument builders, a repeatability certifier, POVM
+classification, shift-orbit decomposition with its repetition counter,
+and seeded Born-rule simulation cross-checked by a dense truncation oracle.
 """
 
 from .errors import (BadProbabilityVector, CompletenessViolation,

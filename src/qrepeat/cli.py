@@ -21,6 +21,7 @@ from pathlib import Path
 
 import click
 
+from . import indexsets as iss
 from . import opalgebra as oa
 from .certify import certify_repeatable, classify_povm
 from .errors import QRepeatError
@@ -51,6 +52,14 @@ def _stem(path: str) -> str:
 
 
 def _apply_knobs(tolerance: float | None, period_cap: int | None):
+    """Set the knobs for the running command only.
+
+    The previous values come back when the command's context closes, which
+    it does whether the command returns, exits or raises.
+    """
+    saved = oa.TOLERANCE, iss.PERIOD_CAP
+    click.get_current_context().call_on_close(
+        lambda: (oa.set_tolerance(saved[0]), set_period_cap(saved[1])))
     if tolerance is not None:
         oa.set_tolerance(tolerance)
     if period_cap is not None:

@@ -11,8 +11,8 @@ class PeriodCapExceeded(QRepeatError):
     """A periodic structure grew past the configured cap.
 
     Raised by index-set algebra when an lcm of periods explodes, and by
-    operator comparisons when the decision window would be too large to
-    enumerate.
+    operator comparisons when the lcm of the row strides on one line of
+    parallel progressions does.
     """
 
 

@@ -8,27 +8,29 @@ family).  ``Dyad`` and ``Family`` are its two constructors, matching the
 under adjoint, sum, and composition, which makes completeness and
 repeatability checks exact rather than truncation-limited.
 
-Equality is decided on a finite window.  Entries of a difference operator
-repeat along progression directions beyond all sporadic crossings of
-non-parallel families; crossing coordinates are bounded by ``2*P^2*B`` for
-``P`` the lcm of strides and ``B`` the largest offset, so agreement on
-``[0, 2*P^2*(B+2) + B)^2`` forces agreement everywhere.
+Equality is decided on the terms.  Progressions with one primitive
+direction and one invariant ``v*row - u*col`` lie on one geometric line,
+and from the line's highest head on its own entries repeat with the lcm
+of their row strides.  Entries change elsewhere only at points and at
+crossings of non-parallel progressions, and a crossing is the one integer
+solution of a 2x2 system.  So finitely many positions carry every value an
+operator takes, and :func:`max_deviation` evaluates exactly those.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from . import indexsets
 from .errors import PeriodCapExceeded
 from .indexsets import IndexSet
 
 TOLERANCE = 1e-12
-WINDOW_CAP = 4 * 10**6
 _setattr = object.__setattr__
 
 
@@ -433,21 +435,7 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
     return StructuredOperator(terms)
 
 
-# -- equality on a sufficient window --------------------------------------
-
-
-def _window_size(terms: tuple[Term, ...], period_cap: int | None = None) -> int:
-    from . import indexsets
-
-    cap = indexsets.PERIOD_CAP if period_cap is None else period_cap
-    bound = max([t.out_offset for t in terms] + [t.in_offset for t in terms], default=0)
-    period = math.lcm(*{t.out_stride for t in terms}, *{t.in_stride for t in terms})
-    if period > cap:
-        raise PeriodCapExceeded(f"stride lcm {period} exceeds cap {cap}")
-    w = max(2 * period * period * (bound + 2) + bound, 8)
-    if w > WINDOW_CAP:
-        raise PeriodCapExceeded(f"comparison window {w} exceeds cap {WINDOW_CAP}")
-    return w
+# -- equality, decided on the terms ----------------------------------------
 
 
 def _entries(terms: Iterable[Term], window: int) -> dict[tuple[int, int], complex]:
@@ -469,19 +457,101 @@ def _dense(op: StructuredOperator, dim: int) -> np.ndarray:
     return mat
 
 
-def max_deviation(a: StructuredOperator, b: StructuredOperator):
-    """Largest entrywise difference over the decision window.
+def _line(t: Term) -> tuple[int, int, int]:
+    """Primitive direction ``(u, v)`` and invariant ``v*row - u*col`` of a progression."""
+    g = math.gcd(t.out_stride, t.in_stride)
+    u, v = t.out_stride // g, t.in_stride // g
+    return u, v, v * t.out_offset - u * t.in_offset
 
-    Returns ``(deviation, position)``; the window bound makes a zero
-    deviation a proof of global equality.
+
+def _crossing(s: Term, t: Term) -> tuple[int, int] | None:
+    """The one position of two non-parallel progressions, or None."""
+    det = t.out_stride * s.in_stride - s.out_stride * t.in_stride
+    e, f = t.out_offset - s.out_offset, t.in_offset - s.in_offset
+    k, rk = divmod(t.out_stride * f - t.in_stride * e, det)
+    j, rj = divmod(s.out_stride * f - s.in_stride * e, det)
+    if rk or rj or k < 0 or j < 0:
+        return None
+    return s.out_stride * k + s.out_offset, s.in_stride * k + s.in_offset
+
+
+def max_deviation(a: StructuredOperator, b: StructuredOperator):
+    """Largest entrywise difference ``|a - b|`` over all positions.
+
+    Returns ``(deviation, position)``, where the position is the least
+    ``(row, col)`` attaining the deviation, or None when it is 0.  Parallel
+    progressions on one geometric line make its entries periodic in the row,
+    with the lcm ``L`` of their row strides, from its highest head on; the
+    entries change elsewhere only at points and at crossings of
+    non-parallel progressions.  So the positions evaluated are those points
+    and crossings, each line's rows up to its highest head plus ``L``, and,
+    where one of those rows is a point or a crossing, the first later row of
+    its residue that is neither.  Each entry is summed in term order.
     """
-    window = _window_size(a.terms + b.terms)
-    ea = _entries(a.terms, window)
-    eb = _entries(b.terms, window)
+    terms = a.terms + b.terms
+    line_of = {t: _line(t) for t in terms if t.length is None}
+    tails: dict[tuple[int, int, int], list[int]] = {}  # line -> [highest head row, L]
+    by_dir: dict[tuple[int, int], list[Term]] = {}
+    for t, line in line_of.items():
+        tail = tails.setdefault(line, [t.out_offset, 1])
+        tail[0] = max(tail[0], t.out_offset)
+        tail[1] = math.lcm(tail[1], t.out_stride)
+        by_dir.setdefault(line[:2], []).append(t)
+    for _, period in tails.values():
+        if period > indexsets.PERIOD_CAP:
+            raise PeriodCapExceeded(
+                f"stride lcm {period} on one line exceeds cap {indexsets.PERIOD_CAP}")
+
+    fixed = {(t.out_offset, t.in_offset) for t in terms if t.length == 1}
+    groups = list(by_dir.values())
+    for i, group in enumerate(groups):
+        for other in groups[i + 1:]:
+            for s in group:
+                for t in other:
+                    p = _crossing(s, t)
+                    if p is not None:
+                        fixed.add(p)
+
+    # positions past a line's enumerated rows that its progressions may hold
+    beyond: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    for r, c in fixed:
+        for u, v in by_dir:
+            line = (u, v, v * r - u * c)
+            if line not in tails:
+                continue
+            hi, period = tails[line]
+            if r >= hi + period:
+                beyond.setdefault(line, []).append((r, c))
+            elif r >= hi:
+                dr, dc = period, period // u * v
+                q = (r + dr, c + dc)
+                while q in fixed:
+                    q = (q[0] + dr, q[1] + dc)
+                beyond.setdefault(line, []).append(q)
+
+    def entries(terms):
+        ents: dict[tuple[int, int], complex] = {}
+        for t in terms:
+            c = t.coeff
+            if t.length == 1:
+                key = (t.out_offset, t.in_offset)
+                ents[key] = ents.get(key, 0.0) + c
+                continue
+            line = line_of[t]
+            hi, period = tails[line]
+            for key in zip(range(t.out_offset, hi + period, t.out_stride),
+                           count(t.in_offset, t.in_stride)):
+                ents[key] = ents.get(key, 0.0) + c
+            for key in beyond.get(line, ()):
+                if (key[0] - t.out_offset) % t.out_stride == 0:
+                    ents[key] = ents.get(key, 0.0) + c
+        return ents
+
+    ea, eb = entries(a.terms), entries(b.terms)
     dev, pos = 0.0, None
     for key in ea.keys() | eb.keys():
         d = abs(ea.get(key, 0.0) - eb.get(key, 0.0))
-        if d > dev:
+        if d > dev or (d == dev and pos is not None and key < pos):
             dev, pos = d, key
     return dev, pos
 
@@ -546,18 +616,15 @@ def operator_norm(op: StructuredOperator) -> tuple[float, str]:
     """Operator norm, exact for monomial operators.
 
     For a monomial operator ``M`` the Gram operator ``M M*`` is diagonal,
-    and the supremum of its entries over the decision window is the global
-    supremum, so the returned value is exact.  Otherwise the largest
+    and its largest entry, ``max_deviation`` against zero, is the square of
+    the norm, so the returned value is exact.  Otherwise the largest
     singular value of a dense window realization is reported, tagged
     ``"window-estimate"``.
     """
     if not op.terms:
         return 0.0, "exact"
     if is_monomial(op):
-        gram = compose(op, adjoint(op))
-        window = _window_size(gram.terms)
-        ents = _entries(gram.terms, window)
-        top = max((abs(v) for v in ents.values()), default=0.0)
+        top, _ = max_deviation(compose(op, adjoint(op)), StructuredOperator.zero())
         return math.sqrt(top), "exact"
     return float(np.linalg.norm(_dense(op, _estimate_dim(op)), 2)), "window-estimate"
 

@@ -49,6 +49,12 @@ def test_projective_partition_is_orthogonal():
     assert rep.repeatable and rep.orthogonal and rep.complete
 
 
+def test_stride_210_partition_builds_and_certifies():
+    s = IndexSet.from_progression(210, 0)
+    rep = certify_repeatable(build_orthogonal({1: s, 2: s.complement()}))
+    assert rep.repeatable and rep.orthogonal and rep.complete
+
+
 def test_incomplete_instrument_reports_completeness():
     inst = make_instrument({1: oa.projector(EVENS)}, check_completeness=False)
     rep = certify_repeatable(inst)

@@ -6,9 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 import qrepeat.cli as cli
+import qrepeat.indexsets as iss
 import qrepeat.opalgebra as oa
-from qrepeat import (build_binary_example, build_example_family,
-                     build_nonrepeatable_sibling)
+from qrepeat import (IndexSet, build_binary_example, build_example_family,
+                     build_nonrepeatable_sibling, build_orthogonal)
 
 
 @pytest.fixture
@@ -72,6 +73,27 @@ def test_certify_exit_codes(runner, tmp_path):
     report = json.loads((tmp_path / "b.report.json").read_text())
     assert report["repeatable"] is False and report["complete"] is True
     assert report["witnesses"]
+
+
+def test_certify_accepts_a_stride_210_partition(runner, tmp_path):
+    s = IndexSet.from_progression(210, 0)
+    path = write_instrument(build_orthogonal({1: s, 2: s.complement()}),
+                            tmp_path / "mod210.json")
+    result = runner.invoke(cli.main, ["certify", path,
+                                      "--out", str(tmp_path / "mod210.report.json")])
+    assert result.exit_code == 0, result.output
+
+
+def test_knobs_last_for_one_command(tmp_path):
+    knobs = ["--tolerance", "1e-3", "--period-cap", "50"]
+    cli.main(["demo", "ex1", "--outdir", str(tmp_path), *knobs], standalone_mode=False)
+    assert (oa.TOLERANCE, iss.PERIOD_CAP) == (1e-12, 10**6)
+    # certify ends in sys.exit, and a missing file fails before any work
+    for path in (tmp_path / "ex1.instrument.json", tmp_path / "missing.json"):
+        with pytest.raises(SystemExit):
+            cli.main(["certify", str(path), "--out", str(tmp_path / "r.json"), *knobs],
+                     standalone_mode=False)
+        assert (oa.TOLERANCE, iss.PERIOD_CAP) == (1e-12, 10**6)
 
 
 def test_certify_rejects_malformed_file(runner, tmp_path):
@@ -200,5 +222,5 @@ def test_tolerance_flag_changes_the_verdict(runner, tmp_path):
                                          "--out", str(tmp_path / "l.json")])
         assert loose.exit_code == 0
     finally:
-        # the knob is process-scoped; in-process invocation leaks it
+        # a guard only: each command restores the knob when it ends
         oa.set_tolerance(1e-12)

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 
 import qrepeat.opalgebra as oa
 from helpers import dense, dense_vec, operators, states
-from qrepeat import (Dyad, Family, IndexSet, StateVector, StructuredOperator,
-                     set_tolerance)
+from qrepeat import (Dyad, Family, IndexSet, PeriodCapExceeded, StateVector,
+                     StructuredOperator, set_period_cap, set_tolerance)
 
 DIM = 24
 
@@ -169,10 +169,62 @@ def test_equals_separates_distinct_periodic_patterns():
 
 @given(operators(), operators())
 def test_equals_agrees_with_dense_window(a, b):
-    # the decision window the library derives is at least as wide as the
-    # pattern content, so equality must imply dense agreement
+    # equality is decided over every position, so it must imply agreement
+    # on any dense window
     if oa.equals(a, b):
         assert np.allclose(dense(a, 64), dense(b, 64), atol=1e-9)
+
+
+# Strides <= 3 and offsets <= 6 put every crossing of two progressions of
+# operators() below row and column 115, every line's enumerated rows below
+# 12, and a tail value at most one line period (<= 6) past a point or a
+# crossing.  So every position max_deviation evaluates lies in a 128 window.
+@given(operators(), operators())
+def test_max_deviation_matches_dense_oracle(a, b):
+    diff = dense(a, 128) - dense(b, 128)
+    # Python's complex abs, not np.abs, which can differ in the last bit
+    mags = [[abs(complex(x)) for x in row] for row in diff]
+    top = max(max(row) for row in mags)
+    dev, pos = oa.max_deviation(a, b)
+    assert dev == top
+    if top == 0:
+        assert pos is None
+    else:
+        assert pos == min((r, c) for r, row in enumerate(mags)
+                          for c, x in enumerate(row) if x == top)
+
+
+def test_max_deviation_finds_a_far_crossing():
+    # the lines differ by 0.5 everywhere; only where the two families cross,
+    # at row and column 2000, do the differences add up to 1
+    lines = [Family(1.0, 2, 0, 1, 1000), Family(1.0, 1, 0, 1, 0)]
+    a = StructuredOperator(lines)
+    b = StructuredOperator([oa.Term(0.5, t.out_stride, t.out_offset, t.in_stride,
+                                    t.in_offset, t.length) for t in lines])
+    assert oa.max_deviation(a, b) == (1.0, (2000, 2000))
+
+
+def test_max_deviation_looks_past_a_point_on_a_tail():
+    # the point sits on the line's one in-period position, so its tail
+    # value 1 shows only at the next row
+    op = StructuredOperator((Family(1.0, 1, 5, 1, 5), Dyad(-0.5, 5, 5)))
+    assert oa.max_deviation(op, StructuredOperator.zero()) == (1.0, (6, 6))
+
+
+def test_max_deviation_reports_the_least_position_on_ties():
+    assert oa.max_deviation(StructuredOperator.identity(),
+                            StructuredOperator.zero()) == (1.0, (0, 0))
+
+
+def test_max_deviation_honours_the_period_cap():
+    op = StructuredOperator((Family(1.0, 210, 0, 210, 0),))
+    set_period_cap(100)
+    try:
+        with pytest.raises(PeriodCapExceeded):
+            oa.max_deviation(op, StructuredOperator.zero())
+    finally:
+        set_period_cap(10**6)
+    assert oa.max_deviation(op, StructuredOperator.zero()) == (1.0, (0, 0))
 
 
 # -- structure predicates -------------------------------------------------------
