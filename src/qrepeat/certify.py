@@ -2,9 +2,9 @@
 
 The structural test is the isometry-on-range identity
 ``M_e* M_e M_e = M_e`` combined with pairwise annihilation
-``M_f M_e = 0``; both are decided exactly on the comparison window.  The
-numerical cross-check instead samples states and inspects conditional
-outcome ratios, and a dense truncation suite exercises the
+``M_f M_e = 0``; both are decided exactly on the terms, at every
+position.  The numerical cross-check instead samples states and inspects
+conditional outcome ratios, and a dense truncation suite exercises the
 finite-dimensional equivalence of repeatability and orthogonality.
 """
 

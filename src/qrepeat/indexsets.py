@@ -25,18 +25,6 @@ def set_period_cap(value: int) -> None:
     PERIOD_CAP = int(value)
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 @dataclass(frozen=True)
 class IndexSet:
     """Subset of the nonnegative integers with an eventually periodic tail.
@@ -176,11 +164,8 @@ class IndexSet:
 
 def _canonicalize(transient, bound, period, residues):
     # Minimal period: membership past the bound must factor through i % d.
-    for d in _divisors(period):
-        if all(((r % d) in residues) == (r in residues) for r in range(period)):
-            residues = frozenset(r for r in range(d) if r in residues)
-            period = d
-            break
+    period = _min_period(period, residues)
+    residues = frozenset(r for r in residues if r < period)
     # Minimal bound: pull the boundary down while the transient region
     # agrees with what the tail predicts.
     transient = set(transient)
@@ -191,6 +176,27 @@ def _canonicalize(transient, bound, period, residues):
         transient.discard(prev)
         bound = prev
     return frozenset(transient), bound, period, frozenset(residues)
+
+
+def _min_period(period: int, residues: frozenset[int]) -> int:
+    """Least period of ``residues`` as a subset of the integers mod ``period``.
+
+    The shifts that leave the set invariant are the multiples of its least
+    period, which divides ``period``.  So dividing ``period`` by each of its
+    prime factors, as long as the quotient is still such a shift, ends there.
+    """
+    d = n = period
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left of n is prime
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            while d % p == 0 and {(r + d // p) % period for r in residues} == residues:
+                d //= p
+        p += 1
+    return d
 
 
 def _combine(a: IndexSet, b: IndexSet, fn) -> IndexSet:

@@ -84,7 +84,8 @@ def make_instrument(entries: Mapping[Outcome, StructuredOperator],
     """Validate and freeze a labeled operator family.
 
     Each operator must be a contraction; when ``check_completeness`` is set
-    the squared moduli must sum to the identity exactly (window-decided).
+    the squared moduli must sum to the identity, decided exactly on the terms
+    (see :func:`qrepeat.opalgebra.max_deviation`).
     """
     if not entries:
         raise ValueError("an instrument needs at least one outcome")

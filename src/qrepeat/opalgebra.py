@@ -19,9 +19,10 @@ operator takes, and :func:`max_deviation` evaluates exactly those.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -133,6 +134,13 @@ class StructuredOperator:
     def __init__(self, terms: Iterable[Term] = (), tol: float | None = None):
         object.__setattr__(self, "terms", _canonicalize(terms, _tol(tol)))
 
+    @classmethod
+    def _canonical(cls, terms: tuple[Term, ...]) -> "StructuredOperator":
+        """Wrap terms that are already in canonical form."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "terms", terms)
+        return op
+
     def __setattr__(self, name, value):
         raise AttributeError("StructuredOperator is immutable")
 
@@ -238,48 +246,67 @@ def _canonicalize(terms: Iterable[Term], tol: float) -> tuple[Term, ...]:
         else:
             sig = (t.out_stride, t.out_offset, t.in_stride, t.in_offset)
             fams[sig] = fams.get(sig, 0.0) + complex(t.coeff)
+    return _finish(fams, dyds, tol)
+
+
+def _finish(fams: dict[tuple[int, int, int, int], complex],
+            dyds: dict[tuple[int, int], complex], tol: float) -> tuple[Term, ...]:
+    """Canonical terms from summed coefficients.
+
+    ``fams`` maps progression signatures ``(os, oo, is, io)`` and ``dyds``
+    point positions ``(out, in)`` to their coefficient sums.  A sum that is
+    not finite raises ValueError before the tolerance filter, which would
+    drop a nan silently.  Sums within ``tol`` of zero are dropped, points on
+    a family boundary are absorbed, and the progressions, then the points,
+    are listed in sorted order.
+    """
+    for c in chain(fams.values(), dyds.values()):
+        if not cmath.isfinite(c):
+            raise ValueError("coefficients must be finite")
     dyds = {k: c for k, c in dyds.items() if abs(c) > tol}
     fams = {k: c for k, c in fams.items() if abs(c) > tol}
-
-    # Absorb dyads sitting exactly on a family boundary.  Each pass removes
-    # one dyad, so the loop is bounded by the dyad count.
-    changed = True
-    while changed:
-        changed = False
-        for (o, i), c in sorted(dyds.items(), key=lambda kv: kv[0]):
-            for sig in sorted(fams):
-                os_, oo, is_, io = sig
-                cf = fams[sig]
-                if (o, i) == (oo, io) and abs(c + cf) <= tol:
-                    # dyad cancels the family head; the family starts one step later
-                    del dyds[(o, i)]
-                    del fams[sig]
-                    nsig = (os_, oo + os_, is_, io + is_)
-                    cf = fams.get(nsig, 0.0) + cf
-                    if abs(cf) > tol:
-                        fams[nsig] = cf
-                    elif nsig in fams:
-                        del fams[nsig]
-                    changed = True
-                    break
-                if (o, i) == (oo - os_, io - is_) and o >= 0 and i >= 0 and abs(c - cf) <= tol:
-                    # dyad extends the family one step backward
-                    del dyds[(o, i)]
-                    del fams[sig]
-                    nsig = (os_, oo - os_, is_, io - is_)
-                    cf = fams.get(nsig, 0.0) + cf
-                    if abs(cf) > tol:
-                        fams[nsig] = cf
-                    elif nsig in fams:
-                        del fams[nsig]
-                    changed = True
-                    break
-            if changed:
-                break
-
+    while _absorb_one(fams, dyds, tol):  # each pass removes a point, so this ends
+        pass
     out = [Term(c, *sig) for sig, c in sorted(fams.items())]
     out.extend(Term(c, 1, o, 1, i, 1) for (o, i), c in sorted(dyds.items()))
     return tuple(out)
+
+
+def _absorb_one(fams: dict[tuple[int, int, int, int], complex],
+                dyds: dict[tuple[int, int], complex], tol: float) -> bool:
+    """Absorb the least point that cancels a family head or extends a family
+    one step backward, trying its families in sorted order; False when none does.
+
+    Only a point at a family head or one step before it can match, so only
+    those points are tried.
+    """
+    near: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    for sig in fams:
+        os_, oo, is_, io = sig
+        near.setdefault((oo, io), []).append(sig)
+        if oo >= os_ and io >= is_:
+            near.setdefault((oo - os_, io - is_), []).append(sig)
+    for pos in sorted(near.keys() & dyds.keys()):
+        c = dyds[pos]
+        for sig in sorted(near[pos]):
+            os_, oo, is_, io = sig
+            cf = fams[sig]
+            if pos == (oo, io) and abs(c + cf) <= tol:
+                step = 1  # the point cancels the head; the family starts one step later
+            elif pos == (oo - os_, io - is_) and abs(c - cf) <= tol:
+                step = -1  # the point extends the family one step backward
+            else:
+                continue
+            del dyds[pos]
+            del fams[sig]
+            nsig = (os_, oo + step * os_, is_, io + step * is_)
+            cf = fams.get(nsig, 0.0) + cf
+            if abs(cf) > tol:
+                fams[nsig] = cf
+            elif nsig in fams:
+                del fams[nsig]
+            return True
+    return False
 
 
 # -- state vectors -------------------------------------------------------
@@ -414,25 +441,64 @@ def _compose_terms(a: Term, b: Term) -> Term | None:
 
 
 def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
-    """Operator product ``a @ b`` (apply ``b`` first).
+    """Operator product ``a @ b`` (apply ``b`` first), summed straight into
+    canonical form.
 
-    A point of ``a`` meets only the progressions of ``b`` and the points of
-    ``b`` whose output is its input, so those are looked up by index.
-    Canonical form lists progressions before points, so the products come
-    out in all-pairs order and their coefficient sums do not change.
+    ``b``'s points are keyed by output index and its progressions by output
+    stride and residue.  A point of ``a`` meets the points keyed by its
+    input and, in each stride group, the progressions of its input's
+    residue that start at or below it.  A progression of ``a`` meets the
+    progressions whose output residue agrees with its input offset modulo
+    the gcd of the two strides (solutions then exist), and the points on its
+    input progression.  For each term of ``a`` the partners are taken in
+    ``b``'s term order, so every coefficient is summed in the order of the
+    all-pairs product and keeps its bits.
     """
-    progs = [t for t in b.terms if t.length is None]
-    points: dict[int, list[Term]] = {}
-    for t in b.terms[len(progs):]:
-        points.setdefault(t.out_offset, []).append(t)
-    terms = []
+    nprog = sum(1 for t in b.terms if t.length is None)  # canonical: progressions first
+    progs: dict[int, dict[int, list[int]]] = {}  # out stride -> out residue -> indices
+    for idx, t in enumerate(b.terms[:nprog]):
+        progs.setdefault(t.out_stride, {}).setdefault(t.out_offset % t.out_stride, []).append(idx)
+    points = b.terms[nprog:]
+    points_at: dict[int, list[tuple[int, complex]]] = {}  # out index -> (in index, coeff)
+    for t in points:
+        points_at.setdefault(t.out_offset, []).append((t.in_offset, t.coeff))
+
+    fams: dict[tuple[int, int, int, int], complex] = {}
+    dyds: dict[tuple[int, int], complex] = {}
     for ta in a.terms:
-        partners = b.terms if ta.length is None else progs + points.get(ta.in_offset, [])
-        for tb in partners:
-            t = _compose_terms(ta, tb)
-            if t is not None:
-                terms.append(t)
-    return StructuredOperator(terms)
+        ca, ai, ao = ta.coeff, ta.in_offset, ta.out_offset
+        if ta.length == 1:
+            hits = sorted(idx for stride, group in progs.items()
+                          for idx in group.get(ai % stride, ()))
+            for idx in hits:
+                tb = b.terms[idx]
+                d = ai - tb.out_offset
+                if d >= 0:
+                    key = (ao, tb.in_stride * (d // tb.out_stride) + tb.in_offset)
+                    dyds[key] = dyds.get(key, 0.0) + ca * tb.coeff
+            for bi, cb in points_at.get(ai, ()):
+                key = (ao, bi)
+                dyds[key] = dyds.get(key, 0.0) + ca * cb
+            continue
+        s1, os_ = ta.in_stride, ta.out_stride
+        hits = []
+        for stride, group in progs.items():
+            g = math.gcd(s1, stride)
+            r0 = ai % g
+            if len(group) < stride // g:
+                hits.extend(idx for r, idxs in group.items() if r % g == r0 for idx in idxs)
+            else:
+                hits.extend(idx for r in range(r0, stride, g) for idx in group.get(r, ()))
+        for idx in sorted(hits):
+            t = _compose_terms(ta, b.terms[idx])
+            sig = (t.out_stride, t.out_offset, t.in_stride, t.in_offset)
+            fams[sig] = fams.get(sig, 0.0) + t.coeff
+        for tb in points:
+            d = tb.out_offset - ai
+            if d >= 0 and d % s1 == 0:
+                key = (os_ * (d // s1) + ao, tb.in_offset)
+                dyds[key] = dyds.get(key, 0.0) + ca * tb.coeff
+    return StructuredOperator._canonical(_finish(fams, dyds, TOLERANCE))
 
 
 # -- equality, decided on the terms ----------------------------------------

@@ -77,6 +77,21 @@ def operators(draw, max_index=6, max_terms=4):
 
 
 @st.composite
+def dense_blocks(draw, max_dim=6):
+    """A d x d block of points, d <= max_dim, with an optional identity tail
+    ``Family(1, 1, d, 1, d)`` and an optional point on its boundary (its head
+    or the step before it)."""
+    d = draw(st.integers(1, max_dim))
+    terms = [Dyad(draw(_coeffs), i, j) for i in range(d) for j in range(d)]
+    if draw(st.booleans()):
+        terms.append(Family(1.0, 1, d, 1, d))
+        if draw(st.booleans()):
+            k = draw(st.sampled_from([d - 1, d]))
+            terms.append(Dyad(draw(st.sampled_from([1.0, -1.0]) | _coeffs), k, k))
+    return StructuredOperator(tuple(terms))
+
+
+@st.composite
 def states(draw, max_index=12):
     amps = draw(st.dictionaries(st.integers(0, max_index), _coeffs,
                                 min_size=1, max_size=6))

@@ -55,6 +55,48 @@ def test_stride_210_partition_builds_and_certifies():
     assert rep.repeatable and rep.orthogonal and rep.complete
 
 
+def _count_progression_products(monkeypatch):
+    calls = []
+    inner = oa._compose_terms
+
+    def counted(a, b):
+        calls.append(None)
+        return inner(a, b)
+
+    monkeypatch.setattr(oa, "_compose_terms", counted)
+    return calls
+
+
+# Counted, not timed: an all-pairs compose tries every term of one factor
+# against every term of the other.  The counts it made are quoted below.
+def test_certify_stride_210_partition_makes_few_progression_products(monkeypatch):
+    s = IndexSet.from_progression(210, 0)
+    inst = build_orthogonal({1: s, 2: s.complement()})
+    calls = _count_progression_products(monkeypatch)
+    assert certify_repeatable(inst).repeatable
+    assert len(calls) < 5000  # all pairs: 219,664
+
+
+def test_certify_dense_block_makes_few_progression_products(monkeypatch):
+    d = 16
+    rng = np.random.default_rng(20261018)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    ops = {}
+    for label, block in ((1, range(0, d // 2)), (2, range(d // 2, d))):
+        p = np.zeros((d, d))
+        p[list(block), list(block)] = 1.0
+        m = q @ p @ q.conj().T
+        terms = [Dyad(complex(m[i, j]), i, j) for i in range(d) for j in range(d)]
+        if label == 1:
+            terms.append(Family(1.0, 1, d, 1, d))
+        ops[label] = StructuredOperator(terms)
+    inst = make_instrument(ops)
+    calls = _count_progression_products(monkeypatch)
+    assert certify_repeatable(inst).repeatable
+    assert len(calls) < 100  # all pairs: 69,637
+
+
 def test_incomplete_instrument_reports_completeness():
     inst = make_instrument({1: oa.projector(EVENS)}, check_completeness=False)
     rep = certify_repeatable(inst)

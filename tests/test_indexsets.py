@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import agreement_window, index_sets, realize
 from qrepeat import IndexSet, PeriodCapExceeded, set_period_cap
@@ -149,3 +150,36 @@ def test_equality_is_extensional(a):
     # same canonical fields
     clone = IndexSet(set(a.members_below(a.bound)), a.bound, a.period, a.residues)
     assert clone == a and hash(clone) == hash(a)
+
+
+def _canonical_by_divisor_scan(transient, bound, period, residues):
+    """Canonical fields the way the least period used to be found: the first
+    divisor of the period that the residue set factors through."""
+    d = next(d for d in range(1, period + 1) if period % d == 0 and
+             all(((r % d) in residues) == (r in residues) for r in range(period)))
+    residues = frozenset(r for r in range(d) if r in residues)
+    transient = set(transient)
+    while bound > 0 and ((bound - 1) in transient) == (((bound - 1) % d) in residues):
+        bound -= 1
+        transient.discard(bound)
+    return frozenset(transient), bound, d, residues
+
+
+@st.composite
+def planted_periods(draw):
+    """Residues mod a period up to 60 that repeat with a planted divisor of
+    it, up to two flipped residues (which may break it), and transient bits."""
+    period = draw(st.integers(1, 60))
+    sub = draw(st.sampled_from([d for d in range(1, period + 1) if period % d == 0]))
+    base = draw(st.frozensets(st.integers(0, sub - 1)))
+    flips = draw(st.frozensets(st.integers(0, period - 1), max_size=2))
+    residues = frozenset(r for r in range(period) if r % sub in base) ^ flips
+    bound = draw(st.integers(0, 12))
+    transient = draw(st.frozensets(st.integers(0, bound - 1), max_size=8)) if bound else frozenset()
+    return transient, bound, period, residues
+
+
+@given(planted_periods())
+def test_canonical_fields_match_a_divisor_scan(fields):
+    s = IndexSet(*fields)
+    assert (s.transient, s.bound, s.period, s.residues) == _canonical_by_divisor_scan(*fields)

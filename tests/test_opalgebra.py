@@ -10,9 +10,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qrepeat.opalgebra as oa
-from helpers import dense, dense_vec, operators, states
+from helpers import dense, dense_blocks, dense_vec, operators, states
 from qrepeat import (Dyad, Family, IndexSet, PeriodCapExceeded, StateVector,
                      StructuredOperator, set_period_cap, set_tolerance)
 
@@ -65,6 +66,29 @@ def test_point_cancelling_a_family_head_moves_its_start():
 def test_point_before_a_family_head_extends_it_backward():
     op = StructuredOperator((Family(0.5, 2, 5, 2, 3), Dyad(0.5, 3, 1)))
     assert op.terms == (Family(0.5, 2, 3, 2, 1),)
+
+
+def test_point_on_two_family_boundaries_goes_to_the_least_family():
+    # (5, 5) is one step before the head of one family and the head of
+    # another, and matches both; families are tried in sorted order
+    extend_first = StructuredOperator((Family(-1.0, 1, 6, 1, 6), Family(1.0, 2, 5, 2, 5),
+                                       Dyad(-1.0, 5, 5)))
+    assert extend_first.terms == (Family(-1.0, 1, 5, 1, 5), Family(1.0, 2, 5, 2, 5))
+    cancel_first = StructuredOperator((Family(1.0, 1, 5, 1, 5), Family(-1.0, 2, 7, 2, 7),
+                                       Dyad(-1.0, 5, 5)))
+    assert cancel_first.terms == (Family(1.0, 1, 6, 1, 6), Family(-1.0, 2, 7, 2, 7))
+
+
+def test_two_points_before_a_family_head_extend_it_twice():
+    op = StructuredOperator((Family(0.5, 1, 5, 1, 5), Dyad(0.5, 4, 4), Dyad(0.5, 3, 3)))
+    assert op.terms == (Family(0.5, 1, 3, 1, 3),)
+
+
+def test_the_least_point_on_a_boundary_is_absorbed_first():
+    # (4, 4) extends the family, after which (5, 5) lies inside it; taken
+    # the other way round, (5, 5) would cancel the head and (4, 4) stay
+    op = StructuredOperator((Family(1.0, 1, 5, 1, 5), Dyad(-1.0, 5, 5), Dyad(1.0, 4, 4)))
+    assert op.terms == (Family(1.0, 1, 4, 1, 4), Dyad(-1.0, 5, 5))
 
 
 def test_point_inside_a_family_stays_separate():
@@ -123,6 +147,36 @@ def test_compose_agrees_with_sequential_application(a, b, psi):
     rhs = oa.apply(a, oa.apply(b, psi))
     hi = 1 + max([i for i, _ in lhs.items()] + [i for i, _ in rhs.items()] + [0])
     assert np.allclose(dense_vec(lhs, hi), dense_vec(rhs, hi), atol=1e-9)
+
+
+def _bits(op):
+    # float.hex tells -0.0 from 0.0 and shows every last bit
+    return [(t.coeff.real.hex(), t.coeff.imag.hex(), t.out_stride, t.out_offset,
+             t.in_stride, t.in_offset, t.length) for t in op.terms]
+
+
+@given(st.one_of(operators(), dense_blocks()), st.one_of(operators(), dense_blocks()))
+@settings(deadline=None)
+def test_compose_equals_the_all_pairs_product_bit_for_bit(a, b):
+    all_pairs = StructuredOperator([p for ta in a.terms for tb in b.terms
+                                    if (p := oa._compose_terms(ta, tb)) is not None])
+    assert _bits(oa.compose(a, b)) == _bits(all_pairs)
+
+
+def test_compose_rejects_an_overflowing_product():
+    a = StructuredOperator((Dyad(1e300, 0, 1),))
+    b = StructuredOperator((Dyad(1e300, 1, 5),))
+    with pytest.raises(ValueError, match="finite"):
+        oa.compose(a, b)
+
+
+def test_compose_rejects_overflowing_products_that_cancel():
+    # the products at (0, 5) are inf and -inf; their sum is nan, which the
+    # tolerance filter alone would drop, since abs(nan) > tol is False
+    a = StructuredOperator((Dyad(1e300, 0, 1), Dyad(-1e300, 0, 2)))
+    b = StructuredOperator((Dyad(1e300, 1, 5), Dyad(1e300, 2, 5)))
+    with pytest.raises(ValueError, match="finite"):
+        oa.compose(a, b)
 
 
 def test_compose_shift_with_adjoint_is_range_projector():
