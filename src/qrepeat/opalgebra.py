@@ -313,7 +313,14 @@ def _absorb_one(fams: dict[tuple[int, int, int, int], complex],
 
 
 class StateVector:
-    """Finitely supported vector, stored as an index -> amplitude map."""
+    """Finitely supported vector, stored as an index -> amplitude map.
+
+    The public constructor coerces and validates every entry.  ``apply``
+    and ``normalized`` build their results through :meth:`_trusted`, which
+    skips the coercion and index checks because their indices and
+    amplitudes come from a valid state, but still rejects non-finite
+    amplitudes, drops zeros, sorts the indices and stores ``0.0 + c``.
+    """
 
     __slots__ = ("_amp",)
 
@@ -329,6 +336,22 @@ class StateVector:
             if c != 0:
                 amp[i] = amp.get(i, 0.0) + c
         object.__setattr__(self, "_amp", {i: amp[i] for i in sorted(amp) if amp[i] != 0})
+
+    @classmethod
+    def _trusted(cls, amplitudes: dict[int, complex]) -> "StateVector":
+        """State from a dict of nonnegative int indices to complex amplitudes,
+        equal to the public constructor's result on such input.  Storing
+        ``0.0 + c`` turns a ``-0.0`` part into ``0.0``, as that does."""
+        amp: dict[int, complex] = {}
+        for i in sorted(amplitudes):
+            c = 0.0 + amplitudes[i]
+            if c:
+                if not cmath.isfinite(c):
+                    raise ValueError("coefficients must be finite")
+                amp[i] = c
+        vec = object.__new__(cls)
+        _setattr(vec, "_amp", amp)
+        return vec
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
@@ -356,7 +379,7 @@ class StateVector:
         n = math.sqrt(self.norm_sq())
         if n == 0:
             raise ValueError("cannot normalize the zero vector")
-        return StateVector({i: c / n for i, c in self._amp.items()})
+        return StateVector._trusted({i: c / n for i, c in self._amp.items()})
 
     def __len__(self) -> int:
         return len(self._amp)
@@ -382,7 +405,12 @@ def random_state(rng: np.random.Generator, max_index: int, max_support: int = 8)
 
 
 def apply(op: StructuredOperator, psi: StateVector) -> StateVector:
-    """Image of ``psi`` under ``op`` (not renormalized)."""
+    """Image of ``psi`` under ``op`` (not renormalized).
+
+    The image is built with the trusted ``StateVector._trusted``, which
+    keeps the finiteness check, the zero drop, the sorted indices and the
+    ``0.0 + c`` rule of the public constructor.
+    """
     out: dict[int, complex] = {}
     for i, c in psi.items():
         for t in op.terms:  # Term.step_at, inlined: this loop is the sampling hot path
@@ -392,7 +420,7 @@ def apply(op: StructuredOperator, psi: StateVector) -> StateVector:
                 if t.length is None or j < t.length:
                     r = t.out_stride * j + t.out_offset
                     out[r] = out.get(r, 0.0) + t.coeff * c
-    return StateVector(out)
+    return StateVector._trusted(out)
 
 
 def adjoint(op: StructuredOperator) -> StructuredOperator:

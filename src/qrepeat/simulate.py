@@ -6,6 +6,11 @@ measurement through inverse-CDF selection over the outcomes in instrument
 order; trajectory ``k`` of a batch uses the generator seeded with
 ``[seed, k]``.
 
+One selection applies each outcome operator once and normalizes the chosen
+image.  Within one statistics run (:func:`empirical_conditionals`) the
+transitions of a state are computed once per state object, while the
+sampler keeps returning that object, and reused with identical results.
+
 The dense oracle realizes a structured operator as a finite matrix.  A
 truncation window is only trusted after checking, from the term structure
 alone, that every input below ``valid_input_dim`` maps inside the window,
@@ -90,27 +95,47 @@ def dense_state(psi: StateVector, dim: int) -> np.ndarray:
 # -- Born sampling -----------------------------------------------------------
 
 
+def _transitions(inst: Instrument, psi: StateVector):
+    """``(label, probability, image)`` per outcome, in instrument order; each
+    image is ``psi`` under the outcome operator, not renormalized."""
+    out = []
+    for label, op in inst.items():
+        image = oa.apply(op, psi)
+        out.append((label, image.norm_sq(), image))
+    return out
+
+
 def born_probabilities(inst: Instrument, psi: StateVector) -> dict[Outcome, float]:
-    return {label: oa.apply(op, psi).norm_sq() for label, op in inst.items()}
+    return {label: prob for label, prob, _ in _transitions(inst, psi)}
 
 
-def _select(inst: Instrument, psi: StateVector, u: float,
-            tol: float) -> tuple[Outcome, float, StateVector]:
-    probs = born_probabilities(inst, psi)
-    total = sum(probs.values())
+def _select(inst: Instrument, psi: StateVector, u: float, tol: float,
+            memo: dict | None = None) -> tuple[Outcome, float, StateVector]:
+    """Inverse-CDF selection of one outcome for the uniform ``u``.
+
+    ``memo`` maps ``id(state)`` to ``(state, transitions, total, posts)``;
+    an entry holds its state, so its id cannot be reused while the memo
+    lives, and ``posts`` keeps each normalized post-state once computed.
+    """
+    entry = None if memo is None else memo.get(id(psi))
+    if entry is None:
+        trans = _transitions(inst, psi)
+        entry = (psi, trans, sum(prob for _, prob, _ in trans), {})
+        if memo is not None:
+            memo[id(psi)] = entry
+    _, trans, total, posts = entry
     if total <= tol:
         raise DegenerateState("every outcome probability vanished")
     target = u * total
     acc = 0.0
-    labels = inst.outcomes
-    for label in labels:
-        acc += probs[label]
+    for k, (_, prob, _) in enumerate(trans):
+        acc += prob
         if target < acc:
             break
-    else:
-        label = labels[-1]
-    post = oa.apply(inst.operator(label), psi).normalized()
-    return label, probs[label], post
+    post = posts.get(k)
+    if post is None:
+        post = posts[k] = trans[k][2].normalized()
+    return trans[k][0], trans[k][1], post
 
 
 def measure_once(inst: Instrument, psi: StateVector, seed: int,
@@ -205,11 +230,16 @@ def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
     tol_ = oa.TOLERANCE if tol is None else tol
     first_counts: dict[Outcome, int] = {}
     counts: dict[tuple[Outcome, Outcome], int] = {}
+    memo: dict = {}  # transitions of the current sample and its post-states
+    sample = object()  # no sampler returns this, so the first draw is new
     for k in range(trajectories):
         rng = np.random.default_rng([seed, k])
-        psi = state_sampler(rng).normalized()
-        e, _, phi = _select(inst, psi, float(rng.random()), tol_)
-        f, _, _ = _select(inst, phi, float(rng.random()), tol_)
+        drawn = state_sampler(rng)
+        if drawn is not sample:
+            sample, psi = drawn, drawn.normalized()
+            memo.clear()
+        e, _, phi = _select(inst, psi, float(rng.random()), tol_, memo)
+        f, _, _ = _select(inst, phi, float(rng.random()), tol_, memo)
         first_counts[e] = first_counts.get(e, 0) + 1
         counts[(e, f)] = counts.get((e, f), 0) + 1
     return ConditionalStats(trajectories, first_counts, counts)

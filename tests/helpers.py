@@ -5,12 +5,14 @@ separate from the library's own windowing code, so the two implementations
 cross-check each other.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from qrepeat import Dyad, Family, IndexSet, StateVector, StructuredOperator
+from qrepeat import (DegenerateState, Dyad, Family, IndexSet, StateVector,
+                     StructuredOperator, memory_map, read_memory)
 
 
 def dense(op, dim):
@@ -99,3 +101,91 @@ def states(draw, max_index=12):
     if not amps:
         amps = {0: 1.0}
     return StateVector(amps)
+
+
+# -- reference Born sampler ---------------------------------------------------
+# The sampling algorithm in its first, plain form: every image and every
+# normalized state goes through the validating StateVector constructor, the
+# probabilities take one apply per outcome, and the chosen post-state a
+# second apply.  The library's one-pass, memoized path must match it bit
+# for bit under the same seeding contract.
+
+
+def ref_apply(op, psi):
+    out = {}
+    for i, c in psi.items():
+        for t in op.terms:
+            d = i - t.in_offset
+            if d >= 0 and d % t.in_stride == 0:
+                j = d // t.in_stride
+                if t.length is None or j < t.length:
+                    r = t.out_stride * j + t.out_offset
+                    out[r] = out.get(r, 0.0) + t.coeff * c
+    return StateVector(out)
+
+
+def ref_normalized(psi):
+    n = math.sqrt(psi.norm_sq())
+    return StateVector({i: c / n for i, c in psi.items()})
+
+
+def ref_select(inst, psi, u, tol):
+    probs = {label: ref_apply(op, psi).norm_sq() for label, op in inst.items()}
+    total = sum(probs.values())
+    if total <= tol:
+        raise DegenerateState("every outcome probability vanished")
+    target = u * total
+    acc = 0.0
+    labels = inst.outcomes
+    for label in labels:
+        acc += probs[label]
+        if target < acc:
+            break
+    else:
+        label = labels[-1]
+    return label, probs[label], ref_normalized(ref_apply(inst.operator(label), psi))
+
+
+def ref_conditionals(inst, state_sampler, trajectories, seed, tol=1e-12):
+    """``(first_counts, counts, selections)``, the selections in call order."""
+    first_counts, counts, selections = {}, {}, []
+    for k in range(trajectories):
+        rng = np.random.default_rng([seed, k])
+        psi = ref_normalized(state_sampler(rng))
+        e, pe, phi = ref_select(inst, psi, float(rng.random()), tol)
+        f, pf, post = ref_select(inst, phi, float(rng.random()), tol)
+        selections += [(e, pe, phi), (f, pf, post)]
+        first_counts[e] = first_counts.get(e, 0) + 1
+        counts[(e, f)] = counts.get((e, f), 0) + 1
+    return first_counts, counts, selections
+
+
+def ref_trajectory(inst, psi, steps, seed, tol=1e-12):
+    """``(outcome, probability, post_state, memory)`` per step."""
+    decomps = memory_map(inst, tol)
+    rng = np.random.default_rng(seed)
+    state = ref_normalized(psi)
+    record = []
+    for _ in range(steps):
+        label, prob, state = ref_select(inst, state, float(rng.random()), tol)
+        reading = None
+        if decomps.get(label) is not None:
+            reading = read_memory(decomps[label], state, tol)
+            if reading is not None:
+                reading = dataclasses.replace(reading, outcome=label)
+        record.append((label, prob, state, reading))
+    return record
+
+
+def bits(label, prob, state):
+    """A selection as exact bits: label, probability and every amplitude,
+    signed zeros included, through ``float.hex``."""
+    return (label, prob.hex(),
+            tuple((i, c.real.hex(), c.imag.hex()) for i, c in state.items()))
+
+
+def reading_bits(reading):
+    if reading is None:
+        return None
+    return (reading.outcome, reading.orbit_id, reading.depth,
+            tuple((d, p.hex()) for d, p in reading.distribution))

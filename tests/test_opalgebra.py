@@ -361,6 +361,32 @@ def test_state_vector_basics():
     assert dict(phi.items()) == {2: pytest.approx(1.0)}
 
 
+# apply and normalized build their results through StateVector._trusted,
+# which must keep the public constructor's checks.  Each value below was
+# checked against the validating constructor.
+
+
+def test_apply_rejects_an_overflowing_amplitude():
+    with pytest.raises(ValueError, match="finite"):
+        oa.apply(StructuredOperator([Dyad(1e200, 0, 0)]), StateVector({0: 1e200}))
+
+
+def test_normalized_stores_a_signed_zero_as_zero():
+    # -5e-324 / 3.16... underflows to -0.0; the stored amplitude is 0.0 + c
+    phi = StateVector({0: 3.0, 1: complex(1.0, -5e-324)}).normalized()
+    assert [c.imag.hex() for _, c in phi.items()] == ["0x0.0p+0", "0x0.0p+0"]
+
+
+def test_normalized_drops_an_amplitude_that_underflows():
+    phi = StateVector({0: 3.0, 1: 5e-324}).normalized()
+    assert phi.support() == (0,)
+
+
+def test_apply_sorts_its_indices_whatever_the_term_order():
+    op = StructuredOperator._canonical((Dyad(1, 5, 0), Dyad(1, 2, 0)))
+    assert oa.apply(op, StateVector.basis(0)).support() == (2, 5)
+
+
 def test_random_state_is_normalized_and_bounded():
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -1,17 +1,23 @@
 """Seeded trajectory sampling and the dense truncation oracle."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import qrepeat.opalgebra as oa
-from helpers import dense, dense_vec
+import qrepeat.simulate as sim
+from helpers import (bits, dense, dense_vec, reading_bits, ref_conditionals,
+                     ref_normalized, ref_select, ref_trajectory)
 from qrepeat import (DegenerateState, Dyad, Family, StateVector,
                      StructuredOperator, TruncationWindow, WindowInvalid,
                      born_probabilities, build_binary_example,
-                     build_example_family, dense_oracle, dense_state,
-                     empirical_conditionals, fixed_state_sampler,
-                     measure_once, random_state_sampler, run_trajectory,
-                     window_for)
+                     build_example_family, build_nonrepeatable_sibling,
+                     dense_oracle, dense_state, empirical_conditionals,
+                     fixed_state_sampler, measure_once, random_state_sampler,
+                     run_trajectory, window_for)
+from qrepeat.cli import instrument_from_doc
 
 EX = build_example_family(2, (0.3, 0.7))
 
@@ -142,3 +148,100 @@ def test_empirical_conditionals_requires_work():
     with pytest.raises(ValueError):
         empirical_conditionals(EX, fixed_state_sampler(StateVector.basis(0)),
                                trajectories=0, seed=0)
+
+
+# -- the one-pass, memoized selection against the reference sampler ----------
+
+GOLDEN = Path(__file__).parent / "golden"
+SAMPLED = {
+    "ex1-2": EX,
+    "ex1-3": build_example_family(3, (0.2, 0.3, 0.5)),
+    "ex1-8": build_example_family(8, [0.125] * 8),
+    "binary": build_binary_example(0.3, 0.7),
+    "sibling": build_nonrepeatable_sibling(2, (0.3, 0.7)),
+    "mod12": instrument_from_doc(
+        json.loads((GOLDEN / "mod12.instrument.json").read_text())),
+}
+SAMPLERS = {
+    "basis0": lambda: fixed_state_sampler(StateVector.basis(0)),
+    "random": lambda: random_state_sampler(32, 8),
+}
+
+
+def _recorded_conditionals(monkeypatch, inst, sampler, trajectories, seed):
+    """Run empirical_conditionals, also returning every selection it made."""
+    selections = []
+    select = sim._select
+
+    def recording(*args):
+        out = select(*args)
+        selections.append(out)
+        return out
+
+    monkeypatch.setattr(sim, "_select", recording)
+    return empirical_conditionals(inst, sampler, trajectories, seed), selections
+
+
+def _assert_matches_reference(monkeypatch, inst, sampler, trajectories=300, seed=5):
+    stats, got = _recorded_conditionals(monkeypatch, inst, sampler, trajectories, seed)
+    first_counts, counts, want = ref_conditionals(inst, sampler, trajectories, seed)
+    assert stats.first_counts == first_counts and stats.counts == counts
+    assert [bits(*s) for s in got] == [bits(*s) for s in want]
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("name", SAMPLED)
+def test_conditionals_match_the_reference_sampler_bit_for_bit(monkeypatch, name, sampler):
+    _assert_matches_reference(monkeypatch, SAMPLED[name], SAMPLERS[sampler]())
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_trajectories_match_the_reference_sampler_bit_for_bit(name):
+    inst = SAMPLED[name]
+    for psi in (StateVector.basis(0), StateVector({0: 0.6, 1: 0.8j, 5: -0.1})):
+        for seed in range(3):
+            got = run_trajectory(inst, psi, steps=12, seed=seed).steps
+            want = ref_trajectory(inst, psi, steps=12, seed=seed)
+            assert ([(bits(s.outcome, s.probability, s.post_state), reading_bits(s.memory))
+                     for s in got]
+                    == [(bits(o, p, post), reading_bits(m)) for o, p, post, m in want])
+            outcome, prob, post = measure_once(inst, psi, seed)
+            u = float(np.random.default_rng(seed).random())
+            assert bits(outcome, prob, post) == bits(
+                *ref_select(inst, ref_normalized(psi), u, 1e-12))
+
+
+def test_memo_is_not_fooled_by_a_fresh_equal_state(monkeypatch):
+    _assert_matches_reference(monkeypatch, EX, lambda rng: StateVector({0: 0.6, 1: 0.8}))
+
+
+# A memo that keyed on id() without holding the state would, once a state is
+# freed, hand its transitions to a new object at the same address.  Runs of
+# one, two and three draws give the allocator different reuse patterns.
+@pytest.mark.parametrize("run", [1, 2, 3])
+def test_memo_follows_a_sampler_that_alternates_two_states(monkeypatch, run):
+    states = (StateVector({0: 0.6, 1: 0.8}), StateVector({0: 0.8, 3: -0.6j}))
+    calls = []
+
+    def alternating(rng):
+        calls.append(None)
+        return states[len(calls) // run % 2]
+
+    _assert_matches_reference(monkeypatch, EX, alternating)
+
+
+# Counted, not timed: without the memo every two-step trajectory applies
+# each of the two outcome operators once per selection, plus a second apply
+# for each chosen post-state, 6,000 calls for 1,000 trajectories.
+def test_conditionals_on_a_fixed_state_apply_each_transition_once(monkeypatch):
+    calls = []
+    apply = oa.apply
+
+    def counted(op, psi):
+        calls.append(None)
+        return apply(op, psi)
+
+    monkeypatch.setattr(oa, "apply", counted)
+    empirical_conditionals(EX, fixed_state_sampler(StateVector.basis(0)),
+                           trajectories=1000, seed=0)
+    assert len(calls) < 50
