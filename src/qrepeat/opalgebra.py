@@ -319,7 +319,8 @@ class StateVector:
     and ``normalized`` build their results through :meth:`_trusted`, which
     skips the coercion and index checks because their indices and
     amplitudes come from a valid state, but still rejects non-finite
-    amplitudes, drops zeros, sorts the indices and stores ``0.0 + c``.
+    amplitudes, drops zeros, sorts the indices and stores ``0.0 + c``, as
+    the public constructor does.
     """
 
     __slots__ = ("_amp",)
@@ -340,8 +341,9 @@ class StateVector:
     @classmethod
     def _trusted(cls, amplitudes: dict[int, complex]) -> "StateVector":
         """State from a dict of nonnegative int indices to complex amplitudes,
-        equal to the public constructor's result on such input.  Storing
-        ``0.0 + c`` turns a ``-0.0`` part into ``0.0``, as that does."""
+        equal to the public constructor's result on such input.  Each
+        amplitude is stored as ``0.0 + c``, so signed zeros come out as
+        they do from the public constructor."""
         amp: dict[int, complex] = {}
         for i in sorted(amplitudes):
             c = 0.0 + amplitudes[i]

@@ -6,10 +6,12 @@ measurement through inverse-CDF selection over the outcomes in instrument
 order; trajectory ``k`` of a batch uses the generator seeded with
 ``[seed, k]``.
 
-One selection applies each outcome operator once and normalizes the chosen
-image.  Within one statistics run (:func:`empirical_conditionals`) the
-transitions of a state are computed once per state object, while the
-sampler keeps returning that object, and reused with identical results.
+One selection applies each outcome operator once (:func:`born_probabilities`
+keeps the images it computes) and normalizes the chosen image.  Within one
+statistics run (:func:`empirical_conditionals`) the Born distribution of a
+state and its normalized post-states are computed once per state object,
+while the sampler keeps returning that object, and reused with identical
+results.
 
 The dense oracle realizes a structured operator as a finite matrix.  A
 truncation window is only trusted after checking, from the term structure
@@ -95,47 +97,50 @@ def dense_state(psi: StateVector, dim: int) -> np.ndarray:
 # -- Born sampling -----------------------------------------------------------
 
 
-def _transitions(inst: Instrument, psi: StateVector):
-    """``(label, probability, image)`` per outcome, in instrument order; each
-    image is ``psi`` under the outcome operator, not renormalized."""
-    out = []
+class BornDistribution(dict):
+    """Born probability per outcome, in instrument order.  ``images`` maps
+    each outcome to its image of the state, not renormalized, so that a
+    selection normalizes the chosen image instead of applying its operator
+    a second time."""
+
+    __slots__ = ("images",)
+
+
+def born_probabilities(inst: Instrument, psi: StateVector) -> BornDistribution:
+    probs = BornDistribution()
+    probs.images = {}
     for label, op in inst.items():
-        image = oa.apply(op, psi)
-        out.append((label, image.norm_sq(), image))
-    return out
-
-
-def born_probabilities(inst: Instrument, psi: StateVector) -> dict[Outcome, float]:
-    return {label: prob for label, prob, _ in _transitions(inst, psi)}
+        image = probs.images[label] = oa.apply(op, psi)
+        probs[label] = image.norm_sq()
+    return probs
 
 
 def _select(inst: Instrument, psi: StateVector, u: float, tol: float,
-            memo: dict | None = None) -> tuple[Outcome, float, StateVector]:
+            memo: dict) -> tuple[Outcome, float, StateVector]:
     """Inverse-CDF selection of one outcome for the uniform ``u``.
 
-    ``memo`` maps ``id(state)`` to ``(state, transitions, total, posts)``;
-    an entry holds its state, so its id cannot be reused while the memo
-    lives, and ``posts`` keeps each normalized post-state once computed.
+    ``memo`` maps a state to ``(Born distribution, total, post-states)``,
+    ``post-states`` holding each normalized image once computed.  A
+    StateVector hashes by identity, so an entry keeps its state alive and a
+    fresh state equal to it misses.
     """
-    entry = None if memo is None else memo.get(id(psi))
+    entry = memo.get(psi)
     if entry is None:
-        trans = _transitions(inst, psi)
-        entry = (psi, trans, sum(prob for _, prob, _ in trans), {})
-        if memo is not None:
-            memo[id(psi)] = entry
-    _, trans, total, posts = entry
+        probs = born_probabilities(inst, psi)
+        entry = memo[psi] = (probs, sum(probs.values()), {})
+    probs, total, posts = entry
     if total <= tol:
         raise DegenerateState("every outcome probability vanished")
     target = u * total
     acc = 0.0
-    for k, (_, prob, _) in enumerate(trans):
+    for label, prob in probs.items():
         acc += prob
         if target < acc:
             break
-    post = posts.get(k)
+    post = posts.get(label)
     if post is None:
-        post = posts[k] = trans[k][2].normalized()
-    return trans[k][0], trans[k][1], post
+        post = posts[label] = probs.images[label].normalized()
+    return label, prob, post
 
 
 def measure_once(inst: Instrument, psi: StateVector, seed: int,
@@ -143,7 +148,7 @@ def measure_once(inst: Instrument, psi: StateVector, seed: int,
     """Sample one measurement: outcome, its Born probability, reduced state."""
     tol_ = oa.TOLERANCE if tol is None else tol
     u = float(np.random.default_rng(seed).random())
-    return _select(inst, psi.normalized(), u, tol_)
+    return _select(inst, psi.normalized(), u, tol_, {})
 
 
 # -- trajectories ------------------------------------------------------------
@@ -187,7 +192,7 @@ def run_trajectory(inst: Instrument, psi: StateVector, steps: int, seed: int,
     state = psi
     record = []
     for _ in range(steps):
-        label, prob, state = _select(inst, state, float(rng.random()), tol_)
+        label, prob, state = _select(inst, state, float(rng.random()), tol_, {})
         reading = None
         decomp = decomps.get(label)
         if decomp is not None:
@@ -230,7 +235,7 @@ def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
     tol_ = oa.TOLERANCE if tol is None else tol
     first_counts: dict[Outcome, int] = {}
     counts: dict[tuple[Outcome, Outcome], int] = {}
-    memo: dict = {}  # transitions of the current sample and its post-states
+    memo: dict = {}  # Born distributions of the current sample and its post-states
     sample = object()  # no sampler returns this, so the first draw is new
     for k in range(trajectories):
         rng = np.random.default_rng([seed, k])

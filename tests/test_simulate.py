@@ -66,6 +66,15 @@ def test_born_probabilities_agree_with_dense_oracle():
         assert p == pytest.approx(np.linalg.norm(m @ v) ** 2, abs=1e-12)
 
 
+def test_born_probabilities_keep_each_outcomes_image():
+    psi = StateVector({0: 0.6, 1: 0.8j, 5: -0.1})
+    probs = born_probabilities(EX, psi)
+    assert list(probs) == list(EX.outcomes) == list(probs.images)
+    for label, op in EX.items():
+        want = oa.apply(op, psi)
+        assert bits(label, probs[label], probs.images[label]) == bits(label, want.norm_sq(), want)
+
+
 def test_measure_once_is_seed_deterministic():
     a_out, a_prob, a_post = measure_once(EX, StateVector.basis(0), seed=11)
     b_out, b_prob, b_post = measure_once(EX, StateVector.basis(0), seed=11)
@@ -234,14 +243,21 @@ def test_memo_follows_a_sampler_that_alternates_two_states(monkeypatch, run):
 # each of the two outcome operators once per selection, plus a second apply
 # for each chosen post-state, 6,000 calls for 1,000 trajectories.
 def test_conditionals_on_a_fixed_state_apply_each_transition_once(monkeypatch):
-    calls = []
-    apply = oa.apply
+    calls, distributions = [], []
+    apply, born = oa.apply, sim.born_probabilities
 
     def counted(op, psi):
         calls.append(None)
         return apply(op, psi)
 
+    def counted_born(inst, psi):
+        distributions.append(None)
+        return born(inst, psi)
+
     monkeypatch.setattr(oa, "apply", counted)
+    monkeypatch.setattr(sim, "born_probabilities", counted_born)
     empirical_conditionals(EX, fixed_state_sampler(StateVector.basis(0)),
                            trajectories=1000, seed=0)
     assert len(calls) < 50
+    # every apply is made by a Born distribution, one per outcome
+    assert 0 < len(distributions) and len(calls) == 2 * len(distributions)
