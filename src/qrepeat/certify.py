@@ -17,7 +17,7 @@ import numpy as np
 
 from . import opalgebra as oa
 from .errors import InvalidPovm, UnsupportedForm
-from .indexsets import IndexSet
+from .indexsets import IndexSet, from_parts
 from .instruments import Instrument, Outcome, Povm
 from .opalgebra import Dyad, Family, StructuredOperator
 
@@ -293,13 +293,25 @@ class PovmClassification:
     omega_set: IndexSet
 
 
-def _diag_value(op: StructuredOperator, i: int) -> float:
-    val = 0.0 + 0.0j
+def _diagonal(op: StructuredOperator, n: int) -> list[float]:
+    """Real parts of the diagonal entries ``0 .. n-1`` of ``op``, each summed
+    over the terms in term order, in one walk of the terms."""
+    vals = [0.0 + 0.0j] * n
     for t in op.terms:
-        j = t.step_at(i)
-        if j is not None and t.out_stride * j + t.out_offset == i:
-            val += t.coeff
-    return val.real
+        den, num = t.out_stride - t.in_stride, t.in_offset - t.out_offset
+        if den == 0:  # points have den == 0
+            if num:
+                continue
+            stop = n if t.length is None else min(n, t.in_offset + 1)
+            idx = range(t.in_offset, stop, t.in_stride)
+        elif num % den == 0 and num // den >= 0:
+            i = t.in_stride * (num // den) + t.in_offset
+            idx = range(i, min(n, i + 1))
+        else:
+            continue
+        for i in idx:
+            vals[i] += t.coeff
+    return [v.real for v in vals]
 
 
 def classify_povm(pv: Povm, tol: float | None = None) -> PovmClassification:
@@ -329,9 +341,12 @@ def classify_povm(pv: Povm, tol: float | None = None) -> PovmClassification:
             period = math.lcm(period, t.in_stride)
 
     labels = pv.outcomes
+    # every index from the bound on shares its diagonal entries with its
+    # representative in [bound, bound + period)
+    diag = {label: _diagonal(pv.effect(label), bound + period) for label in labels}
 
     def classify_index(i: int) -> Outcome | None:
-        vals = {label: _diag_value(pv.effect(label), i) for label in labels}
+        vals = {label: diag[label][i] for label in labels}
         if any(v < -tol_ for v in vals.values()):
             raise InvalidPovm(f"effect diagonal is negative at index {i}")
         ones = [label for label, v in vals.items() if abs(v - 1.0) <= tol_]
@@ -353,11 +368,7 @@ def classify_povm(pv: Povm, tol: float | None = None) -> PovmClassification:
         (omega_res if who is None else z_res[who]).append(r)
 
     def assemble(members: list[int], residues: list[int]) -> IndexSet:
-        s = IndexSet.from_indices(members)
-        for r in residues:
-            off = bound + ((r - bound) % period)
-            s = s.union(IndexSet.from_progression(period, off))
-        return s
+        return from_parts(members, [(period, bound + ((r - bound) % period)) for r in residues])
 
     z_sets = {label: assemble(z_members[label], z_res[label]) for label in labels}
     omega_set = assemble(omega_members, omega_res)
@@ -368,12 +379,12 @@ def classify_povm(pv: Povm, tol: float | None = None) -> PovmClassification:
     for label in labels:
         terms = []
         for i in omega_members:
-            v = _diag_value(pv.effect(label), i)
+            v = diag[label][i]
             if abs(v) > tol_:
                 terms.append(Dyad(v, i, i))
         for r in omega_res:
             off = bound + ((r - bound) % period)
-            v = _diag_value(pv.effect(label), off)
+            v = diag[label][off]
             if abs(v) > tol_:
                 terms.append(Family(v, period, off, period, off))
         t_ops[label] = StructuredOperator(terms)

@@ -1,9 +1,21 @@
 """Exact algebra of eventually periodic subsets of the nonnegative integers.
 
 An :class:`IndexSet` stores a finite transient region next to a periodic
-tail.  Every Boolean operation is closed on this class and decidable, and
-instances are kept canonical (minimal period first, then minimal bound), so
-field equality coincides with extensional equality.
+tail, both as Python int bitmasks: bit ``i`` of the transient mask tells
+whether ``i < bound`` is a member, and bit ``r`` of the residue mask
+whether the indices ``i >= bound`` with ``i % period == r`` are.  Every
+Boolean operation is closed on this class and decidable.  Both operands are
+lifted to the larger bound and the lcm period, which multiplies a residue
+mask by a repunit (ones spaced one period apart), and are then combined by
+one ``|``, ``&`` or ``& ~``.  Instances are kept canonical (minimal period
+first, then minimal bound), so field equality coincides with extensional
+equality.
+
+:func:`from_parts` builds the union of given points and ``(stride,
+offset)`` progressions in one pass, ORing each straight into the masks
+instead of folding unions.  ``PERIOD_CAP`` bounds every period built: the
+lcm of the two periods of a Boolean operation, and the lcm of the strides
+passed to :func:`from_parts`.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ from typing import Iterable, Iterator
 from .errors import PeriodCapExceeded
 
 PERIOD_CAP = 10**6
+_setattr = object.__setattr__
 
 
 def set_period_cap(value: int) -> None:
@@ -25,18 +38,20 @@ def set_period_cap(value: int) -> None:
     PERIOD_CAP = int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IndexSet:
     """Subset of the nonnegative integers with an eventually periodic tail.
 
-    Membership of ``i < bound`` is looked up in ``transient``; membership of
-    ``i >= bound`` depends only on ``i % period`` via ``residues``.
+    Membership of ``i < bound`` is bit ``i`` of the transient mask;
+    membership of ``i >= bound`` depends only on ``i % period``, as bit
+    ``i % period`` of the residue mask.  ``transient`` and ``residues``
+    read the masks back as frozensets.
     """
 
-    transient: frozenset[int]
+    _tmask: int
     bound: int
     period: int
-    residues: frozenset[int]
+    _rmask: int
 
     def __init__(self, transient: Iterable[int] = (), bound: int = 0,
                  period: int = 1, residues: Iterable[int] = ()):
@@ -57,38 +72,49 @@ class IndexSet:
         for i in sorted(transient):
             if i >= bound and (i % period) not in residues:
                 raise ValueError(f"transient index {i} contradicts the periodic tail")
-        transient = frozenset(i for i in transient if i < bound)
-        tr, b, p, rs = _canonicalize(transient, bound, period, residues)
-        object.__setattr__(self, "transient", tr)
-        object.__setattr__(self, "bound", b)
-        object.__setattr__(self, "period", p)
-        object.__setattr__(self, "residues", rs)
+        tmask, bound, period, rmask = _canonicalize(
+            _mask(i for i in transient if i < bound), bound, period, _mask(residues))
+        _setattr(self, "_tmask", tmask)
+        _setattr(self, "bound", bound)
+        _setattr(self, "period", period)
+        _setattr(self, "_rmask", rmask)
+
+    @classmethod
+    def _trusted(cls, tmask: int, bound: int, period: int, rmask: int) -> "IndexSet":
+        """Set from masks already known to be canonical."""
+        s = object.__new__(cls)
+        _setattr(s, "_tmask", tmask)
+        _setattr(s, "bound", bound)
+        _setattr(s, "period", period)
+        _setattr(s, "_rmask", rmask)
+        return s
+
+    @property
+    def transient(self) -> frozenset[int]:
+        return frozenset(_bits(self._tmask))
+
+    @property
+    def residues(self) -> frozenset[int]:
+        return frozenset(_bits(self._rmask))
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def empty() -> "IndexSet":
-        return IndexSet()
+        return IndexSet._trusted(0, 0, 1, 0)
 
     @staticmethod
     def full() -> "IndexSet":
-        return IndexSet(residues=(0,))
+        return IndexSet._trusted(0, 0, 1, 1)
 
     @staticmethod
     def from_indices(indices: Iterable[int]) -> "IndexSet":
-        idx = frozenset(int(i) for i in indices)
-        if not idx:
-            return IndexSet.empty()
-        return IndexSet(transient=idx, bound=max(idx) + 1)
+        return from_parts(indices, ())
 
     @staticmethod
     def from_progression(stride: int, offset: int) -> "IndexSet":
         """The set ``{stride*j + offset : j >= 0}``."""
-        if stride < 1:
-            raise ValueError("stride must be at least 1")
-        if offset < 0:
-            raise ValueError("offset must be nonnegative")
-        return IndexSet(bound=offset, period=stride, residues=(offset % stride,))
+        return from_parts((), ((stride, offset),))
 
     # -- queries -----------------------------------------------------
 
@@ -96,62 +122,65 @@ class IndexSet:
         if i < 0:
             return False
         if i < self.bound:
-            return i in self.transient
-        return (i % self.period) in self.residues
+            return bool(self._tmask >> i & 1)
+        return bool(self._rmask >> (i % self.period) & 1)
 
     __contains__ = member
 
     @property
     def is_empty(self) -> bool:
-        return not self.transient and not self.residues
+        return not self._tmask and not self._rmask
 
     @property
     def is_finite(self) -> bool:
-        return not self.residues
+        return not self._rmask
 
     def members_below(self, limit: int) -> Iterator[int]:
         return (i for i in range(limit) if self.member(i))
 
     def first(self) -> int | None:
         """Smallest member, or None for the empty set."""
-        if self.transient:
-            lo = min(self.transient)
-        else:
-            lo = None
-        if self.residues:
-            tail = min(self.bound + ((r - self.bound) % self.period) for r in self.residues)
-            lo = tail if lo is None else min(lo, tail)
-        return lo
+        if self._tmask:  # every transient member lies below every tail member
+            return _low_bit(self._tmask)
+        if self._rmask:
+            # rotate the residues so that bit 0 stands for the bound's residue
+            p, k = self.period, self.bound % self.period
+            rot = (self._rmask >> k) | (self._rmask << (p - k))
+            return self.bound + _low_bit(rot)
+        return None
 
     def tail_progressions(self) -> list[tuple[int, int]]:
-        """The periodic tail as a list of ``(stride, offset)`` progressions."""
-        out = []
-        for r in sorted(self.residues):
-            offset = self.bound + ((r - self.bound) % self.period)
-            out.append((self.period, offset))
-        return out
+        """The periodic tail as ``(stride, offset)`` progressions, by residue."""
+        return [(self.period, self.bound + ((r - self.bound) % self.period))
+                for r in _bits(self._rmask)]
 
     # -- algebra -----------------------------------------------------
 
     def union(self, other: "IndexSet") -> "IndexSet":
-        return _combine(self, other, lambda a, b: a or b)
+        ta, ra, tb, rb, bound, period = _combine(self, other)
+        return IndexSet._trusted(*_canonicalize(ta | tb, bound, period, ra | rb))
 
     def intersect(self, other: "IndexSet") -> "IndexSet":
-        return _combine(self, other, lambda a, b: a and b)
+        ta, ra, tb, rb, bound, period = _combine(self, other)
+        return IndexSet._trusted(*_canonicalize(ta & tb, bound, period, ra & rb))
 
     def difference(self, other: "IndexSet") -> "IndexSet":
-        return _combine(self, other, lambda a, b: a and not b)
+        ta, ra, tb, rb, bound, period = _combine(self, other)
+        return IndexSet._trusted(*_canonicalize(ta & ~tb, bound, period, ra & ~rb))
 
     def complement(self) -> "IndexSet":
-        transient = frozenset(i for i in range(self.bound) if i not in self.transient)
-        residues = frozenset(r for r in range(self.period) if r not in self.residues)
-        return IndexSet(transient, self.bound, self.period, residues)
+        # Flipping every bit keeps the residues' shift invariance and every
+        # disagreement between transient and tail, so the result is canonical.
+        return IndexSet._trusted(~self._tmask & ((1 << self.bound) - 1), self.bound,
+                                 self.period, ~self._rmask & ((1 << self.period) - 1))
 
     def is_subset(self, other: "IndexSet") -> bool:
-        return self.difference(other).is_empty
+        ta, ra, tb, rb, _, _ = _combine(self, other)
+        return not (ta & ~tb or ra & ~rb)
 
     def is_disjoint(self, other: "IndexSet") -> bool:
-        return self.intersect(other).is_empty
+        ta, ra, tb, rb, _, _ = _combine(self, other)
+        return not (ta & tb or ra & rb)
 
     __or__ = union
     __and__ = intersect
@@ -162,30 +191,87 @@ class IndexSet:
                 f"period={self.period}, residues={sorted(self.residues)})")
 
 
-def _canonicalize(transient, bound, period, residues):
-    # Minimal period: membership past the bound must factor through i % d.
-    period = _min_period(period, residues)
-    residues = frozenset(r for r in residues if r < period)
-    # Minimal bound: pull the boundary down while the transient region
-    # agrees with what the tail predicts.
-    transient = set(transient)
-    while bound > 0:
-        prev = bound - 1
-        if (prev in transient) != ((prev % period) in residues):
-            break
-        transient.discard(prev)
-        bound = prev
-    return frozenset(transient), bound, period, frozenset(residues)
+def from_parts(points: Iterable[int], progressions: Iterable[tuple[int, int]]) -> IndexSet:
+    """The union of the ``points`` and the progressions ``{stride*j + offset :
+    j >= 0}``, built at once rather than as a fold of unions.
 
-
-def _min_period(period: int, residues: frozenset[int]) -> int:
-    """Least period of ``residues`` as a subset of the integers mod ``period``.
-
-    The shifts that leave the set invariant are the multiples of its least
-    period, which divides ``period``.  So dividing ``period`` by each of its
-    prime factors, as long as the quotient is still such a shift, ends there.
+    Its tail has the lcm of the strides as period, which must not exceed
+    ``PERIOD_CAP``; its bound is the highest point plus one or the highest
+    offset.  With those known, each part is ORed straight into the masks: a
+    point's bit and a progression's members below the bound into the
+    transient mask, and the progression's residue bit, lifted to the lcm,
+    into the residue mask.  One canonicalization follows.
     """
-    d = n = period
+    tmask = bound = 0
+    for i in points:
+        i = int(i)
+        if i < 0:
+            raise ValueError("indices must be nonnegative")
+        tmask |= 1 << i
+        bound = max(bound, i + 1)
+    progressions = [(int(stride), int(offset)) for stride, offset in progressions]
+    period = 1
+    for stride, offset in progressions:
+        if stride < 1:
+            raise ValueError("stride must be at least 1")
+        if offset < 0:
+            raise ValueError("offset must be nonnegative")
+        period = math.lcm(period, stride)
+        _check_cap(period)
+        bound = max(bound, offset)
+    rmask = 0
+    for stride, offset in progressions:
+        rmask |= (1 << offset % stride) * _repunit(period // stride, stride)
+        if offset < bound:
+            tmask |= _repunit(-(-(bound - offset) // stride), stride) << offset
+    return IndexSet._trusted(*_canonicalize(tmask, bound, period, rmask))
+
+
+def _combine(a: IndexSet, b: IndexSet) -> tuple[int, int, int, int, int, int]:
+    """Both sets' masks lifted to a common bound and period:
+    ``(a transient, a residues, b transient, b residues, bound, period)``."""
+    period = math.lcm(a.period, b.period)
+    _check_cap(period)
+    bound = max(a.bound, b.bound)
+    return (_lift_transient(a, bound), a._rmask * _repunit(period // a.period, a.period),
+            _lift_transient(b, bound), b._rmask * _repunit(period // b.period, b.period),
+            bound, period)
+
+
+def _check_cap(period: int) -> None:
+    if period > PERIOD_CAP:
+        raise PeriodCapExceeded(
+            f"combined period {period} exceeds cap {PERIOD_CAP}")
+
+
+def _lift_transient(s: IndexSet, bound: int) -> int:
+    """Members of ``s`` below ``bound >= s.bound`` as a mask."""
+    if bound == s.bound:
+        return s._tmask
+    return s._tmask | (_tail_below(s._rmask, s.period, bound) >> s.bound << s.bound)
+
+
+def _tail_below(rmask: int, period: int, bound: int) -> int:
+    """Indices below ``bound`` whose residue mod ``period`` is in ``rmask``."""
+    return rmask * _repunit(-(-bound // period), period) & ((1 << bound) - 1)
+
+
+def _repunit(count: int, step: int) -> int:
+    """``count`` one bits spaced ``step`` apart, from bit 0."""
+    return ((1 << count * step) - 1) // ((1 << step) - 1)
+
+
+def _canonicalize(tmask: int, bound: int, period: int, rmask: int) -> tuple[int, int, int, int]:
+    """Canonical ``(transient mask, bound, period, residue mask)``.
+
+    The shifts that leave the residues invariant are the multiples of their
+    least period, which divides ``period``.  So dividing ``period`` by each
+    of its prime factors, as long as a rotation by the quotient ``q`` leaves
+    the residue mask unchanged (the mask is then its low ``q`` bits times a
+    repunit), ends there.  The least bound is one past the highest index
+    below the bound where the transient mask disagrees with the tail.
+    """
+    n = period
     p = 2
     while n > 1:
         if p * p > n:
@@ -193,20 +279,33 @@ def _min_period(period: int, residues: frozenset[int]) -> int:
         if n % p == 0:
             while n % p == 0:
                 n //= p
-            while d % p == 0 and {(r + d // p) % period for r in residues} == residues:
-                d //= p
+            while period % p == 0:
+                q = period // p
+                low = rmask & ((1 << q) - 1)
+                if rmask != low * _repunit(p, q):
+                    break
+                period, rmask = q, low
         p += 1
-    return d
+    if bound:
+        bound = (tmask ^ _tail_below(rmask, period, bound)).bit_length()
+        tmask &= (1 << bound) - 1
+    return tmask, bound, period, rmask
 
 
-def _combine(a: IndexSet, b: IndexSet, fn) -> IndexSet:
-    period = math.lcm(a.period, b.period)
-    if period > PERIOD_CAP:
-        raise PeriodCapExceeded(
-            f"combined period {period} exceeds cap {PERIOD_CAP}")
-    bound = max(a.bound, b.bound)
-    transient = frozenset(i for i in range(bound) if fn(a.member(i), b.member(i)))
-    residues = frozenset(
-        r for r in range(period)
-        if fn((r % a.period) in a.residues, (r % b.period) in b.residues))
-    return IndexSet(transient, bound, period, residues)
+def _mask(indices: Iterable[int]) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1

@@ -84,6 +84,22 @@ class Term:
         _setattr(self, "in_offset", in_offset)
         _setattr(self, "length", length)
 
+    @classmethod
+    def _trusted(cls, coeff: complex, out_stride: int, out_offset: int,
+                 in_stride: int, in_offset: int, length: int | None) -> "Term":
+        """Term from fields already known to be valid: a finite coefficient,
+        strides of at least 1 (1 for a point) and nonnegative offsets.
+        Stored as given, through the slot descriptors, which skip the
+        validating ``__init__`` and the frozen ``__setattr__``."""
+        t = _new(cls)
+        _set_coeff(t, coeff)
+        _set_out_stride(t, out_stride)
+        _set_out_offset(t, out_offset)
+        _set_in_stride(t, in_stride)
+        _set_in_offset(t, in_offset)
+        _set_length(t, length)
+        return t
+
     def step_at(self, i: int) -> int | None:
         """The ``j`` whose input index is ``i``, or None when ``i`` is not an input."""
         j, rem = divmod(i - self.in_offset, self.in_stride)
@@ -94,6 +110,11 @@ class Term:
     def adjoint(self) -> "Term":
         return Term(self.coeff.conjugate(), self.in_stride, self.in_offset,
                     self.out_stride, self.out_offset, self.length)
+
+
+_new = object.__new__
+(_set_coeff, _set_out_stride, _set_out_offset, _set_in_stride, _set_in_offset,
+ _set_length) = (Term.__dict__[f].__set__ for f in Term.__slots__)
 
 
 def _check_coeff(c: complex) -> None:
@@ -223,11 +244,13 @@ class StructuredOperator:
 
 
 def _index_set(progressions) -> IndexSet:
-    out = IndexSet.empty()
+    points, progs = [], []
     for stride, offset, length in progressions:
-        out = out.union(IndexSet.from_indices([offset]) if length == 1
-                        else IndexSet.from_progression(stride, offset))
-    return out
+        if length == 1:
+            points.append(offset)
+        else:
+            progs.append((stride, offset))
+    return indexsets.from_parts(points, progs)
 
 
 def _scaled(t: Term, factor: complex) -> Term:
@@ -267,8 +290,8 @@ def _finish(fams: dict[tuple[int, int, int, int], complex],
     fams = {k: c for k, c in fams.items() if abs(c) > tol}
     while _absorb_one(fams, dyds, tol):  # each pass removes a point, so this ends
         pass
-    out = [Term(c, *sig) for sig, c in sorted(fams.items())]
-    out.extend(Term(c, 1, o, 1, i, 1) for (o, i), c in sorted(dyds.items()))
+    out = [Term._trusted(c, *sig, None) for sig, c in sorted(fams.items())]
+    out.extend(Term._trusted(c, 1, o, 1, i, 1) for (o, i), c in sorted(dyds.items()))
     return tuple(out)
 
 
@@ -372,7 +395,7 @@ class StateVector:
         return self._amp.get(i, 0.0)
 
     def norm_sq(self) -> float:
-        return sum(abs(c) ** 2 for c in self._amp.values())
+        return sum([abs(c) ** 2 for c in self._amp.values()])
 
     def is_normalized(self, tol: float | None = None) -> bool:
         return abs(self.norm_sq() - 1.0) <= _tol(tol)
@@ -400,7 +423,7 @@ def random_state(rng: np.random.Generator, max_index: int, max_support: int = 8)
     while n < 1e-9:  # absurdly unlikely, but keep the draw well defined
         amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         n = np.linalg.norm(amps)
-    return StateVector({int(i): complex(a / n) for i, a in zip(idx, amps)})
+    return StateVector._trusted({int(i): complex(a / n) for i, a in zip(idx, amps)})
 
 
 # -- application and composition ----------------------------------------
@@ -470,6 +493,21 @@ def _compose_terms(a: Term, b: Term) -> Term | None:
                 b.in_stride * jstep, b.in_stride * j0 + b.in_offset, n)
 
 
+def _meeting(progs: dict[int, dict[int, list[int]]], stride: int, offset: int) -> list[int]:
+    """Indices in ``progs`` (stride -> residue -> term indices) of the
+    progressions that meet ``{stride*j + offset}``: those whose residue
+    agrees with ``offset`` modulo the gcd of the two strides."""
+    hits = []
+    for s, group in progs.items():
+        g = math.gcd(stride, s)
+        r0 = offset % g
+        if len(group) < s // g:
+            hits.extend(idx for r, idxs in group.items() if r % g == r0 for idx in idxs)
+        else:
+            hits.extend(idx for r in range(r0, s, g) for idx in group.get(r, ()))
+    return hits
+
+
 def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
     """Operator product ``a @ b`` (apply ``b`` first), summed straight into
     canonical form.
@@ -511,15 +549,7 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
                 dyds[key] = dyds.get(key, 0.0) + ca * cb
             continue
         s1, os_ = ta.in_stride, ta.out_stride
-        hits = []
-        for stride, group in progs.items():
-            g = math.gcd(s1, stride)
-            r0 = ai % g
-            if len(group) < stride // g:
-                hits.extend(idx for r, idxs in group.items() if r % g == r0 for idx in idxs)
-            else:
-                hits.extend(idx for r in range(r0, stride, g) for idx in group.get(r, ()))
-        for idx in sorted(hits):
+        for idx in sorted(_meeting(progs, s1, ai)):
             t = _compose_terms(ta, b.terms[idx])
             sig = (t.out_stride, t.out_offset, t.in_stride, t.in_offset)
             fams[sig] = fams.get(sig, 0.0) + t.coeff
@@ -664,12 +694,29 @@ def is_monomial(op: StructuredOperator) -> bool:
     """True when no basis column carries two entries at different rows.
 
     Decided exactly: any clash between two terms lives on the intersection
-    of their input progressions, which is itself a progression.
+    of their input progressions, which is itself a progression.  Only pairs
+    whose inputs can meet are solved: progressions are keyed by input
+    stride and residue and points by input index, the way ``compose`` keys
+    ``b``.
     """
     terms = op.terms
+    progs: dict[int, dict[int, list[int]]] = {}  # in stride -> in residue -> indices
+    points_at: dict[int, list[int]] = {}  # in index -> indices
+    for idx, t in enumerate(terms):
+        if t.length is None:
+            progs.setdefault(t.in_stride, {}).setdefault(t.in_offset % t.in_stride, []).append(idx)
+        else:
+            points_at.setdefault(t.in_offset, []).append(idx)
     for idx, t1 in enumerate(terms):
-        for t2 in terms[idx + 1:]:
-            m = _match_progressions(t1.in_stride, t1.in_offset, t1.length,
+        i = t1.in_offset
+        if t1.length is None:
+            partners = [k for k in _meeting(progs, t1.in_stride, i) if k > idx]
+        else:
+            partners = [k for s, group in progs.items() for k in group.get(i % s, ())]
+            partners += [k for k in points_at[i] if k > idx]
+        for k in partners:
+            t2 = terms[k]
+            m = _match_progressions(t1.in_stride, i, t1.length,
                                     t2.in_stride, t2.in_offset, t2.length)
             if m is None:
                 continue

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import opalgebra as oa
 from .errors import (NotIsometricOnSupport, PeriodCapExceeded,
                      SplitInvariantViolation, UnsupportedForm)
-from .indexsets import IndexSet
+from .indexsets import IndexSet, from_parts
 from .opalgebra import StateVector, StructuredOperator
 
 _WALK_CAP = 500_000
@@ -115,10 +115,7 @@ class ShiftOrbit:
         return self.phases[k] + r * self.step
 
     def index_set(self) -> IndexSet:
-        s = IndexSet.from_indices(self.prefix)
-        for p in self.phases:
-            s = s.union(IndexSet.from_progression(self.step, p))
-        return s
+        return from_parts(self.prefix, [(self.step, p) for p in self.phases])
 
 
 @dataclass(frozen=True)
@@ -129,10 +126,7 @@ class CycleFamily:
     step: int
 
     def index_set(self) -> IndexSet:
-        s = IndexSet.empty()
-        for off in self.offsets:
-            s = s.union(IndexSet.from_progression(self.step, off))
-        return s
+        return from_parts((), [(self.step, off) for off in self.offsets])
 
 
 @dataclass(frozen=True)
@@ -151,12 +145,9 @@ class BilateralOrbit:
     ascending_step: int
 
     def index_set(self) -> IndexSet:
-        s = IndexSet.from_indices(self.core)
-        for p in self.descending_phases:
-            s = s.union(IndexSet.from_progression(self.descending_step, p))
-        for p in self.ascending_phases:
-            s = s.union(IndexSet.from_progression(self.ascending_step, p))
-        return s
+        return from_parts(self.core,
+                          [(self.descending_step, p) for p in self.descending_phases]
+                          + [(self.ascending_step, p) for p in self.ascending_phases])
 
 
 @dataclass(frozen=True)
@@ -266,13 +257,13 @@ def wold_decompose(v: StructuredOperator, tol: float | None = None) -> WoldDecom
         return WoldDecomposition(zero, zero, (), (), (), (), empty, empty, empty)
     support, rng = _validate(v, tol_)
 
-    fixed = IndexSet.empty()
-    active = []
+    fixed_parts, active = [], []
     for t in v.terms:
         if t.length is None and t.out_offset == t.in_offset:
-            fixed = fixed.union(IndexSet.from_progression(t.in_stride, t.in_offset))
+            fixed_parts.append((t.in_stride, t.in_offset))
         else:
             active.append(t)
+    fixed = from_parts((), fixed_parts)
     inverse = [t.adjoint() for t in active]
     modulus = math.lcm(*(t.in_stride for t in active))
 

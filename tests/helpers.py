@@ -1,12 +1,15 @@
-"""Shared test utilities: an independent dense renderer and strategies.
+"""Shared test utilities: an independent dense renderer, reference
+implementations and strategies.
 
 The renderer enumerates term entries directly and is deliberately kept
 separate from the library's own windowing code, so the two implementations
-cross-check each other.
+cross-check each other.  ``RefIndexSet`` is the index-set algebra on
+frozensets, residue by residue, that the bitmask ``IndexSet`` must match.
 """
 
 import dataclasses
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
@@ -56,6 +59,105 @@ def index_sets(draw):
     bound = draw(st.integers(min_value=0, max_value=12))
     transient = draw(st.frozensets(st.integers(0, bound - 1), max_size=8)) if bound else frozenset()
     return IndexSet(transient, bound, period, residues)
+
+
+# -- reference index sets -------------------------------------------------------
+# Index-set algebra in its first, plain form: frozensets of transient
+# indices and residues, every Boolean operation evaluated index by index
+# below the bound and residue by residue below the lcm period.  The bitmask
+# IndexSet must produce the same canonical fields.
+
+
+@dataclass(frozen=True)
+class RefIndexSet:
+    transient: frozenset
+    bound: int
+    period: int
+    residues: frozenset
+
+    def __init__(self, transient=(), bound=0, period=1, residues=()):
+        transient = frozenset(i for i in transient if i < bound)
+        tr, b, p, rs = _ref_canonicalize(transient, bound, period, frozenset(residues))
+        object.__setattr__(self, "transient", tr)
+        object.__setattr__(self, "bound", b)
+        object.__setattr__(self, "period", p)
+        object.__setattr__(self, "residues", rs)
+
+    @staticmethod
+    def from_indices(indices):
+        idx = frozenset(indices)
+        return RefIndexSet(idx, max(idx) + 1) if idx else RefIndexSet()
+
+    @staticmethod
+    def from_progression(stride, offset):
+        return RefIndexSet((), offset, stride, (offset % stride,))
+
+    def member(self, i):
+        if i < 0:
+            return False
+        if i < self.bound:
+            return i in self.transient
+        return (i % self.period) in self.residues
+
+    def first(self):
+        cands = list(self.transient)
+        cands += [self.bound + ((r - self.bound) % self.period) for r in self.residues]
+        return min(cands, default=None)
+
+    def tail_progressions(self):
+        return [(self.period, self.bound + ((r - self.bound) % self.period))
+                for r in sorted(self.residues)]
+
+    def union(self, other):
+        return _ref_combine(self, other, lambda a, b: a or b)
+
+    def intersect(self, other):
+        return _ref_combine(self, other, lambda a, b: a and b)
+
+    def difference(self, other):
+        return _ref_combine(self, other, lambda a, b: a and not b)
+
+    def complement(self):
+        return RefIndexSet((i for i in range(self.bound) if i not in self.transient),
+                           self.bound, self.period,
+                           (r for r in range(self.period) if r not in self.residues))
+
+    def is_subset(self, other):
+        d = self.difference(other)
+        return not d.transient and not d.residues
+
+    def is_disjoint(self, other):
+        d = self.intersect(other)
+        return not d.transient and not d.residues
+
+
+def _ref_canonicalize(transient, bound, period, residues):
+    d = n = period
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            while d % p == 0 and {(r + d // p) % period for r in residues} == residues:
+                d //= p
+        p += 1
+    residues = frozenset(r for r in residues if r < d)
+    transient = set(transient)
+    while bound > 0 and ((bound - 1) in transient) == (((bound - 1) % d) in residues):
+        bound -= 1
+        transient.discard(bound)
+    return frozenset(transient), bound, d, residues
+
+
+def _ref_combine(a, b, fn):
+    period = math.lcm(a.period, b.period)
+    bound = max(a.bound, b.bound)
+    return RefIndexSet(
+        (i for i in range(bound) if fn(a.member(i), b.member(i))), bound, period,
+        (r for r in range(period)
+         if fn((r % a.period) in a.residues, (r % b.period) in b.residues)))
 
 
 _coeffs = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)

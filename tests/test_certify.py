@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
+import qrepeat.certify as cer
 import qrepeat.opalgebra as oa
+from helpers import dense_blocks, operators
 from qrepeat import (Dyad, Family, IndexSet, InvalidPovm, StructuredOperator,
                      UnsupportedForm, build_binary_example,
                      build_example_family, build_nonrepeatable_sibling,
@@ -163,6 +166,27 @@ def test_classify_example_povm():
         assert oa.equals(oa.add(cls.z[label], cls.t[label]),
                          build_example_family(2, (0.5, 0.5)).povm().effect(label))
     assert oa.equals(cls.z_omega, StructuredOperator((Dyad(1.0, 0, 0),)))
+
+
+def _diag_value(op, i):
+    """One diagonal entry, found by scanning every term."""
+    val = 0.0 + 0.0j
+    for t in op.terms:
+        j = t.step_at(i)
+        if j is not None and t.out_stride * j + t.out_offset == i:
+            val += t.coeff
+    return val.real
+
+
+# Each entry is summed in term order, as the scan sums it, so the bits agree.
+# In the example, index 6 sums to 0.6000000000000001 in term order and to
+# 0.6 in reverse.
+@given(operators(max_index=8, max_terms=8) | dense_blocks(4))
+@example(StructuredOperator((Family(0.1, 1, 0, 1, 0), Family(0.2, 2, 0, 2, 0),
+                             Family(0.3, 3, 0, 3, 0))))
+def test_diagonal_table_matches_a_scan_per_index_bit_for_bit(op):
+    n = 40
+    assert [v.hex() for v in cer._diagonal(op, n)] == [_diag_value(op, i).hex() for i in range(n)]
 
 
 def test_classify_orthogonal_povm_has_empty_degenerate_part():

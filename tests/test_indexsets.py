@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import agreement_window, index_sets, realize
+import qrepeat.indexsets as iss
+import qrepeat.opalgebra as oa
+from helpers import RefIndexSet, agreement_window, index_sets, realize
 from qrepeat import IndexSet, PeriodCapExceeded, set_period_cap
 
 EVENS = IndexSet.from_progression(2, 0)
@@ -183,3 +185,89 @@ def planted_periods(draw):
 def test_canonical_fields_match_a_divisor_scan(fields):
     s = IndexSet(*fields)
     assert (s.transient, s.bound, s.period, s.residues) == _canonical_by_divisor_scan(*fields)
+
+
+# -- the bitmask IndexSet against the frozenset reference -----------------------
+
+DIVISORS_210 = [d for d in range(1, 211) if 210 % d == 0]
+
+
+@st.composite
+def reference_fields(draw):
+    """Constructor fields with a period up to 210 (a divisor of 210, or up
+    to 12), residues that repeat with a planted divisor of it up to two
+    flips, and transient bits, some of them at or past the bound in
+    agreement with the tail."""
+    period = draw(st.sampled_from(DIVISORS_210) | st.integers(1, 12))
+    sub = draw(st.sampled_from([d for d in range(1, period + 1) if period % d == 0]))
+    base = draw(st.frozensets(st.integers(0, sub - 1)))
+    flips = draw(st.frozensets(st.integers(0, period - 1), max_size=2))
+    residues = frozenset(r for r in range(period) if r % sub in base) ^ flips
+    bound = draw(st.integers(0, 40))
+    transient = draw(st.frozensets(st.integers(0, bound - 1), max_size=12)) if bound else frozenset()
+    extra = draw(st.frozensets(st.integers(bound, bound + 2 * period), max_size=3))
+    transient |= {i for i in extra if i % period in residues}
+    return transient, bound, period, residues
+
+
+def _fields(s):
+    return s.transient, s.bound, s.period, s.residues
+
+
+@given(reference_fields(), reference_fields())
+@settings(deadline=None)
+def test_bitmask_sets_match_the_frozenset_reference(fa, fb):
+    a, b = IndexSet(*fa), IndexSet(*fb)
+    ra, rb = RefIndexSet(*fa), RefIndexSet(*fb)
+    assert _fields(a) == _fields(ra)
+    assert all(a.member(i) == ra.member(i) for i in range(-1, a.bound + 2 * a.period))
+    assert a.first() == ra.first()
+    assert a.tail_progressions() == ra.tail_progressions()
+    assert _fields(a.complement()) == _fields(ra.complement())
+    assert _fields(a.union(b)) == _fields(ra.union(rb))
+    assert _fields(a.intersect(b)) == _fields(ra.intersect(rb))
+    assert _fields(a.difference(b)) == _fields(ra.difference(rb))
+    assert a.is_subset(b) == ra.is_subset(rb)
+    assert a.is_disjoint(b) == ra.is_disjoint(rb)
+
+
+_progressions = st.lists(st.tuples(st.sampled_from(DIVISORS_210[:8]) | st.integers(1, 12),
+                                   st.integers(0, 60)), max_size=6)
+
+
+@given(st.lists(st.integers(0, 80), max_size=8), _progressions)
+@settings(deadline=None)
+def test_from_parts_matches_a_union_fold(points, progressions):
+    ref = RefIndexSet.from_indices(points)
+    for stride, offset in progressions:
+        ref = ref.union(RefIndexSet.from_progression(stride, offset))
+    assert _fields(iss.from_parts(points, progressions)) == _fields(ref)
+
+
+def test_period_cap_holds_for_from_parts_and_combine():
+    set_period_cap(10)
+    try:
+        with pytest.raises(PeriodCapExceeded, match="combined period 35 exceeds cap 10"):
+            iss.from_parts([1], [(7, 0), (5, 3)])
+        with pytest.raises(PeriodCapExceeded, match="combined period 35 exceeds cap 10"):
+            iss._combine(IndexSet.from_progression(7, 0), IndexSet.from_progression(5, 0))
+        assert iss.from_parts([1], [(2, 0), (5, 3)]).period == 10
+    finally:
+        set_period_cap(10**6)
+
+
+# Counted, not timed: folding the support progression by progression made
+# one union, so one _combine, per term (209 here).
+def test_support_set_builds_without_combining(monkeypatch):
+    op = oa.projector(IndexSet.from_progression(210, 0).complement())
+    calls = []
+    inner = iss._combine
+
+    def counted(a, b):
+        calls.append(None)
+        return inner(a, b)
+
+    monkeypatch.setattr(iss, "_combine", counted)
+    assert op.support_set() == IndexSet.from_progression(210, 0).complement()
+    assert op.range_set() == op.support_set()
+    assert calls == []

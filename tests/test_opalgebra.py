@@ -164,6 +164,14 @@ def test_compose_equals_the_all_pairs_product_bit_for_bit(a, b):
     assert _bits(oa.compose(a, b)) == _bits(all_pairs)
 
 
+@given(st.one_of(operators(), dense_blocks()))
+def test_canonical_terms_are_the_validating_constructors_terms(op):
+    rebuilt = [oa.Term(t.coeff, t.out_stride, t.out_offset, t.in_stride, t.in_offset, t.length)
+               for t in op.terms]
+    assert _bits(op) == _bits(SimpleNamespace(terms=rebuilt))
+    assert all(type(t.coeff) is complex for t in op.terms)
+
+
 def test_compose_rejects_an_overflowing_product():
     a = StructuredOperator((Dyad(1e300, 0, 1),))
     b = StructuredOperator((Dyad(1e300, 1, 5),))
@@ -307,6 +315,43 @@ def test_is_monomial_matches_dense_columns(op):
     assert oa.is_monomial(op) == all(np.count_nonzero(c) <= 1 for c in columns)
 
 
+def _all_pairs_monomial(op):
+    """is_monomial as first written: every pair of terms solved."""
+    for idx, t1 in enumerate(op.terms):
+        for t2 in op.terms[idx + 1:]:
+            m = oa._match_progressions(t1.in_stride, t1.in_offset, t1.length,
+                                       t2.in_stride, t2.in_offset, t2.length)
+            if m is None:
+                continue
+            k0, j0, kstep, jstep, n = m
+            if (t1.out_stride * k0 + t1.out_offset != t2.out_stride * j0 + t2.out_offset
+                    or (n is None and t1.out_stride * kstep != t2.out_stride * jstep)):
+                return False
+    return True
+
+
+@given(st.one_of(operators(), operators(max_index=4, max_terms=10), dense_blocks(3)))
+def test_is_monomial_matches_all_pairs(op):
+    assert oa.is_monomial(op) == _all_pairs_monomial(op)
+    assert oa.is_monomial(oa.adjoint(op)) == _all_pairs_monomial(oa.adjoint(op))
+
+
+# Counted, not timed: solving every pair of the 209 progressions took
+# 21,736 calls per operator.
+def test_is_monomial_solves_only_pairs_that_meet(monkeypatch):
+    op = oa.projector(IndexSet.from_progression(210, 0).complement())
+    calls = []
+    inner = oa._match_progressions
+
+    def counted(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(oa, "_match_progressions", counted)
+    assert oa.is_monomial(op) and oa.is_monomial(oa.adjoint(op))
+    assert len(calls) < 1000
+
+
 def test_is_monomial_counts_a_cancelled_entry_as_a_clash():
     # the point cancels the family's entry at row 2, column 2, leaving one
     # nonzero in that column, but the two terms still feed rows 2 and 9
@@ -402,6 +447,30 @@ def test_random_state_is_normalized_and_bounded():
         psi = oa.random_state(rng, max_index=16)
         assert psi.norm_sq() == pytest.approx(1.0)
         assert all(0 <= i <= 16 for i, _ in psi.items())
+
+
+def test_random_state_keeps_the_public_constructors_bits():
+    def public(rng, max_index, max_support=8):
+        size = min(int(rng.integers(1, max_support + 1)), max_index)
+        idx = rng.choice(max_index, size=size, replace=False)
+        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        n = np.linalg.norm(amps)
+        while n < 1e-9:
+            amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            n = np.linalg.norm(amps)
+        return StateVector({int(i): complex(a / n) for i, a in zip(idx, amps)})
+
+    def hexes(v):
+        return [(i, c.real.hex(), c.imag.hex()) for i, c in v.items()]
+
+    for seed in range(3):
+        for k in range(40):
+            for args in ((16,), (3, 8), (64, 2)):
+                rng, ref_rng = np.random.default_rng([seed, k]), np.random.default_rng([seed, k])
+                psi, want = oa.random_state(rng, *args), public(ref_rng, *args)
+                assert hexes(psi) == hexes(want)
+                assert rng.random() == ref_rng.random()  # the same number of draws
+                assert psi.norm_sq().hex() == sum(abs(c) ** 2 for _, c in want.items()).hex()
 
 
 def test_tolerance_override_scopes_comparisons():
