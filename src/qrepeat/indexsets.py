@@ -45,7 +45,9 @@ class IndexSet:
     Membership of ``i < bound`` is bit ``i`` of the transient mask;
     membership of ``i >= bound`` depends only on ``i % period``, as bit
     ``i % period`` of the residue mask.  ``transient`` and ``residues``
-    read the masks back as frozensets.
+    read the masks back as frozensets.  A union of points and progressions
+    is built in one pass by :func:`from_parts`, which holds the lcm of the
+    strides passed to it to ``PERIOD_CAP``.
     """
 
     _tmask: int
@@ -72,21 +74,14 @@ class IndexSet:
         for i in sorted(transient):
             if i >= bound and (i % period) not in residues:
                 raise ValueError(f"transient index {i} contradicts the periodic tail")
-        tmask, bound, period, rmask = _canonicalize(
-            _mask(i for i in transient if i < bound), bound, period, _mask(residues))
-        _setattr(self, "_tmask", tmask)
-        _setattr(self, "bound", bound)
-        _setattr(self, "period", period)
-        _setattr(self, "_rmask", rmask)
+        _fill(self, *_canonicalize(_mask(i for i in transient if i < bound), bound,
+                                   period, _mask(residues)))
 
     @classmethod
     def _trusted(cls, tmask: int, bound: int, period: int, rmask: int) -> "IndexSet":
         """Set from masks already known to be canonical."""
         s = object.__new__(cls)
-        _setattr(s, "_tmask", tmask)
-        _setattr(s, "bound", bound)
-        _setattr(s, "period", period)
-        _setattr(s, "_rmask", rmask)
+        _fill(s, tmask, bound, period, rmask)
         return s
 
     @property
@@ -290,6 +285,13 @@ def _canonicalize(tmask: int, bound: int, period: int, rmask: int) -> tuple[int,
         bound = (tmask ^ _tail_below(rmask, period, bound)).bit_length()
         tmask &= (1 << bound) - 1
     return tmask, bound, period, rmask
+
+
+def _fill(s: IndexSet, tmask: int, bound: int, period: int, rmask: int) -> None:
+    _setattr(s, "_tmask", tmask)
+    _setattr(s, "bound", bound)
+    _setattr(s, "period", period)
+    _setattr(s, "_rmask", rmask)
 
 
 def _mask(indices: Iterable[int]) -> int:
