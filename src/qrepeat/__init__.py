@@ -14,12 +14,12 @@ from .errors import (BadProbabilityVector, CompletenessViolation,
                      InvalidPovm, NotIsometricOnSupport, PartsViolation,
                      PeriodCapExceeded, QRepeatError, SplitInvariantViolation,
                      UnsupportedForm, WindowInvalid)
-from .indexsets import PERIOD_CAP, IndexSet, set_period_cap
-from .opalgebra import (TOLERANCE, Dyad, Family, StateVector,
-                        StructuredOperator, add, adjoint, apply, compose,
-                        diagonal_part, equals, is_diagonal, is_monomial,
-                        max_deviation, operator_norm, projector, random_state,
-                        set_tolerance)
+from .config import Settings, settings
+from .indexsets import IndexSet
+from .opalgebra import (Dyad, Family, StateVector, StructuredOperator, add,
+                        adjoint, apply, compose, diagonal_part, equals,
+                        is_diagonal, is_monomial, max_deviation, operator_norm,
+                        projector, random_state)
 from .instruments import (Instrument, Povm, build_binary_example,
                           build_example_family, build_from_parts,
                           build_nonrepeatable_sibling, build_orthogonal,
@@ -44,10 +44,10 @@ __all__ = [
     "CompletenessViolation", "ConditionalStats", "ContractionViolation",
     "CoverageViolation", "CycleFamily", "DegenerateState", "Dyad", "Family",
     "IndexSet", "Instrument", "InvalidPovm", "MemoryReading",
-    "NotIsometricOnSupport", "OutcomeChecks", "PERIOD_CAP", "PairChecks",
+    "NotIsometricOnSupport", "OutcomeChecks", "PairChecks",
     "PartsViolation", "PeriodCapExceeded", "Povm", "PovmClassification",
-    "QRepeatError", "ShiftOrbit", "SplitInvariantViolation", "StateVector",
-    "StructuredOperator", "TOLERANCE", "TrajectoryRecord", "TrajectoryStep",
+    "QRepeatError", "Settings", "ShiftOrbit", "SplitInvariantViolation",
+    "StateVector", "StructuredOperator", "TrajectoryRecord", "TrajectoryStep",
     "TruncationWindow", "UnsupportedForm", "WindowInvalid", "Witness",
     "WoldDecomposition", "add", "adjoint", "apply", "born_probabilities",
     "build_binary_example", "build_example_family", "build_from_parts",
@@ -58,6 +58,6 @@ __all__ = [
     "fixed_state_sampler", "is_diagonal", "is_monomial", "make_instrument",
     "make_povm", "max_deviation", "memory_map", "measure_once",
     "operator_norm", "povm", "projector", "random_state",
-    "random_state_sampler", "read_memory", "run_trajectory", "set_period_cap",
-    "set_tolerance", "split", "wold_decompose", "window_for",
+    "random_state_sampler", "read_memory", "run_trajectory", "settings",
+    "split", "wold_decompose", "window_for",
 ]

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opalgebra as oa
+from .config import current
 from .errors import InvalidPovm, UnsupportedForm
 from .indexsets import IndexSet, from_parts
-from .instruments import Instrument, Outcome, Povm
+from .instruments import (Instrument, Outcome, Povm, _check_resolution,
+                          _identity_deviation)
 from .opalgebra import Dyad, Family, StructuredOperator
 
 
@@ -51,7 +53,7 @@ class CertificationReport:
     witnesses: tuple[Witness, ...]
 
 
-def certify_repeatable(inst: Instrument, tol: float | None = None) -> CertificationReport:
+def certify_repeatable(inst: Instrument) -> CertificationReport:
     """Decide perfect repeatability structurally and collect diagnostics.
 
     The verdict is completeness plus, for every outcome, the
@@ -59,14 +61,11 @@ def certify_repeatable(inst: Instrument, tol: float | None = None) -> Certificat
     distinct outcomes.  Range/support inclusion and pairwise range
     orthogonality are reported as diagnostics only.
     """
-    tol_ = oa.TOLERANCE if tol is None else tol
+    tol = current().tolerance
     witnesses: list[Witness] = []
 
-    total = StructuredOperator.zero()
-    for _, op in inst.items():
-        total = total + oa.compose(oa.adjoint(op), op)
-    dev, pos = oa.max_deviation(total, StructuredOperator.identity())
-    complete = dev <= tol_
+    dev, pos = _identity_deviation(oa.compose(oa.adjoint(op), op) for _, op in inst.items())
+    complete = dev <= tol
     if not complete:
         witnesses.append(Witness("completeness", pos, dev))
 
@@ -74,7 +73,7 @@ def certify_repeatable(inst: Instrument, tol: float | None = None) -> Certificat
     for label, op in inst.items():
         triple = oa.compose(oa.adjoint(op), oa.compose(op, op))
         dev, pos = oa.max_deviation(triple, op)
-        iso = dev <= tol_
+        iso = dev <= tol
         if not iso:
             witnesses.append(Witness(f"isometry on range ({label!r})", pos, dev))
         if oa.is_monomial(op):
@@ -90,40 +89,38 @@ def certify_repeatable(inst: Instrument, tol: float | None = None) -> Certificat
             if e == f:
                 continue
             dev, pos = oa.max_deviation(oa.compose(op_f, op_e), zero)
-            vanish = dev <= tol_
+            vanish = dev <= tol
             if not vanish:
                 witnesses.append(Witness(f"annihilation ({f!r} after {e!r})", pos, dev))
             rdev, _ = oa.max_deviation(oa.compose(oa.adjoint(op_f), op_e), zero)
-            per_pair[(e, f)] = PairChecks(vanish, rdev <= tol_)
+            per_pair[(e, f)] = PairChecks(vanish, rdev <= tol)
 
     repeatable = complete and all(c.isometric_on_range for c in per_outcome.values()) \
         and all(c.product_vanishes for c in per_pair.values())
-    orthogonal = check_orthogonal(inst.povm(), tol=tol_)
+    orthogonal = check_orthogonal(inst.povm())
     return CertificationReport(repeatable, orthogonal, complete,
                                per_outcome, per_pair, tuple(witnesses))
 
 
-def check_orthogonal(pv: Povm, tol: float | None = None) -> bool:
+def check_orthogonal(pv: Povm) -> bool:
     """True when the effects are mutually orthogonal projections."""
-    tol_ = oa.TOLERANCE if tol is None else tol
     for e, pe in pv.items():
         for f, pf in pv.items():
             expected = pf if e == f else StructuredOperator.zero()
-            if not oa.equals(oa.compose(pe, pf), expected, tol_):
+            if not oa.equals(oa.compose(pe, pf), expected):
                 return False
     return True
 
 
-def check_repeatability_numerical(inst: Instrument, trials: int = 100,
-                                  max_index: int = 32, seed: int = 0,
-                                  tol: float | None = None) -> dict[tuple[Outcome, Outcome], float]:
+def check_repeatability_numerical(inst: Instrument, trials: int = 100, max_index: int = 32,
+                                  seed: int = 0) -> dict[tuple[Outcome, Outcome], float]:
     """Largest observed deviation of conditional ratios from the Kronecker delta.
 
     Each trial draws an independent state from the generator seeded with
     ``[seed, trial]`` and accumulates, per ordered outcome pair, the
     deviation of ``|M_f M_e psi|^2 / |M_e psi|^2`` from ``delta_ef``.
     """
-    tol_ = oa.TOLERANCE if tol is None else tol
+    tol = current().tolerance
     devs: dict[tuple[Outcome, Outcome], float] = {
         (e, f): 0.0 for e in inst.outcomes for f in inst.outcomes}
     for trial in range(trials):
@@ -132,7 +129,7 @@ def check_repeatability_numerical(inst: Instrument, trials: int = 100,
         for e, op_e in inst.items():
             phi = oa.apply(op_e, psi)
             ne = phi.norm_sq()
-            if ne <= tol_:
+            if ne <= tol:
                 continue
             for f, op_f in inst.items():
                 ratio = oa.apply(op_f, phi).norm_sq() / ne
@@ -314,24 +311,20 @@ def _diagonal(op: StructuredOperator, n: int) -> list[float]:
     return [v.real for v in vals]
 
 
-def classify_povm(pv: Povm, tol: float | None = None) -> PovmClassification:
+def classify_povm(pv: Povm) -> PovmClassification:
     """Classify a basis-diagonal POVM into its repeatable normal form.
 
     Indices whose effect-value vector is a 0/1 indicator join the
     projective part ``Z_e`` of the unique outcome carrying the 1; all other
-    indices join the shared degenerate block.
+    indices join the shared degenerate block.  A repeatable instrument
+    exists exactly when each outcome has ``T_e = 0`` or an infinite ``Z_e``,
+    as a repeatable ``M_e`` maps into ``Z_e`` with rank ``|Z_e| + |supp T_e|``.
     """
-    tol_ = oa.TOLERANCE if tol is None else tol
+    tol = current().tolerance
     for label, p in pv.items():
-        if not oa.is_diagonal(p, tol_):
+        if not oa.is_diagonal(p):
             raise UnsupportedForm(f"effect {label!r} is not diagonal in the canonical basis")
-
-    total = StructuredOperator.zero()
-    for _, p in pv.items():
-        total = total + p
-    dev, pos = oa.max_deviation(total, StructuredOperator.identity())
-    if dev > tol_:
-        raise InvalidPovm(f"effects deviate from a resolution of identity by {dev:.3g} at {pos}")
+    _check_resolution((p for _, p in pv.items()), tol)
 
     bound = 1
     period = 1
@@ -347,10 +340,10 @@ def classify_povm(pv: Povm, tol: float | None = None) -> PovmClassification:
 
     def classify_index(i: int) -> Outcome | None:
         vals = {label: diag[label][i] for label in labels}
-        if any(v < -tol_ for v in vals.values()):
+        if any(v < -tol for v in vals.values()):
             raise InvalidPovm(f"effect diagonal is negative at index {i}")
-        ones = [label for label, v in vals.items() if abs(v - 1.0) <= tol_]
-        zeros = [label for label, v in vals.items() if abs(v) <= tol_]
+        ones = [label for label, v in vals.items() if abs(v - 1.0) <= tol]
+        zeros = [label for label, v in vals.items() if abs(v) <= tol]
         if len(ones) == 1 and len(zeros) == len(labels) - 1:
             return ones[0]
         return None
@@ -380,28 +373,29 @@ def classify_povm(pv: Povm, tol: float | None = None) -> PovmClassification:
         terms = []
         for i in omega_members:
             v = diag[label][i]
-            if abs(v) > tol_:
+            if abs(v) > tol:
                 terms.append(Dyad(v, i, i))
         for r in omega_res:
             off = bound + ((r - bound) % period)
             v = diag[label][off]
-            if abs(v) > tol_:
+            if abs(v) > tol:
                 terms.append(Family(v, period, off, period, off))
         t_ops[label] = StructuredOperator(terms)
 
     ok = True
     recombined = StructuredOperator.zero()
     for label in labels:
-        ok &= oa.equals(pv.effect(label), z_ops[label] + t_ops[label], tol_)
-        ok &= oa.equals(oa.compose(z_ops[label], t_ops[label]), StructuredOperator.zero(), tol_)
+        ok &= not t_ops[label].terms or not z_sets[label].is_finite
+        ok &= oa.equals(pv.effect(label), z_ops[label] + t_ops[label])
+        ok &= oa.equals(oa.compose(z_ops[label], t_ops[label]), StructuredOperator.zero())
         recombined = recombined + t_ops[label]
         for other in labels:
             expected = z_ops[label] if label == other else StructuredOperator.zero()
-            ok &= oa.equals(oa.compose(z_ops[label], z_ops[other]), expected, tol_)
-    ok &= oa.equals(recombined, z_omega, tol_)
+            ok &= oa.equals(oa.compose(z_ops[label], z_ops[other]), expected)
+    ok &= oa.equals(recombined, z_omega)
     cover = z_omega
     for label in labels:
         cover = cover + z_ops[label]
-    ok &= oa.equals(cover, StructuredOperator.identity(), tol_)
+    ok &= oa.equals(cover, StructuredOperator.identity())
 
     return PovmClassification(bool(ok), z_ops, t_ops, z_omega, z_sets, omega_set)

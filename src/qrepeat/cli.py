@@ -6,9 +6,9 @@ serialized as decimal floats in shortest round-trip form, so parsing a
 serialized instrument reproduces the operators exactly.  Trajectory logs
 are line-delimited: a header line, then one record per step.
 
-Exit codes: 0 success (for ``certify``: repeatable), 1 not repeatable,
-2 parse or validation failure.  The default output directory is the
-``QREPEAT_OUTDIR`` environment variable, falling back to the current
+Exit codes: 0 a positive verdict (for ``certify``: repeatable), 1 a
+negative one, 2 parse or validation failure.  The default output directory
+is the ``QREPEAT_OUTDIR`` environment variable, falling back to the current
 directory.
 """
 
@@ -21,11 +21,10 @@ from pathlib import Path
 
 import click
 
-from . import indexsets as iss
-from . import opalgebra as oa
 from .certify import certify_repeatable, classify_povm
+from .config import current, settings
 from .errors import QRepeatError
-from .indexsets import IndexSet, set_period_cap
+from .indexsets import IndexSet
 from .instruments import (Instrument, build_binary_example,
                           build_example_family, make_instrument)
 from .opalgebra import Dyad, Family, StateVector, StructuredOperator
@@ -49,21 +48,6 @@ def _out_dir(explicit: str | None) -> Path:
 def _stem(path: str) -> str:
     stem = Path(path).stem
     return stem[:-11] if stem.endswith(".instrument") else stem
-
-
-def _apply_knobs(tolerance: float | None, period_cap: int | None):
-    """Set the knobs for the running command only.
-
-    The previous values come back when the command's context closes, which
-    it does whether the command returns, exits or raises.
-    """
-    saved = oa.TOLERANCE, iss.PERIOD_CAP
-    click.get_current_context().call_on_close(
-        lambda: (oa.set_tolerance(saved[0]), set_period_cap(saved[1])))
-    if tolerance is not None:
-        oa.set_tolerance(tolerance)
-    if period_cap is not None:
-        set_period_cap(period_cap)
 
 
 # -- JSON forms --------------------------------------------------------------
@@ -274,7 +258,7 @@ def write_trajectory_log(record, path: Path) -> Path:
     return path
 
 
-def _parse_initial(spec: str, tol: float) -> StateVector:
+def _parse_initial(spec: str) -> StateVector:
     text = spec.strip()
     if "," not in text:
         try:
@@ -288,6 +272,7 @@ def _parse_initial(spec: str, tol: float) -> StateVector:
         raise ValueError(f"initial state {spec!r} is neither a basis index "
                          "nor a comma-separated amplitude list")
     psi = StateVector({i: a for i, a in enumerate(amps)})
+    tol = current().tolerance
     total = psi.norm_sq()
     if total <= tol:
         raise ValueError("initial state has no amplitude")
@@ -319,7 +304,7 @@ _period_cap = click.option("--period-cap", type=int, default=None,
 @_period_cap
 def certify(instrument, out, tolerance, period_cap):
     """Certify perfect repeatability; exit 0 when repeatable, 1 when not."""
-    _apply_knobs(tolerance, period_cap)
+    click.get_current_context().with_resource(settings(tolerance, period_cap))
     inst = _load_instrument(instrument, check_completeness=False)
     try:
         rep = certify_repeatable(inst)
@@ -340,7 +325,7 @@ def certify(instrument, out, tolerance, period_cap):
 @_period_cap
 def povm(instrument, out, tolerance, period_cap):
     """Write the instrument's POVM effects."""
-    _apply_knobs(tolerance, period_cap)
+    click.get_current_context().with_resource(settings(tolerance, period_cap))
     inst = _load_instrument(instrument, check_completeness=False)
     doc = povm_doc(inst.povm())
     target = Path(out) if out else _out_dir(None) / (_stem(instrument) + ".povm.json")
@@ -356,8 +341,9 @@ def povm(instrument, out, tolerance, period_cap):
 @_tolerance
 @_period_cap
 def classify(instrument, out, tolerance, period_cap):
-    """Split a diagonal POVM into projective and degenerate parts."""
-    _apply_knobs(tolerance, period_cap)
+    """Split a diagonal POVM into projective and degenerate parts; exit 0 when
+    it admits a repeatable instrument, 1 when not."""
+    click.get_current_context().with_resource(settings(tolerance, period_cap))
     inst = _load_instrument(instrument, check_completeness=False)
     try:
         cls = classify_povm(inst.povm())
@@ -367,8 +353,9 @@ def classify(instrument, out, tolerance, period_cap):
     target = Path(out) if out else _out_dir(None) / (_stem(instrument) + ".classification.json")
     _write(doc, target)
     click.echo("admits repeatable form: "
-               f"{'yes' if doc['admitsRepeatableForm'] else 'no'}")
+               f"{'yes' if cls.admits_repeatable_form else 'no'}")
     click.echo(f"classification: {target}")
+    sys.exit(0 if cls.admits_repeatable_form else 1)
 
 
 @main.command()
@@ -378,7 +365,7 @@ def classify(instrument, out, tolerance, period_cap):
 @_period_cap
 def wold(instrument, out, tolerance, period_cap):
     """Decompose each outcome into shift, unitary, and deposit blocks."""
-    _apply_knobs(tolerance, period_cap)
+    click.get_current_context().with_resource(settings(tolerance, period_cap))
     inst = _load_instrument(instrument, check_completeness=False)
     doc = wold_doc(inst)
     target = Path(out) if out else _out_dir(None) / (_stem(instrument) + ".wold.json")
@@ -405,10 +392,10 @@ def wold(instrument, out, tolerance, period_cap):
 @_period_cap
 def simulate(instrument, steps, seed, initial, log_path, tolerance, period_cap):
     """Run a seeded measurement trajectory and log it step by step."""
-    _apply_knobs(tolerance, period_cap)
+    click.get_current_context().with_resource(settings(tolerance, period_cap))
     inst = _load_instrument(instrument, check_completeness=True)
     try:
-        psi = _parse_initial(initial, oa.TOLERANCE)
+        psi = _parse_initial(initial)
         record = run_trajectory(inst, psi, steps, seed)
     except (ValueError, QRepeatError) as e:
         _fail(str(e))
@@ -439,7 +426,7 @@ def simulate(instrument, steps, seed, initial, log_path, tolerance, period_cap):
 @_period_cap
 def demo(name, n, p, p1, p2, seed, steps, outdir, tolerance, period_cap):
     """Write a full bundle: instrument, reports, decomposition, trajectory."""
-    _apply_knobs(tolerance, period_cap)
+    click.get_current_context().with_resource(settings(tolerance, period_cap))
     try:
         if name == "ex1":
             probs = tuple(float(x) for x in p.split(","))

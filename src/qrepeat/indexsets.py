@@ -13,9 +13,9 @@ equality.
 
 :func:`from_parts` builds the union of given points and ``(stride,
 offset)`` progressions in one pass, ORing each straight into the masks
-instead of folding unions.  ``PERIOD_CAP`` bounds every period built: the
-lcm of the two periods of a Boolean operation, and the lcm of the strides
-passed to :func:`from_parts`.
+instead of folding unions.  The active period cap of :mod:`qrepeat.config`
+bounds every period built: the lcm of the two periods of a Boolean
+operation, and the lcm of the strides passed to :func:`from_parts`.
 """
 
 from __future__ import annotations
@@ -24,18 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .config import current
 from .errors import PeriodCapExceeded
 
-PERIOD_CAP = 10**6
 _setattr = object.__setattr__
-
-
-def set_period_cap(value: int) -> None:
-    """Raise or lower the global period guard (mostly for the CLI)."""
-    global PERIOD_CAP
-    if value < 1:
-        raise ValueError("period cap must be positive")
-    PERIOD_CAP = int(value)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -47,7 +39,7 @@ class IndexSet:
     ``i % period`` of the residue mask.  ``transient`` and ``residues``
     read the masks back as frozensets.  A union of points and progressions
     is built in one pass by :func:`from_parts`, which holds the lcm of the
-    strides passed to it to ``PERIOD_CAP``.
+    strides passed to it to the active period cap.
     """
 
     _tmask: int
@@ -190,8 +182,8 @@ def from_parts(points: Iterable[int], progressions: Iterable[tuple[int, int]]) -
     """The union of the ``points`` and the progressions ``{stride*j + offset :
     j >= 0}``, built at once rather than as a fold of unions.
 
-    Its tail has the lcm of the strides as period, which must not exceed
-    ``PERIOD_CAP``; its bound is the highest point plus one or the highest
+    Its tail has the lcm of the strides as period, which must not exceed the
+    active period cap; its bound is the highest point plus one or the highest
     offset.  With those known, each part is ORed straight into the masks: a
     point's bit and a progression's members below the bound into the
     transient mask, and the progression's residue bit, lifted to the lcm,
@@ -234,9 +226,9 @@ def _combine(a: IndexSet, b: IndexSet) -> tuple[int, int, int, int, int, int]:
 
 
 def _check_cap(period: int) -> None:
-    if period > PERIOD_CAP:
-        raise PeriodCapExceeded(
-            f"combined period {period} exceeds cap {PERIOD_CAP}")
+    cap = current().period_cap
+    if period > cap:
+        raise PeriodCapExceeded(f"combined period {period} exceeds cap {cap}")
 
 
 def _lift_transient(s: IndexSet, bound: int) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import opalgebra as oa
+from .config import current
 from .errors import (BadProbabilityVector, CompletenessViolation,
                      ContractionViolation, CoverageViolation, InvalidPovm,
                      PartsViolation)
@@ -71,16 +72,22 @@ class Povm:
         return iter(self.entries)
 
 
-def _sum_ops(ops: Iterable[StructuredOperator]) -> StructuredOperator:
+def _identity_deviation(ops: Iterable[StructuredOperator]):
+    """``max_deviation`` from the identity of the sum of ``ops``, in order."""
     total = StructuredOperator.zero()
     for op in ops:
         total = total + op
-    return total
+    return oa.max_deviation(total, StructuredOperator.identity())
+
+
+def _check_resolution(effects: Iterable[StructuredOperator], tol: float) -> None:
+    dev, pos = _identity_deviation(effects)
+    if dev > tol:
+        raise InvalidPovm(f"effects deviate from a resolution of identity by {dev:.3g} at {pos}")
 
 
 def make_instrument(entries: Mapping[Outcome, StructuredOperator],
-                    check_completeness: bool = True,
-                    tol: float | None = None) -> Instrument:
+                    check_completeness: bool = True) -> Instrument:
     """Validate and freeze a labeled operator family.
 
     Each operator must be a contraction; when ``check_completeness`` is set
@@ -90,20 +97,19 @@ def make_instrument(entries: Mapping[Outcome, StructuredOperator],
     if not entries:
         raise ValueError("an instrument needs at least one outcome")
     ordered = tuple(sorted(entries.items(), key=lambda kv: _sort_key(kv[0])))
-    tol_ = oa.TOLERANCE if tol is None else tol
+    tol = current().tolerance
     for label, op in ordered:
         if not isinstance(op, StructuredOperator):
             raise TypeError(f"outcome {label!r} is not a StructuredOperator")
         norm, method = oa.operator_norm(op)
-        slack = tol_ if method == "exact" else max(tol_, 1e-9)
+        slack = tol if method == "exact" else max(tol, 1e-9)
         if norm > 1.0 + slack:
             raise ContractionViolation(
                 f"operator for outcome {label!r} has norm {norm:.6g} > 1",
                 outcome=label, norm=norm)
     if check_completeness:
-        total = _sum_ops(oa.compose(oa.adjoint(op), op) for _, op in ordered)
-        dev, pos = oa.max_deviation(total, StructuredOperator.identity())
-        if dev > tol_:
+        dev, pos = _identity_deviation(oa.compose(oa.adjoint(op), op) for _, op in ordered)
+        if dev > tol:
             raise CompletenessViolation(
                 f"sum of squared moduli deviates from identity by {dev:.3g} at {pos}",
                 position=pos, deviation=dev)
@@ -115,31 +121,31 @@ def povm(inst: Instrument) -> Povm:
                       for label, op in inst.items()))
 
 
-def make_povm(entries: Mapping[Outcome, StructuredOperator],
-              tol: float | None = None) -> Povm:
+def make_povm(entries: Mapping[Outcome, StructuredOperator]) -> Povm:
     """Freeze raw effects, verifying only that they sum to the identity.
 
     Positivity of arbitrary structured effects is not decided here; effects
     produced by :func:`povm` are positive by construction.
     """
     ordered = tuple(sorted(entries.items(), key=lambda kv: _sort_key(kv[0])))
-    total = _sum_ops(op for _, op in ordered)
-    dev, pos = oa.max_deviation(total, StructuredOperator.identity())
-    if dev > (oa.TOLERANCE if tol is None else tol):
-        raise InvalidPovm(f"effects deviate from a resolution of identity by {dev:.3g} at {pos}")
+    _check_resolution((op for _, op in ordered), current().tolerance)
     return Povm(ordered)
 
 
 # -- worked families -------------------------------------------------------
 
 
-def _check_probability_vector(p: Iterable[float], tol: float | None = None) -> tuple[float, ...]:
+def _check_probability_vector(p: Iterable[float], n: int) -> tuple[float, ...]:
+    if n < 1:
+        raise BadProbabilityVector("n must be at least 1")
     p = tuple(float(x) for x in p)
-    tol_ = oa.TOLERANCE if tol is None else tol
-    if any(x < -tol_ or x > 1.0 + tol_ for x in p):
+    tol = current().tolerance
+    if any(x < -tol or x > 1.0 + tol for x in p):
         raise BadProbabilityVector(f"entries must lie in [0, 1]: {p}")
-    if abs(sum(p) - 1.0) > tol_:
+    if abs(sum(p) - 1.0) > tol:
         raise BadProbabilityVector(f"entries must sum to 1: {p}")
+    if len(p) != n:
+        raise BadProbabilityVector(f"expected {n} probabilities, got {len(p)}")
     return tuple(min(max(x, 0.0), 1.0) for x in p)
 
 
@@ -151,11 +157,7 @@ def build_example_family(n: int, p: Iterable[float]) -> Instrument:
     ``p_l |0><0| + sum_j |nj+l><nj+l|``, so for ``0 < p_l < 1`` no outcome
     is projective, yet every repetition reproduces the first result.
     """
-    if n < 1:
-        raise BadProbabilityVector("n must be at least 1")
-    p = _check_probability_vector(p)
-    if len(p) != n:
-        raise BadProbabilityVector(f"expected {n} probabilities, got {len(p)}")
+    p = _check_probability_vector(p, n)
     entries = {}
     for l in range(1, n + 1):
         terms = [Family(1.0, n, n + l, n, l)]
@@ -173,11 +175,7 @@ def build_nonrepeatable_sibling(n: int, p: Iterable[float]) -> Instrument:
     which destroys repeatability while leaving every outcome probability
     unchanged.
     """
-    if n < 1:
-        raise BadProbabilityVector("n must be at least 1")
-    p = _check_probability_vector(p)
-    if len(p) != n:
-        raise BadProbabilityVector(f"expected {n} probabilities, got {len(p)}")
+    p = _check_probability_vector(p, n)
     entries = {}
     for l in range(1, n + 1):
         terms = [Family(1.0, n, l, n, l)]
@@ -228,8 +226,8 @@ def build_orthogonal(index_sets: Mapping[Outcome, IndexSet]) -> Instrument:
     return make_instrument({label: oa.projector(index_sets[label]) for label in labels})
 
 
-def build_from_parts(parts: Mapping[Outcome, tuple[StructuredOperator, StructuredOperator]],
-                     tol: float | None = None) -> Instrument:
+def build_from_parts(
+        parts: Mapping[Outcome, tuple[StructuredOperator, StructuredOperator]]) -> Instrument:
     """Assemble ``M_e = V_e + W_e`` from shift and deposit blocks.
 
     Verifies that each ``V_e`` is a partial isometry, that deposits feed
@@ -239,13 +237,13 @@ def build_from_parts(parts: Mapping[Outcome, tuple[StructuredOperator, Structure
     """
     from .certify import certify_repeatable
 
-    tol_ = oa.TOLERANCE if tol is None else tol
+    tol = current().tolerance
     labels = sorted(parts, key=_sort_key)
     zero = StructuredOperator.zero()
 
-    def check(cond: str, a: StructuredOperator, b: StructuredOperator):
-        dev, pos = oa.max_deviation(a, b)
-        if dev > tol_:
+    def check(cond: str, deviation: tuple[float, tuple[int, int] | None]):
+        dev, pos = deviation
+        if dev > tol:
             raise PartsViolation(f"{cond}: deviation {dev:.3g} at {pos}",
                                  condition=cond, position=pos, deviation=dev)
 
@@ -253,35 +251,33 @@ def build_from_parts(parts: Mapping[Outcome, tuple[StructuredOperator, Structure
         v, w = parts[label]
         gram = oa.compose(oa.adjoint(v), v)
         check(f"shift block {label!r} is a partial isometry",
-              oa.compose(gram, gram), gram)
+              oa.max_deviation(oa.compose(gram, gram), gram))
         check(f"blocks of outcome {label!r} have orthogonal ranges",
-              oa.compose(oa.adjoint(w), v), zero)
+              oa.max_deviation(oa.compose(oa.adjoint(w), v), zero))
         check(f"blocks of outcome {label!r} have orthogonal ranges (adjoint)",
-              oa.compose(oa.adjoint(v), w), zero)
+              oa.max_deviation(oa.compose(oa.adjoint(v), w), zero))
         # repeated application must act isometrically on whatever W emits
         check(f"deposit of outcome {label!r} lands in the shift support",
-              oa.compose(gram, w), w)
+              oa.max_deviation(oa.compose(gram, w), w))
         check(f"deposit of outcome {label!r} composes to zero with itself",
-              oa.compose(w, w), zero)
+              oa.max_deviation(oa.compose(w, w), zero))
         check(f"shift of outcome {label!r} avoids the deposit block",
-              oa.compose(oa.compose(oa.adjoint(w), w), v), zero)
+              oa.max_deviation(oa.compose(oa.compose(oa.adjoint(w), w), v), zero))
     for la in labels:
         for lb in labels:
             if la == lb:
                 continue
             check(f"shift ranges of {la!r} and {lb!r} are orthogonal",
-                  oa.compose(oa.adjoint(parts[la][0]), parts[lb][0]), zero)
+                  oa.max_deviation(oa.compose(oa.adjoint(parts[la][0]), parts[lb][0]), zero))
             check(f"deposits of {la!r} and {lb!r} are orthogonal",
-                  oa.compose(oa.adjoint(parts[la][1]), parts[lb][1]), zero)
-    total = _sum_ops(
+                  oa.max_deviation(oa.compose(oa.adjoint(parts[la][1]), parts[lb][1]), zero))
+    check("blocks resolve the identity", _identity_deviation(
         oa.compose(oa.adjoint(parts[label][0]), parts[label][0]) +
         oa.compose(oa.adjoint(parts[label][1]), parts[label][1])
-        for label in labels)
-    check("blocks resolve the identity", total, StructuredOperator.identity())
+        for label in labels))
 
-    inst = make_instrument({label: parts[label][0] + parts[label][1] for label in labels},
-                           tol=tol)
-    report = certify_repeatable(inst, tol=tol)
+    inst = make_instrument({label: parts[label][0] + parts[label][1] for label in labels})
+    report = certify_repeatable(inst)
     if not report.repeatable:
         first = report.witnesses[0] if report.witnesses else None
         raise PartsViolation(

@@ -15,6 +15,10 @@ of their row strides.  Entries change elsewhere only at points and at
 crossings of non-parallel progressions, and a crossing is the one integer
 solution of a 2x2 system.  So finitely many positions carry every value an
 operator takes, and :func:`max_deviation` evaluates exactly those.
+
+Coefficients and deviations at or below the active tolerance of
+:mod:`qrepeat.config` count as zero, and line periods are held to its
+period cap; ``with qrepeat.settings(...)`` sets both for a block.
 """
 
 from __future__ import annotations
@@ -27,24 +31,11 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from . import indexsets
+from .config import current
 from .errors import PeriodCapExceeded
-from .indexsets import IndexSet
+from .indexsets import IndexSet, from_parts
 
-TOLERANCE = 1e-12
 _setattr = object.__setattr__
-
-
-def set_tolerance(value: float) -> None:
-    """Set the global comparison tolerance (mostly for the CLI)."""
-    global TOLERANCE
-    if not value > 0:
-        raise ValueError("tolerance must be positive")
-    TOLERANCE = float(value)
-
-
-def _tol(tol: float | None) -> float:
-    return TOLERANCE if tol is None else tol
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -152,8 +143,8 @@ class StructuredOperator:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[Term] = (), tol: float | None = None):
-        object.__setattr__(self, "terms", _canonicalize(terms, _tol(tol)))
+    def __init__(self, terms: Iterable[Term] = ()):
+        object.__setattr__(self, "terms", _canonicalize(terms, current().tolerance))
 
     @classmethod
     def _canonical(cls, terms: tuple[Term, ...]) -> "StructuredOperator":
@@ -195,8 +186,8 @@ class StructuredOperator:
     def families(self) -> tuple[Term, ...]:
         return tuple(t for t in self.terms if t.length is None)
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        return equals(self, StructuredOperator.zero(), tol)
+    def is_zero(self) -> bool:
+        return equals(self, StructuredOperator.zero())
 
     def support_set(self) -> IndexSet:
         """Input indices touched by some term (columns carrying entries)."""
@@ -250,7 +241,7 @@ def _index_set(progressions) -> IndexSet:
             points.append(offset)
         else:
             progs.append((stride, offset))
-    return indexsets.from_parts(points, progs)
+    return from_parts(points, progs)
 
 
 def _scaled(t: Term, factor: complex) -> Term:
@@ -397,8 +388,8 @@ class StateVector:
     def norm_sq(self) -> float:
         return sum([abs(c) ** 2 for c in self._amp.values()])
 
-    def is_normalized(self, tol: float | None = None) -> bool:
-        return abs(self.norm_sq() - 1.0) <= _tol(tol)
+    def is_normalized(self) -> bool:
+        return abs(self.norm_sq() - 1.0) <= current().tolerance
 
     def normalized(self) -> "StateVector":
         n = math.sqrt(self.norm_sq())
@@ -558,7 +549,7 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
             if d >= 0 and d % s1 == 0:
                 key = (os_ * (d // s1) + ao, tb.in_offset)
                 dyds[key] = dyds.get(key, 0.0) + ca * tb.coeff
-    return StructuredOperator._canonical(_finish(fams, dyds, TOLERANCE))
+    return StructuredOperator._canonical(_finish(fams, dyds, current().tolerance))
 
 
 # -- equality, decided on the terms ----------------------------------------
@@ -623,10 +614,10 @@ def max_deviation(a: StructuredOperator, b: StructuredOperator):
         tail[0] = max(tail[0], t.out_offset)
         tail[1] = math.lcm(tail[1], t.out_stride)
         by_dir.setdefault(line[:2], []).append(t)
+    cap = current().period_cap
     for _, period in tails.values():
-        if period > indexsets.PERIOD_CAP:
-            raise PeriodCapExceeded(
-                f"stride lcm {period} on one line exceeds cap {indexsets.PERIOD_CAP}")
+        if period > cap:
+            raise PeriodCapExceeded(f"stride lcm {period} on one line exceeds cap {cap}")
 
     fixed = {(t.out_offset, t.in_offset) for t in terms if t.length == 1}
     groups = list(by_dir.values())
@@ -682,9 +673,9 @@ def max_deviation(a: StructuredOperator, b: StructuredOperator):
     return dev, pos
 
 
-def equals(a: StructuredOperator, b: StructuredOperator, tol: float | None = None) -> bool:
+def equals(a: StructuredOperator, b: StructuredOperator) -> bool:
     dev, _ = max_deviation(a, b)
-    return dev <= _tol(tol)
+    return dev <= current().tolerance
 
 
 # -- structural predicates -------------------------------------------------
@@ -743,8 +734,8 @@ def diagonal_part(op: StructuredOperator) -> StructuredOperator:
     return StructuredOperator(terms)
 
 
-def is_diagonal(op: StructuredOperator, tol: float | None = None) -> bool:
-    return equals(op, diagonal_part(op), tol)
+def is_diagonal(op: StructuredOperator) -> bool:
+    return equals(op, diagonal_part(op))
 
 
 def projector(s: IndexSet) -> StructuredOperator:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opalgebra as oa
+from .config import current
 from .errors import DegenerateState, WindowInvalid
 from .instruments import Instrument, Outcome
 from .opalgebra import StateVector, StructuredOperator
@@ -143,12 +144,11 @@ def _select(inst: Instrument, psi: StateVector, u: float, tol: float,
     return label, prob, post
 
 
-def measure_once(inst: Instrument, psi: StateVector, seed: int,
-                 tol: float | None = None) -> tuple[Outcome, float, StateVector]:
+def measure_once(inst: Instrument, psi: StateVector,
+                 seed: int) -> tuple[Outcome, float, StateVector]:
     """Sample one measurement: outcome, its Born probability, reduced state."""
-    tol_ = oa.TOLERANCE if tol is None else tol
     u = float(np.random.default_rng(seed).random())
-    return _select(inst, psi.normalized(), u, tol_, {})
+    return _select(inst, psi.normalized(), u, current().tolerance, {})
 
 
 # -- trajectories ------------------------------------------------------------
@@ -174,7 +174,6 @@ class TrajectoryRecord:
 
 
 def run_trajectory(inst: Instrument, psi: StateVector, steps: int, seed: int,
-                   tol: float | None = None,
                    with_memory: bool = True) -> TrajectoryRecord:
     """Measure ``steps`` times in sequence, recording states and memory depths.
 
@@ -185,18 +184,18 @@ def run_trajectory(inst: Instrument, psi: StateVector, steps: int, seed: int,
     """
     if steps < 1:
         raise ValueError("a trajectory needs at least one step")
-    tol_ = oa.TOLERANCE if tol is None else tol
+    tol = current().tolerance
     psi = psi.normalized()
-    decomps = memory_map(inst, tol_) if with_memory else {}
+    decomps = memory_map(inst) if with_memory else {}
     rng = np.random.default_rng(seed)
     state = psi
     record = []
     for _ in range(steps):
-        label, prob, state = _select(inst, state, float(rng.random()), tol_, {})
+        label, prob, state = _select(inst, state, float(rng.random()), tol, {})
         reading = None
         decomp = decomps.get(label)
         if decomp is not None:
-            reading = read_memory(decomp, state, tol_)
+            reading = read_memory(decomp, state)
             if reading is not None:
                 reading = dataclasses.replace(reading, outcome=label)
         record.append(TrajectoryStep(label, prob, state, reading))
@@ -223,7 +222,7 @@ class ConditionalStats:
 
 
 def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
-                           seed: int, tol: float | None = None) -> ConditionalStats:
+                           seed: int) -> ConditionalStats:
     """Tally p(second | first) over two-step trajectories.
 
     ``state_sampler`` maps a numpy Generator to an initial StateVector;
@@ -232,7 +231,7 @@ def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
     """
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
-    tol_ = oa.TOLERANCE if tol is None else tol
+    tol = current().tolerance
     first_counts: dict[Outcome, int] = {}
     counts: dict[tuple[Outcome, Outcome], int] = {}
     memo: dict = {}  # Born distributions of the current sample and its post-states
@@ -243,8 +242,8 @@ def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
         if drawn is not sample:
             sample, psi = drawn, drawn.normalized()
             memo.clear()
-        e, _, phi = _select(inst, psi, float(rng.random()), tol_, memo)
-        f, _, _ = _select(inst, phi, float(rng.random()), tol_, memo)
+        e, _, phi = _select(inst, psi, float(rng.random()), tol, memo)
+        f, _, _ = _select(inst, phi, float(rng.random()), tol, memo)
         first_counts[e] = first_counts.get(e, 0) + 1
         counts[(e, f)] = counts.get((e, f), 0) + 1
     return ConditionalStats(trajectories, first_counts, counts)

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import opalgebra as oa
+from .config import current
 from .errors import (NotIsometricOnSupport, PeriodCapExceeded,
                      SplitInvariantViolation, UnsupportedForm)
 from .indexsets import IndexSet, from_parts
@@ -42,7 +43,7 @@ class SplitParts:
     w: StructuredOperator
 
 
-def split(m: StructuredOperator, tol: float | None = None) -> SplitParts:
+def split(m: StructuredOperator) -> SplitParts:
     """Split a monomial operator into its shift and deposit blocks.
 
     Columns whose input index already lies in the range of ``m`` form
@@ -52,7 +53,7 @@ def split(m: StructuredOperator, tol: float | None = None) -> SplitParts:
     condition and deviation, which is the standard symptom of feeding in a
     non-repeatable operator.
     """
-    tol_ = oa.TOLERANCE if tol is None else tol
+    tol = current().tolerance
     if not oa.is_monomial(m):
         raise UnsupportedForm("splitting requires at most one entry per column")
     v = oa.compose(m, oa.projector(m.range_set()))
@@ -60,7 +61,7 @@ def split(m: StructuredOperator, tol: float | None = None) -> SplitParts:
 
     def check(cond: str, a: StructuredOperator, b: StructuredOperator):
         dev, _ = oa.max_deviation(a, b)
-        if dev > tol_:
+        if dev > tol:
             raise SplitInvariantViolation(
                 f"{cond}: deviation {dev:.3g}", condition=cond, deviation=dev)
 
@@ -239,7 +240,7 @@ def _validate(v: StructuredOperator, tol: float) -> tuple[IndexSet, IndexSet]:
     return support, rng
 
 
-def wold_decompose(v: StructuredOperator, tol: float | None = None) -> WoldDecomposition:
+def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
     """Split a partial isometry into unitary and unilateral-shift blocks.
 
     Requires a monomial operator with unimodular amplitudes whose families
@@ -250,12 +251,11 @@ def wold_decompose(v: StructuredOperator, tol: float | None = None) -> WoldDecom
     cycles, periodic cycle families, and bilateral chains.  Every verdict
     is re-verified exactly before returning.
     """
-    tol_ = oa.TOLERANCE if tol is None else tol
     zero = StructuredOperator.zero()
     if v.is_zero():
         empty = IndexSet.empty()
         return WoldDecomposition(zero, zero, (), (), (), (), empty, empty, empty)
-    support, rng = _validate(v, tol_)
+    support, rng = _validate(v, current().tolerance)
 
     fixed_parts, active = [], []
     for t in v.terms:
@@ -323,10 +323,10 @@ def wold_decompose(v: StructuredOperator, tol: float | None = None) -> WoldDecom
     s_op = oa.compose(v, oa.projector(shift_domain))
     u_op = oa.compose(v, oa.projector(unitary_domain))
     proj_u = oa.projector(unitary_domain)
-    if not oa.equals(u_op + s_op, v, tol_):
+    if not oa.equals(u_op + s_op, v):
         raise RuntimeError("unitary and shift blocks do not reassemble the input")
-    if not oa.equals(oa.compose(oa.adjoint(u_op), u_op), proj_u, tol_) \
-            or not oa.equals(oa.compose(u_op, oa.adjoint(u_op)), proj_u, tol_):
+    if not oa.equals(oa.compose(oa.adjoint(u_op), u_op), proj_u) \
+            or not oa.equals(oa.compose(u_op, oa.adjoint(u_op)), proj_u):
         raise RuntimeError("unitary block fails its unitarity certificate")
     return WoldDecomposition(u_op, s_op, tuple(orbits), tuple(cycles),
                              tuple(cycle_families), tuple(bilaterals),
@@ -343,13 +343,11 @@ def _tail_cycle_families(leftover: IndexSet, active: list[oa.Term],
     Classes with nonzero lift belong to bilateral chains, which were
     already discovered by the explicit walks below the horizon.
     """
-    from . import indexsets as iss
-
     tail = leftover.tail_progressions()
     if not tail:
         return ()
     lam = math.lcm(modulus, leftover.period)
-    if lam > iss.PERIOD_CAP:
+    if lam > current().period_cap:
         raise PeriodCapExceeded(
             f"orbit residue analysis needs period {lam} beyond the cap")
     residues = set()
@@ -406,23 +404,22 @@ class MemoryReading:
         return dict(self.distribution)
 
 
-def read_memory(decomp: WoldDecomposition, psi: StateVector,
-                tol: float | None = None) -> MemoryReading | None:
+def read_memory(decomp: WoldDecomposition, psi: StateVector) -> MemoryReading | None:
     """Locate a state inside the shift orbits, or None when that is undefined.
 
     The readout is defined when every occupied basis index lies in one and
     the same shift orbit; touching the unitary domain or straddling two
     orbits returns None.
     """
-    tol_ = oa.TOLERANCE if tol is None else tol
+    tol = current().tolerance
     total = psi.norm_sq()
-    if total <= tol_:
+    if total <= tol:
         return None
     orbit: ShiftOrbit | None = None
     weights: dict[int, float] = {}
     for i, amp in psi.items():
         prob = (amp.real * amp.real + amp.imag * amp.imag) / total
-        if prob <= tol_:
+        if prob <= tol:
             continue
         here = decomp.orbit_of(i)
         if here is None:
@@ -440,7 +437,7 @@ def read_memory(decomp: WoldDecomposition, psi: StateVector,
                          dist[0][0] if len(dist) == 1 else None, dist)
 
 
-def memory_map(inst, tol: float | None = None):
+def memory_map(inst):
     """Per-outcome decompositions for instruments that support them.
 
     Outcomes whose operator cannot be split and decomposed (non-monomial,
@@ -451,8 +448,8 @@ def memory_map(inst, tol: float | None = None):
     out = {}
     for label, op in inst.items():
         try:
-            parts = split(op, tol)
-            out[label] = wold_decompose(parts.v, tol)
+            parts = split(op)
+            out[label] = wold_decompose(parts.v)
         except (UnsupportedForm, SplitInvariantViolation, NotIsometricOnSupport,
                 PeriodCapExceeded):
             out[label] = None

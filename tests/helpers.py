@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
+import qrepeat.cli as cli
 from qrepeat import (DegenerateState, Dyad, Family, IndexSet, StateVector,
-                     StructuredOperator, memory_map, read_memory)
+                     StructuredOperator, build_example_family,
+                     make_instrument, memory_map, read_memory, settings)
 
 
 def dense(op, dim):
@@ -59,6 +61,29 @@ def index_sets(draw):
     bound = draw(st.integers(min_value=0, max_value=12))
     transient = draw(st.frozensets(st.integers(0, bound - 1), max_size=8)) if bound else frozenset()
     return IndexSet(transient, bound, period, residues)
+
+
+def near_complete_instrument():
+    """The example family with one coefficient 1e-8 short of completeness:
+    repeatable at tolerance 1e-6, not at 1e-12."""
+    doc = cli.instrument_doc(build_example_family(2, (0.5, 0.5)))
+    doc["outcomes"][0]["terms"][0]["coeff"][0] -= 1e-8
+    return cli.instrument_from_doc(doc, check_completeness=False)
+
+
+def no_repeatable_form_instruments():
+    """Instruments whose POVMs have no repeatable instrument: ``{I/2, I/2}``,
+    where no effect has eigenvalue 1, and ``{|0><0|/2 + |1><1|,
+    |0><0|/2 + sum_{j>=2} |j><j|}``, whose first outcome has a nonzero
+    degenerate part but a finite 1-eigenspace."""
+    half = math.sqrt(0.5)
+    return {
+        "half": make_instrument({1: StructuredOperator((Family(half, 1, 0, 1, 0),)),
+                                 2: StructuredOperator((Family(half, 1, 0, 1, 0),))}),
+        "finite_z": make_instrument({1: StructuredOperator((Dyad(half, 0, 0), Dyad(1.0, 1, 1))),
+                                     2: StructuredOperator((Dyad(half, 0, 0),
+                                                            Family(1.0, 1, 2, 1, 2)))}),
+    }
 
 
 # -- reference index sets -------------------------------------------------------
@@ -264,18 +289,19 @@ def ref_conditionals(inst, state_sampler, trajectories, seed, tol=1e-12):
 
 def ref_trajectory(inst, psi, steps, seed, tol=1e-12):
     """``(outcome, probability, post_state, memory)`` per step."""
-    decomps = memory_map(inst, tol)
-    rng = np.random.default_rng(seed)
-    state = ref_normalized(psi)
-    record = []
-    for _ in range(steps):
-        label, prob, state = ref_select(inst, state, float(rng.random()), tol)
-        reading = None
-        if decomps.get(label) is not None:
-            reading = read_memory(decomps[label], state, tol)
-            if reading is not None:
-                reading = dataclasses.replace(reading, outcome=label)
-        record.append((label, prob, state, reading))
+    with settings(tolerance=tol):
+        decomps = memory_map(inst)
+        rng = np.random.default_rng(seed)
+        state = ref_normalized(psi)
+        record = []
+        for _ in range(steps):
+            label, prob, state = ref_select(inst, state, float(rng.random()), tol)
+            reading = None
+            if decomps.get(label) is not None:
+                reading = read_memory(decomps[label], state)
+                if reading is not None:
+                    reading = dataclasses.replace(reading, outcome=label)
+            record.append((label, prob, state, reading))
     return record
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given
 
 import qrepeat.certify as cer
 import qrepeat.opalgebra as oa
-from helpers import dense_blocks, operators
+from helpers import dense_blocks, no_repeatable_form_instruments, operators
 from qrepeat import (Dyad, Family, IndexSet, InvalidPovm, StructuredOperator,
                      UnsupportedForm, build_binary_example,
                      build_example_family, build_nonrepeatable_sibling,
@@ -187,6 +187,19 @@ def _diag_value(op, i):
 def test_diagonal_table_matches_a_scan_per_index_bit_for_bit(op):
     n = 40
     assert [v.hex() for v in cer._diagonal(op, n)] == [_diag_value(op, i).hex() for i in range(n)]
+
+
+@pytest.mark.parametrize("name", ["half", "finite_z"])
+def test_classify_says_no_without_an_infinite_one_eigenspace(name):
+    cls = classify_povm(no_repeatable_form_instruments()[name].povm())
+    assert not cls.admits_repeatable_form
+
+
+def test_classify_says_yes_for_a_nonzero_degenerate_part_beside_an_infinite_one_eigenspace():
+    cls = classify_povm(build_example_family(3, (0.2, 0.3, 0.5)).povm())
+    assert cls.admits_repeatable_form
+    assert all(not cls.t[label].is_zero() and not cls.z_sets[label].is_finite
+               for label in (1, 2, 3))
 
 
 def test_classify_orthogonal_povm_has_empty_degenerate_part():

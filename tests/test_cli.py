@@ -6,10 +6,11 @@ import pytest
 from click.testing import CliRunner
 
 import qrepeat.cli as cli
-import qrepeat.indexsets as iss
-import qrepeat.opalgebra as oa
-from qrepeat import (IndexSet, build_binary_example, build_example_family,
-                     build_nonrepeatable_sibling, build_orthogonal)
+from helpers import near_complete_instrument, no_repeatable_form_instruments
+from qrepeat import (IndexSet, Settings, build_binary_example,
+                     build_example_family, build_nonrepeatable_sibling,
+                     build_orthogonal)
+from qrepeat.config import current
 
 
 @pytest.fixture
@@ -87,13 +88,13 @@ def test_certify_accepts_a_stride_210_partition(runner, tmp_path):
 def test_knobs_last_for_one_command(tmp_path):
     knobs = ["--tolerance", "1e-3", "--period-cap", "50"]
     cli.main(["demo", "ex1", "--outdir", str(tmp_path), *knobs], standalone_mode=False)
-    assert (oa.TOLERANCE, iss.PERIOD_CAP) == (1e-12, 10**6)
+    assert current() == Settings(1e-12, 10**6)
     # certify ends in sys.exit, and a missing file fails before any work
     for path in (tmp_path / "ex1.instrument.json", tmp_path / "missing.json"):
         with pytest.raises(SystemExit):
             cli.main(["certify", str(path), "--out", str(tmp_path / "r.json"), *knobs],
                      standalone_mode=False)
-        assert (oa.TOLERANCE, iss.PERIOD_CAP) == (1e-12, 10**6)
+        assert current() == Settings(1e-12, 10**6)
 
 
 def test_certify_rejects_malformed_file(runner, tmp_path):
@@ -125,6 +126,15 @@ def test_povm_and_classify_commands(runner, tmp_path):
     cls = json.loads((tmp_path / "c.json").read_text())
     assert cls["admitsRepeatableForm"] is True
     assert cls["omega"]["transient"] == [0]
+
+
+@pytest.mark.parametrize("name", ["half", "finite_z"])
+def test_classify_exits_1_when_no_repeatable_form_exists(runner, tmp_path, name):
+    path = write_instrument(no_repeatable_form_instruments()[name], tmp_path / f"{name}.json")
+    r = runner.invoke(cli.main, ["classify", path, "--out", str(tmp_path / "c.json")])
+    assert r.exit_code == 1, r.output
+    assert "admits repeatable form: no" in r.output
+    assert json.loads((tmp_path / "c.json").read_text())["admitsRepeatableForm"] is False
 
 
 def test_wold_command_reports_orbits(runner, tmp_path):
@@ -209,18 +219,10 @@ def test_outdir_env_variable(runner, tmp_path, monkeypatch):
 def test_tolerance_flag_changes_the_verdict(runner, tmp_path):
     # an instrument that misses completeness by 1e-8 passes only when the
     # tolerance is relaxed past that
-    doc = cli.instrument_doc(build_example_family(2, (0.5, 0.5)))
-    coeff = doc["outcomes"][0]["terms"][0]["coeff"]
-    coeff[0] -= 1e-8
-    path = tmp_path / "near.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
-    try:
-        strict = runner.invoke(cli.main, ["certify", str(path),
-                                          "--out", str(tmp_path / "s.json")])
-        assert strict.exit_code == 1
-        loose = runner.invoke(cli.main, ["certify", str(path), "--tolerance", "1e-6",
-                                         "--out", str(tmp_path / "l.json")])
-        assert loose.exit_code == 0
-    finally:
-        # a guard only: each command restores the knob when it ends
-        oa.set_tolerance(1e-12)
+    path = write_instrument(near_complete_instrument(), tmp_path / "near.json")
+    strict = runner.invoke(cli.main, ["certify", str(path),
+                                      "--out", str(tmp_path / "s.json")])
+    assert strict.exit_code == 1
+    loose = runner.invoke(cli.main, ["certify", str(path), "--tolerance", "1e-6",
+                                     "--out", str(tmp_path / "l.json")])
+    assert loose.exit_code == 0

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qrepeat
 import qrepeat.indexsets as iss
 import qrepeat.opalgebra as oa
 from helpers import RefIndexSet, agreement_window, index_sets, realize
-from qrepeat import IndexSet, PeriodCapExceeded, set_period_cap
+from qrepeat import IndexSet, PeriodCapExceeded
 
 EVENS = IndexSet.from_progression(2, 0)
 ODDS = IndexSet.from_progression(2, 1)
@@ -84,12 +85,8 @@ def test_tail_progressions_reconstruct():
 
 
 def test_period_cap_enforced():
-    set_period_cap(10)
-    try:
-        with pytest.raises(PeriodCapExceeded):
-            IndexSet.from_progression(7, 0).intersect(IndexSet.from_progression(5, 0))
-    finally:
-        set_period_cap(10**6)
+    with qrepeat.settings(period_cap=10), pytest.raises(PeriodCapExceeded):
+        IndexSet.from_progression(7, 0).intersect(IndexSet.from_progression(5, 0))
 
 
 @given(index_sets(), index_sets())
@@ -245,15 +242,12 @@ def test_from_parts_matches_a_union_fold(points, progressions):
 
 
 def test_period_cap_holds_for_from_parts_and_combine():
-    set_period_cap(10)
-    try:
+    with qrepeat.settings(period_cap=10):
         with pytest.raises(PeriodCapExceeded, match="combined period 35 exceeds cap 10"):
             iss.from_parts([1], [(7, 0), (5, 3)])
         with pytest.raises(PeriodCapExceeded, match="combined period 35 exceeds cap 10"):
             iss._combine(IndexSet.from_progression(7, 0), IndexSet.from_progression(5, 0))
         assert iss.from_parts([1], [(2, 0), (5, 3)]).period == 10
-    finally:
-        set_period_cap(10**6)
 
 
 # Counted, not timed: folding the support progression by progression made

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qrepeat
 import qrepeat.opalgebra as oa
 from helpers import dense, dense_blocks, dense_vec, operators, states
 from qrepeat import (Dyad, Family, IndexSet, PeriodCapExceeded, StateVector,
-                     StructuredOperator, set_period_cap, set_tolerance)
+                     StructuredOperator)
 
 DIM = 24
 
@@ -212,7 +213,8 @@ def test_equals_absorbs_sub_tolerance_noise():
     a = StructuredOperator((Dyad(1.0, 3, 3),))
     b = StructuredOperator((Dyad(1.0 + 1e-15, 3, 3), Dyad(1e-15, 0, 4)))
     assert oa.equals(a, b)
-    assert not oa.equals(a, b, tol=1e-16)
+    with qrepeat.settings(tolerance=1e-16):
+        assert not oa.equals(a, b)
 
 
 def test_max_deviation_reports_position():
@@ -281,12 +283,8 @@ def test_max_deviation_reports_the_least_position_on_ties():
 
 def test_max_deviation_honours_the_period_cap():
     op = StructuredOperator((Family(1.0, 210, 0, 210, 0),))
-    set_period_cap(100)
-    try:
-        with pytest.raises(PeriodCapExceeded):
-            oa.max_deviation(op, StructuredOperator.zero())
-    finally:
-        set_period_cap(10**6)
+    with qrepeat.settings(period_cap=100), pytest.raises(PeriodCapExceeded):
+        oa.max_deviation(op, StructuredOperator.zero())
     assert oa.max_deviation(op, StructuredOperator.zero()) == (1.0, (0, 0))
 
 
@@ -477,8 +475,5 @@ def test_tolerance_override_scopes_comparisons():
     a = StructuredOperator((Dyad(1.0, 0, 0),))
     b = StructuredOperator((Dyad(1.0 + 1e-8, 0, 0),))
     assert not oa.equals(a, b)
-    set_tolerance(1e-6)
-    try:
+    with qrepeat.settings(tolerance=1e-6):
         assert oa.equals(a, b)
-    finally:
-        set_tolerance(1e-12)

@@ -1,0 +1,87 @@
+"""Scoped settings: tolerance and period cap hold for one block, one thread."""
+
+import math
+import sys
+import threading
+
+import pytest
+
+import qrepeat.opalgebra as oa
+from helpers import near_complete_instrument
+from qrepeat import (Dyad, Settings, StructuredOperator, certify_repeatable,
+                     settings)
+from qrepeat.config import current
+
+
+def test_threads_in_lockstep_each_get_their_own_verdict():
+    inst = near_complete_instrument()
+    barrier = threading.Barrier(2, timeout=30)
+    verdicts, errors = {}, []
+
+    def certify_under(tolerance):
+        try:
+            with settings(tolerance=tolerance):
+                barrier.wait()  # both blocks are open before either certifies
+                verdicts[tolerance] = certify_repeatable(inst).repeatable
+                barrier.wait()  # and stay open until both are done
+        except Exception as e:  # reraised in the main thread below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=certify_under, args=(t,)) for t in (1e-6, 1e-12)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert verdicts == {1e-6: True, 1e-12: False}
+
+
+def test_a_new_thread_starts_from_the_defaults():
+    seen = []
+    with settings(tolerance=1e-3, period_cap=50):
+        t = threading.Thread(target=lambda: seen.append(current()))
+        t.start()
+        t.join(timeout=30)
+    assert not t.is_alive()
+    assert seen == [Settings()]
+
+
+def test_compose_filters_at_the_scoped_tolerance():
+    small = StructuredOperator([Dyad(1e-7, 0, 0)])
+    identity = StructuredOperator.identity()
+    assert oa.compose(small, identity).terms == small.terms
+    with settings(tolerance=1e-3):
+        assert oa.compose(small, identity).terms == ()
+
+
+def test_settings_are_restored_after_a_raise_and_after_nested_blocks():
+    default = current()
+    with pytest.raises(RuntimeError):
+        with settings(tolerance=1e-3):
+            raise RuntimeError
+    assert current() == default
+    with settings(tolerance=1e-3) as outer:
+        assert outer == Settings(1e-3, 10**6)
+        with settings(period_cap=50) as inner:
+            assert inner == Settings(1e-3, 50)
+            assert current() is inner
+        assert current() is outer
+    assert current() == default == Settings(1e-12, 10**6)
+
+
+@pytest.mark.parametrize("fields", [{"tolerance": 0}, {"tolerance": -1e-3},
+                                    {"tolerance": math.nan},
+                                    {"period_cap": 0}, {"period_cap": -5}])
+def test_settings_reject_non_positive_values(fields):
+    with pytest.raises(ValueError, match="must be positive"):
+        Settings(**fields)
+    with pytest.raises(ValueError, match="must be positive"):
+        with settings(**fields):
+            pass
+    assert current() == Settings()
