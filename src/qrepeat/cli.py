@@ -296,6 +296,15 @@ _period_cap = click.option("--period-cap", type=int, default=None,
                            help="Cap on index-set periods.")
 
 
+def _enter_settings(tolerance: float | None, period_cap: int | None) -> None:
+    """Run the rest of the command under its --tolerance and --period-cap;
+    an invalid value exits 2."""
+    try:
+        click.get_current_context().with_resource(settings(tolerance, period_cap))
+    except ValueError as e:
+        _fail(str(e))
+
+
 @main.command()
 @click.argument("instrument", type=click.Path())
 @click.option("--out", type=click.Path(), default=None,
@@ -304,7 +313,7 @@ _period_cap = click.option("--period-cap", type=int, default=None,
 @_period_cap
 def certify(instrument, out, tolerance, period_cap):
     """Certify perfect repeatability; exit 0 when repeatable, 1 when not."""
-    click.get_current_context().with_resource(settings(tolerance, period_cap))
+    _enter_settings(tolerance, period_cap)
     inst = _load_instrument(instrument, check_completeness=False)
     try:
         rep = certify_repeatable(inst)
@@ -325,7 +334,7 @@ def certify(instrument, out, tolerance, period_cap):
 @_period_cap
 def povm(instrument, out, tolerance, period_cap):
     """Write the instrument's POVM effects."""
-    click.get_current_context().with_resource(settings(tolerance, period_cap))
+    _enter_settings(tolerance, period_cap)
     inst = _load_instrument(instrument, check_completeness=False)
     doc = povm_doc(inst.povm())
     target = Path(out) if out else _out_dir(None) / (_stem(instrument) + ".povm.json")
@@ -343,7 +352,7 @@ def povm(instrument, out, tolerance, period_cap):
 def classify(instrument, out, tolerance, period_cap):
     """Split a diagonal POVM into projective and degenerate parts; exit 0 when
     it admits a repeatable instrument, 1 when not."""
-    click.get_current_context().with_resource(settings(tolerance, period_cap))
+    _enter_settings(tolerance, period_cap)
     inst = _load_instrument(instrument, check_completeness=False)
     try:
         cls = classify_povm(inst.povm())
@@ -365,7 +374,7 @@ def classify(instrument, out, tolerance, period_cap):
 @_period_cap
 def wold(instrument, out, tolerance, period_cap):
     """Decompose each outcome into shift, unitary, and deposit blocks."""
-    click.get_current_context().with_resource(settings(tolerance, period_cap))
+    _enter_settings(tolerance, period_cap)
     inst = _load_instrument(instrument, check_completeness=False)
     doc = wold_doc(inst)
     target = Path(out) if out else _out_dir(None) / (_stem(instrument) + ".wold.json")
@@ -392,7 +401,7 @@ def wold(instrument, out, tolerance, period_cap):
 @_period_cap
 def simulate(instrument, steps, seed, initial, log_path, tolerance, period_cap):
     """Run a seeded measurement trajectory and log it step by step."""
-    click.get_current_context().with_resource(settings(tolerance, period_cap))
+    _enter_settings(tolerance, period_cap)
     inst = _load_instrument(instrument, check_completeness=True)
     try:
         psi = _parse_initial(initial)
@@ -426,7 +435,7 @@ def simulate(instrument, steps, seed, initial, log_path, tolerance, period_cap):
 @_period_cap
 def demo(name, n, p, p1, p2, seed, steps, outdir, tolerance, period_cap):
     """Write a full bundle: instrument, reports, decomposition, trajectory."""
-    click.get_current_context().with_resource(settings(tolerance, period_cap))
+    _enter_settings(tolerance, period_cap)
     try:
         if name == "ex1":
             probs = tuple(float(x) for x in p.split(","))

@@ -28,11 +28,10 @@ class CompletenessViolation(QRepeatError):
 class ContractionViolation(QRepeatError):
     """A measurement operator has norm above one."""
 
-    def __init__(self, message: str, outcome=None, norm: float | None = None, witness=None):
+    def __init__(self, message: str, outcome=None, norm: float | None = None):
         super().__init__(message)
         self.outcome = outcome
         self.norm = norm
-        self.witness = witness
 
 
 class BadProbabilityVector(QRepeatError):

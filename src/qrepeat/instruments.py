@@ -90,9 +90,11 @@ def make_instrument(entries: Mapping[Outcome, StructuredOperator],
                     check_completeness: bool = True) -> Instrument:
     """Validate and freeze a labeled operator family.
 
-    Each operator must be a contraction; when ``check_completeness`` is set
-    the squared moduli must sum to the identity, decided exactly on the terms
-    (see :func:`qrepeat.opalgebra.max_deviation`).
+    Each operator must be a contraction: its exact norm (see
+    :func:`qrepeat.opalgebra.operator_norm`, which raises UnsupportedForm
+    when it cannot be decided) is at most ``1 + tol``.  When
+    ``check_completeness`` is set the squared moduli must sum to the
+    identity, decided exactly on the terms (see :func:`qrepeat.opalgebra.max_deviation`).
     """
     if not entries:
         raise ValueError("an instrument needs at least one outcome")
@@ -101,9 +103,8 @@ def make_instrument(entries: Mapping[Outcome, StructuredOperator],
     for label, op in ordered:
         if not isinstance(op, StructuredOperator):
             raise TypeError(f"outcome {label!r} is not a StructuredOperator")
-        norm, method = oa.operator_norm(op)
-        slack = tol if method == "exact" else max(tol, 1e-9)
-        if norm > 1.0 + slack:
+        norm, _ = oa.operator_norm(op)
+        if norm > 1.0 + tol:
             raise ContractionViolation(
                 f"operator for outcome {label!r} has norm {norm:.6g} > 1",
                 outcome=label, norm=norm)

@@ -26,13 +26,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from itertools import chain, count
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .config import current
-from .errors import PeriodCapExceeded
+from .errors import PeriodCapExceeded, UnsupportedForm
 from .indexsets import IndexSet, from_parts
 
 _setattr = object.__setattr__
@@ -555,25 +555,6 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
 # -- equality, decided on the terms ----------------------------------------
 
 
-def _entries(terms: Iterable[Term], window: int) -> dict[tuple[int, int], complex]:
-    ents: dict[tuple[int, int], complex] = {}
-    for t in terms:
-        c = t.coeff
-        for key in islice(zip(range(t.out_offset, window, t.out_stride),
-                              range(t.in_offset, window, t.in_stride)), t.length):
-            ents[key] = ents.get(key, 0.0) + c
-    return ents
-
-
-def _dense(op: StructuredOperator, dim: int) -> np.ndarray:
-    """Entries of ``op`` on ``[0, dim)^2`` as a matrix."""
-    mat = np.zeros((dim, dim), dtype=complex)
-    ents = _entries(op.terms, dim)
-    if ents:
-        mat[tuple(zip(*ents))] = list(ents.values())
-    return mat
-
-
 def _line(t: Term) -> tuple[int, int, int]:
     """Primitive direction ``(u, v)`` and invariant ``v*row - u*col`` of a progression."""
     g = math.gcd(t.out_stride, t.in_stride)
@@ -747,23 +728,35 @@ def projector(s: IndexSet) -> StructuredOperator:
 
 
 def operator_norm(op: StructuredOperator) -> tuple[float, str]:
-    """Operator norm, exact for monomial operators.
+    """Operator norm, decided exactly, tagged ``"exact"``.
 
-    For a monomial operator ``M`` the Gram operator ``M M*`` is diagonal,
-    and its largest entry, ``max_deviation`` against zero, is the square of
-    the norm, so the returned value is exact.  Otherwise the largest
-    singular value of a dense window realization is reported, tagged
-    ``"window-estimate"``.
+    A monomial operator ``M`` has a diagonal Gram operator ``M M*``, whose
+    largest entry is the square of the norm.  Otherwise, when no progression
+    holds a row or column of a point and the progressions are monomial, the
+    operator is the direct sum of the finite block of its points, on exactly
+    their rows and columns, and its progressions; the norm is the larger of
+    the block's largest singular value and the progressions' norm.  Any other
+    operator raises UnsupportedForm naming the reason.
     """
-    if not op.terms:
-        return 0.0, "exact"
     if is_monomial(op):
-        top, _ = max_deviation(compose(op, adjoint(op)), StructuredOperator.zero())
-        return math.sqrt(top), "exact"
-    return float(np.linalg.norm(_dense(op, _estimate_dim(op)), 2)), "window-estimate"
+        return _monomial_norm(op), "exact"
+    tail = StructuredOperator._canonical(op.families)
+    if not is_monomial(tail):
+        raise UnsupportedForm("operator norm undecided: the progressions are not monomial")
+    rows, cols = tail.range_set(), tail.support_set()
+    for t in op.dyads:
+        for kind, i, held in (("row", t.out_offset, rows), ("column", t.in_offset, cols)):
+            if held.member(i):
+                raise UnsupportedForm(
+                    f"operator norm undecided: {kind} {i} holds a point and a progression")
+    out, in_, coeffs = zip(*((t.out_offset, t.in_offset, t.coeff) for t in op.dyads))
+    _, r = np.unique(out, return_inverse=True)
+    _, c = np.unique(in_, return_inverse=True)
+    block = np.zeros((r.max() + 1, c.max() + 1), dtype=complex)
+    block[r, c] = coeffs
+    return max(float(np.linalg.norm(block, 2)), _monomial_norm(tail)), "exact"
 
 
-def _estimate_dim(op: StructuredOperator) -> int:
-    bound = max([t.out_offset for t in op.terms] + [t.in_offset for t in op.terms])
-    stride = max([t.out_stride for t in op.terms] + [t.in_stride for t in op.terms])
-    return min(max(bound + 4 * stride + 8, 16), 512)
+def _monomial_norm(op: StructuredOperator) -> float:
+    top, _ = max_deviation(compose(op, adjoint(op)), StructuredOperator.zero())
+    return math.sqrt(top)

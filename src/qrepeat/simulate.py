@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -83,7 +84,12 @@ def dense_oracle(op: StructuredOperator, window: TruncationWindow) -> np.ndarray
         raise WindowInvalid(
             f"operator maps the valid span up to index {top}, "
             f"outside the window of dimension {window.dim}")
-    return oa._dense(op, window.dim)
+    mat = np.zeros((window.dim, window.dim), dtype=complex)
+    for t in op.terms:
+        for key in islice(zip(range(t.out_offset, window.dim, t.out_stride),
+                              range(t.in_offset, window.dim, t.in_stride)), t.length):
+            mat[key] += t.coeff
+    return mat
 
 
 def dense_state(psi: StateVector, dim: int) -> np.ndarray:

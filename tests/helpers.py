@@ -86,6 +86,21 @@ def no_repeatable_form_instruments():
     }
 
 
+# Two points in one column, far from the origin: a 2x1 block of norm
+# 0.8*sqrt(2) > 1.
+NORM_DEFECT = StructuredOperator((Dyad(0.8, 1000, 1000), Dyad(0.8, 1001, 1000)))
+
+# Operators whose norm is not decided exactly: a Toeplitz pair of
+# progressions, which is not monomial, and a dense 2x2 block with a point on
+# the head row of its identity tail.
+UNDECIDED_NORMS = {
+    "toeplitz": StructuredOperator((Family(0.5, 1, 0, 1, 0), Family(0.5, 1, 1, 1, 0))),
+    "tail_head_row": StructuredOperator((Dyad(0.5, 0, 0), Dyad(0.5, 0, 1), Dyad(0.5, 1, 0),
+                                         Dyad(-0.5, 1, 1), Family(1.0, 1, 2, 1, 2),
+                                         Dyad(0.5, 2, 0))),
+}
+
+
 # -- reference index sets -------------------------------------------------------
 # Index-set algebra in its first, plain form: frozensets of transient
 # indices and residues, every Boolean operation evaluated index by index

@@ -6,8 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 import qrepeat.cli as cli
-from helpers import near_complete_instrument, no_repeatable_form_instruments
-from qrepeat import (IndexSet, Settings, build_binary_example,
+from helpers import (NORM_DEFECT, UNDECIDED_NORMS, near_complete_instrument,
+                     no_repeatable_form_instruments)
+from qrepeat import (IndexSet, Instrument, Settings, build_binary_example,
                      build_example_family, build_nonrepeatable_sibling,
                      build_orthogonal)
 from qrepeat.config import current
@@ -95,6 +96,27 @@ def test_knobs_last_for_one_command(tmp_path):
             cli.main(["certify", str(path), "--out", str(tmp_path / "r.json"), *knobs],
                      standalone_mode=False)
         assert current() == Settings(1e-12, 10**6)
+
+
+@pytest.mark.parametrize("knob", [["--tolerance", "0"], ["--tolerance", "nan"],
+                                  ["--tolerance", "-1e-3"], ["--period-cap", "0"]])
+def test_invalid_knobs_exit_2(runner, tmp_path, knob):
+    path = write_instrument(build_example_family(2, (0.5, 0.5)), tmp_path / "ex.json")
+    result = runner.invoke(cli.main, ["certify", path, *knob,
+                                      "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert "must be positive" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("op", [NORM_DEFECT, *UNDECIDED_NORMS.values()],
+                         ids=["norm_defect", *UNDECIDED_NORMS])
+def test_certify_rejects_a_non_contraction_or_an_undecided_norm(runner, tmp_path, op):
+    # built without make_instrument, which would refuse it
+    path = write_instrument(Instrument(((1, op),)), tmp_path / "op.json")
+    result = runner.invoke(cli.main, ["certify", path, "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert "norm" in result.output
 
 
 def test_certify_rejects_malformed_file(runner, tmp_path):

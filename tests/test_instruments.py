@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qrepeat.opalgebra as oa
-from helpers import dense
+from helpers import NORM_DEFECT, dense
 from qrepeat import (BadProbabilityVector, CompletenessViolation,
                      ContractionViolation, CoverageViolation, Dyad, Family,
                      IndexSet, PartsViolation, StructuredOperator,
@@ -40,6 +40,12 @@ def test_make_instrument_rejects_expanding_outcome():
         make_instrument({1: StructuredOperator((Family(1.2, 1, 0, 1, 0),))},
                         check_completeness=False)
     assert err.value.norm > 1.0
+
+
+def test_make_instrument_rejects_a_block_past_any_window():
+    with pytest.raises(ContractionViolation) as err:
+        make_instrument({1: NORM_DEFECT}, check_completeness=False)
+    assert err.value.norm == pytest.approx(0.8 * math.sqrt(2.0), abs=1e-12)
 
 
 def test_make_instrument_preserves_label_order():

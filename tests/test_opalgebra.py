@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import qrepeat
 import qrepeat.opalgebra as oa
-from helpers import dense, dense_blocks, dense_vec, operators, states
+from helpers import (NORM_DEFECT, UNDECIDED_NORMS, dense, dense_blocks, dense_vec,
+                     operators, states)
 from qrepeat import (Dyad, Family, IndexSet, PeriodCapExceeded, StateVector,
-                     StructuredOperator)
+                     StructuredOperator, UnsupportedForm)
 
 DIM = 24
 
@@ -385,11 +386,44 @@ def test_operator_norm_exact_for_monomial():
     assert value == pytest.approx(1.0)
 
 
-def test_operator_norm_estimates_otherwise():
+def test_operator_norm_exact_for_a_point_block():
     op = StructuredOperator((Dyad(1.0, 0, 0), Dyad(1.0, 1, 0)))
     value, quality = oa.operator_norm(op)
-    assert quality == "window-estimate"
+    assert quality == "exact"
     assert value == pytest.approx(np.sqrt(2.0))
+
+
+def test_operator_norm_sees_a_block_far_from_the_origin():
+    value, quality = oa.operator_norm(NORM_DEFECT)
+    assert quality == "exact"
+    assert value == pytest.approx(0.8 * math.sqrt(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("name,reason", [("toeplitz", "progressions are not monomial"),
+                                         ("tail_head_row", "row 2 holds")])
+def test_operator_norm_refuses_what_it_cannot_decide(name, reason):
+    with pytest.raises(UnsupportedForm, match=reason):
+        oa.operator_norm(UNDECIDED_NORMS[name])
+
+
+@given(dense_blocks())
+def test_operator_norm_is_the_dense_norm_or_unsupported(op):
+    # the window holds every point and at least one step of the tail, so a
+    # direct sum keeps its norm there
+    w = max((max(t.out_offset, t.in_offset) for t in op.terms), default=0) + 2
+    tail_rows = {r for t in op.families for r in range(t.out_offset, w, t.out_stride)}
+    tail_cols = {c for t in op.families for c in range(t.in_offset, w, t.in_stride)}
+    shared = any(t.out_offset in tail_rows or t.in_offset in tail_cols for t in op.dyads)
+    if shared and not oa.is_monomial(op):
+        with pytest.raises(UnsupportedForm):
+            oa.operator_norm(op)
+        return
+    value, quality = oa.operator_norm(op)
+    assert quality == "exact"
+    # compared squared: the monomial path reads the square off Gram entries,
+    # which count as zero at or below the tolerance
+    ref = np.linalg.norm(dense(op, w), 2)
+    assert value ** 2 == pytest.approx(ref ** 2, rel=1e-12, abs=1e-12)
 
 
 # -- states ---------------------------------------------------------------------
