@@ -19,8 +19,7 @@ from . import opalgebra as oa
 from .config import current
 from .errors import InvalidPovm, UnsupportedForm
 from .indexsets import IndexSet, from_parts
-from .instruments import (Instrument, Outcome, Povm, _check_resolution,
-                          _identity_deviation)
+from .instruments import Instrument, Outcome, Povm, _check_resolution
 from .opalgebra import Dyad, Family, StructuredOperator
 
 
@@ -64,7 +63,8 @@ def certify_repeatable(inst: Instrument) -> CertificationReport:
     tol = current().tolerance
     witnesses: list[Witness] = []
 
-    dev, pos = _identity_deviation(oa.compose(oa.adjoint(op), op) for _, op in inst.items())
+    pv = inst.povm()
+    dev, pos = pv.identity_deviation()
     complete = dev <= tol
     if not complete:
         witnesses.append(Witness("completeness", pos, dev))
@@ -97,7 +97,7 @@ def certify_repeatable(inst: Instrument) -> CertificationReport:
 
     repeatable = complete and all(c.isometric_on_range for c in per_outcome.values()) \
         and all(c.product_vanishes for c in per_pair.values())
-    orthogonal = check_orthogonal(inst.povm())
+    orthogonal = check_orthogonal(pv)
     return CertificationReport(repeatable, orthogonal, complete,
                                per_outcome, per_pair, tuple(witnesses))
 
@@ -324,7 +324,7 @@ def classify_povm(pv: Povm) -> PovmClassification:
     for label, p in pv.items():
         if not oa.is_diagonal(p):
             raise UnsupportedForm(f"effect {label!r} is not diagonal in the canonical basis")
-    _check_resolution((p for _, p in pv.items()), tol)
+    _check_resolution(pv)
 
     bound = 1
     period = 1

@@ -18,7 +18,7 @@ from . import opalgebra as oa
 from .config import current
 from .errors import (BadProbabilityVector, CompletenessViolation,
                      ContractionViolation, CoverageViolation, InvalidPovm,
-                     PartsViolation)
+                     PartsViolation, UnsupportedForm)
 from .indexsets import IndexSet
 from .opalgebra import Dyad, Family, StructuredOperator
 
@@ -30,8 +30,8 @@ def _sort_key(label: Outcome):
 
 
 @dataclass(frozen=True)
-class Instrument:
-    """Labeled measurement operators, ordered by outcome label."""
+class _Labeled:
+    """Operators keyed by outcome label, in label order."""
 
     entries: tuple[tuple[Outcome, StructuredOperator], ...]
 
@@ -39,7 +39,7 @@ class Instrument:
     def outcomes(self) -> tuple[Outcome, ...]:
         return tuple(label for label, _ in self.entries)
 
-    def operator(self, label: Outcome) -> StructuredOperator:
+    def _lookup(self, label: Outcome) -> StructuredOperator:
         for lab, op in self.entries:
             if lab == label:
                 return op
@@ -47,42 +47,36 @@ class Instrument:
 
     def items(self):
         return iter(self.entries)
+
+
+@dataclass(frozen=True)
+class Instrument(_Labeled):
+    """Labeled measurement operators, ordered by outcome label."""
+
+    operator = _Labeled._lookup
 
     def povm(self) -> "Povm":
         return povm(self)
 
 
 @dataclass(frozen=True)
-class Povm:
+class Povm(_Labeled):
     """Effect operators ``P_e = M_e* M_e``, in outcome label order."""
 
-    entries: tuple[tuple[Outcome, StructuredOperator], ...]
+    effect = _Labeled._lookup
 
-    @property
-    def outcomes(self) -> tuple[Outcome, ...]:
-        return tuple(label for label, _ in self.entries)
-
-    def effect(self, label: Outcome) -> StructuredOperator:
-        for lab, op in self.entries:
-            if lab == label:
-                return op
-        raise KeyError(label)
-
-    def items(self):
-        return iter(self.entries)
+    def identity_deviation(self) -> tuple[float, tuple[int, int] | None]:
+        """``max_deviation`` of ``sum_e P_e`` from the identity: the largest
+        entry of ``sum_e P_e - I`` and its least position, every entry summed
+        over the effects' terms in label order."""
+        total = StructuredOperator._canonical(
+            tuple(t for _, p in self.entries for t in p.terms))
+        return oa.max_deviation(total, StructuredOperator.identity())
 
 
-def _identity_deviation(ops: Iterable[StructuredOperator]):
-    """``max_deviation`` from the identity of the sum of ``ops``, in order."""
-    total = StructuredOperator.zero()
-    for op in ops:
-        total = total + op
-    return oa.max_deviation(total, StructuredOperator.identity())
-
-
-def _check_resolution(effects: Iterable[StructuredOperator], tol: float) -> None:
-    dev, pos = _identity_deviation(effects)
-    if dev > tol:
+def _check_resolution(pv: Povm) -> None:
+    dev, pos = pv.identity_deviation()
+    if dev > current().tolerance:
         raise InvalidPovm(f"effects deviate from a resolution of identity by {dev:.3g} at {pos}")
 
 
@@ -94,7 +88,7 @@ def make_instrument(entries: Mapping[Outcome, StructuredOperator],
     :func:`qrepeat.opalgebra.operator_norm`, which raises UnsupportedForm
     when it cannot be decided) is at most ``1 + tol``.  When
     ``check_completeness`` is set the squared moduli must sum to the
-    identity, decided exactly on the terms (see :func:`qrepeat.opalgebra.max_deviation`).
+    identity, decided exactly on the terms (see :meth:`Povm.identity_deviation`).
     """
     if not entries:
         raise ValueError("an instrument needs at least one outcome")
@@ -103,18 +97,22 @@ def make_instrument(entries: Mapping[Outcome, StructuredOperator],
     for label, op in ordered:
         if not isinstance(op, StructuredOperator):
             raise TypeError(f"outcome {label!r} is not a StructuredOperator")
-        norm, _ = oa.operator_norm(op)
+        try:
+            norm, _ = oa.operator_norm(op)
+        except UnsupportedForm as exc:
+            raise UnsupportedForm(f"operator for outcome {label!r}: {exc}") from exc
         if norm > 1.0 + tol:
             raise ContractionViolation(
                 f"operator for outcome {label!r} has norm {norm:.6g} > 1",
                 outcome=label, norm=norm)
+    inst = Instrument(ordered)
     if check_completeness:
-        dev, pos = _identity_deviation(oa.compose(oa.adjoint(op), op) for _, op in ordered)
+        dev, pos = povm(inst).identity_deviation()
         if dev > tol:
             raise CompletenessViolation(
                 f"sum of squared moduli deviates from identity by {dev:.3g} at {pos}",
                 position=pos, deviation=dev)
-    return Instrument(ordered)
+    return inst
 
 
 def povm(inst: Instrument) -> Povm:
@@ -128,9 +126,9 @@ def make_povm(entries: Mapping[Outcome, StructuredOperator]) -> Povm:
     Positivity of arbitrary structured effects is not decided here; effects
     produced by :func:`povm` are positive by construction.
     """
-    ordered = tuple(sorted(entries.items(), key=lambda kv: _sort_key(kv[0])))
-    _check_resolution((op for _, op in ordered), current().tolerance)
-    return Povm(ordered)
+    pv = Povm(tuple(sorted(entries.items(), key=lambda kv: _sort_key(kv[0]))))
+    _check_resolution(pv)
+    return pv
 
 
 # -- worked families -------------------------------------------------------
@@ -248,9 +246,10 @@ def build_from_parts(
             raise PartsViolation(f"{cond}: deviation {dev:.3g} at {pos}",
                                  condition=cond, position=pos, deviation=dev)
 
+    effects = []
     for label in labels:
         v, w = parts[label]
-        gram = oa.compose(oa.adjoint(v), v)
+        gram, wgram = oa.compose(oa.adjoint(v), v), oa.compose(oa.adjoint(w), w)
         check(f"shift block {label!r} is a partial isometry",
               oa.max_deviation(oa.compose(gram, gram), gram))
         check(f"blocks of outcome {label!r} have orthogonal ranges",
@@ -263,7 +262,8 @@ def build_from_parts(
         check(f"deposit of outcome {label!r} composes to zero with itself",
               oa.max_deviation(oa.compose(w, w), zero))
         check(f"shift of outcome {label!r} avoids the deposit block",
-              oa.max_deviation(oa.compose(oa.compose(oa.adjoint(w), w), v), zero))
+              oa.max_deviation(oa.compose(wgram, v), zero))
+        effects.append((label, gram + wgram))
     for la in labels:
         for lb in labels:
             if la == lb:
@@ -272,10 +272,7 @@ def build_from_parts(
                   oa.max_deviation(oa.compose(oa.adjoint(parts[la][0]), parts[lb][0]), zero))
             check(f"deposits of {la!r} and {lb!r} are orthogonal",
                   oa.max_deviation(oa.compose(oa.adjoint(parts[la][1]), parts[lb][1]), zero))
-    check("blocks resolve the identity", _identity_deviation(
-        oa.compose(oa.adjoint(parts[label][0]), parts[label][0]) +
-        oa.compose(oa.adjoint(parts[label][1]), parts[label][1])
-        for label in labels))
+    check("blocks resolve the identity", Povm(tuple(effects)).identity_deviation())
 
     inst = make_instrument({label: parts[label][0] + parts[label][1] for label in labels})
     report = certify_repeatable(inst)

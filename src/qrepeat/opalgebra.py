@@ -54,8 +54,8 @@ class Term:
     in_offset: int
     length: int | None
 
-    # Written out rather than generated: compose builds a Term per product,
-    # and the generated frozen __init__ costs about half as much again.
+    # Written out rather than generated: adjoint builds a Term per term, and
+    # the generated frozen __init__ costs about half as much again.
     def __init__(self, coeff: complex, out_stride: int, out_offset: int,
                  in_stride: int, in_offset: int, length: int | None = None):
         if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
@@ -148,7 +148,9 @@ class StructuredOperator:
 
     @classmethod
     def _canonical(cls, terms: tuple[Term, ...]) -> "StructuredOperator":
-        """Wrap terms that are already in canonical form."""
+        """Wrap terms as given, without canonicalizing them.  Terms that are
+        not canonical may go only to readers of any term list, such as
+        ``max_deviation`` and ``compose``'s left factor."""
         op = object.__new__(cls)
         object.__setattr__(op, "terms", terms)
         return op
@@ -473,15 +475,19 @@ def _match_progressions(s1: int, o1: int, n1: int | None,
     return k0, j0, kstep, jstep, (None if n1 is None and n2 is None else 1)
 
 
-def _compose_terms(a: Term, b: Term) -> Term | None:
+def _compose_terms(a: Term, b: Term) -> tuple | None:
+    """Fields ``(coeff, out_stride, out_offset, in_stride, in_offset, length)``
+    of the product term ``a @ b``, or None when the two do not meet.  The
+    coefficient is not checked: a product that overflows is caught by
+    ``_finish`` once summed."""
     m = _match_progressions(a.in_stride, a.in_offset, a.length,
                             b.out_stride, b.out_offset, b.length)
     if m is None:
         return None
     k0, j0, kstep, jstep, n = m
-    return Term(a.coeff * b.coeff,
-                a.out_stride * kstep, a.out_stride * k0 + a.out_offset,
-                b.in_stride * jstep, b.in_stride * j0 + b.in_offset, n)
+    return (a.coeff * b.coeff,
+            a.out_stride * kstep, a.out_stride * k0 + a.out_offset,
+            b.in_stride * jstep, b.in_stride * j0 + b.in_offset, n)
 
 
 def _meeting(progs: dict[int, dict[int, list[int]]], stride: int, offset: int) -> list[int]:
@@ -541,9 +547,9 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
             continue
         s1, os_ = ta.in_stride, ta.out_stride
         for idx in sorted(_meeting(progs, s1, ai)):
-            t = _compose_terms(ta, b.terms[idx])
-            sig = (t.out_stride, t.out_offset, t.in_stride, t.in_offset)
-            fams[sig] = fams.get(sig, 0.0) + t.coeff
+            p = _compose_terms(ta, b.terms[idx])
+            sig = p[1:5]
+            fams[sig] = fams.get(sig, 0.0) + p[0]
         for tb in points:
             d = tb.out_offset - ai
             if d >= 0 and d % s1 == 0:
@@ -584,7 +590,8 @@ def max_deviation(a: StructuredOperator, b: StructuredOperator):
     non-parallel progressions.  So the positions evaluated are those points
     and crossings, each line's rows up to its highest head plus ``L``, and,
     where one of those rows is a point or a crossing, the first later row of
-    its residue that is neither.  Each entry is summed in term order.
+    its residue that is neither.  The terms need not be canonical; each
+    entry is summed in term order.
     """
     terms = a.terms + b.terms
     line_of = {t: _line(t) for t in terms if t.length is None}
@@ -758,5 +765,15 @@ def operator_norm(op: StructuredOperator) -> tuple[float, str]:
 
 
 def _monomial_norm(op: StructuredOperator) -> float:
-    top, _ = max_deviation(compose(op, adjoint(op)), StructuredOperator.zero())
-    return math.sqrt(top)
+    """Square root of the largest entry of the diagonal Gram operator ``M M*``.
+
+    The terms are divided by the largest ``|coeff|`` first and the norm is
+    multiplied back, so that ``compose``'s tolerance filter cannot drop the
+    Gram entries of a small operator.
+    """
+    top = max((abs(t.coeff) for t in op.terms), default=1.0)
+    unit = StructuredOperator._canonical(tuple(
+        Term._trusted(t.coeff / top, t.out_stride, t.out_offset, t.in_stride, t.in_offset,
+                      t.length) for t in op.terms))
+    gram, _ = max_deviation(compose(unit, adjoint(unit)), StructuredOperator.zero())
+    return top * math.sqrt(gram)

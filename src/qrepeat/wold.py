@@ -251,10 +251,6 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
     cycles, periodic cycle families, and bilateral chains.  Every verdict
     is re-verified exactly before returning.
     """
-    zero = StructuredOperator.zero()
-    if v.is_zero():
-        empty = IndexSet.empty()
-        return WoldDecomposition(zero, zero, (), (), (), (), empty, empty, empty)
     support, rng = _validate(v, current().tolerance)
 
     fixed_parts, active = [], []

@@ -18,13 +18,14 @@ from click.testing import CliRunner
 import qrepeat.cli as cli
 import qrepeat.opalgebra as oa
 from helpers import dense
-from qrepeat import (Dyad, Family, IndexSet, StateVector, StructuredOperator,
+from qrepeat import (Dyad, Family, IndexSet, StateVector, StructuredOperator, UnsupportedForm,
                      build_binary_example, build_example_family,
                      build_from_parts, build_nonrepeatable_sibling,
                      build_orthogonal, certify_repeatable,
                      check_repeatability_numerical, empirical_conditionals,
                      finite_dim_corollary_suite, fixed_state_sampler,
-                     make_instrument, run_trajectory, split, window_for)
+                     make_instrument, run_trajectory, split, window_for,
+                     wold_decompose)
 
 NUMERICAL_GATE = 1e-6
 
@@ -270,6 +271,26 @@ def test_criterion_5_structural_and_numerical_verdicts_agree():
             rep = certify_repeatable(inst)
             assert not rep.repeatable
             assert not _numerically_repeatable(inst)
+
+
+def test_non_projective_outcomes_of_repeatable_instruments_carry_a_shift():
+    # The paper's second claim: in a repeatable instrument an outcome whose
+    # effect is not a projection acts on its 1-eigenspace as a non-unitary
+    # isometry, so the Wold split of its shift block has a shift orbit.
+    checked = 0
+    for inst in _valid_corpus(np.random.default_rng(505)):
+        pv = inst.povm()
+        for label, m in inst.items():
+            p = pv.effect(label)
+            if oa.equals(oa.compose(p, p), p):
+                continue
+            try:
+                dec = wold_decompose(split(m).v)
+            except UnsupportedForm:
+                continue
+            assert dec.shift_orbits, f"outcome {label!r} of {inst.outcomes} has no shift orbit"
+            checked += 1
+    assert checked >= 60  # 64 of the corpus's non-projective outcomes decompose
 
 
 # -- criterion 6 ---------------------------------------------------------------

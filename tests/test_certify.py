@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 
 import qrepeat.certify as cer
+import qrepeat.instruments as ins
 import qrepeat.opalgebra as oa
 from helpers import dense_blocks, no_repeatable_form_instruments, operators
 from qrepeat import (Dyad, Family, IndexSet, InvalidPovm, StructuredOperator,
@@ -106,6 +107,24 @@ def test_incomplete_instrument_reports_completeness():
     assert not rep.complete
     assert not rep.repeatable
     assert any(w.condition == "completeness" for w in rep.witnesses)
+
+
+def test_certify_builds_the_povm_once_and_reads_both_verdicts_from_it(monkeypatch):
+    # The substitute halves every effect of a projective partition, so a
+    # verdict computed from the real effects would read complete and orthogonal.
+    inst = build_orthogonal({0: EVENS, 1: ODDS})
+    calls = []
+    inner = ins.povm
+
+    def halved(i):
+        calls.append(None)
+        return ins.Povm(tuple((label, p * 0.5) for label, p in inner(i).items()))
+
+    monkeypatch.setattr(ins, "povm", halved)
+    rep = certify_repeatable(inst)
+    assert len(calls) == 1
+    assert not rep.complete and not rep.orthogonal
+    assert [(w.condition, w.deviation) for w in rep.witnesses] == [("completeness", 0.5)]
 
 
 def test_non_monomial_outcome_leaves_inclusion_undecided():

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import qrepeat.cli as cli
+import qrepeat.opalgebra as oa
 from helpers import (NORM_DEFECT, UNDECIDED_NORMS, near_complete_instrument,
                      no_repeatable_form_instruments)
 from qrepeat import (IndexSet, Instrument, Settings, build_binary_example,
@@ -117,6 +118,15 @@ def test_certify_rejects_a_non_contraction_or_an_undecided_norm(runner, tmp_path
     result = runner.invoke(cli.main, ["certify", path, "--out", str(tmp_path / "r.json")])
     assert result.exit_code == 2, result.output
     assert "norm" in result.output
+
+
+def test_certify_names_the_outcome_of_an_undecided_norm(runner, tmp_path):
+    evens = oa.projector(IndexSet.from_progression(2, 0))
+    inst = Instrument(((1, evens), (3, UNDECIDED_NORMS["tail_head_row"])))
+    path = write_instrument(inst, tmp_path / "op.json")
+    result = runner.invoke(cli.main, ["certify", path, "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert "outcome 3" in result.stderr
 
 
 def test_certify_rejects_malformed_file(runner, tmp_path):

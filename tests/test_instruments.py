@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import qrepeat.opalgebra as oa
-from helpers import NORM_DEFECT, dense
+from helpers import NORM_DEFECT, UNDECIDED_NORMS, dense
 from qrepeat import (BadProbabilityVector, CompletenessViolation,
                      ContractionViolation, CoverageViolation, Dyad, Family,
-                     IndexSet, PartsViolation, StructuredOperator,
+                     IndexSet, PartsViolation, StructuredOperator, UnsupportedForm,
                      build_binary_example, build_example_family,
                      build_from_parts, build_nonrepeatable_sibling,
                      build_orthogonal, make_instrument, split)
@@ -40,6 +40,14 @@ def test_make_instrument_rejects_expanding_outcome():
         make_instrument({1: StructuredOperator((Family(1.2, 1, 0, 1, 0),))},
                         check_completeness=False)
     assert err.value.norm > 1.0
+
+
+def test_make_instrument_names_the_outcome_of_an_undecided_norm():
+    evens = oa.projector(IndexSet.from_progression(2, 0))
+    with pytest.raises(UnsupportedForm,
+                       match="operator for outcome 3: operator norm undecided: row 2"):
+        make_instrument({1: evens, 3: UNDECIDED_NORMS["tail_head_row"]},
+                        check_completeness=False)
 
 
 def test_make_instrument_rejects_a_block_past_any_window():

@@ -161,7 +161,7 @@ def _bits(op):
 @given(st.one_of(operators(), dense_blocks()), st.one_of(operators(), dense_blocks()))
 @settings(deadline=None)
 def test_compose_equals_the_all_pairs_product_bit_for_bit(a, b):
-    all_pairs = StructuredOperator([p for ta in a.terms for tb in b.terms
+    all_pairs = StructuredOperator([oa.Term(*p) for ta in a.terms for tb in b.terms
                                     if (p := oa._compose_terms(ta, tb)) is not None])
     assert _bits(oa.compose(a, b)) == _bits(all_pairs)
 
@@ -187,6 +187,13 @@ def test_compose_rejects_overflowing_products_that_cancel():
     a = StructuredOperator((Dyad(1e300, 0, 1), Dyad(-1e300, 0, 2)))
     b = StructuredOperator((Dyad(1e300, 1, 5), Dyad(1e300, 2, 5)))
     with pytest.raises(ValueError, match="finite"):
+        oa.compose(a, b)
+
+
+def test_compose_rejects_an_overflowing_progression_product():
+    a = StructuredOperator((Family(1e300, 1, 0, 1, 0),))
+    b = StructuredOperator((Family(1e300, 2, 1, 2, 1),))
+    with pytest.raises(ValueError, match="coefficients must be finite"):
         oa.compose(a, b)
 
 
@@ -384,6 +391,16 @@ def test_operator_norm_exact_for_monomial():
     value, quality = oa.operator_norm(op)
     assert quality == "exact"
     assert value == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("op", [StructuredOperator([Dyad(1.19e-7, 0, 0)]),
+                                StructuredOperator([Family(1e-7, 1, 0, 1, 0)])],
+                         ids=["point", "progression"])
+def test_operator_norm_of_a_small_monomial_operator(op):
+    # the Gram entries lie below the tolerance; the norm must not read 0
+    value, quality = oa.operator_norm(op)
+    assert quality == "exact"
+    assert value == pytest.approx(abs(op.terms[0].coeff), rel=1e-12)
 
 
 def test_operator_norm_exact_for_a_point_block():
