@@ -707,18 +707,23 @@ def is_monomial(op: StructuredOperator) -> bool:
     return True
 
 
+def _diagonal_run(t: Term) -> tuple[int, int, int | None] | None:
+    """``(first, stride, length)`` of the diagonal entries of ``t``, or None."""
+    den, num = t.out_stride - t.in_stride, t.in_offset - t.out_offset
+    if den == 0:  # points have den == 0
+        return (t.in_offset, t.in_stride, t.length) if num == 0 else None
+    if num % den == 0 and num // den >= 0:
+        return t.in_stride * (num // den) + t.in_offset, 1, 1
+    return None
+
+
 def diagonal_part(op: StructuredOperator) -> StructuredOperator:
     """Terms restricted to the main diagonal (exact for the structured class)."""
     terms: list[Term] = []
     for t in op.terms:
-        den = t.out_stride - t.in_stride
-        num = t.in_offset - t.out_offset
-        if den == 0:
-            if num == 0:
-                terms.append(t)
-        elif num % den == 0 and num // den >= 0:  # points have den == 0
-            r = t.out_stride * (num // den) + t.out_offset
-            terms.append(Dyad(t.coeff, r, r))
+        if (run := _diagonal_run(t)) is not None:
+            first, stride, length = run
+            terms.append(Term(t.coeff, stride, first, stride, first, length))
     return StructuredOperator(terms)
 
 

@@ -179,8 +179,8 @@ class TrajectoryRecord:
         return tuple(s.outcome for s in self.steps)
 
 
-def run_trajectory(inst: Instrument, psi: StateVector, steps: int, seed: int,
-                   with_memory: bool = True) -> TrajectoryRecord:
+def run_trajectory(inst: Instrument, psi: StateVector, steps: int,
+                   seed: int) -> TrajectoryRecord:
     """Measure ``steps`` times in sequence, recording states and memory depths.
 
     One uniform is drawn per step from a generator seeded once, so the
@@ -192,7 +192,7 @@ def run_trajectory(inst: Instrument, psi: StateVector, steps: int, seed: int,
         raise ValueError("a trajectory needs at least one step")
     tol = current().tolerance
     psi = psi.normalized()
-    decomps = memory_map(inst) if with_memory else {}
+    decomps = memory_map(inst)
     rng = np.random.default_rng(seed)
     state = psi
     record = []

@@ -65,13 +65,12 @@ def split(m: StructuredOperator) -> SplitParts:
             raise SplitInvariantViolation(
                 f"{cond}: deviation {dev:.3g}", condition=cond, deviation=dev)
 
-    gram = oa.compose(oa.adjoint(v), v)
+    vd = oa.adjoint(v)
+    gram = oa.compose(vd, v)
     check("shift block squares to itself", oa.compose(gram, gram), gram)
-    zero = StructuredOperator.zero()
+    # V* W = 0 exactly when its adjoint W* V = 0, so one order decides both
     check("deposit range is orthogonal to the shift range",
-          oa.compose(oa.adjoint(v), w), zero)
-    check("shift range is orthogonal to the deposit range",
-          oa.compose(oa.adjoint(w), v), zero)
+          oa.compose(vd, w), StructuredOperator.zero())
     return SplitParts(v, w)
 
 
@@ -317,8 +316,8 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
 
     unitary_domain = support.difference(shift_domain)
     s_op = oa.compose(v, oa.projector(shift_domain))
-    u_op = oa.compose(v, oa.projector(unitary_domain))
     proj_u = oa.projector(unitary_domain)
+    u_op = oa.compose(v, proj_u)
     if not oa.equals(u_op + s_op, v):
         raise RuntimeError("unitary and shift blocks do not reassemble the input")
     if not oa.equals(oa.compose(oa.adjoint(u_op), u_op), proj_u) \

@@ -5,6 +5,8 @@ The renderer enumerates term entries directly and is deliberately kept
 separate from the library's own windowing code, so the two implementations
 cross-check each other.  ``RefIndexSet`` is the index-set algebra on
 frozensets, residue by residue, that the bitmask ``IndexSet`` must match.
+``ref_certify_repeatable`` and ``ref_check_orthogonal`` decide every fact
+over all ordered pairs of outcomes, mirrored adjoint pairs included.
 """
 
 import dataclasses
@@ -15,9 +17,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 import qrepeat.cli as cli
+import qrepeat.opalgebra as oa
 from qrepeat import (DegenerateState, Dyad, Family, IndexSet, StateVector,
                      StructuredOperator, build_example_family,
                      make_instrument, memory_map, read_memory, settings)
+from qrepeat.certify import (CertificationReport, OutcomeChecks, PairChecks,
+                             Witness)
 
 
 def dense(op, dim):
@@ -332,3 +337,61 @@ def reading_bits(reading):
         return None
     return (reading.outcome, reading.orbit_id, reading.depth,
             tuple((d, p.hex()) for d, p in reading.distribution))
+
+
+# -- reference certification --------------------------------------------------
+# Certification in its all-ordered-pairs form: every effect product
+# ``P_e P_f`` and every range product ``M_f* M_e`` is composed in both
+# orders, and ``M_e*`` is rebuilt at each use.  The library decides each
+# adjoint pair once and must report the same fields and witnesses.
+
+
+def ref_check_orthogonal(pv):
+    for e, pe in pv.items():
+        for f, pf in pv.items():
+            expected = pf if e == f else StructuredOperator.zero()
+            if not oa.equals(oa.compose(pe, pf), expected):
+                return False
+    return True
+
+
+def ref_certify_repeatable(inst, tol=1e-12):
+    witnesses = []
+    pv = inst.povm()
+    dev, pos = pv.identity_deviation()
+    complete = dev <= tol
+    if not complete:
+        witnesses.append(Witness("completeness", pos, dev))
+    per_outcome = {}
+    for label, op in inst.items():
+        dev, pos = oa.max_deviation(oa.compose(oa.adjoint(op), oa.compose(op, op)), op)
+        if dev > tol:
+            witnesses.append(Witness(f"isometry on range ({label!r})", pos, dev))
+        ris = op.range_set().is_subset(op.support_set()) if oa.is_monomial(op) else None
+        per_outcome[label] = OutcomeChecks(dev <= tol, ris)
+    zero = StructuredOperator.zero()
+    per_pair = {}
+    for e, op_e in inst.items():
+        for f, op_f in inst.items():
+            if e == f:
+                continue
+            dev, pos = oa.max_deviation(oa.compose(op_f, op_e), zero)
+            if dev > tol:
+                witnesses.append(Witness(f"annihilation ({f!r} after {e!r})", pos, dev))
+            rdev, _ = oa.max_deviation(oa.compose(oa.adjoint(op_f), op_e), zero)
+            per_pair[(e, f)] = PairChecks(dev <= tol, rdev <= tol)
+    repeatable = complete and all(c.isometric_on_range for c in per_outcome.values()) \
+        and all(c.product_vanishes for c in per_pair.values())
+    return CertificationReport(repeatable, ref_check_orthogonal(pv), complete,
+                               per_outcome, per_pair, tuple(witnesses))
+
+
+@st.composite
+def partitions(draw):
+    """Up to three disjoint index sets and the complement of their union."""
+    parts, union = [], IndexSet.empty()
+    for _ in range(draw(st.integers(1, 3))):
+        s = draw(index_sets()).difference(union)
+        parts.append(s)
+        union = union.union(s)
+    return parts + [union.complement()]

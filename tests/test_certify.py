@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qrepeat.certify as cer
 import qrepeat.instruments as ins
 import qrepeat.opalgebra as oa
-from helpers import dense_blocks, no_repeatable_form_instruments, operators
+from helpers import (dense_blocks, index_sets, no_repeatable_form_instruments,
+                     operators, partitions, ref_certify_repeatable, ref_check_orthogonal)
 from qrepeat import (Dyad, Family, IndexSet, InvalidPovm, StructuredOperator,
                      UnsupportedForm, build_binary_example,
                      build_example_family, build_nonrepeatable_sibling,
@@ -135,6 +137,44 @@ def test_non_monomial_outcome_leaves_inclusion_undecided():
     rep = certify_repeatable(make_instrument({1: rotation}))
     assert rep.repeatable  # a global unitary trivially repeats
     assert rep.per_outcome[1].range_in_support is None
+
+
+def test_certify_builds_one_adjoint_per_outcome(monkeypatch):
+    inst = build_example_family(24, [1 / 24] * 24)
+    calls = []
+    inner = oa.adjoint
+
+    def counted(op):
+        calls.append(None)
+        return inner(op)
+
+    monkeypatch.setattr(oa, "adjoint", counted)
+    assert certify_repeatable(inst).repeatable
+    # one per outcome for the POVM and one shared by the isometry and range
+    # checks; rebuilt at every use over all ordered pairs: 600
+    assert len(calls) == 48
+
+
+_drawn_instruments = (
+    partitions().map(lambda sets: build_orthogonal(dict(enumerate(sets))))
+    # projectors whose sets may overlap: idempotent effects, not always orthogonal
+    | st.lists(index_sets(), min_size=1, max_size=3).map(
+        lambda sets: ins.Instrument(tuple(enumerate(map(oa.projector, sets), 1))))
+    | st.lists(operators(), min_size=1, max_size=3).map(
+        lambda ops: ins.Instrument(tuple(enumerate(ops, 1))))
+    | st.integers(1, 4).flatmap(lambda n: st.sampled_from(
+        [build_example_family(n, [1 / n] * n), build_nonrepeatable_sibling(n, [1 / n] * n)])))
+
+
+@settings(deadline=None)
+@given(_drawn_instruments)
+def test_certify_matches_the_all_ordered_pairs_reference(inst):
+    rep, ref = certify_repeatable(inst), ref_certify_repeatable(inst)
+    assert rep == ref
+    assert list(rep.per_pair) == list(ref.per_pair)
+    assert [(w.condition, w.position, w.deviation.hex()) for w in rep.witnesses] \
+        == [(w.condition, w.position, w.deviation.hex()) for w in ref.witnesses]
+    assert check_orthogonal(inst.povm()) == ref_check_orthogonal(inst.povm())
 
 
 def test_check_orthogonal_matches_effect_idempotence():

@@ -121,12 +121,6 @@ def test_trajectory_memory_depth_counts_repetitions():
         assert step.memory.depth == k
 
 
-def test_trajectory_without_memory_readout():
-    record = run_trajectory(EX, StateVector.basis(0), steps=3, seed=2,
-                            with_memory=False)
-    assert all(step.memory is None for step in record.steps)
-
-
 def test_zero_probability_outcomes_are_unreachable():
     sure = build_binary_example(1.0, 1.0)  # outcome 2 never fires from |0>
     for seed in range(50):
