@@ -320,8 +320,9 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
     u_op = oa.compose(v, proj_u)
     if not oa.equals(u_op + s_op, v):
         raise RuntimeError("unitary and shift blocks do not reassemble the input")
-    if not oa.equals(oa.compose(oa.adjoint(u_op), u_op), proj_u) \
-            or not oa.equals(oa.compose(u_op, oa.adjoint(u_op)), proj_u):
+    u_adj = oa.adjoint(u_op)
+    if not oa.equals(oa.compose(u_adj, u_op), proj_u) \
+            or not oa.equals(oa.compose(u_op, u_adj), proj_u):
         raise RuntimeError("unitary block fails its unitarity certificate")
     return WoldDecomposition(u_op, s_op, tuple(orbits), tuple(cycles),
                              tuple(cycle_families), tuple(bilaterals),

@@ -7,6 +7,8 @@ cross-check each other.  ``RefIndexSet`` is the index-set algebra on
 frozensets, residue by residue, that the bitmask ``IndexSet`` must match.
 ``ref_certify_repeatable`` and ``ref_check_orthogonal`` decide every fact
 over all ordered pairs of outcomes, mirrored adjoint pairs included.
+``ref_compose`` is the dict join that ``compose``'s dense point kernel must
+match bit for bit.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ from qrepeat import (DegenerateState, Dyad, Family, IndexSet, StateVector,
                      make_instrument, memory_map, read_memory, settings)
 from qrepeat.certify import (CertificationReport, OutcomeChecks, PairChecks,
                              Witness)
+from qrepeat.config import current
 
 
 def dense(op, dim):
@@ -238,6 +241,89 @@ def dense_blocks(draw, max_dim=6):
             k = draw(st.sampled_from([d - 1, d]))
             terms.append(Dyad(draw(st.sampled_from([1.0, -1.0]) | _coeffs), k, k))
     return StructuredOperator(tuple(terms))
+
+
+@st.composite
+def point_products(draw):
+    """``(a, b)``: two rectangular point blocks on drawn row, inner and
+    column offsets, so their inner index sets may overlap only in part or
+    not at all.  Each block may drop entries (zeros), spans magnitudes
+    from 1e-8 to 1e8, and may hold an exact cancellation: ``a``'s column
+    ``k2`` is minus its column ``k1`` and ``b``'s row ``k2`` equals its row
+    ``k1``.  Either factor may carry an identity tail just past its block,
+    with a point on the tail's head or the step before it."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    m, k, n = (draw(st.integers(1, 12)) for _ in range(3))
+    row0, ka0, kb0, col0 = (draw(st.integers(0, 8)) for _ in range(4))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.7]))
+
+    def block(rows, cols):
+        mags = 10.0 ** rng.uniform(-8, 8, size=(rows, cols))
+        vals = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) * mags
+        vals[rng.random((rows, cols)) < zeros] = 0
+        return vals
+
+    a, b = block(m, k), block(k, n)
+    if k >= 2 and draw(st.booleans()):
+        k1, k2 = rng.choice(k, size=2, replace=False)
+        a[:, k2] = -a[:, k1]
+        b[k2] = b[k1]
+
+    def op(vals, r0, c0):
+        terms = [Dyad(complex(vals[i, j]), r0 + i, c0 + j)
+                 for i in range(vals.shape[0]) for j in range(vals.shape[1]) if vals[i, j]]
+        if draw(st.booleans()):
+            t = max(r0 + vals.shape[0], c0 + vals.shape[1])
+            terms.append(Family(1.0, 1, t, 1, t))
+            if draw(st.booleans()):
+                p = draw(st.sampled_from([t - 1, t]))
+                terms.append(Dyad(draw(st.sampled_from([1.0, -1.0]) | _coeffs), p, p))
+        return StructuredOperator(terms)
+
+    return op(a, row0, ka0), op(b, kb0, col0)
+
+
+def ref_compose(a, b):
+    """``a @ b`` by the dict join alone: ``b``'s points keyed by output
+    index and its progressions by output stride and residue, each
+    coefficient summed in the order of the all-pairs product."""
+    nprog = sum(1 for t in b.terms if t.length is None)
+    progs = {}
+    for idx, t in enumerate(b.terms[:nprog]):
+        progs.setdefault(t.out_stride, {}).setdefault(t.out_offset % t.out_stride, []).append(idx)
+    points = b.terms[nprog:]
+    points_at = {}
+    for t in points:
+        points_at.setdefault(t.out_offset, []).append((t.in_offset, t.coeff))
+
+    fams, dyds = {}, {}
+    for ta in a.terms:
+        ca, ai, ao = ta.coeff, ta.in_offset, ta.out_offset
+        if ta.length == 1:
+            hits = sorted(idx for stride, group in progs.items()
+                          for idx in group.get(ai % stride, ()))
+            for idx in hits:
+                tb = b.terms[idx]
+                d = ai - tb.out_offset
+                if d >= 0:
+                    key = (ao, tb.in_stride * (d // tb.out_stride) + tb.in_offset)
+                    dyds[key] = dyds.get(key, 0.0) + ca * tb.coeff
+            for bi, cb in points_at.get(ai, ()):
+                key = (ao, bi)
+                dyds[key] = dyds.get(key, 0.0) + ca * cb
+            continue
+        s1, os_ = ta.in_stride, ta.out_stride
+        for idx in sorted(oa._meeting(progs, s1, ai)):
+            p = oa._compose_terms(ta, b.terms[idx])
+            sig = p[1:5]
+            fams[sig] = fams.get(sig, 0.0) + p[0]
+        for tb in points:
+            d = tb.out_offset - ai
+            if d >= 0 and d % s1 == 0:
+                key = (os_ * (d // s1) + ao, tb.in_offset)
+                dyds[key] = dyds.get(key, 0.0) + ca * tb.coeff
+    return StructuredOperator._canonical(oa._finish(fams, dyds, current().tolerance))
 
 
 @st.composite

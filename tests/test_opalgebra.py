@@ -5,18 +5,22 @@ library's own windowing.  Composition is checked through vector application,
 which is exact and free of truncation artifacts.
 """
 
+import contextlib
 import math
+import tracemalloc
+import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qrepeat
 import qrepeat.opalgebra as oa
 from helpers import (NORM_DEFECT, UNDECIDED_NORMS, dense, dense_blocks, dense_vec,
-                     operators, states)
+                     operators, point_products, ref_compose, states)
 from qrepeat import (Dyad, Family, IndexSet, PeriodCapExceeded, StateVector,
                      StructuredOperator, UnsupportedForm)
 
@@ -172,6 +176,11 @@ def test_canonical_terms_are_the_validating_constructors_terms(op):
                for t in op.terms]
     assert _bits(op) == _bits(SimpleNamespace(terms=rebuilt))
     assert all(type(t.coeff) is complex for t in op.terms)
+    # Term.adjoint skips validation; it must give the validating constructor's term
+    flipped = [oa.Term(t.coeff.conjugate(), t.in_stride, t.in_offset, t.out_stride, t.out_offset,
+                       t.length) for t in op.terms]
+    assert (_bits(SimpleNamespace(terms=[t.adjoint() for t in op.terms]))
+            == _bits(SimpleNamespace(terms=flipped)))
 
 
 def test_compose_rejects_an_overflowing_product():
@@ -195,6 +204,96 @@ def test_compose_rejects_an_overflowing_progression_product():
     b = StructuredOperator((Family(1e300, 2, 1, 2, 1),))
     with pytest.raises(ValueError, match="coefficients must be finite"):
         oa.compose(a, b)
+
+
+@contextlib.contextmanager
+def kernel_runs():
+    """Records, per compose inside the block, whether the dense point
+    kernel built the point table."""
+    ran, inner = [], oa._point_product
+
+    def spy(*args):
+        table = inner(*args)
+        ran.append(table is not None)
+        return table
+
+    with mock.patch.object(oa, "_point_product", spy):
+        yield ran
+
+
+def kernel_applies(a, b):
+    """Enough point pairs, no point of ``a`` with its column on an output
+    progression of ``b``, no point of ``b`` with its row on an input
+    progression of ``a``; decided on the progressions' index sets."""
+    if len(a.dyads) * len(b.dyads) < oa._KERNEL_MIN_PAIRS:
+        return False
+    b_rows = StructuredOperator._canonical(b.families).range_set()
+    a_cols = StructuredOperator._canonical(a.families).support_set()
+    return not (any(b_rows.member(t.in_offset) for t in a.dyads)
+                or any(a_cols.member(t.out_offset) for t in b.dyads))
+
+
+def _block(d, seed):
+    rng = np.random.default_rng(seed)
+    return StructuredOperator([Dyad(complex(*rng.standard_normal(2)), i, j)
+                               for i in range(d) for j in range(d)])
+
+
+@given(point_products())
+@example((_block(8, 1), _block(8, 2)))  # one pure draw that must take the kernel
+@settings(deadline=None, max_examples=300)
+def test_compose_point_kernel_equals_the_dict_join_bit_for_bit(ab):
+    a, b = ab
+    with kernel_runs() as ran:
+        got = oa.compose(a, b)
+    assert _bits(got) == _bits(ref_compose(a, b))
+    # pure point blocks above the size threshold must take the kernel, and
+    # points on a tail's head or the step before it the dict join
+    assert ran == [kernel_applies(a, b)]
+
+
+def test_compose_keeps_the_term_order_of_a_non_canonical_left_factor():
+    # the join sums each entry in a's term order; reversed points would make
+    # the kernel's ascending order differ in the last bits
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((8, 8)) * 10.0 ** rng.uniform(-8, 8, size=(8, 8))
+    a = StructuredOperator._canonical(tuple(
+        Dyad(float(vals[i, j]), i, j) for i in reversed(range(8)) for j in reversed(range(8))))
+    b = _block(8, 4)
+    with kernel_runs() as ran:
+        got = oa.compose(a, b)
+    assert _bits(got) == _bits(ref_compose(a, b))
+    assert ran == [False]
+
+
+def test_point_kernel_rejects_overflowing_products_without_warnings():
+    big = 1e300 * (1 + 1j)  # ar*br and ai*bi overflow, and their difference is inf - inf
+    a = StructuredOperator([Dyad(big * (-1) ** j, i, j) for i in range(8) for j in range(8)])
+    b = StructuredOperator([Dyad(big, j, k) for j in range(8) for k in range(8)])
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        ref_compose(a, b)
+    with warnings.catch_warnings(), kernel_runs() as ran:
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            oa.compose(a, b)
+    assert ran == [True]
+
+
+def test_point_kernel_temporaries_do_not_grow_with_the_inner_size():
+    # one inner-size x rows x cols cube of floats would take 64 MB here
+    rng = np.random.default_rng(0)
+    vals = rng.standard_normal((2, 200, 200))
+    a, b = (StructuredOperator([Dyad(float(v[i, j]), i, j)
+                                for i in range(200) for j in range(200)]) for v in vals)
+    tracemalloc.start()
+    try:
+        with kernel_runs() as ran:
+            oa.compose(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ran == [True]
+    assert peak < 16 * 2**20
 
 
 def test_compose_shift_with_adjoint_is_range_projector():

@@ -207,3 +207,20 @@ def test_memory_map_handles_projective_outcomes():
     mm = memory_map(build_orthogonal({"even": EVENS, "odd": ODDS}))
     assert mm["even"].fixed_domain == EVENS
     assert mm["odd"].fixed_domain == ODDS
+
+
+def test_memory_map_builds_three_adjoints_per_outcome(monkeypatch):
+    inst = build_example_family(24, [1 / 24] * 24)
+    calls = []
+    inner = oa.adjoint
+
+    def counted(op):
+        calls.append(None)
+        return inner(op)
+
+    monkeypatch.setattr(oa, "adjoint", counted)
+    mm = memory_map(inst)
+    assert all(dec is not None for dec in mm.values())
+    # split and the monomial check each build adjoint(v); the unitarity
+    # certificate shares one adjoint(u) between its two sides (96 when not)
+    assert len(calls) <= 72
