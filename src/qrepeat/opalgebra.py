@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, Iterator, Mapping
@@ -524,10 +525,14 @@ def _on_progression(indices: Iterable[int], progressions: list[tuple[int, int]])
     return any(i >= o and (i - o) % s == 0 for s, o in progressions for i in indices)
 
 
-# Fewest point pairs for which the dense kernel outruns the dict join: on a
-# 2-core x86-64 host, two dense 7x7 blocks (2401 pairs) take about as long
-# either way, 6x6 blocks are faster through the join, 8x8 through the kernel.
-_KERNEL_MIN_PAIRS = 2048
+# The dense kernel pays only on dense point blocks.  It costs rows * inner
+# * cols products however sparse the blocks are, where the join costs one
+# multiply per matching pair: the sum over inner k of (a's points in
+# column k) * (b's points in row k).  It runs when the matching pairs
+# number at least _KERNEL_MIN_PAIRS and fill at least 1/_KERNEL_FILL of
+# rows * inner * cols; _kernel_pays gives the timings behind both.
+_KERNEL_MIN_PAIRS = 512
+_KERNEL_FILL = 2
 # Inner indices per step of the dense kernel: its two buffers hold
 # (_K_CHUNK + 1) * rows * cols floats each, whatever the inner size.
 _K_CHUNK = 8
@@ -536,10 +541,14 @@ _K_CHUNK = 8
 def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dense complex product ``a @ b``, with the bits of the dict join.
 
-    Each entry is summed from 0.0 one inner index at a time, in ascending
-    order, and each product is formed as CPython forms a complex product,
-    ``(ar*br - ai*bi) + i(ar*bi + ai*br)``; numpy's complex multiply and
-    ``np.sum``'s pairwise order would change the last bits.  A step of
+    Each entry is summed from ``0j`` one inner index at a time, in
+    ascending order, and each product is formed as CPython forms a complex
+    product, ``(ar*br - ai*bi) + i(ar*bi + ai*br)``; numpy's complex
+    multiply and ``np.sum``'s pairwise order would change the last bits.
+    The join's sums start at ``0j`` too, not at the float ``0.0``: from
+    CPython 3.14, ``0.0 + z`` keeps the imaginary part of ``z`` as it is,
+    so a product such as ``(-2+0j) * (-3+0j) = 6-0j`` would keep its
+    ``-0.0`` there, where this kernel gives ``+0.0``.  A step of
     ``_K_CHUNK`` inner indices writes its products below the running sum,
     which ``np.add.accumulate`` then folds in, in place.
     """
@@ -565,6 +574,30 @@ def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_pays(a_points: list[Term], b_points: list[Term]) -> bool:
+    """True when the point x point products of ``a @ b`` are dense enough
+    for the kernel: at least ``_KERNEL_MIN_PAIRS`` matching pairs, filling
+    at least ``1/_KERNEL_FILL`` of the kernel's rows * inner * cols.
+
+    Timed on a 2-core x86-64 host, each factor a point block plus an
+    identity tail, kernel time over join time: dense d x d blocks 1.3-1.4
+    at d = 5, 0.6-1.1 at d = 7, 0.8-1.0 at d = 8 (512 pairs), 0.35 at
+    d = 16; blocks filled at random to 0.4-0.7 (fill 0.15-0.54) 0.9-1.4
+    below 700 pairs, 0.5-0.8 above 900.  A diagonal factor leaves a fill
+    of 1/d and loses: dense x diagonal 1.1-2.0 at d = 16 and 1.2-1.8 at
+    d = 64; diagonal x diagonal (fill 1/d^2) 4 at d = 16, 24 at d = 64,
+    250 at d = 200, where the join makes 200 multiplies and the kernel
+    8e6.
+    """
+    per_col = Counter(t.in_offset for t in a_points)
+    per_row = Counter(t.out_offset for t in b_points)
+    inner = per_col.keys() & per_row.keys()
+    pairs = sum(per_col[k] * per_row[k] for k in inner)
+    rows = len({t.out_offset for t in a_points})
+    cols = len({t.in_offset for t in b_points})
+    return pairs >= _KERNEL_MIN_PAIRS and pairs * _KERNEL_FILL >= rows * len(inner) * cols
+
+
 def _point_product(a: StructuredOperator, b: StructuredOperator,
                    nprog: int) -> dict[tuple[int, int], complex] | None:
     """The point table of ``a @ b`` from the dense kernel, holding its
@@ -580,10 +613,10 @@ def _point_product(a: StructuredOperator, b: StructuredOperator,
     """
     b_points = b.terms[nprog:]
     a_points = [t for t in a.terms if t.length == 1]
-    if len(a_points) * len(b_points) < _KERNEL_MIN_PAIRS:
+    if len(a_points) * len(b_points) < _KERNEL_MIN_PAIRS:  # bounds the matching pairs
         return None
     keys = [(t.out_offset, t.in_offset) for t in a_points]
-    if not all(map(operator.lt, keys, keys[1:])):
+    if not all(map(operator.lt, keys, keys[1:])) or not _kernel_pays(a_points, b_points):
         return None
     rows, a_cols, a_block = _point_block(a_points)
     b_rows, cols, b_block = _point_block(b_points)
@@ -615,15 +648,18 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
 
     When only point x point products reach the point table (no point of
     ``a`` has its column on a progression of ``b``, no point of ``b`` its
-    row on an input progression of ``a``) and there are at least
-    ``_KERNEL_MIN_PAIRS`` point pairs, that table comes from a numpy kernel
-    over the two dense point blocks instead (``_point_product``).  It keeps
-    the join's bits: ``a``'s points are sorted, so the join sums each entry
-    in ascending inner index, and the kernel adds its products in that order
-    too, one index at a time from 0.0, each formed by CPython's complex
-    multiply in real arithmetic; the absent pairs add only zeros, which do
-    not change a sum that starts at 0.0.  The progressions still go through
-    the join, and ``_finish`` filters and orders both tables as before.
+    row on an input progression of ``a``) and the point blocks are dense
+    (``_kernel_pays``: at least ``_KERNEL_MIN_PAIRS`` matching pairs,
+    filling at least half of rows * inner * cols), that table comes from
+    a numpy kernel over the two blocks instead (``_point_product``).  It
+    keeps the join's bits: ``a``'s points are sorted, so the join sums
+    each entry in ascending inner index, and the kernel adds its products
+    in that order too, one index at a time from ``0j``, each formed by
+    CPython's complex multiply in real arithmetic.  The absent pairs add
+    only signed zeros, which leave a nonzero sum as it is, and a sum that
+    starts at ``+0.0`` never turns into ``-0.0`` (an exact zero sum is
+    ``+0.0``).  The progressions still go through the join, and
+    ``_finish`` filters and orders both tables as before.
     """
     nprog = sum(1 for t in b.terms if t.length is None)  # canonical: progressions first
     progs: dict[int, dict[int, list[int]]] = {}  # out stride -> out residue -> indices
@@ -651,10 +687,10 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
                 d = ai - tb.out_offset
                 if d >= 0:
                     key = (ao, tb.in_stride * (d // tb.out_stride) + tb.in_offset)
-                    dyds[key] = dyds.get(key, 0.0) + ca * tb.coeff
+                    dyds[key] = dyds.get(key, 0j) + ca * tb.coeff
             for bi, cb in points_at.get(ai, ()):
                 key = (ao, bi)
-                dyds[key] = dyds.get(key, 0.0) + ca * cb
+                dyds[key] = dyds.get(key, 0j) + ca * cb
             continue
         s1, os_ = ta.in_stride, ta.out_stride
         for idx in sorted(_meeting(progs, s1, ai)):
@@ -665,7 +701,7 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
             d = tb.out_offset - ai
             if d >= 0 and d % s1 == 0:
                 key = (os_ * (d // s1) + ao, tb.in_offset)
-                dyds[key] = dyds.get(key, 0.0) + ca * tb.coeff
+                dyds[key] = dyds.get(key, 0j) + ca * tb.coeff
     return StructuredOperator._canonical(_finish(fams, dyds, current().tolerance))
 
 

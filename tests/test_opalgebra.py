@@ -222,10 +222,16 @@ def kernel_runs():
 
 
 def kernel_applies(a, b):
-    """Enough point pairs, no point of ``a`` with its column on an output
+    """Dense point blocks, no point of ``a`` with its column on an output
     progression of ``b``, no point of ``b`` with its row on an input
-    progression of ``a``; decided on the progressions' index sets."""
-    if len(a.dyads) * len(b.dyads) < oa._KERNEL_MIN_PAIRS:
+    progression of ``a``; decided on the progressions' index sets.  Dense:
+    the matching point pairs number at least ``_KERNEL_MIN_PAIRS`` and
+    fill at least half of rows * inner * cols, counted pair by pair."""
+    matches = [s.in_offset for s in a.dyads for t in b.dyads if s.in_offset == t.out_offset]
+    rows = {s.out_offset for s in a.dyads}
+    cols = {t.in_offset for t in b.dyads}
+    inner = set(matches)
+    if len(matches) < oa._KERNEL_MIN_PAIRS or 2 * len(matches) < len(rows) * len(inner) * len(cols):
         return False
     b_rows = StructuredOperator._canonical(b.families).range_set()
     a_cols = StructuredOperator._canonical(a.families).support_set()
@@ -239,8 +245,15 @@ def _block(d, seed):
                                for i in range(d) for j in range(d)])
 
 
+def _real_block(d, value):
+    return StructuredOperator([Dyad(value, i, j) for i in range(d) for j in range(d)])
+
+
 @given(point_products())
 @example((_block(8, 1), _block(8, 2)))  # one pure draw that must take the kernel
+# real negative x negative: each product is 6-0j, and the sums' imaginary
+# parts must read +0.0 in the join as in the kernel, on any CPython
+@example((_real_block(8, -2.0), _real_block(8, -3.0)))
 @settings(deadline=None, max_examples=300)
 def test_compose_point_kernel_equals_the_dict_join_bit_for_bit(ab):
     a, b = ab
@@ -294,6 +307,32 @@ def test_point_kernel_temporaries_do_not_grow_with_the_inner_size():
         tracemalloc.stop()
     assert ran == [True]
     assert peak < 16 * 2**20
+
+
+def test_sparse_point_blocks_take_the_dict_join():
+    # the kernel would hold 1000 x 1000 blocks and make 1e9 products for
+    # the 1000 multiplies of the join
+    p = oa.projector(IndexSet.from_indices(range(1000)))
+    tracemalloc.start()
+    try:
+        with kernel_runs() as ran:
+            got = oa.compose(p, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ran == [False]
+    assert got == p
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("dense_left", [True, False])
+def test_a_diagonal_factor_takes_the_dict_join(dense_left):
+    d, p = _block(24, 5), oa.projector(IndexSet.from_indices(range(24)))
+    a, b = (d, p) if dense_left else (p, d)
+    with kernel_runs() as ran:
+        got = oa.compose(a, b)
+    assert ran == [False]
+    assert _bits(got) == _bits(d)
 
 
 def test_compose_shift_with_adjoint_is_range_projector():
