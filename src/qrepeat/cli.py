@@ -62,29 +62,33 @@ def _term_doc(t) -> dict:
             "inStride": t.in_stride, "inOffset": t.in_offset}
 
 
-def _term_from(doc, where: str):
+def _index(doc: dict, field: str, where: str, k: int, minimum: int = 0) -> int:
+    v = doc.get(field)
+    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        raise ValueError(f"{where}[{k}]: {field} must be an integer >= {minimum}")
+    return v
+
+
+def _term_from(doc, where: str, k: int):
+    """Term ``k`` of the operator at ``where``; its path is formatted only
+    for an error."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{where}: term must be an object")
+        raise ValueError(f"{where}[{k}]: term must be an object")
     kind = doc.get("kind")
     raw = doc.get("coeff")
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
             or not all(isinstance(x, (int, float)) for x in raw)):
-        raise ValueError(f"{where}: coeff must be a [re, im] pair")
+        raise ValueError(f"{where}[{k}]: coeff must be a [re, im] pair")
     coeff = complex(raw[0], raw[1])
-
-    def index(field, minimum=0):
-        v = doc.get(field)
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-            raise ValueError(f"{where}: {field} must be an integer >= {minimum}")
-        return v
-
     if kind == "dyad":
-        return Dyad(coeff, index("out"), index("in"))
+        return Dyad(coeff, _index(doc, "out", where, k), _index(doc, "in", where, k))
     if kind == "family":
-        return Family(coeff, index("outStride", 1), index("outOffset"),
-                      index("inStride", 1), index("inOffset"),
-                      index("jStart") if "jStart" in doc else 0)
-    raise ValueError(f"{where}: kind must be 'dyad' or 'family'")
+        return Family(coeff, _index(doc, "outStride", where, k, 1),
+                      _index(doc, "outOffset", where, k),
+                      _index(doc, "inStride", where, k, 1),
+                      _index(doc, "inOffset", where, k),
+                      _index(doc, "jStart", where, k) if "jStart" in doc else 0)
+    raise ValueError(f"{where}[{k}]: kind must be 'dyad' or 'family'")
 
 
 def _operator_doc(op: StructuredOperator) -> list:
@@ -94,8 +98,7 @@ def _operator_doc(op: StructuredOperator) -> list:
 def _operator_from(doc, where: str) -> StructuredOperator:
     if not isinstance(doc, list):
         raise ValueError(f"{where}: terms must be a list")
-    return StructuredOperator(tuple(
-        _term_from(t, f"{where}[{k}]") for k, t in enumerate(doc)))
+    return StructuredOperator(tuple(_term_from(t, where, k) for k, t in enumerate(doc)))
 
 
 def instrument_doc(inst: Instrument) -> dict:
@@ -207,7 +210,7 @@ def wold_doc(inst: Instrument) -> dict:
         entry = {"label": label}
         try:
             parts = split(op)
-            dec = wold_decompose(parts.v)
+            dec = wold_decompose(parts.v, parts.vd)
         except QRepeatError as e:
             entry["unsupported"] = str(e)
             outcomes.append(entry)

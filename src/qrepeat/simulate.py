@@ -4,7 +4,10 @@ Sampling conventions, fixed so runs are bit-reproducible: randomness comes
 from ``numpy.random.default_rng`` (PCG64); a single uniform drives each
 measurement through inverse-CDF selection over the outcomes in instrument
 order; trajectory ``k`` of a batch uses the generator seeded with
-``[seed, k]``.
+``[seed, k]``.  A statistics batch does not build those generators: it
+computes their PCG64 states for a chunk of ``k`` in one vectorized pass of
+numpy's SeedSequence mixing and loads each into one reused PCG64, so its
+draws are those of ``default_rng([seed, k])`` bit for bit.
 
 One selection applies each outcome operator once (:func:`born_probabilities`
 keeps the images it computes) and normalizes the chosen image.  Within one
@@ -22,6 +25,7 @@ so dense results on that span are exact rather than approximate.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -208,6 +212,93 @@ def run_trajectory(inst: Instrument, psi: StateVector, steps: int,
     return TrajectoryRecord(seed, psi, tuple(record))
 
 
+# -- batched [seed, k] streams -----------------------------------------------
+
+# numpy's SeedSequence (NEP 19 pins its output): hash and mix constants,
+# xorshift and pool size
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_MASK128 = (1 << 128) - 1
+# k seeded per pass; it divides 2**32, so every k of an aligned chunk has
+# the same number of 32-bit words
+_CHUNK = 1024
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian 32-bit words of ``n``, as SeedSequence reads an int."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_states(seed_words: list[int], start: int, stop: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` seeded by ``SeedSequence(seed_words + words(k))``
+    for ``k`` in ``[start, stop)``, an aligned chunk; one uint32 numpy pass.
+
+    Every numpy operation mixes a uint32 array with a uint32 scalar, so
+    it wraps the same way before and after NEP 50, without a warning.
+    """
+    n, low = stop - start, start & _MASK32
+    low = np.arange(low, low + n, dtype=np.int64).astype(np.uint32)
+    high = _words(start >> 32) if start >> 32 else []
+    entropy = ([np.full(n, w, np.uint32) for w in seed_words] + [low]
+               + [np.full(n, w, np.uint32) for w in high])
+    entropy += [np.zeros(n, np.uint32)] * (_POOL - len(entropy))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(entropy[i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, len(entropy)):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    # generate_state(4, uint64): eight uint32 words, read little-endian in pairs
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % _POOL] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append(value ^ (value >> _XSHIFT))
+    w = np.stack(out, axis=1).astype("<u4").view("<u8").T.astype(object)
+    # PCG64 seeding: inc = seq << 1 | 1; state = step(step(0) + initstate)
+    inc = (w[2] << 65 | w[3] << 1 | 1) & _MASK128
+    state = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _MASK128
+    return list(zip(state.tolist(), inc.tolist()))
+
+
+def _streams(seed: int, start: int, stop: int):
+    """PCG64 ``(state, inc)`` of ``default_rng([seed, k])`` for each ``k`` in
+    ``[start, stop)``, seeded ``_CHUNK`` at a time so memory stays flat."""
+    seed_words = _words(seed)
+    for chunk in range(start - start % _CHUNK, stop, _CHUNK):
+        yield from _pcg64_states(seed_words, max(chunk, start), min(chunk + _CHUNK, stop))
+
+
 # -- empirical statistics ----------------------------------------------------
 
 
@@ -232,8 +323,10 @@ def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
     """Tally p(second | first) over two-step trajectories.
 
     ``state_sampler`` maps a numpy Generator to an initial StateVector;
-    trajectory ``k`` uses the generator seeded with ``[seed, k]`` for both
-    the sample and its two measurement uniforms.
+    trajectory ``k`` draws the sample and its two measurement uniforms from
+    the stream of ``default_rng([seed, k])``.  The Generator passed to the
+    sampler is valid only during that call: one Generator serves the whole
+    batch, and its state is replaced before each trajectory.
     """
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
@@ -242,14 +335,20 @@ def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
     counts: dict[tuple[Outcome, Outcome], int] = {}
     memo: dict = {}  # Born distributions of the current sample and its post-states
     sample = object()  # no sampler returns this, so the first draw is new
-    for k in range(trajectories):
-        rng = np.random.default_rng([seed, k])
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    # a fresh PCG64 has no buffered 32-bit half, so neither may the reused one
+    fresh = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for state, inc in _streams(seed, 0, trajectories):
+        pcg["state"], pcg["inc"] = state, inc
+        bit_generator.state = fresh
         drawn = state_sampler(rng)
         if drawn is not sample:
             sample, psi = drawn, drawn.normalized()
             memo.clear()
-        e, _, phi = _select(inst, psi, float(rng.random()), tol, memo)
-        f, _, _ = _select(inst, phi, float(rng.random()), tol, memo)
+        e, _, phi = _select(inst, psi, rng.random(), tol, memo)
+        f, _, _ = _select(inst, phi, rng.random(), tol, memo)
         first_counts[e] = first_counts.get(e, 0) + 1
         counts[(e, f)] = counts.get((e, f), 0) + 1
     return ConditionalStats(trajectories, first_counts, counts)

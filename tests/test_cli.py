@@ -61,6 +61,26 @@ def test_instrument_parse_rejects_malformed_documents(doc, msg):
         cli.instrument_from_doc(doc, check_completeness=False)
 
 
+@pytest.mark.parametrize("term,text", [
+    ("dyad", "term must be an object"),
+    ({"kind": "dyad", "coeff": [1.0], "out": 0, "in": 0}, "coeff must be a [re, im] pair"),
+    ({"kind": "dyad", "coeff": [1.0, 0.0], "out": True, "in": 0},
+     "out must be an integer >= 0"),
+    ({"kind": "family", "coeff": [1.0, 0.0], "outStride": 1, "outOffset": 0,
+      "inStride": 0, "inOffset": 0}, "inStride must be an integer >= 1"),
+    ({"kind": "family", "coeff": [1.0, 0.0], "outStride": 1, "outOffset": 0,
+      "inStride": 1, "inOffset": 0, "jStart": -1}, "jStart must be an integer >= 0"),
+    ({"kind": "wedge", "coeff": [1.0, 0.0]}, "kind must be 'dyad' or 'family'"),
+])
+def test_a_bad_term_is_named_by_its_path(term, text):
+    doc = cli.instrument_doc(build_example_family(3, (0.2, 0.3, 0.5)))
+    terms = doc["outcomes"][1]["terms"]
+    terms[:] = (terms * 2)[:3] + [term]  # three good terms, then the bad one
+    with pytest.raises(ValueError) as err:
+        cli.instrument_from_doc(doc, check_completeness=False)
+    assert str(err.value) == f"outcomes[1].terms[3]: {text}"
+
+
 def test_certify_exit_codes(runner, tmp_path):
     good = write_instrument(build_example_family(2, (0.5, 0.5)),
                             tmp_path / "good.json")

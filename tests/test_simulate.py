@@ -255,3 +255,57 @@ def test_conditionals_on_a_fixed_state_apply_each_transition_once(monkeypatch):
     assert len(calls) < 50
     # every apply is made by a Born distribution, one per outcome
     assert 0 < len(distributions) and len(calls) == 2 * len(distributions)
+
+
+# -- batched [seed, k] streams -------------------------------------------------
+
+# 2**96 + 7 has four words, so with k the entropy overflows the 4-word pool
+# and reaches SeedSequence's trailing mix loop.
+STREAM_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 7]
+
+
+def _numpy_states(seed, ks):
+    return [tuple(np.random.default_rng([seed, k]).bit_generator.state["state"].values())
+            for k in ks]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_streams_match_numpys_seeding(seed):
+    assert list(sim._streams(seed, 0, 5001)) == _numpy_states(seed, range(5001))
+    # a start inside a chunk, and k on both sides of the first two-word k
+    for start, stop in ((sim._CHUNK - 3, sim._CHUNK + 3), (2**32 - 3, 2**32 + 3)):
+        assert list(sim._streams(seed, start, stop)) == _numpy_states(seed, range(start, stop))
+
+
+def test_streams_reject_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng([-1, 0])
+    with pytest.raises(ValueError) as got:
+        list(sim._streams(-1, 0, 1))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match=str(want.value)):
+        empirical_conditionals(EX, fixed_state_sampler(StateVector.basis(0)), 1, -1)
+
+
+# The reused Generator must start every trajectory like a fresh one: a 32-bit
+# draw leaves half of a 64-bit output buffered, which must not leak into the
+# next trajectory.
+def test_a_sampler_that_buffers_32_bits_matches_the_reference(monkeypatch):
+    def buffered(rng):
+        rng.integers(0, 7, dtype=np.int32)
+        return oa.random_state(rng, 32, 8)
+
+    _assert_matches_reference(monkeypatch, SAMPLED["binary"], buffered)
+
+
+def test_a_batch_builds_no_generator_per_trajectory(monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    empirical_conditionals(EX, random_state_sampler(32, 8), trajectories=1000, seed=3)
+    assert calls == []

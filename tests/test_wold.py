@@ -209,7 +209,7 @@ def test_memory_map_handles_projective_outcomes():
     assert mm["odd"].fixed_domain == ODDS
 
 
-def test_memory_map_builds_three_adjoints_per_outcome(monkeypatch):
+def test_memory_map_builds_two_adjoints_per_outcome(monkeypatch):
     inst = build_example_family(24, [1 / 24] * 24)
     calls = []
     inner = oa.adjoint
@@ -221,6 +221,6 @@ def test_memory_map_builds_three_adjoints_per_outcome(monkeypatch):
     monkeypatch.setattr(oa, "adjoint", counted)
     mm = memory_map(inst)
     assert all(dec is not None for dec in mm.values())
-    # split and the monomial check each build adjoint(v); the unitarity
-    # certificate shares one adjoint(u) between its two sides (96 when not)
-    assert len(calls) <= 72
+    # split and the monomial check share one adjoint(v) (72 when not); the
+    # unitarity certificate shares one adjoint(u) between its two sides
+    assert len(calls) == 48
