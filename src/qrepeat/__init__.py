@@ -6,7 +6,8 @@ build the two lengths.  The class is closed under adjoint, sum, and
 composition, with equality decided exactly on the terms.  On top of that
 algebra sit instrument builders, a repeatability certifier, POVM
 classification, shift-orbit decomposition with its repetition counter,
-and seeded Born-rule simulation cross-checked by a dense truncation oracle.
+seeded Born-rule simulation, and cross-checks of the exact engine by dense
+truncation oracles and sampling.
 """
 
 from .errors import (BadProbabilityVector, CompletenessViolation,
@@ -23,19 +24,20 @@ from .opalgebra import (Dyad, Family, StateVector, StructuredOperator, add,
 from .instruments import (Instrument, Povm, build_binary_example,
                           build_example_family, build_from_parts,
                           build_nonrepeatable_sibling, build_orthogonal,
-                          make_instrument, make_povm, povm)
+                          make_instrument, povm)
 from .certify import (CertificationReport, OutcomeChecks, PairChecks,
                       PovmClassification, Witness, certify_repeatable,
-                      check_orthogonal, check_repeatability_numerical,
-                      classify_povm, finite_dim_corollary_suite)
+                      check_orthogonal, classify_povm)
 from .wold import (BilateralOrbit, CycleFamily, MemoryReading, ShiftOrbit,
                    SplitParts, WoldDecomposition, memory_map, read_memory,
                    split, wold_decompose)
 from .simulate import (ConditionalStats, TrajectoryRecord, TrajectoryStep,
-                       TruncationWindow, born_probabilities, dense_oracle,
-                       dense_state, empirical_conditionals, fixed_state_sampler,
-                       measure_once, random_state_sampler, run_trajectory,
-                       window_for)
+                       born_probabilities, empirical_conditionals,
+                       fixed_state_sampler, measure_once, random_state_sampler,
+                       run_trajectory)
+from .crosscheck import (TruncationWindow, check_repeatability_numerical,
+                         dense_oracle, dense_state, finite_dim_corollary_suite,
+                         window_for)
 
 __version__ = "0.1.0"
 
@@ -56,7 +58,7 @@ __all__ = [
     "compose", "dense_oracle", "dense_state", "diagonal_part",
     "empirical_conditionals", "equals", "finite_dim_corollary_suite",
     "fixed_state_sampler", "is_diagonal", "is_monomial", "make_instrument",
-    "make_povm", "max_deviation", "memory_map", "measure_once",
+    "max_deviation", "memory_map", "measure_once",
     "operator_norm", "povm", "projector", "random_state",
     "random_state_sampler", "read_memory", "run_trajectory", "settings",
     "split", "wold_decompose", "window_for",

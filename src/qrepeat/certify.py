@@ -3,23 +3,23 @@
 The structural test is the isometry-on-range identity
 ``M_e* M_e M_e = M_e`` combined with pairwise annihilation
 ``M_f M_e = 0``; both are decided exactly on the terms, at every
-position.  The numerical cross-check instead samples states and inspects
-conditional outcome ratios, and a dense truncation suite exercises the
-finite-dimensional equivalence of repeatability and orthogonality.
+position.  POVM classification splits diagonal effects into projective
+and degenerate parts, exactly as well.  Checks of these decisions by
+other means (dense windows, sampled ratios) live in
+:mod:`qrepeat.crosscheck`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
 
 from . import opalgebra as oa
 from .config import current
 from .errors import InvalidPovm, UnsupportedForm
 from .indexsets import IndexSet, from_parts
-from .instruments import Instrument, Outcome, Povm, _check_resolution
+from .instruments import Instrument, Outcome, Povm
 from .opalgebra import Dyad, Family, StructuredOperator
 
 
@@ -118,160 +118,6 @@ def check_orthogonal(pv: Povm) -> bool:
     return True
 
 
-def check_repeatability_numerical(inst: Instrument, trials: int = 100, max_index: int = 32,
-                                  seed: int = 0) -> dict[tuple[Outcome, Outcome], float]:
-    """Largest observed deviation of conditional ratios from the Kronecker delta.
-
-    Each trial draws an independent state from the generator seeded with
-    ``[seed, trial]`` and accumulates, per ordered outcome pair, the
-    deviation of ``|M_f M_e psi|^2 / |M_e psi|^2`` from ``delta_ef``.
-    """
-    tol = current().tolerance
-    devs: dict[tuple[Outcome, Outcome], float] = {
-        (e, f): 0.0 for e in inst.outcomes for f in inst.outcomes}
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        psi = oa.random_state(rng, max_index)
-        for e, op_e in inst.items():
-            phi = oa.apply(op_e, psi)
-            ne = phi.norm_sq()
-            if ne <= tol:
-                continue
-            for f, op_f in inst.items():
-                ratio = oa.apply(op_f, phi).norm_sq() / ne
-                dev = abs(ratio - (1.0 if e == f else 0.0))
-                if dev > devs[(e, f)]:
-                    devs[(e, f)] = dev
-    return devs
-
-
-# -- dense finite-dimensional suite ----------------------------------------
-
-
-def _dense_max_pair_norm(ops: list[np.ndarray]) -> float:
-    worst = 0.0
-    for i, a in enumerate(ops):
-        for j, b in enumerate(ops):
-            if i != j:
-                worst = max(worst, float(np.linalg.norm(b @ a, 2)))
-    return worst
-
-
-def _dense_repeatable(ops: list[np.ndarray], tol: float) -> bool:
-    for m in ops:
-        if np.linalg.norm(m.conj().T @ m @ m - m, 2) > tol:
-            return False
-    return _dense_max_pair_norm(ops) <= tol
-
-
-def _dense_orthogonal(effects: list[np.ndarray], tol: float) -> bool:
-    for i, p in enumerate(effects):
-        for j, q in enumerate(effects):
-            target = q if i == j else np.zeros_like(q)
-            if np.linalg.norm(p @ q - target, 2) > tol:
-                return False
-    return True
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _random_povm(rng: np.random.Generator, dim: int, n: int) -> list[np.ndarray]:
-    while True:
-        blocks = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                  for _ in range(n)]
-        gram = [b.conj().T @ b for b in blocks]
-        total = sum(gram)
-        vals, vecs = np.linalg.eigh(total)
-        if vals.min() < 1e-6:
-            continue
-        root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-        effects = [root @ g @ root for g in gram]
-        # require the draw to be visibly non-projective
-        worst = max(np.linalg.norm(p @ p - p, 2) for p in effects)
-        if worst > 1e-3:
-            return effects
-
-
-def _random_partition(rng: np.random.Generator, dim: int) -> list[list[int]]:
-    n = int(rng.integers(2, min(dim, 4) + 1))
-    labels = rng.integers(0, n, size=dim)
-    labels[rng.permutation(dim)[:n]] = np.arange(n)  # keep every block nonempty
-    return [[i for i in range(dim) if labels[i] == k] for k in range(n)]
-
-
-def finite_dim_corollary_suite(dim: int, seed: int, tol: float = 1e-10) -> bool:
-    """Check that in dimension ``dim`` repeatability and orthogonality coincide.
-
-    Three randomized draws are exercised: a projective instrument run
-    through the exact certifier (padded with a tail projector so it is
-    complete on the whole basis), the square-root instrument of a random
-    non-projective POVM (must fail repeatability), and a unitary rotation
-    of a projective instrument (orthogonal effects, yet not repeatable).
-    The implication repeatable => orthogonal is asserted across all draws.
-    """
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    rng = np.random.default_rng([seed, dim])
-    ok = True
-
-    # (a) projective partition, certified by the exact engine
-    blocks = _random_partition(rng, dim)
-    sets = {k + 1: IndexSet.from_indices(block) for k, block in enumerate(blocks)}
-    sets[len(blocks) + 1] = IndexSet.from_progression(1, dim)  # tail, completes the basis
-    from .instruments import build_orthogonal
-    inst = build_orthogonal(sets)
-    report = certify_repeatable(inst)
-    ok &= report.repeatable and report.orthogonal
-
-    # (b) square-root instrument of a non-projective POVM
-    effects = _random_povm(rng, dim, int(rng.integers(2, 4)))
-    roots = [_psd_sqrt(p) for p in effects]
-    rep_b = _dense_repeatable(roots, tol)
-    ok &= not rep_b
-    deviation = _dense_eq4_deviation(roots, rng, trials=20)
-    ok &= deviation > 1e-6
-    if rep_b:  # implication guard, never expected to trigger
-        ok &= _dense_orthogonal(effects, tol)
-
-    # (c) rotated projective instrument: orthogonal POVM, not repeatable
-    proj = [np.diag([1.0 + 0j if i in block else 0.0 for i in range(dim)])
-            for block in blocks]
-    u = _random_unitary(rng, dim)
-    rotated = [u @ p for p in proj]
-    ok &= _dense_orthogonal([m.conj().T @ m for m in rotated], tol)
-    if not _dense_repeatable(rotated, tol):
-        ok &= _dense_eq4_deviation(rotated, rng, trials=20) > 1e-8
-    return bool(ok)
-
-
-def _dense_eq4_deviation(ops: list[np.ndarray], rng: np.random.Generator,
-                         trials: int) -> float:
-    dim = ops[0].shape[0]
-    worst = 0.0
-    for _ in range(trials):
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi /= np.linalg.norm(psi)
-        for i, a in enumerate(ops):
-            phi = a @ psi
-            ne = float(np.vdot(phi, phi).real)
-            if ne < 1e-12:
-                continue
-            for j, b in enumerate(ops):
-                ratio = float(np.vdot(b @ phi, b @ phi).real) / ne
-                worst = max(worst, abs(ratio - (1.0 if i == j else 0.0)))
-    return worst
-
-
 # -- POVM classification ---------------------------------------------------
 
 
@@ -320,7 +166,9 @@ def classify_povm(pv: Povm) -> PovmClassification:
     for label, p in pv.items():
         if not oa.is_diagonal(p):
             raise UnsupportedForm(f"effect {label!r} is not diagonal in the canonical basis")
-    _check_resolution(pv)
+    dev, pos = pv.identity_deviation()
+    if dev > tol:
+        raise InvalidPovm(f"effects deviate from a resolution of identity by {dev:.3g} at {pos}")
 
     bound = 1
     period = 1
@@ -334,49 +182,33 @@ def classify_povm(pv: Povm) -> PovmClassification:
     # representative in [bound, bound + period)
     diag = {label: _diagonal(pv.effect(label), bound + period) for label in labels}
 
-    def classify_index(i: int) -> Outcome | None:
+    # one walk over the points below the bound, then one representative per
+    # residue; ``None`` keys the degenerate block omega
+    parts: dict[Outcome | None, tuple[list, list]] = {who: ([], []) for who in (*labels, None)}
+    t_terms: dict[Outcome, list] = {label: [] for label in labels}
+    for i in chain(range(bound), (bound + (r - bound) % period for r in range(period))):
         vals = {label: diag[label][i] for label in labels}
         if any(v < -tol for v in vals.values()):
             raise InvalidPovm(f"effect diagonal is negative at index {i}")
         ones = [label for label, v in vals.items() if abs(v - 1.0) <= tol]
         zeros = [label for label, v in vals.items() if abs(v) <= tol]
-        if len(ones) == 1 and len(zeros) == len(labels) - 1:
-            return ones[0]
-        return None
+        who = ones[0] if len(ones) == 1 and len(zeros) == len(labels) - 1 else None
+        points, progressions = parts[who]
+        if i < bound:
+            points.append(i)
+        else:
+            progressions.append((period, i))
+        if who is None:
+            for label, v in vals.items():
+                if abs(v) > tol:
+                    t_terms[label].append(Dyad(v, i, i) if i < bound
+                                          else Family(v, period, i, period, i))
 
-    z_members: dict[Outcome, list[int]] = {label: [] for label in labels}
-    omega_members: list[int] = []
-    for i in range(bound):
-        who = classify_index(i)
-        (omega_members if who is None else z_members[who]).append(i)
-    z_res: dict[Outcome, list[int]] = {label: [] for label in labels}
-    omega_res: list[int] = []
-    for r in range(period):
-        rep = bound + ((r - bound) % period)
-        who = classify_index(rep)
-        (omega_res if who is None else z_res[who]).append(r)
-
-    def assemble(members: list[int], residues: list[int]) -> IndexSet:
-        return from_parts(members, [(period, bound + ((r - bound) % period)) for r in residues])
-
-    z_sets = {label: assemble(z_members[label], z_res[label]) for label in labels}
-    omega_set = assemble(omega_members, omega_res)
-
+    z_sets = {label: from_parts(*parts[label]) for label in labels}
+    omega_set = from_parts(*parts[None])
     z_ops = {label: oa.projector(z_sets[label]) for label in labels}
     z_omega = oa.projector(omega_set)
-    t_ops: dict[Outcome, StructuredOperator] = {}
-    for label in labels:
-        terms = []
-        for i in omega_members:
-            v = diag[label][i]
-            if abs(v) > tol:
-                terms.append(Dyad(v, i, i))
-        for r in omega_res:
-            off = bound + ((r - bound) % period)
-            v = diag[label][off]
-            if abs(v) > tol:
-                terms.append(Family(v, period, off, period, off))
-        t_ops[label] = StructuredOperator(terms)
+    t_ops = {label: StructuredOperator(terms) for label, terms in t_terms.items()}
 
     ok = True
     recombined = StructuredOperator.zero()

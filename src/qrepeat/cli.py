@@ -210,7 +210,7 @@ def wold_doc(inst: Instrument) -> dict:
         entry = {"label": label}
         try:
             parts = split(op)
-            dec = wold_decompose(parts.v, parts.vd)
+            dec = wold_decompose(parts.v)
         except QRepeatError as e:
             entry["unsupported"] = str(e)
             outcomes.append(entry)

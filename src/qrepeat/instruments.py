@@ -17,8 +17,8 @@ from typing import Iterable, Mapping
 from . import opalgebra as oa
 from .config import current
 from .errors import (BadProbabilityVector, CompletenessViolation,
-                     ContractionViolation, CoverageViolation, InvalidPovm,
-                     PartsViolation, UnsupportedForm)
+                     ContractionViolation, CoverageViolation, PartsViolation,
+                     UnsupportedForm)
 from .indexsets import IndexSet
 from .opalgebra import Dyad, Family, StructuredOperator
 
@@ -74,12 +74,6 @@ class Povm(_Labeled):
         return oa.max_deviation(total, StructuredOperator.identity())
 
 
-def _check_resolution(pv: Povm) -> None:
-    dev, pos = pv.identity_deviation()
-    if dev > current().tolerance:
-        raise InvalidPovm(f"effects deviate from a resolution of identity by {dev:.3g} at {pos}")
-
-
 def make_instrument(entries: Mapping[Outcome, StructuredOperator],
                     check_completeness: bool = True) -> Instrument:
     """Validate and freeze a labeled operator family.
@@ -118,17 +112,6 @@ def make_instrument(entries: Mapping[Outcome, StructuredOperator],
 def povm(inst: Instrument) -> Povm:
     return Povm(tuple((label, oa.compose(oa.adjoint(op), op))
                       for label, op in inst.items()))
-
-
-def make_povm(entries: Mapping[Outcome, StructuredOperator]) -> Povm:
-    """Freeze raw effects, verifying only that they sum to the identity.
-
-    Positivity of arbitrary structured effects is not decided here; effects
-    produced by :func:`povm` are positive by construction.
-    """
-    pv = Povm(tuple(sorted(entries.items(), key=lambda kv: _sort_key(kv[0]))))
-    _check_resolution(pv)
-    return pv
 
 
 # -- worked families -------------------------------------------------------

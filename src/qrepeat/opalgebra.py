@@ -153,7 +153,7 @@ class StructuredOperator:
     def _canonical(cls, terms: tuple[Term, ...]) -> "StructuredOperator":
         """Wrap terms as given, without canonicalizing them.  Terms that are
         not canonical may go only to readers of any term list, such as
-        ``max_deviation`` and ``compose``'s left factor."""
+        ``max_deviation``, ``is_monomial`` and ``compose``'s left factor."""
         op = object.__new__(cls)
         object.__setattr__(op, "terms", terms)
         return op
@@ -203,15 +203,6 @@ class StructuredOperator:
         return _index_set((t.out_stride, t.out_offset, t.length) for t in self.terms)
 
     # -- algebra ---------------------------------------------------------
-
-    def adjoint(self) -> "StructuredOperator":
-        return adjoint(self)
-
-    def compose(self, other: "StructuredOperator") -> "StructuredOperator":
-        return compose(self, other)
-
-    def apply(self, psi: "StateVector") -> "StateVector":
-        return apply(self, psi)
 
     def scale(self, factor: complex) -> "StructuredOperator":
         return StructuredOperator([_scaled(t, factor) for t in self.terms])

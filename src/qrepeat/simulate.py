@@ -1,4 +1,4 @@
-"""Born sampling, measurement trajectories, and the dense truncation oracle.
+"""Born sampling and measurement trajectories.
 
 Sampling conventions, fixed so runs are bit-reproducible: randomness comes
 from ``numpy.random.default_rng`` (PCG64); a single uniform drives each
@@ -15,11 +15,6 @@ statistics run (:func:`empirical_conditionals`) the Born distribution of a
 state and its normalized post-states are computed once per state object,
 while the sampler keeps returning that object, and reused with identical
 results.
-
-The dense oracle realizes a structured operator as a finite matrix.  A
-truncation window is only trusted after checking, from the term structure
-alone, that every input below ``valid_input_dim`` maps inside the window,
-so dense results on that span are exact rather than approximate.
 """
 
 from __future__ import annotations
@@ -27,82 +22,15 @@ from __future__ import annotations
 import dataclasses
 import operator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from . import opalgebra as oa
 from .config import current
-from .errors import DegenerateState, WindowInvalid
+from .errors import DegenerateState
 from .instruments import Instrument, Outcome
-from .opalgebra import StateVector, StructuredOperator
+from .opalgebra import StateVector
 from .wold import MemoryReading, memory_map, read_memory
-
-
-# -- dense oracle ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncationWindow:
-    dim: int
-    valid_input_dim: int
-
-    def __post_init__(self):
-        if self.valid_input_dim < 1 or self.dim < self.valid_input_dim:
-            raise WindowInvalid(
-                f"window ({self.dim}, {self.valid_input_dim}) is not ordered")
-
-
-def _max_output_below(op: StructuredOperator, input_dim: int) -> int:
-    """Largest output index reachable from inputs below ``input_dim``, or -1."""
-    top = -1
-    for t in op.terms:
-        j = (input_dim - 1 - t.in_offset) // t.in_stride
-        if t.length is not None:
-            j = min(j, t.length - 1)
-        if j >= 0:
-            top = max(top, t.out_stride * j + t.out_offset)
-    return top
-
-
-def window_for(ops, valid_input_dim: int) -> TruncationWindow:
-    """Smallest window that is valid for every given operator."""
-    if isinstance(ops, StructuredOperator):
-        ops = [ops]
-    elif isinstance(ops, Instrument):
-        ops = [op for _, op in ops.items()]
-    dim = valid_input_dim
-    for op in ops:
-        dim = max(dim, _max_output_below(op, valid_input_dim) + 1)
-    return TruncationWindow(dim, valid_input_dim)
-
-
-def dense_oracle(op: StructuredOperator, window: TruncationWindow) -> np.ndarray:
-    """Entrywise dense realization of ``op`` on the window.
-
-    Raises WindowInvalid when some input below ``valid_input_dim`` would
-    leave the window, since results could then silently lose amplitude.
-    """
-    top = _max_output_below(op, window.valid_input_dim)
-    if top >= window.dim:
-        raise WindowInvalid(
-            f"operator maps the valid span up to index {top}, "
-            f"outside the window of dimension {window.dim}")
-    mat = np.zeros((window.dim, window.dim), dtype=complex)
-    for t in op.terms:
-        for key in islice(zip(range(t.out_offset, window.dim, t.out_stride),
-                              range(t.in_offset, window.dim, t.in_stride)), t.length):
-            mat[key] += t.coeff
-    return mat
-
-
-def dense_state(psi: StateVector, dim: int) -> np.ndarray:
-    vec = np.zeros(dim, dtype=complex)
-    for i, amp in psi.items():
-        if i >= dim:
-            raise WindowInvalid(f"state occupies index {i} outside dimension {dim}")
-        vec[i] = amp
-    return vec
 
 
 # -- Born sampling -----------------------------------------------------------

@@ -37,12 +37,10 @@ _WALK_CAP = 500_000
 
 @dataclass(frozen=True)
 class SplitParts:
-    """Shift block ``v`` (columns inside the range) and deposit block ``w``,
-    with ``vd``, the adjoint of ``v`` that the split builds for its checks."""
+    """Shift block ``v`` (columns inside the range) and deposit block ``w``."""
 
     v: StructuredOperator
     w: StructuredOperator
-    vd: StructuredOperator
 
 
 def split(m: StructuredOperator) -> SplitParts:
@@ -73,7 +71,7 @@ def split(m: StructuredOperator) -> SplitParts:
     # V* W = 0 exactly when its adjoint W* V = 0, so one order decides both
     check("deposit range is orthogonal to the shift range",
           oa.compose(vd, w), StructuredOperator.zero())
-    return SplitParts(v, w, vd)
+    return SplitParts(v, w)
 
 
 # -- orbit bookkeeping -------------------------------------------------------
@@ -221,11 +219,11 @@ def _walk(terms, start: int, modulus: int):
 # -- decomposition -----------------------------------------------------------
 
 
-def _validate(v: StructuredOperator, vd: StructuredOperator | None,
-              tol: float) -> tuple[IndexSet, IndexSet]:
+def _validate(v: StructuredOperator, tol: float) -> tuple[IndexSet, IndexSet]:
     if not oa.is_monomial(v):
         raise UnsupportedForm("orbit analysis requires at most one entry per column")
-    if not oa.is_monomial(oa.adjoint(v) if vd is None else vd):
+    # the transposed terms need no canonical form: is_monomial reads any list
+    if not oa.is_monomial(StructuredOperator._canonical(tuple(t.adjoint() for t in v.terms))):
         raise NotIsometricOnSupport(
             "columns share output rows, so the squared modulus is not a projector")
     for t in v.terms:
@@ -242,8 +240,7 @@ def _validate(v: StructuredOperator, vd: StructuredOperator | None,
     return support, rng
 
 
-def wold_decompose(v: StructuredOperator,
-                   vd: StructuredOperator | None = None) -> WoldDecomposition:
+def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
     """Split a partial isometry into unitary and unilateral-shift blocks.
 
     Requires a monomial operator with unimodular amplitudes whose families
@@ -252,10 +249,9 @@ def wold_decompose(v: StructuredOperator,
     (support minus range) yield the shift orbits; the rest of the support
     carries the unitary block, inventoried as a fixed domain, finite
     cycles, periodic cycle families, and bilateral chains.  Every verdict
-    is re-verified exactly before returning.  ``vd``, the adjoint of ``v``
-    when the caller already holds it (``SplitParts.vd``), saves building it.
+    is re-verified exactly before returning.
     """
-    support, rng = _validate(v, vd, current().tolerance)
+    support, rng = _validate(v, current().tolerance)
 
     fixed_parts, active = [], []
     for t in v.terms:
@@ -450,7 +446,7 @@ def memory_map(inst):
     for label, op in inst.items():
         try:
             parts = split(op)
-            out[label] = wold_decompose(parts.v, parts.vd)
+            out[label] = wold_decompose(parts.v)
         except (UnsupportedForm, SplitInvariantViolation, NotIsometricOnSupport,
                 PeriodCapExceeded):
             out[label] = None

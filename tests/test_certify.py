@@ -1,11 +1,14 @@
 """Repeatability certification, the numerical cross-check, and POVM analysis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qrepeat.certify as cer
+import qrepeat.crosscheck as cc
 import qrepeat.instruments as ins
 import qrepeat.opalgebra as oa
 from helpers import (dense_blocks, index_sets, no_repeatable_form_instruments,
@@ -208,6 +211,27 @@ def test_finite_dim_suite_smoke():
     for dim in range(2, 7):
         for seed in range(3):
             assert finite_dim_corollary_suite(dim, seed)
+
+
+def test_finite_dim_suite_decides_through_the_exact_certifier(monkeypatch):
+    # one certificate per draw: the projective, square-root and rotated
+    # instruments
+    calls = []
+    inner = cc.certify_repeatable
+
+    def counted(inst):
+        calls.append(inst)
+        return inner(inst)
+
+    monkeypatch.setattr(cc, "certify_repeatable", counted)
+    for dim, seed in ((2, 0), (5, 1), (9, 2)):
+        calls.clear()
+        assert finite_dim_corollary_suite(dim, seed)
+        assert len(calls) == 3
+    # and its verdict is the one read: draw (a) must come out repeatable
+    monkeypatch.setattr(cc, "certify_repeatable",
+                        lambda inst: dataclasses.replace(inner(inst), repeatable=False))
+    assert not finite_dim_corollary_suite(2, 0)
 
 
 # -- POVM classification ---------------------------------------------------------

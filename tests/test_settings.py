@@ -1,11 +1,13 @@
 """Scoped settings: tolerance and period cap hold for one block, one thread."""
 
+import inspect
 import math
 import sys
 import threading
 
 import pytest
 
+import qrepeat
 import qrepeat.opalgebra as oa
 from helpers import near_complete_instrument
 from qrepeat import (Dyad, Settings, StructuredOperator, certify_repeatable,
@@ -85,3 +87,18 @@ def test_settings_reject_non_positive_values(fields):
         with settings(**fields):
             pass
     assert current() == Settings()
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # the scoped settings are the only way to set the tolerance
+    offenders = []
+    for name in qrepeat.__all__:
+        obj = getattr(qrepeat, name)
+        if name in ("settings", "Settings") or not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # no introspectable signature
+            continue
+        offenders += [f"{name}({p})" for p in params if p in ("tol", "tolerance")]
+    assert offenders == []

@@ -221,6 +221,7 @@ def test_memory_map_builds_two_adjoints_per_outcome(monkeypatch):
     monkeypatch.setattr(oa, "adjoint", counted)
     mm = memory_map(inst)
     assert all(dec is not None for dec in mm.values())
-    # split and the monomial check share one adjoint(v) (72 when not); the
-    # unitarity certificate shares one adjoint(u) between its two sides
+    # split builds one adjoint(v) and the monomial check transposes the
+    # terms without one; the unitarity certificate shares one adjoint(u)
+    # between its two sides
     assert len(calls) == 48
