@@ -451,9 +451,10 @@ def demo(name, n, p, p1, p2, seed, steps, outdir, tolerance, period_cap):
     written = [_write(instrument_doc(inst), base / f"{name}.instrument.json")]
     rep = certify_repeatable(inst)
     written.append(_write(report_doc(rep), base / f"{name}.report.json"))
-    written.append(_write(povm_doc(inst.povm()), base / f"{name}.povm.json"))
+    pv = inst.povm()
+    written.append(_write(povm_doc(pv), base / f"{name}.povm.json"))
     try:
-        cls_doc = classification_doc(classify_povm(inst.povm()))
+        cls_doc = classification_doc(classify_povm(pv))
     except QRepeatError as e:
         cls_doc = {"schemaVersion": SCHEMA_VERSION, "unsupported": str(e)}
     written.append(_write(cls_doc, base / f"{name}.classification.json"))

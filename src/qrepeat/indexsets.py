@@ -123,7 +123,9 @@ class IndexSet:
         return not self._rmask
 
     def members_below(self, limit: int) -> Iterator[int]:
-        return (i for i in range(limit) if self.member(i))
+        """Members below ``limit``, ascending: the set bits of the transient
+        mask lifted to ``limit``, not one mask shift per index."""
+        return _bits(_lift_transient(self, max(limit, self.bound)) & ((1 << max(limit, 0)) - 1))
 
     def first(self) -> int | None:
         """Smallest member, or None for the empty set."""

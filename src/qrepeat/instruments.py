@@ -192,7 +192,9 @@ def build_binary_example(p1: float, p2: float) -> Instrument:
 
 
 def build_orthogonal(index_sets: Mapping[Outcome, IndexSet]) -> Instrument:
-    """Projective instrument from a partition of the basis into index sets."""
+    """Projective instrument from a partition of the basis into index sets;
+    CoverageViolation unless they partition it, so the projectors sum to
+    ``I`` exactly and completeness is not checked again."""
     labels = sorted(index_sets, key=_sort_key)
     union = IndexSet.empty()
     for label in labels:
@@ -205,7 +207,8 @@ def build_orthogonal(index_sets: Mapping[Outcome, IndexSet]) -> Instrument:
     if union != IndexSet.full():
         missing = IndexSet.full().difference(union)
         raise CoverageViolation(f"basis index {missing.first()} is not covered")
-    return make_instrument({label: oa.projector(index_sets[label]) for label in labels})
+    return make_instrument({label: oa.projector(index_sets[label]) for label in labels},
+                           check_completeness=False)
 
 
 def build_from_parts(

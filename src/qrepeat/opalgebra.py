@@ -111,12 +111,6 @@ _new = object.__new__
  _set_length) = (Term.__dict__[f].__set__ for f in Term.__slots__)
 
 
-def _check_coeff(c: complex) -> None:
-    c = complex(c)
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-        raise ValueError("coefficients must be finite")
-
-
 def Dyad(coeff: complex, out: int, in_: int) -> Term:
     """Point term ``coeff * |out><in_|``."""
     return Term(complex(coeff), 1, int(out), 1, int(in_), 1)
@@ -153,7 +147,7 @@ class StructuredOperator:
     def _canonical(cls, terms: tuple[Term, ...]) -> "StructuredOperator":
         """Wrap terms as given, without canonicalizing them.  Terms that are
         not canonical may go only to readers of any term list, such as
-        ``max_deviation``, ``is_monomial`` and ``compose``'s left factor."""
+        ``max_deviation``, ``is_monomial`` and ``compose``'s left factor, not to ``adjoint``."""
         op = object.__new__(cls)
         object.__setattr__(op, "terms", terms)
         return op
@@ -341,7 +335,8 @@ class StateVector:
         for i, c in items:
             i = int(i)
             c = complex(c)
-            _check_coeff(c)
+            if not cmath.isfinite(c):
+                raise ValueError("coefficients must be finite")
             if i < 0:
                 raise ValueError("basis indices must be nonnegative")
             if c != 0:
@@ -377,9 +372,6 @@ class StateVector:
 
     def support(self) -> tuple[int, ...]:
         return tuple(self._amp)
-
-    def amplitude(self, i: int) -> complex:
-        return self._amp.get(i, 0.0)
 
     def norm_sq(self) -> float:
         return sum([abs(c) ** 2 for c in self._amp.values()])
@@ -436,7 +428,15 @@ def apply(op: StructuredOperator, psi: StateVector) -> StateVector:
 
 
 def adjoint(op: StructuredOperator) -> StructuredOperator:
-    return StructuredOperator([t.adjoint() for t in op.terms])
+    """Adjoint of ``op``, which must be canonical under the active tolerance.
+    The swap keeps signatures distinct and ``|c|`` above the tolerance, and
+    takes a family head (the step before one) to a head (the step before),
+    so nothing merges, drops or is absorbed: the terms are only sorted back
+    into canonical order, each stored as ``0.0 + c`` as canonicalization does."""
+    return StructuredOperator._canonical(tuple(sorted(
+        (Term._trusted(0.0 + t.coeff.conjugate(), t.in_stride, t.in_offset, t.out_stride,
+                       t.out_offset, t.length) for t in op.terms),
+        key=lambda t: (t.length == 1, t.out_stride, t.out_offset, t.in_stride, t.in_offset))))
 
 
 def add(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
@@ -908,11 +908,12 @@ def _monomial_norm(op: StructuredOperator) -> float:
 
     The terms are divided by the largest ``|coeff|`` first and the norm is
     multiplied back, so that ``compose``'s tolerance filter cannot drop the
-    Gram entries of a small operator.
+    Gram entries of a small operator.  Dividing by ``top > 1`` can take a
+    coefficient to the tolerance, so only then is ``unit`` canonicalized again.
     """
     top = max((abs(t.coeff) for t in op.terms), default=1.0)
-    unit = StructuredOperator._canonical(tuple(
-        Term._trusted(t.coeff / top, t.out_stride, t.out_offset, t.in_stride, t.in_offset,
-                      t.length) for t in op.terms))
+    scaled = tuple(Term._trusted(t.coeff / top, t.out_stride, t.out_offset, t.in_stride,
+                                 t.in_offset, t.length) for t in op.terms)
+    unit = StructuredOperator(scaled) if top > 1 else StructuredOperator._canonical(scaled)
     gram, _ = max_deviation(compose(unit, adjoint(unit)), StructuredOperator.zero())
     return top * math.sqrt(gram)

@@ -8,7 +8,8 @@ frozensets, residue by residue, that the bitmask ``IndexSet`` must match.
 ``ref_certify_repeatable`` and ``ref_check_orthogonal`` decide every fact
 over all ordered pairs of outcomes, mirrored adjoint pairs included.
 ``ref_compose`` is the dict join that ``compose``'s dense point kernel must
-match bit for bit.
+match bit for bit, and ``ref_adjoint`` the canonicalizing adjoint that the
+re-sorting ``adjoint`` must match bit for bit.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import qrepeat.cli as cli
 import qrepeat.opalgebra as oa
-from qrepeat import (DegenerateState, Dyad, Family, IndexSet, StateVector,
+from qrepeat import (DegenerateState, Dyad, Family, IndexSet, Povm, StateVector,
                      StructuredOperator, build_example_family,
                      make_instrument, memory_map, read_memory, settings)
 from qrepeat.certify import (CertificationReport, OutcomeChecks, PairChecks,
@@ -333,6 +334,37 @@ def ref_compose(a, b):
     return StructuredOperator._canonical(oa._finish(fams, dyds, current().tolerance))
 
 
+def ref_adjoint(op):
+    """The adjoint canonicalized from scratch: every term flipped, then
+    merged, filtered, absorbed and sorted as any new operator is."""
+    return StructuredOperator([t.adjoint() for t in op.terms])
+
+
+@st.composite
+def signed_zero_operators(draw):
+    """A canonical operator whose coefficients have zero real or imaginary
+    parts, each zero's sign drawn.  Canonicalization stores ``0.0 + c``,
+    which up to CPython 3.13 makes every zero part ``+0.0``; the drawn
+    signs are put back on the canonical terms, so both signs reach
+    ``adjoint`` on every version."""
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        x = draw(st.floats(1e-6, 2.0) | st.floats(-2.0, -1e-6))
+        c = draw(st.sampled_from([complex(x, 0.0), complex(0.0, x), complex(x, x)]))
+        if draw(st.booleans()):
+            terms.append(Dyad(c, draw(st.integers(0, 6)), draw(st.integers(0, 6))))
+        else:
+            terms.append(Family(c, draw(st.integers(1, 3)), draw(st.integers(0, 6)),
+                                draw(st.integers(1, 3)), draw(st.integers(0, 6))))
+    signed = []
+    for t in StructuredOperator(terms).terms:
+        re, im = (math.copysign(0.0, draw(st.sampled_from([1.0, -1.0]))) if part == 0 else part
+                  for part in (t.coeff.real, t.coeff.imag))
+        signed.append(oa.Term._trusted(complex(re, im), t.out_stride, t.out_offset,
+                                       t.in_stride, t.in_offset, t.length))
+    return StructuredOperator._canonical(tuple(signed))
+
+
 @st.composite
 def states(draw, max_index=12):
     amps = draw(st.dictionaries(st.integers(0, max_index), _coeffs,
@@ -488,3 +520,22 @@ def partitions(draw):
         parts.append(s)
         union = union.union(s)
     return parts + [union.complement()]
+
+
+# Weight vectors of a three-outcome diagonal POVM on one part of the basis:
+# indicators make the part projective, exact binary fractions degenerate.
+_DIAGONAL_WEIGHTS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                     (0.5, 0.5, 0.0), (0.25, 0.25, 0.5), (0.0, 0.75, 0.25)]
+
+
+@st.composite
+def diagonal_povms(draw):
+    """A three-outcome POVM, diagonal in the basis: each part of a drawn
+    partition of the basis carries one weight vector."""
+    terms = {1: [], 2: [], 3: []}
+    for part in draw(partitions()):
+        weights = draw(st.sampled_from(_DIAGONAL_WEIGHTS))
+        for label, w in zip(terms, weights):
+            if w:
+                terms[label].extend(oa.projector(part).scale(w).terms)
+    return Povm(tuple((label, StructuredOperator(ts)) for label, ts in terms.items()))

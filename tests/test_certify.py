@@ -11,9 +11,10 @@ import qrepeat.certify as cer
 import qrepeat.crosscheck as cc
 import qrepeat.instruments as ins
 import qrepeat.opalgebra as oa
-from helpers import (dense_blocks, index_sets, no_repeatable_form_instruments,
-                     operators, partitions, ref_certify_repeatable, ref_check_orthogonal)
-from qrepeat import (Dyad, Family, IndexSet, InvalidPovm, StructuredOperator,
+from helpers import (agreement_window, dense_blocks, diagonal_povms, index_sets,
+                     no_repeatable_form_instruments, operators, partitions,
+                     ref_certify_repeatable, ref_check_orthogonal)
+from qrepeat import (Dyad, Family, IndexSet, InvalidPovm, Povm, StructuredOperator,
                      UnsupportedForm, build_binary_example,
                      build_example_family, build_nonrepeatable_sibling,
                      build_orthogonal, certify_repeatable,
@@ -234,6 +235,30 @@ def test_finite_dim_suite_decides_through_the_exact_certifier(monkeypatch):
     assert not finite_dim_corollary_suite(2, 0)
 
 
+def test_finite_dim_suite_reads_completeness_from_the_certifier(monkeypatch):
+    inner = cc.certify_repeatable
+    monkeypatch.setattr(cc, "certify_repeatable",
+                        lambda inst: dataclasses.replace(inner(inst), complete=False))
+    assert not finite_dim_corollary_suite(2, 0)
+
+
+def test_finite_dim_suite_builds_one_povm_per_draw(monkeypatch):
+    # the suite's instruments are not checked for completeness on
+    # construction, so only certify_repeatable composes their POVMs
+    calls = []
+    inner = ins.povm
+
+    def counted(inst):
+        calls.append(None)
+        return inner(inst)
+
+    monkeypatch.setattr(ins, "povm", counted)
+    for dim, seed in ((2, 0), (5, 1), (9, 2)):
+        calls.clear()
+        assert finite_dim_corollary_suite(dim, seed)
+        assert len(calls) == 3
+
+
 # -- POVM classification ---------------------------------------------------------
 
 
@@ -249,6 +274,28 @@ def test_classify_example_povm():
         assert oa.equals(oa.add(cls.z[label], cls.t[label]),
                          build_example_family(2, (0.5, 0.5)).povm().effect(label))
     assert oa.equals(cls.z_omega, StructuredOperator((Dyad(1.0, 0, 0),)))
+
+
+# classify_povm sends each index to exactly one part, so these identities
+# hold by construction and are not re-decided there; they are checked here.
+@given(diagonal_povms())
+@settings(deadline=None)
+def test_classification_parts_partition_the_basis_and_resolve_the_identity(pv):
+    cls = classify_povm(pv)
+    sets = [*cls.z_sets.values(), cls.omega_set]
+    for i in range(agreement_window(*sets)):
+        assert sum(s.member(i) for s in sets) == 1
+    for label in pv.outcomes:
+        assert oa.equals(oa.compose(cls.z[label], cls.t[label]), StructuredOperator.zero())
+    assert check_orthogonal(Povm(tuple(cls.z.items())))
+    cover = cls.z_omega
+    for z in cls.z.values():
+        cover = cover + z
+    assert oa.equals(cover, StructuredOperator.identity())
+    # the checks kept in classify_povm hold on every valid POVM, so the
+    # verdict is the structural one
+    assert cls.admits_repeatable_form == all(
+        not cls.t[label].terms or not cls.z_sets[label].is_finite for label in pv.outcomes)
 
 
 def _diag_value(op, i):

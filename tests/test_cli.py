@@ -6,12 +6,13 @@ import pytest
 from click.testing import CliRunner
 
 import qrepeat.cli as cli
+import qrepeat.instruments as ins
 import qrepeat.opalgebra as oa
 from helpers import (NORM_DEFECT, UNDECIDED_NORMS, near_complete_instrument,
                      no_repeatable_form_instruments)
-from qrepeat import (IndexSet, Instrument, Settings, build_binary_example,
-                     build_example_family, build_nonrepeatable_sibling,
-                     build_orthogonal)
+from qrepeat import (Dyad, Family, IndexSet, Instrument, Settings, StructuredOperator,
+                     build_binary_example, build_example_family,
+                     build_nonrepeatable_sibling, build_orthogonal, make_instrument)
 from qrepeat.config import current
 
 
@@ -199,6 +200,21 @@ def test_wold_command_reports_orbits(runner, tmp_path):
     assert orbits == [{"generator": 1, "prefix": [], "phases": [1], "step": 2}]
 
 
+def test_wold_command_reports_bilateral_orbits(runner, tmp_path):
+    # a unitary outcome: evens descend toward 0, a point carries 0 to 1,
+    # odds ascend
+    unitary = StructuredOperator((Family(1.0, 2, 0, 2, 2), Dyad(1.0, 1, 0),
+                                  Family(1.0, 2, 3, 2, 1)))
+    path = write_instrument(make_instrument({1: unitary}), tmp_path / "bilateral.json")
+    r = runner.invoke(cli.main, ["wold", path, "--out", str(tmp_path / "w.json")])
+    assert r.exit_code == 0, r.output
+    (entry,) = json.loads((tmp_path / "w.json").read_text())["outcomes"]
+    assert entry["bilateralOrbits"] == [{"descendingPhases": [0], "descendingStep": 2,
+                                         "core": [0], "ascendingPhases": [1],
+                                         "ascendingStep": 2}]
+    assert entry["shiftOrbits"] == [] and entry["s"] == []
+
+
 def test_simulate_writes_line_delimited_log(runner, tmp_path):
     path = write_instrument(build_example_family(2, (0.5, 0.5)),
                             tmp_path / "ex.json")
@@ -240,6 +256,23 @@ def test_demo_bundles_regenerate_byte_identical(runner, tmp_path):
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_demo_composes_the_povm_once_for_its_povm_and_classification(runner, tmp_path,
+                                                                     monkeypatch):
+    calls = []
+    inner = ins.povm
+
+    def counted(inst):
+        calls.append(None)
+        return inner(inst)
+
+    monkeypatch.setattr(ins, "povm", counted)
+    r = runner.invoke(cli.main, ["demo", "ex1", "--n", "2", "--outdir", str(tmp_path)])
+    assert r.exit_code == 0, r.output
+    # building checks completeness, certifying reads the effects, and the
+    # povm and classification documents share one
+    assert len(calls) == 3
 
 
 def test_demo_binary_bundle(runner, tmp_path):

@@ -1,5 +1,7 @@
 """Canonical eventually periodic index sets and their Boolean algebra."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +228,24 @@ def test_bitmask_sets_match_the_frozenset_reference(fa, fb):
     assert _fields(a.difference(b)) == _fields(ra.difference(rb))
     assert a.is_subset(b) == ra.is_subset(rb)
     assert a.is_disjoint(b) == ra.is_disjoint(rb)
+
+
+@given(reference_fields(), st.integers(-2, 40))
+def test_members_below_agrees_with_member_and_the_reference(fields, limit):
+    a, ref = IndexSet(*fields), RefIndexSet(*fields)
+    got = list(a.members_below(limit))
+    assert got == [i for i in range(limit) if a.member(i)]
+    assert got == [i for i in range(limit) if ref.member(i)]
+
+
+def test_members_below_a_far_point_is_one_pass():
+    # the index-by-index scan took seconds here: each member() call shifts
+    # the whole transient mask
+    start = time.perf_counter()
+    assert list(IndexSet.from_indices([10**6]).members_below(10**6 + 1)) == [10**6]
+    assert list(IndexSet.from_progression(1, 10**6).members_below(10**6 + 3)) == \
+        [10**6, 10**6 + 1, 10**6 + 2]
+    assert time.perf_counter() - start < 2.0
 
 
 _progressions = st.lists(st.tuples(st.sampled_from(DIVISORS_210[:8]) | st.integers(1, 12),

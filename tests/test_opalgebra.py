@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import qrepeat
 import qrepeat.opalgebra as oa
 from helpers import (NORM_DEFECT, UNDECIDED_NORMS, dense, dense_blocks, dense_vec,
-                     operators, point_products, ref_compose, states)
+                     operators, point_products, ref_adjoint, ref_compose,
+                     signed_zero_operators, states)
 from qrepeat import (Dyad, Family, IndexSet, PeriodCapExceeded, StateVector,
                      StructuredOperator, UnsupportedForm)
 
@@ -181,6 +182,33 @@ def test_canonical_terms_are_the_validating_constructors_terms(op):
                        t.length) for t in op.terms]
     assert (_bits(SimpleNamespace(terms=[t.adjoint() for t in op.terms]))
             == _bits(SimpleNamespace(terms=flipped)))
+
+
+# The adjoint of a canonical operator is only re-sorted; it must keep every
+# bit of the adjoint canonicalized from scratch, signed zeros included.
+@given(st.one_of(operators(), dense_blocks(), signed_zero_operators(),
+                 st.builds(oa.compose, operators(), operators())))
+@settings(deadline=None, max_examples=300)
+@example(StructuredOperator((Dyad(-2.0, 3, 1), Family(-2.0, 2, 5, 1, 2), Dyad(1j, 0, 4))))
+def test_adjoint_is_the_canonicalized_adjoint_bit_for_bit(op):
+    assert _bits(oa.adjoint(op)) == _bits(ref_adjoint(op))
+
+
+def test_adjoint_neither_canonicalizes_nor_finishes(monkeypatch):
+    shift = StructuredOperator((Family(1.0, 2, 3, 2, 1), Dyad(0.5, 1, 0)))
+    block = StructuredOperator([Dyad(complex(i - j, i * j), i, j) for i in range(6)
+                                for j in range(6)] + [Family(1.0, 1, 6, 1, 6)])
+    ops = (shift, block, oa.compose(block, shift))
+    calls = []
+    for name in ("_canonicalize", "_finish"):
+        inner = getattr(oa, name)
+        monkeypatch.setattr(oa, name,
+                            lambda *args, _inner=inner: calls.append(None) or _inner(*args))
+    for op in ops:
+        assert len(oa.adjoint(op).terms) == len(op.terms)
+    assert calls == []
+    ref_adjoint(shift)  # the counter does see a canonicalization
+    assert calls
 
 
 def test_compose_rejects_an_overflowing_product():
@@ -539,6 +567,28 @@ def test_operator_norm_of_a_small_monomial_operator(op):
     value, quality = oa.operator_norm(op)
     assert quality == "exact"
     assert value == pytest.approx(abs(op.terms[0].coeff), rel=1e-12)
+
+
+# Dividing by the largest |coeff|, 2, takes the second point of "drops" to
+# 0.75e-12, under the tolerance, and leaves the point of "absorbs" within
+# the tolerance of cancelling its family's head.  Those scaled terms are
+# not canonical, so they must be canonicalized again before adjoint.
+@pytest.mark.parametrize("op", [
+    StructuredOperator((Dyad(2.0, 0, 0), Dyad(1.5e-12, 1, 1))),
+    StructuredOperator((Family(2.0, 1, 1, 1, 1), Dyad(-2.0 + 1.5e-12, 1, 1))),
+    StructuredOperator((Family(1.0, 2, 3, 2, 1), Dyad(0.5, 0, 0))),
+], ids=["drops", "absorbs", "unscaled"])
+def test_operator_norm_hands_adjoint_canonical_terms(op, monkeypatch):
+    inner = oa.adjoint
+
+    def checked(arg):
+        assert _bits(StructuredOperator(arg.terms)) == _bits(arg)
+        return inner(arg)
+
+    monkeypatch.setattr(oa, "adjoint", checked)
+    assert len(op.terms) == 2
+    top = max(abs(t.coeff) for t in op.terms)
+    assert oa.operator_norm(op) == (top, "exact")
 
 
 def test_operator_norm_exact_for_a_point_block():

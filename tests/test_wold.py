@@ -1,20 +1,28 @@
 """Shift/unitary decomposition of the isometric block, and memory readout.
 
-Every decomposition is checked against the same certificate the library
-itself enforces: the two blocks recombine to the input, their domains
-partition the support, and the unitary block is unitary on its domain.
+Every decomposition is checked against the certificate: the two blocks
+recombine to the input, their domains partition the support, and the
+unitary block is unitary on its domain.  The library verifies the last
+itself; the recombination holds by its construction and is checked here,
+on every decomposition this module builds.
 """
+
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import qrepeat.cli as cli
 import qrepeat.opalgebra as oa
+import qrepeat.wold as wold
+from helpers import no_repeatable_form_instruments
 from qrepeat import (BilateralOrbit, CycleFamily, Dyad, Family, IndexSet,
                      NotIsometricOnSupport, SplitInvariantViolation,
                      StateVector, StructuredOperator, UnsupportedForm,
                      build_binary_example, build_example_family,
                      build_nonrepeatable_sibling, build_orthogonal,
-                     memory_map, read_memory, split, wold_decompose)
+                     make_instrument, memory_map, read_memory, split, wold_decompose)
 
 EVENS = IndexSet.from_progression(2, 0)
 ODDS = IndexSet.from_progression(2, 1)
@@ -22,6 +30,21 @@ ODDS = IndexSet.from_progression(2, 1)
 
 def op(*terms):
     return StructuredOperator(terms)
+
+
+@pytest.fixture(autouse=True)
+def blocks_reassemble(monkeypatch):
+    """``u + s = v`` on every decomposition built here, directly or
+    through ``memory_map``."""
+    inner = wold.wold_decompose
+
+    def checked(v):
+        dec = inner(v)
+        assert oa.equals(oa.add(dec.u, dec.s), v)
+        return dec
+
+    monkeypatch.setattr(wold, "wold_decompose", checked)
+    monkeypatch.setattr(sys.modules[__name__], "wold_decompose", checked)
 
 
 def assert_certified(v, dec):
@@ -126,6 +149,30 @@ def test_bilateral_chain_is_unitary():
     assert dec.unitary_domain == IndexSet.full()
 
 
+def test_orbit_with_a_prefix_reads_depths_along_it():
+    # 0 -> 5 by the point, then up the odds by the family
+    v = op(Dyad(1.0, 5, 0), Family(1.0, 2, 7, 2, 5))
+    dec = wold_decompose(v)
+    assert_certified(v, dec)
+    (orbit,) = dec.shift_orbits
+    assert (orbit.generator, orbit.prefix, orbit.phases, orbit.step) == (0, (0,), (5,), 2)
+    path = [orbit.index_at(k) for k in range(6)]
+    assert path == [0, 5, 7, 9, 11, 13]
+    assert [orbit.depth_of(i) for i in path] == list(range(6))
+    for i, j in zip(path, path[1:]):
+        assert oa.apply(v, StateVector.basis(i)).support() == (j,)
+    assert orbit.depth_of(3) is None and orbit.depth_of(1) is None
+
+
+def test_shift_far_from_the_origin_decomposes_quickly():
+    # the generator scan used to test each index below 10**6 on its own
+    start = time.perf_counter()
+    dec = wold_decompose(op(Family(1.0, 1, 10**6 + 1, 1, 10**6)))
+    assert time.perf_counter() - start < 2.0
+    (orbit,) = dec.shift_orbits
+    assert (orbit.generator, orbit.prefix, orbit.phases, orbit.step) == (10**6, (), (10**6,), 1)
+
+
 def test_phased_shift_keeps_coefficients():
     v = op(Family(1j, 2, 3, 2, 1))
     dec = wold_decompose(v)
@@ -207,6 +254,23 @@ def test_memory_map_handles_projective_outcomes():
     mm = memory_map(build_orthogonal({"even": EVENS, "odd": ODDS}))
     assert mm["even"].fixed_domain == EVENS
     assert mm["odd"].fixed_domain == ODDS
+
+
+BILATERAL = op(Family(1.0, 2, 0, 2, 2), Dyad(1.0, 1, 0), Family(1.0, 2, 3, 2, 1))
+
+
+@pytest.mark.parametrize("inst", [
+    build_example_family(2, (0.5, 0.5)),
+    build_nonrepeatable_sibling(2, (0.5, 0.5)),
+    build_binary_example(0.3, 0.7),
+    build_orthogonal({"even": EVENS, "odd": ODDS}),
+    make_instrument({1: BILATERAL}),
+    *no_repeatable_form_instruments().values(),
+], ids=["example", "sibling", "binary", "orthogonal", "bilateral", "half", "finite_z"])
+def test_memory_map_skips_exactly_what_the_wold_command_reports_unsupported(inst):
+    doc = cli.wold_doc(inst)
+    unsupported = {entry["label"] for entry in doc["outcomes"] if "unsupported" in entry}
+    assert {label for label, dec in memory_map(inst).items() if dec is None} == unsupported
 
 
 def test_memory_map_builds_two_adjoints_per_outcome(monkeypatch):
