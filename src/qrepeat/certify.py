@@ -161,9 +161,8 @@ def classify_povm(pv: Povm) -> PovmClassification:
     indices join the shared degenerate block.  A repeatable instrument
     exists exactly when each outcome has ``T_e = 0`` or an infinite ``Z_e``,
     as a repeatable ``M_e`` maps into ``Z_e`` with rank ``|Z_e| + |supp T_e|``.
-    Each index below the bound and each tail residue joins one part, so
-    ``Z_e T_e = 0`` and ``Z_omega + sum_e Z_e = I`` hold by construction;
-    ``P_e = Z_e + T_e`` and ``sum_e T_e = Z_omega`` are checked.
+    Each index joins one part, so ``Z_e T_e = 0`` and ``Z_omega + sum_e Z_e = I``
+    by construction; ``P_e = Z_e + T_e`` and ``sum_e T_e = Z_omega`` are checked.
     """
     tol = current().tolerance
     for label, p in pv.items():

@@ -123,8 +123,7 @@ class IndexSet:
         return not self._rmask
 
     def members_below(self, limit: int) -> Iterator[int]:
-        """Members below ``limit``, ascending: the set bits of the transient
-        mask lifted to ``limit``, not one mask shift per index."""
+        """Members below ``limit``, ascending: the set bits of the lifted transient mask."""
         return _bits(_lift_transient(self, max(limit, self.bound)) & ((1 << max(limit, 0)) - 1))
 
     def first(self) -> int | None:

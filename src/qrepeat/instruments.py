@@ -192,9 +192,8 @@ def build_binary_example(p1: float, p2: float) -> Instrument:
 
 
 def build_orthogonal(index_sets: Mapping[Outcome, IndexSet]) -> Instrument:
-    """Projective instrument from a partition of the basis into index sets;
-    CoverageViolation unless they partition it, so the projectors sum to
-    ``I`` exactly and completeness is not checked again."""
+    """Projective instrument from a partition of the basis into index sets, or
+    CoverageViolation; the projectors then sum to ``I`` exactly, unchecked."""
     labels = sorted(index_sets, key=_sort_key)
     union = IndexSet.empty()
     for label in labels:

@@ -138,17 +138,19 @@ class StructuredOperator:
     entrywise realization.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_tol")  # _tol: the tolerance the terms are canonical under
 
     def __init__(self, terms: Iterable[Term] = ()):
-        object.__setattr__(self, "terms", _canonicalize(terms, current().tolerance))
+        object.__setattr__(self, "_tol", current().tolerance)
+        object.__setattr__(self, "terms", _canonicalize(terms, self._tol))
 
     @classmethod
     def _canonical(cls, terms: tuple[Term, ...]) -> "StructuredOperator":
-        """Wrap terms as given, without canonicalizing them.  Terms that are
-        not canonical may go only to readers of any term list, such as
+        """Wrap terms, canonical under the active tolerance, as given.  Terms
+        that are not canonical may go only to readers of any term list, such as
         ``max_deviation``, ``is_monomial`` and ``compose``'s left factor, not to ``adjoint``."""
         op = object.__new__(cls)
+        object.__setattr__(op, "_tol", current().tolerance)
         object.__setattr__(op, "terms", terms)
         return op
 
@@ -428,11 +430,13 @@ def apply(op: StructuredOperator, psi: StateVector) -> StateVector:
 
 
 def adjoint(op: StructuredOperator) -> StructuredOperator:
-    """Adjoint of ``op``, which must be canonical under the active tolerance.
-    The swap keeps signatures distinct and ``|c|`` above the tolerance, and
-    takes a family head (the step before one) to a head (the step before),
-    so nothing merges, drops or is absorbed: the terms are only sorted back
-    into canonical order, each stored as ``0.0 + c`` as canonicalization does."""
+    """Adjoint of ``op``, canonicalized afresh unless ``op`` is canonical under
+    the active tolerance.  Then the swap keeps signatures distinct and ``|c|``
+    above the tolerance, and takes a family head (the step before one) to a
+    head (the step before), so nothing merges, drops or is absorbed: the terms
+    are only sorted back, each stored as ``0.0 + c`` as canonicalization does."""
+    if op._tol != current().tolerance:
+        return StructuredOperator([t.adjoint() for t in op.terms])
     return StructuredOperator._canonical(tuple(sorted(
         (Term._trusted(0.0 + t.coeff.conjugate(), t.in_stride, t.in_offset, t.out_stride,
                        t.out_offset, t.length) for t in op.terms),
@@ -908,12 +912,10 @@ def _monomial_norm(op: StructuredOperator) -> float:
 
     The terms are divided by the largest ``|coeff|`` first and the norm is
     multiplied back, so that ``compose``'s tolerance filter cannot drop the
-    Gram entries of a small operator.  Dividing by ``top > 1`` can take a
-    coefficient to the tolerance, so only then is ``unit`` canonicalized again.
+    Gram entries of a small operator.
     """
     top = max((abs(t.coeff) for t in op.terms), default=1.0)
-    scaled = tuple(Term._trusted(t.coeff / top, t.out_stride, t.out_offset, t.in_stride,
-                                 t.in_offset, t.length) for t in op.terms)
-    unit = StructuredOperator(scaled) if top > 1 else StructuredOperator._canonical(scaled)
+    unit = StructuredOperator(Term._trusted(t.coeff / top, t.out_stride, t.out_offset,
+                                            t.in_stride, t.in_offset, t.length) for t in op.terms)
     gram, _ = max_deviation(compose(unit, adjoint(unit)), StructuredOperator.zero())
     return top * math.sqrt(gram)

@@ -248,9 +248,8 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
     support.  Forward walks from the finitely many generator indices
     (support minus range) yield the shift orbits; the rest of the support
     carries the unitary block, inventoried as a fixed domain, finite
-    cycles, periodic cycle families, and bilateral chains.  ``u + s = v``
-    holds by construction; that the orbit inventory covers the support and
-    that ``u`` is unitary on its domain are verified before returning.
+    cycles, periodic cycle families, and bilateral chains.  ``u + s = v`` by
+    construction; the inventory's cover of the support and ``u``'s unitarity are verified.
     """
     support, rng = _validate(v, current().tolerance)
 
@@ -270,8 +269,10 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
     orbits: list[ShiftOrbit] = []
     shift_domain = IndexSet.empty()
     for g in generators.members_below(generators.bound):
-        # g lies outside the range, so its walk cannot close into a cycle
-        _, prefix, phases, step = _walk(active, g, modulus)
+        kind, *rest = _walk(active, g, modulus)
+        if kind != "ray":
+            raise RuntimeError("a generator orbit closed into a cycle")
+        prefix, phases, step = rest
         orbit = ShiftOrbit(g, prefix, phases, step)
         oset = orbit.index_set()
         if not shift_domain.is_disjoint(oset):

@@ -341,6 +341,24 @@ def ref_adjoint(op):
 
 
 @st.composite
+def loose_operators(draw):
+    """An operator canonical at the default tolerance but not under 1e-6:
+    terms of size about 1e-7 or 1e-9, and points within 1e-8 of cancelling
+    a family head or of extending a family one step backward."""
+    base = draw(operators())
+    small = draw(operators()).scale(draw(st.sampled_from([1e-7, 1e-9])))
+    terms = list(base.terms + small.terms)
+    for t in base.families:
+        eps = draw(st.sampled_from([1e-8, 1e-10, 1e-8j]))
+        if draw(st.booleans()):
+            terms.append(Dyad(eps - t.coeff, t.out_offset, t.in_offset))
+        elif t.out_offset >= t.out_stride and t.in_offset >= t.in_stride:
+            terms.append(Dyad(t.coeff + eps, t.out_offset - t.out_stride,
+                              t.in_offset - t.in_stride))
+    return StructuredOperator(terms)
+
+
+@st.composite
 def signed_zero_operators(draw):
     """A canonical operator whose coefficients have zero real or imaginary
     parts, each zero's sign drawn.  Canonicalization stores ``0.0 + c``,
@@ -489,7 +507,7 @@ def ref_certify_repeatable(inst, tol=1e-12):
         witnesses.append(Witness("completeness", pos, dev))
     per_outcome = {}
     for label, op in inst.items():
-        dev, pos = oa.max_deviation(oa.compose(oa.adjoint(op), oa.compose(op, op)), op)
+        dev, pos = oa.max_deviation(oa.compose(ref_adjoint(op), oa.compose(op, op)), op)
         if dev > tol:
             witnesses.append(Witness(f"isometry on range ({label!r})", pos, dev))
         ris = op.range_set().is_subset(op.support_set()) if oa.is_monomial(op) else None
@@ -503,7 +521,7 @@ def ref_certify_repeatable(inst, tol=1e-12):
             dev, pos = oa.max_deviation(oa.compose(op_f, op_e), zero)
             if dev > tol:
                 witnesses.append(Witness(f"annihilation ({f!r} after {e!r})", pos, dev))
-            rdev, _ = oa.max_deviation(oa.compose(oa.adjoint(op_f), op_e), zero)
+            rdev, _ = oa.max_deviation(oa.compose(ref_adjoint(op_f), op_e), zero)
             per_pair[(e, f)] = PairChecks(dev <= tol, rdev <= tol)
     repeatable = complete and all(c.isometric_on_range for c in per_outcome.values()) \
         and all(c.product_vanishes for c in per_pair.values())

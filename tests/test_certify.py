@@ -7,13 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qrepeat
 import qrepeat.certify as cer
 import qrepeat.crosscheck as cc
 import qrepeat.instruments as ins
 import qrepeat.opalgebra as oa
 from helpers import (agreement_window, dense_blocks, diagonal_povms, index_sets,
+                     loose_operators, near_complete_instrument,
                      no_repeatable_form_instruments, operators, partitions,
-                     ref_certify_repeatable, ref_check_orthogonal)
+                     ref_adjoint, ref_certify_repeatable, ref_check_orthogonal)
 from qrepeat import (Dyad, Family, IndexSet, InvalidPovm, Povm, StructuredOperator,
                      UnsupportedForm, build_binary_example,
                      build_example_family, build_nonrepeatable_sibling,
@@ -179,6 +181,22 @@ def test_certify_matches_the_all_ordered_pairs_reference(inst):
     assert [(w.condition, w.position, w.deviation.hex()) for w in rep.witnesses] \
         == [(w.condition, w.position, w.deviation.hex()) for w in ref.witnesses]
     assert check_orthogonal(inst.povm()) == ref_check_orthogonal(inst.povm())
+
+
+# Instruments built at the default tolerance, certified under a larger one:
+# their operators are not canonical there, and the adjoints taken for the
+# POVM and the certificates must be canonicalized afresh.
+@settings(deadline=None, max_examples=50)
+@given(st.lists(loose_operators(), min_size=1, max_size=3).map(
+    lambda ops: ins.Instrument(tuple(enumerate(ops, 1)))) | st.just(near_complete_instrument()))
+def test_certify_under_a_larger_tolerance_matches_the_reference(inst):
+    with qrepeat.settings(tolerance=1e-6):
+        rep, ref = certify_repeatable(inst), ref_certify_repeatable(inst, tol=1e-6)
+        assert rep == ref
+        assert [(w.condition, w.position, w.deviation.hex()) for w in rep.witnesses] \
+            == [(w.condition, w.position, w.deviation.hex()) for w in ref.witnesses]
+        assert [p.terms for _, p in inst.povm().items()] \
+            == [oa.compose(ref_adjoint(op), op).terms for _, op in inst.items()]
 
 
 def test_check_orthogonal_matches_effect_idempotence():

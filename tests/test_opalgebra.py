@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import qrepeat
 import qrepeat.opalgebra as oa
 from helpers import (NORM_DEFECT, UNDECIDED_NORMS, dense, dense_blocks, dense_vec,
-                     operators, point_products, ref_adjoint, ref_compose,
+                     loose_operators, operators, point_products, ref_adjoint, ref_compose,
                      signed_zero_operators, states)
 from qrepeat import (Dyad, Family, IndexSet, PeriodCapExceeded, StateVector,
                      StructuredOperator, UnsupportedForm)
@@ -192,6 +192,19 @@ def test_canonical_terms_are_the_validating_constructors_terms(op):
 @example(StructuredOperator((Dyad(-2.0, 3, 1), Family(-2.0, 2, 5, 1, 2), Dyad(1j, 0, 4))))
 def test_adjoint_is_the_canonicalized_adjoint_bit_for_bit(op):
     assert _bits(oa.adjoint(op)) == _bits(ref_adjoint(op))
+
+
+# An operator built at the default tolerance need not be canonical under a
+# larger one; there ``adjoint`` canonicalizes it afresh, as before.
+@given(loose_operators())
+@settings(deadline=None, max_examples=200)
+@example(StructuredOperator((Family(1.0, 1, 1, 1, 1), Dyad(1e-8 - 1.0, 1, 1),
+                             Dyad(1e-9, 0, 3))))
+def test_adjoint_under_a_larger_tolerance_is_the_canonicalized_adjoint(op):
+    with qrepeat.settings(tolerance=1e-6):
+        adj = oa.adjoint(op)
+        assert _bits(adj) == _bits(ref_adjoint(op))
+        assert adj == StructuredOperator(adj.terms)
 
 
 def test_adjoint_neither_canonicalizes_nor_finishes(monkeypatch):
