@@ -77,7 +77,8 @@ def _term_from(doc, where: str, k: int):
     kind = doc.get("kind")
     raw = doc.get("coeff")
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not all(isinstance(x, (int, float)) for x in raw)):
+            or not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+                       for x in raw)):
         raise ValueError(f"{where}[{k}]: coeff must be a [re, im] pair")
     coeff = complex(raw[0], raw[1])
     if kind == "dyad":

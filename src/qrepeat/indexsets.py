@@ -295,11 +295,12 @@ def _mask(indices: Iterable[int]) -> int:
 
 
 def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Positions of the set bits, ascending, in one scan of the binary digits."""
+    digits = bin(mask)[:1:-1]  # least significant first, without the "0b"
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _low_bit(mask: int) -> int:

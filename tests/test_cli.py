@@ -72,6 +72,8 @@ def test_instrument_parse_rejects_malformed_documents(doc, msg):
     ({"kind": "family", "coeff": [1.0, 0.0], "outStride": 1, "outOffset": 0,
       "inStride": 1, "inOffset": 0, "jStart": -1}, "jStart must be an integer >= 0"),
     ({"kind": "wedge", "coeff": [1.0, 0.0]}, "kind must be 'dyad' or 'family'"),
+    ({"kind": "dyad", "coeff": [10**309, 0], "out": 0, "in": 0},
+     "coeff must be a [re, im] pair"),  # beyond every float
 ])
 def test_a_bad_term_is_named_by_its_path(term, text):
     doc = cli.instrument_doc(build_example_family(3, (0.2, 0.3, 0.5)))
