@@ -14,6 +14,7 @@ directory.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -27,9 +28,9 @@ from .errors import QRepeatError
 from .indexsets import IndexSet
 from .instruments import (Instrument, build_binary_example,
                           build_example_family, make_instrument)
-from .opalgebra import Dyad, Family, StateVector, StructuredOperator
+from .opalgebra import StateVector, StructuredOperator, Term
 from .simulate import run_trajectory
-from .wold import memory_map, split, wold_decompose
+from .wold import split, wold_decompose
 
 SCHEMA_VERSION = "1"
 
@@ -80,15 +81,15 @@ def _term_from(doc, where: str, k: int):
             or not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
                        for x in raw)):
         raise ValueError(f"{where}[{k}]: coeff must be a [re, im] pair")
-    coeff = complex(raw[0], raw[1])
+    coeff = complex(raw[0], raw[1])  # finite: both parts are at most the largest float
     if kind == "dyad":
-        return Dyad(coeff, _index(doc, "out", where, k), _index(doc, "in", where, k))
+        return Term._trusted(coeff, 1, _index(doc, "out", where, k),
+                             1, _index(doc, "in", where, k), 1)
     if kind == "family":
-        return Family(coeff, _index(doc, "outStride", where, k, 1),
-                      _index(doc, "outOffset", where, k),
-                      _index(doc, "inStride", where, k, 1),
-                      _index(doc, "inOffset", where, k),
-                      _index(doc, "jStart", where, k) if "jStart" in doc else 0)
+        os_, oo = _index(doc, "outStride", where, k, 1), _index(doc, "outOffset", where, k)
+        is_, io = _index(doc, "inStride", where, k, 1), _index(doc, "inOffset", where, k)
+        j = _index(doc, "jStart", where, k) if "jStart" in doc else 0  # folded as Family does
+        return Term._trusted(coeff, os_, oo + j * os_, is_, io + j * is_, None)
     raise ValueError(f"{where}[{k}]: kind must be 'dyad' or 'family'")
 
 
@@ -294,103 +295,85 @@ def main():
     """Exact repeatability analysis for discrete quantum instruments."""
 
 
-_tolerance = click.option("--tolerance", type=float, default=None,
-                          help="Comparison tolerance override.")
-_period_cap = click.option("--period-cap", type=int, default=None,
-                           help="Cap on index-set periods.")
+def _settings(command):
+    """Give ``command`` the --tolerance and --period-cap options and run it
+    under them; an invalid value exits 2."""
+    @click.option("--tolerance", type=float, default=None,
+                  help="Comparison tolerance override.")
+    @click.option("--period-cap", type=int, default=None,
+                  help="Cap on index-set periods.")
+    @functools.wraps(command)
+    def run(tolerance, period_cap, **kwargs):
+        try:
+            click.get_current_context().with_resource(settings(tolerance, period_cap))
+        except ValueError as e:
+            _fail(str(e))
+        return command(**kwargs)
+    return run
 
 
-def _enter_settings(tolerance: float | None, period_cap: int | None) -> None:
-    """Run the rest of the command under its --tolerance and --period-cap;
-    an invalid value exits 2."""
-    try:
-        click.get_current_context().with_resource(settings(tolerance, period_cap))
-    except ValueError as e:
-        _fail(str(e))
+def _file_command(kind: str, out_help: str | None = None):
+    """Register ``body``, which maps the loaded instrument to a document, its
+    console lines and the exit code, as a command on an instrument file.  A
+    QRepeatError exits 2; else the document goes to --out or
+    ``<stem>.<kind>.json``, and the lines and ``<kind>: <target>`` are echoed."""
+    def register(body):
+        @main.command(name=body.__name__, help=body.__doc__)
+        @click.argument("instrument", type=click.Path())
+        @click.option("--out", type=click.Path(), default=None, help=out_help)
+        @_settings
+        def command(instrument, out):
+            inst = _load_instrument(instrument, check_completeness=False)
+            try:
+                doc, lines, code = body(inst)
+            except QRepeatError as e:
+                _fail(str(e))
+            target = Path(out) if out else _out_dir(None) / f"{_stem(instrument)}.{kind}.json"
+            _write(doc, target)
+            for line in lines:
+                click.echo(line)
+            click.echo(f"{kind}: {target}")
+            sys.exit(code)
+        return command
+    return register
 
 
-@main.command()
-@click.argument("instrument", type=click.Path())
-@click.option("--out", type=click.Path(), default=None,
-              help="Report path (default: <stem>.report.json in the output dir).")
-@_tolerance
-@_period_cap
-def certify(instrument, out, tolerance, period_cap):
+@_file_command("report",
+               "Report path (default: <stem>.report.json in the output dir).")
+def certify(inst):
     """Certify perfect repeatability; exit 0 when repeatable, 1 when not."""
-    _enter_settings(tolerance, period_cap)
-    inst = _load_instrument(instrument, check_completeness=False)
-    try:
-        rep = certify_repeatable(inst)
-    except QRepeatError as e:
-        _fail(str(e))
+    rep = certify_repeatable(inst)
     doc = report_doc(rep)
-    target = Path(out) if out else _out_dir(None) / (_stem(instrument) + ".report.json")
-    _write(doc, target)
-    click.echo(f"{doc['summary']}")
-    click.echo(f"report: {target}")
-    sys.exit(0 if rep.repeatable else 1)
+    return doc, [doc["summary"]], 0 if rep.repeatable else 1
 
 
-@main.command()
-@click.argument("instrument", type=click.Path())
-@click.option("--out", type=click.Path(), default=None)
-@_tolerance
-@_period_cap
-def povm(instrument, out, tolerance, period_cap):
+@_file_command("povm")
+def povm(inst):
     """Write the instrument's POVM effects."""
-    _enter_settings(tolerance, period_cap)
-    inst = _load_instrument(instrument, check_completeness=False)
     doc = povm_doc(inst.povm())
-    target = Path(out) if out else _out_dir(None) / (_stem(instrument) + ".povm.json")
-    _write(doc, target)
-    for effect in doc["effects"]:
-        click.echo(f"effect {effect['label']!r}: {len(effect['terms'])} terms")
-    click.echo(f"povm: {target}")
+    return doc, [f"effect {effect['label']!r}: {len(effect['terms'])} terms"
+                 for effect in doc["effects"]], 0
 
 
-@main.command()
-@click.argument("instrument", type=click.Path())
-@click.option("--out", type=click.Path(), default=None)
-@_tolerance
-@_period_cap
-def classify(instrument, out, tolerance, period_cap):
+@_file_command("classification")
+def classify(inst):
     """Split a diagonal POVM into projective and degenerate parts; exit 0 when
     it admits a repeatable instrument, 1 when not."""
-    _enter_settings(tolerance, period_cap)
-    inst = _load_instrument(instrument, check_completeness=False)
-    try:
-        cls = classify_povm(inst.povm())
-    except QRepeatError as e:
-        _fail(str(e))
-    doc = classification_doc(cls)
-    target = Path(out) if out else _out_dir(None) / (_stem(instrument) + ".classification.json")
-    _write(doc, target)
-    click.echo("admits repeatable form: "
-               f"{'yes' if cls.admits_repeatable_form else 'no'}")
-    click.echo(f"classification: {target}")
-    sys.exit(0 if cls.admits_repeatable_form else 1)
+    cls = classify_povm(inst.povm())
+    admits = cls.admits_repeatable_form
+    return (classification_doc(cls),
+            [f"admits repeatable form: {'yes' if admits else 'no'}"], 0 if admits else 1)
 
 
-@main.command()
-@click.argument("instrument", type=click.Path())
-@click.option("--out", type=click.Path(), default=None)
-@_tolerance
-@_period_cap
-def wold(instrument, out, tolerance, period_cap):
+@_file_command("wold")
+def wold(inst):
     """Decompose each outcome into shift, unitary, and deposit blocks."""
-    _enter_settings(tolerance, period_cap)
-    inst = _load_instrument(instrument, check_completeness=False)
     doc = wold_doc(inst)
-    target = Path(out) if out else _out_dir(None) / (_stem(instrument) + ".wold.json")
-    _write(doc, target)
-    for entry in doc["outcomes"]:
-        if "unsupported" in entry:
-            click.echo(f"outcome {entry['label']!r}: unsupported ({entry['unsupported']})")
-        else:
-            click.echo(f"outcome {entry['label']!r}: "
-                       f"{len(entry['shiftOrbits'])} shift orbits, "
-                       f"{len(entry['cycles'])} cycles")
-    click.echo(f"wold: {target}")
+    return doc, [f"outcome {entry['label']!r}: unsupported ({entry['unsupported']})"
+                 if "unsupported" in entry else
+                 f"outcome {entry['label']!r}: {len(entry['shiftOrbits'])} shift orbits, "
+                 f"{len(entry['cycles'])} cycles"
+                 for entry in doc["outcomes"]], 0
 
 
 @main.command()
@@ -401,11 +384,9 @@ def wold(instrument, out, tolerance, period_cap):
               help="Basis index, or comma-separated amplitudes for indices 0..k.")
 @click.option("--log", "log_path", type=click.Path(), default=None,
               help="Trajectory log path (default: <stem>.trajectory.jsonl).")
-@_tolerance
-@_period_cap
-def simulate(instrument, steps, seed, initial, log_path, tolerance, period_cap):
+@_settings
+def simulate(instrument, steps, seed, initial, log_path):
     """Run a seeded measurement trajectory and log it step by step."""
-    _enter_settings(tolerance, period_cap)
     inst = _load_instrument(instrument, check_completeness=True)
     try:
         psi = _parse_initial(initial)
@@ -435,11 +416,9 @@ def simulate(instrument, steps, seed, initial, log_path, tolerance, period_cap):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--steps", type=int, default=10, show_default=True)
 @click.option("--outdir", type=click.Path(), default=None)
-@_tolerance
-@_period_cap
-def demo(name, n, p, p1, p2, seed, steps, outdir, tolerance, period_cap):
+@_settings
+def demo(name, n, p, p1, p2, seed, steps, outdir):
     """Write a full bundle: instrument, reports, decomposition, trajectory."""
-    _enter_settings(tolerance, period_cap)
     try:
         if name == "ex1":
             probs = tuple(float(x) for x in p.split(","))

@@ -29,7 +29,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -811,6 +811,20 @@ def equals(a: StructuredOperator, b: StructuredOperator) -> bool:
 # -- structural predicates -------------------------------------------------
 
 
+def _inputs_keyed(terms: Sequence[Term]) -> tuple[dict[int, dict[int, list[int]]],
+                                                  dict[int, list[int]]]:
+    """Positions in ``terms`` keyed by input: progressions by stride, then
+    residue; points by index."""
+    progs: dict[int, dict[int, list[int]]] = {}
+    points_at: dict[int, list[int]] = {}
+    for idx, t in enumerate(terms):
+        if t.length is None:
+            progs.setdefault(t.in_stride, {}).setdefault(t.in_offset % t.in_stride, []).append(idx)
+        else:
+            points_at.setdefault(t.in_offset, []).append(idx)
+    return progs, points_at
+
+
 def is_monomial(op: StructuredOperator) -> bool:
     """True when no basis column carries two entries at different rows.
 
@@ -821,13 +835,7 @@ def is_monomial(op: StructuredOperator) -> bool:
     ``b``.
     """
     terms = op.terms
-    progs: dict[int, dict[int, list[int]]] = {}  # in stride -> in residue -> indices
-    points_at: dict[int, list[int]] = {}  # in index -> indices
-    for idx, t in enumerate(terms):
-        if t.length is None:
-            progs.setdefault(t.in_stride, {}).setdefault(t.in_offset % t.in_stride, []).append(idx)
-        else:
-            points_at.setdefault(t.in_offset, []).append(idx)
+    progs, points_at = _inputs_keyed(terms)
     for idx, t1 in enumerate(terms):
         i = t1.in_offset
         if t1.length is None:

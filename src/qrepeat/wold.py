@@ -167,26 +167,35 @@ class WoldDecomposition:
 # -- the index map sigma -----------------------------------------------------
 
 
-def _lookup(terms, i: int) -> tuple[int, int] | None:
-    """Position of the term taking input ``i``, and the step it is at."""
-    for n, t in enumerate(terms):
-        j = t.step_at(i)
+def _keyed(terms: list[oa.Term]):
+    """``terms`` with their positions keyed by input, for ``_lookup``."""
+    return (terms, *oa._inputs_keyed(terms))
+
+
+def _lookup(keyed, i: int) -> tuple[int, int] | None:
+    """Position of the first term taking input ``i``, and the step it is at;
+    only the terms of ``i``'s point or residue class are tried."""
+    terms, progs, points_at = keyed
+    for n in sorted(points_at.get(i, [])
+                    + [n for s, group in progs.items() for n in group.get(i % s, ())]):
+        j = terms[n].step_at(i)
         if j is not None:
             return n, j
     return None
 
 
-def _walk(terms, start: int, modulus: int):
+def _walk(keyed, start: int, modulus: int):
     """Follow sigma from ``start`` until the orbit closes or turns periodic.
 
     Returns ("cycle", indices) or ("ray", prefix, phases, step).
     """
+    terms = keyed[0]
     seq = [start]
     visited = {start}
     seen: dict[tuple[int, int], int] = {}
     while len(seq) <= _WALK_CAP:
         i = seq[-1]
-        hit = _lookup(terms, i)
+        hit = _lookup(keyed, i)
         if hit is None:
             raise RuntimeError(f"index map is not total at {i}")
         n, j = hit
@@ -213,8 +222,6 @@ def _walk(terms, start: int, modulus: int):
 
 
 def _validate(v: StructuredOperator, tol: float) -> tuple[IndexSet, IndexSet]:
-    if not oa.is_monomial(v):
-        raise UnsupportedForm("orbit analysis requires at most one entry per column")
     # the transposed terms need no canonical form: is_monomial reads any list
     if not oa.is_monomial(StructuredOperator._canonical(tuple(t.adjoint() for t in v.terms))):
         raise NotIsometricOnSupport(
@@ -262,7 +269,7 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
         else:
             active.append(t)
     fixed = from_parts((), fixed_parts)
-    inverse = [t.adjoint() for t in active]
+    forward, backward = _keyed(active), _keyed([t.adjoint() for t in active])
     modulus = math.lcm(*(t.in_stride for t in active))
 
     generators = support.difference(rng)
@@ -271,7 +278,7 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
     orbits: list[ShiftOrbit] = []
     shift_domain = IndexSet.empty()
     for g in generators.members_below(generators.bound):
-        kind, *rest = _walk(active, g, modulus)
+        kind, *rest = _walk(forward, g, modulus)
         if kind != "ray":
             raise RuntimeError("a generator orbit closed into a cycle")
         prefix, phases, step = rest
@@ -290,13 +297,13 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
     for q in leftover.members_below(horizon):
         if q in claimed:
             continue
-        kind, *rest = _walk(active, q, modulus)
+        kind, *rest = _walk(forward, q, modulus)
         if kind == "cycle":
             cycles.append(rest[0])
             claimed = claimed.union(IndexSet.from_indices(rest[0]))
             continue
         fprefix, fphases, fstep = rest
-        bkind, *brest = _walk(inverse, q, modulus)
+        bkind, *brest = _walk(backward, q, modulus)
         if bkind != "ray":
             raise RuntimeError("backward walk closed a cycle the forward walk missed")
         bprefix, bphases, bstep = brest
@@ -306,7 +313,7 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
         bilaterals.append(orbit)
         claimed = claimed.union(orbit.index_set())
 
-    cycle_families = _tail_cycle_families(leftover, active, modulus, horizon)
+    cycle_families = _tail_cycle_families(leftover, forward, modulus, horizon)
 
     covered = fixed.union(shift_domain).union(claimed)
     for cf in cycle_families:
@@ -322,8 +329,8 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
                              fixed, unitary_domain, shift_domain)
 
 
-def _tail_cycle_families(leftover: IndexSet, active: list[oa.Term],
-                         modulus: int, horizon: int) -> tuple[CycleFamily, ...]:
+def _tail_cycle_families(leftover: IndexSet, forward, modulus: int,
+                         horizon: int) -> tuple[CycleFamily, ...]:
     """Cycle families hiding in the periodic tail of the recurrent region.
 
     Beyond the horizon the index map is a pure residue translation, so the
@@ -353,10 +360,10 @@ def _tail_cycle_families(leftover: IndexSet, active: list[oa.Term],
             done.add(r)
             deltas.append(lift)
             rep = horizon + ((r - horizon) % lam)
-            hit = _lookup(active, rep)
+            hit = _lookup(forward, rep)
             if hit is None:
                 raise RuntimeError(f"tail index {rep} has no owning family")
-            owner, j = active[hit[0]], hit[1]
+            owner, j = forward[0][hit[0]], hit[1]
             shift = owner.out_stride * j + owner.out_offset - rep
             lift += shift
             r = (r + shift) % lam

@@ -4,6 +4,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qrepeat.cli as cli
 import qrepeat.instruments as ins
@@ -74,6 +76,8 @@ def test_instrument_parse_rejects_malformed_documents(doc, msg):
     ({"kind": "wedge", "coeff": [1.0, 0.0]}, "kind must be 'dyad' or 'family'"),
     ({"kind": "dyad", "coeff": [10**309, 0], "out": 0, "in": 0},
      "coeff must be a [re, im] pair"),  # beyond every float
+    ({"kind": "family", "coeff": [1.0, 0.0], "outStride": 1, "outOffset": -1,
+      "inStride": 0, "inOffset": 0}, "outOffset must be an integer >= 0"),  # first bad field
 ])
 def test_a_bad_term_is_named_by_its_path(term, text):
     doc = cli.instrument_doc(build_example_family(3, (0.2, 0.3, 0.5)))
@@ -82,6 +86,40 @@ def test_a_bad_term_is_named_by_its_path(term, text):
     with pytest.raises(ValueError) as err:
         cli.instrument_from_doc(doc, check_completeness=False)
     assert str(err.value) == f"outcomes[1].terms[3]: {text}"
+
+
+_COEFF_PART = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.integers(-10**20, 10**20))
+_INDEX = st.integers(0, 10**12)
+
+
+@st.composite
+def term_docs(draw):
+    coeff = [draw(_COEFF_PART), draw(_COEFF_PART)]
+    if draw(st.booleans()):
+        return {"kind": "dyad", "coeff": coeff, "out": draw(_INDEX), "in": draw(_INDEX)}
+    doc = {"kind": "family", "coeff": coeff, "outStride": draw(st.integers(1, 10**6)),
+           "outOffset": draw(_INDEX), "inStride": draw(st.integers(1, 10**6)),
+           "inOffset": draw(_INDEX)}
+    if draw(st.booleans()):
+        doc["jStart"] = draw(st.integers(0, 10**6))
+    return doc
+
+
+@given(term_docs())
+def test_a_parsed_term_is_the_term_the_constructors_build(doc):
+    parsed = cli._term_from(doc, "terms", 0)
+    re, im = doc["coeff"]
+    if doc["kind"] == "dyad":
+        built = Dyad(complex(re, im), doc["out"], doc["in"])
+    else:
+        built = Family(complex(re, im), doc["outStride"], doc["outOffset"],
+                       doc["inStride"], doc["inOffset"], doc.get("jStart", 0))
+    assert type(parsed.coeff) is complex
+    assert [parsed.coeff.real.hex(), parsed.coeff.imag.hex()] == \
+        [built.coeff.real.hex(), built.coeff.imag.hex()]
+    assert [getattr(parsed, f) for f in oa.Term.__slots__[1:]] == \
+        [getattr(built, f) for f in oa.Term.__slots__[1:]]
 
 
 def test_certify_exit_codes(runner, tmp_path):

@@ -3,9 +3,11 @@
 The byte-identity checks elsewhere compare two runs of the same code, so a
 change that flips the last bit of a coefficient would still pass them.
 This test compares against files committed under ``tests/golden/``
-instead: the ``demo ex1`` and ``demo binary`` bundles, and the
-``certify``, ``classify`` and ``wold`` outputs on two committed instrument
-files (console text with its exit code, plus the written JSON).
+instead: the ``demo ex1`` and ``demo binary`` bundles, the ``certify``,
+``povm``, ``classify`` and ``wold`` outputs on two committed instrument
+files (console text with its exit code, plus the written JSON), and the
+``--help`` text of the group and of every command at a width of 80
+columns (under ``help/``).
 
 The two instrument files are fixed data, built once and not rebuilt here:
 
@@ -41,13 +43,14 @@ import qrepeat.cli as cli
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = ("dense8", "mod12")
 INPUT_FILES = {f"{stem}.instrument.json" for stem in INPUTS}
-COMMANDS = ("certify", "classify", "wold")
+COMMANDS = ("certify", "povm", "classify", "wold")
+HELP = ("certify", "povm", "classify", "wold", "simulate", "demo")
 DEMOS = {"ex1": ["demo", "ex1", "--n", "2", "--p", "0.5,0.5"],
          "binary": ["demo", "binary", "--p1", "0.3", "--p2", "0.7"]}
 
 
-def render(out: Path) -> None:
-    """Write every golden output into ``out``."""
+def render_outputs(out: Path) -> None:
+    """Write the demo bundles and the file commands' outputs into ``out``."""
     runner = CliRunner()
     for name, args in DEMOS.items():
         result = runner.invoke(cli.main, args + ["--outdir", str(out / name)])
@@ -61,18 +64,38 @@ def render(out: Path) -> None:
             (out / f"{stem}.{cmd}.txt").write_text(f"exit {result.exit_code}\n{text}")
 
 
+def render_help(out: Path) -> None:
+    """Write the ``--help`` texts into ``out/help``."""
+    runner = CliRunner()
+    (out / "help").mkdir(parents=True)
+    for name, args in {"qrepeat": [], **{cmd: [cmd] for cmd in HELP}}.items():
+        result = runner.invoke(cli.main, args + ["--help"], prog_name="qrepeat",
+                               terminal_width=80)
+        assert result.exit_code == 0, result.output
+        (out / "help" / f"{name}.txt").write_text(result.output)
+
+
 def _files(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_cli_outputs_match_golden_files(tmp_path):
-    render(tmp_path)
-    expected = {k: v for k, v in _files(GOLDEN).items() if k not in INPUT_FILES}
-    produced = _files(tmp_path)
+def _compare(produced: dict[str, bytes], expected: dict[str, bytes]) -> None:
     assert sorted(produced) == sorted(expected)
     for name, data in produced.items():
         assert data == expected[name], f"{name} differs from its golden copy"
+
+
+def test_cli_outputs_match_golden_files(tmp_path):
+    render_outputs(tmp_path)
+    _compare(_files(tmp_path), {k: v for k, v in _files(GOLDEN).items()
+                                if k not in INPUT_FILES and not k.startswith("help/")})
+
+
+def test_help_matches_golden_files(tmp_path):
+    render_help(tmp_path)
+    _compare(_files(tmp_path), {k: v for k, v in _files(GOLDEN).items()
+                                if k.startswith("help/")})
 
 
 if __name__ == "__main__":
@@ -82,5 +105,6 @@ if __name__ == "__main__":
         elif stale.name not in INPUT_FILES:
             stale.unlink()
     with tempfile.TemporaryDirectory() as tmp:
-        render(Path(tmp))
+        render_outputs(Path(tmp))
+        render_help(Path(tmp))
         shutil.copytree(tmp, GOLDEN, dirs_exist_ok=True)

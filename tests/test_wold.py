@@ -186,6 +186,24 @@ def test_shift_far_from_the_origin_decomposes_quickly():
     assert (orbit.generator, orbit.prefix, orbit.phases, orbit.step) == (10**6, (), (10**6,), 1)
 
 
+def test_lookups_try_only_the_terms_of_the_index_class(monkeypatch):
+    # split cuts the evens into one family per residue mod 4000, so v holds
+    # 2001 terms; trying every term made 2,005,003 step_at calls here
+    k = 2000
+    v = split(op(Family(1.0, 2, 2, 2, 0), Family(1.0, 2 * k, 2 * k + 1, 2 * k, 1))).v
+    assert len(v.terms) == 2001
+    steps, lookups = [], []
+    step_at, lookup = oa.Term.step_at, wold._lookup
+    monkeypatch.setattr(oa.Term, "step_at", lambda t, i: steps.append(i) or step_at(t, i))
+    monkeypatch.setattr(wold, "_lookup", lambda keyed, i: lookups.append(i) or lookup(keyed, i))
+    dec = wold_decompose(v)
+    assert len(lookups) == 2003 and len(steps) <= 3 * len(lookups)
+    assert [(o.generator, o.prefix, o.phases, o.step) for o in dec.shift_orbits] == \
+        [(2, (), tuple(range(2, 2 * k + 1, 2)), 2 * k), (2 * k + 1, (), (2 * k + 1,), 2 * k)]
+    assert not (dec.cycles or dec.cycle_families or dec.bilateral_orbits)
+    assert dec.fixed_domain.is_empty and dec.u.is_zero()
+
+
 def test_phased_shift_keeps_coefficients():
     v = op(Family(1j, 2, 3, 2, 1))
     dec = wold_decompose(v)
@@ -203,6 +221,19 @@ def test_decompose_rejects_non_injective_map():
     with pytest.raises(NotIsometricOnSupport):
         wold_decompose(op(Dyad(1.0, 0, 0), Dyad(1.0, 0, 1),
                           Family(1.0, 1, 2, 1, 2)))
+
+
+@pytest.mark.parametrize("v,error,text", [
+    # two rows in column 0: its range {1, 2} leaves its support {0}
+    (op(Dyad(1.0, 1, 0), Dyad(1.0, 2, 0)), UnsupportedForm, "the range leaves the support"),
+    (op(Family(1.0, 1, 1, 1, 0), Dyad(1.0, 0, 0)), NotIsometricOnSupport,
+     "two terms share column 0"),
+])
+def test_a_non_monomial_operator_meets_a_later_check(v, error, text):
+    # no check of its own: two entries in one column take two terms there
+    assert not oa.is_monomial(v)
+    with pytest.raises(error, match=text):
+        wold_decompose(v)
 
 
 def test_decompose_rejects_non_unimodular_weights():
