@@ -66,8 +66,8 @@ class IndexSet:
         for i in sorted(transient):
             if i >= bound and (i % period) not in residues:
                 raise ValueError(f"transient index {i} contradicts the periodic tail")
-        _fill(self, *_canonicalize(_mask(i for i in transient if i < bound), bound,
-                                   period, _mask(residues)))
+        _fill(self, *_canonicalize(_mask([i for i in transient if i < bound]), bound,
+                                   period, _mask(list(residues))))
 
     @classmethod
     def _trusted(cls, tmask: int, bound: int, period: int, rmask: int) -> "IndexSet":
@@ -190,13 +190,10 @@ def from_parts(points: Iterable[int], progressions: Iterable[tuple[int, int]]) -
     transient mask, and the progression's residue bit, lifted to the lcm,
     into the residue mask.  One canonicalization follows.
     """
-    tmask = bound = 0
-    for i in points:
-        i = int(i)
-        if i < 0:
-            raise ValueError("indices must be nonnegative")
-        tmask |= 1 << i
-        bound = max(bound, i + 1)
+    points = [int(i) for i in points]
+    if any(i < 0 for i in points):
+        raise ValueError("indices must be nonnegative")
+    tmask, bound = _mask(points), max(points, default=-1) + 1
     progressions = [(int(stride), int(offset)) for stride, offset in progressions]
     period = 1
     for stride, offset in progressions:
@@ -245,8 +242,12 @@ def _tail_below(rmask: int, period: int, bound: int) -> int:
 
 
 def _repunit(count: int, step: int) -> int:
-    """``count`` one bits spaced ``step`` apart, from bit 0."""
-    return ((1 << count * step) - 1) // ((1 << step) - 1)
+    """``count`` one bits spaced ``step`` apart, from bit 0, in linear time."""
+    ones, n = 1, 1
+    while n < count:
+        ones |= ones << n * step
+        n *= 2
+    return ones >> (n - count) * step
 
 
 def _canonicalize(tmask: int, bound: int, period: int, rmask: int) -> tuple[int, int, int, int]:
@@ -287,11 +288,12 @@ def _fill(s: IndexSet, tmask: int, bound: int, period: int, rmask: int) -> None:
     _setattr(s, "_rmask", rmask)
 
 
-def _mask(indices: Iterable[int]) -> int:
-    m = 0
+def _mask(indices: list[int]) -> int:
+    """Bit ``i`` set for each ``i >= 0`` in ``indices``, filled byte by byte."""
+    buf = bytearray(max(indices, default=-1) // 8 + 1)
     for i in indices:
-        m |= 1 << i
-    return m
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _bits(mask: int) -> Iterator[int]:

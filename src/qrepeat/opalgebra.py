@@ -19,6 +19,9 @@ operator takes, and :func:`max_deviation` evaluates exactly those.
 Coefficients and deviations at or below the active tolerance of
 :mod:`qrepeat.config` count as zero, and line periods are held to its
 period cap; ``with qrepeat.settings(...)`` sets both for a block.
+
+Which terms hold index ``i``, by input or by output, is answered by one term
+index (``_term_index``), which ``compose``, ``is_monomial`` and :mod:`qrepeat.wold` read.
 """
 
 from __future__ import annotations
@@ -488,12 +491,32 @@ def _compose_terms(a: Term, b: Term) -> tuple | None:
             b.in_stride * jstep, b.in_stride * j0 + b.in_offset, n)
 
 
-def _meeting(progs: dict[int, dict[int, list[int]]], stride: int, offset: int) -> list[int]:
-    """Indices in ``progs`` (stride -> residue -> term indices) of the
-    progressions that meet ``{stride*j + offset}``: those whose residue
-    agrees with ``offset`` modulo the gcd of the two strides."""
+def _term_index(terms: Sequence[Term], outputs: bool = False):
+    """Positions in ``terms`` keyed by input (by output with ``outputs``):
+    progressions by stride, then residue; points by index."""
+    progs, points = {}, {}  # stride -> residue -> positions; index -> positions
+    for idx, t in enumerate(terms):
+        offset = t.out_offset if outputs else t.in_offset
+        if t.length is None:
+            stride = t.out_stride if outputs else t.in_stride
+            progs.setdefault(stride, {}).setdefault(offset % stride, []).append(idx)
+        else:
+            points.setdefault(offset, []).append(idx)
+    return progs, points
+
+
+def _holding(index, i: int) -> list[int]:
+    """Ascending positions of the terms whose point is ``i`` or whose
+    progression has ``i``'s residue; the progressions may start above ``i``."""
+    progs, points = index
+    return sorted(points.get(i, []) + [n for s, g in progs.items() for n in g.get(i % s, ())])
+
+
+def _meeting(index, stride: int, offset: int) -> list[int]:
+    """Positions of the progressions that meet ``{stride*j + offset}``: those
+    whose residue agrees with ``offset`` modulo the gcd of the two strides."""
     hits = []
-    for s, group in progs.items():
+    for s, group in index[0].items():
         g = math.gcd(stride, s)
         r0 = offset % g
         if len(group) < s // g:
@@ -631,15 +654,14 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
     """Operator product ``a @ b`` (apply ``b`` first), summed straight into
     canonical form.
 
-    ``b``'s points are keyed by output index and its progressions by output
-    stride and residue.  A point of ``a`` meets the points keyed by its
-    input and, in each stride group, the progressions of its input's
-    residue that start at or below it.  A progression of ``a`` meets the
-    progressions whose output residue agrees with its input offset modulo
-    the gcd of the two strides (solutions then exist), and the points on its
-    input progression.  For each term of ``a`` the partners are taken in
-    ``b``'s term order, so every coefficient is summed in the order of the
-    all-pairs product and keeps its bits.
+    ``b``'s terms are keyed by output in the term index.  A point of ``a``
+    meets the terms ``_holding`` its input: the points there and the
+    progressions of its residue that start at or below it.  A progression
+    of ``a`` meets the progressions whose output residue agrees with its
+    input offset modulo the gcd of the two strides (``_meeting``; solutions
+    then exist), and the points on its input progression.  For each term of
+    ``a`` the partners are taken in ``b``'s term order, so every coefficient
+    is summed in the order of the all-pairs product and keeps its bits.
 
     When only point x point products reach the point table (no point of
     ``a`` has its column on a progression of ``b``, no point of ``b`` its
@@ -657,38 +679,29 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
     ``_finish`` filters and orders both tables as before.
     """
     nprog = sum(1 for t in b.terms if t.length is None)  # canonical: progressions first
-    progs: dict[int, dict[int, list[int]]] = {}  # out stride -> out residue -> indices
-    for idx, t in enumerate(b.terms[:nprog]):
-        progs.setdefault(t.out_stride, {}).setdefault(t.out_offset % t.out_stride, []).append(idx)
     points = b.terms[nprog:]
     fams: dict[tuple[int, int, int, int], complex] = {}
     dyds = _point_product(a, b, nprog)
     kernel = dyds is not None
-    points_at: dict[int, list[tuple[int, complex]]] = {}  # out index -> (in index, coeff)
+    # the kernel's table leaves the index b's progressions to list
+    index = _term_index(b.terms[:nprog] if kernel else b.terms, outputs=True)
     if not kernel:
         dyds = {}
-        for t in points:
-            points_at.setdefault(t.out_offset, []).append((t.in_offset, t.coeff))
 
     for ta in a.terms:
         ca, ai, ao = ta.coeff, ta.in_offset, ta.out_offset
         if ta.length == 1:
             if kernel:
                 continue
-            hits = sorted(idx for stride, group in progs.items()
-                          for idx in group.get(ai % stride, ()))
-            for idx in hits:
+            for idx in _holding(index, ai):  # a point of b has strides 1 and d == 0
                 tb = b.terms[idx]
                 d = ai - tb.out_offset
                 if d >= 0:
                     key = (ao, tb.in_stride * (d // tb.out_stride) + tb.in_offset)
                     dyds[key] = dyds.get(key, 0j) + ca * tb.coeff
-            for bi, cb in points_at.get(ai, ()):
-                key = (ao, bi)
-                dyds[key] = dyds.get(key, 0j) + ca * cb
             continue
         s1, os_ = ta.in_stride, ta.out_stride
-        for idx in sorted(_meeting(progs, s1, ai)):
+        for idx in sorted(_meeting(index, s1, ai)):
             p = _compose_terms(ta, b.terms[idx])
             sig = p[1:5]
             fams[sig] = fams.get(sig, 0.0) + p[0]
@@ -811,50 +824,40 @@ def equals(a: StructuredOperator, b: StructuredOperator) -> bool:
 # -- structural predicates -------------------------------------------------
 
 
-def _inputs_keyed(terms: Sequence[Term]) -> tuple[dict[int, dict[int, list[int]]],
-                                                  dict[int, list[int]]]:
-    """Positions in ``terms`` keyed by input: progressions by stride, then
-    residue; points by index."""
-    progs: dict[int, dict[int, list[int]]] = {}
-    points_at: dict[int, list[int]] = {}
-    for idx, t in enumerate(terms):
+def _meeting_pairs(terms: Sequence[Term], outputs: bool = False):
+    """``(n, first, agree)`` for each pair of terms the term index lists as meeting
+    on their inputs (outputs, with ``outputs``): ``n`` the later position, ``first``
+    the least shared index, ``agree`` whether both send each shared one alike."""
+    index = _term_index(terms, outputs)
+    progs, points = index
+    ins = operator.attrgetter("in_stride", "in_offset")
+    outs = operator.attrgetter("out_stride", "out_offset")
+    side, far = (outs, ins) if outputs else (ins, outs)
+    for n, t in enumerate(terms):
+        stride, offset = side(t)
         if t.length is None:
-            progs.setdefault(t.in_stride, {}).setdefault(t.in_offset % t.in_stride, []).append(idx)
-        else:
-            points_at.setdefault(t.in_offset, []).append(idx)
-    return progs, points_at
+            partners = [k for k in _meeting(index, stride, offset) if k > n]
+        else:  # a point meets its progressions here, not from their side
+            partners = [k for s, g in progs.items() for k in g.get(offset % s, ())]
+            partners += [k for k in points[offset] if k > n]
+        for k in partners:
+            u = terms[k]
+            m = _match_progressions(stride, offset, t.length, *side(u), u.length)
+            if m is not None:
+                k0, j0, kstep, jstep, length = m
+                (f1, g1), (f2, g2) = far(t), far(u)
+                yield (max(n, k), stride * k0 + offset,
+                       f1 * k0 + g1 == f2 * j0 + g2 and (length == 1 or f1 * kstep == f2 * jstep))
 
 
 def is_monomial(op: StructuredOperator) -> bool:
     """True when no basis column carries two entries at different rows.
 
     Decided exactly: any clash between two terms lives on the intersection
-    of their input progressions, which is itself a progression.  Only pairs
-    whose inputs can meet are solved: progressions are keyed by input
-    stride and residue and points by input index, the way ``compose`` keys
-    ``b``.
+    of their input progressions, which is itself a progression, and only
+    the pairs that the term index lists as meeting there are solved.
     """
-    terms = op.terms
-    progs, points_at = _inputs_keyed(terms)
-    for idx, t1 in enumerate(terms):
-        i = t1.in_offset
-        if t1.length is None:
-            partners = [k for k in _meeting(progs, t1.in_stride, i) if k > idx]
-        else:
-            partners = [k for s, group in progs.items() for k in group.get(i % s, ())]
-            partners += [k for k in points_at[i] if k > idx]
-        for k in partners:
-            t2 = terms[k]
-            m = _match_progressions(t1.in_stride, i, t1.length,
-                                    t2.in_stride, t2.in_offset, t2.length)
-            if m is None:
-                continue
-            k0, j0, kstep, jstep, n = m
-            r1 = t1.out_stride * k0 + t1.out_offset
-            r2 = t2.out_stride * j0 + t2.out_offset
-            if r1 != r2 or (n is None and t1.out_stride * kstep != t2.out_stride * jstep):
-                return False
-    return True
+    return all(agree for _, _, agree in _meeting_pairs(op.terms))
 
 
 def _diagonal_run(t: Term) -> tuple[int, int, int | None] | None:

@@ -3,8 +3,9 @@
 A monomial partial isometry with one unimodular term per support column,
 whose families all translate along their own progression, acts on basis
 indices as an injective partial map sigma.  That premise is checked up
-front; of what follows from it, only the orbit inventory's cover of the
-support is verified at run time.  The orbit structure is computed exactly:
+front on the pairs that opalgebra's term index lists, which sigma reads too;
+of what follows from it, only the orbit inventory's cover of the support is
+verified at run time.  The orbit structure is computed exactly:
 forward walks from generator indices become unilateral shift orbits,
 translation-free pieces form a fixed domain, and whatever remains splits
 into finite cycles, periodic families of cycles, and bilateral chains.  The
@@ -167,17 +168,11 @@ class WoldDecomposition:
 # -- the index map sigma -----------------------------------------------------
 
 
-def _keyed(terms: list[oa.Term]):
-    """``terms`` with their positions keyed by input, for ``_lookup``."""
-    return (terms, *oa._inputs_keyed(terms))
-
-
 def _lookup(keyed, i: int) -> tuple[int, int] | None:
-    """Position of the first term taking input ``i``, and the step it is at;
-    only the terms of ``i``'s point or residue class are tried."""
-    terms, progs, points_at = keyed
-    for n in sorted(points_at.get(i, [])
-                    + [n for s, group in progs.items() for n in group.get(i % s, ())]):
+    """Position of the first of ``keyed``'s terms taking input ``i``, and the
+    step it is at; only those its term index lists as holding ``i`` are tried."""
+    terms, index = keyed
+    for n in oa._holding(index, i):
         j = terms[n].step_at(i)
         if j is not None:
             return n, j
@@ -222,8 +217,7 @@ def _walk(keyed, start: int, modulus: int):
 
 
 def _validate(v: StructuredOperator, tol: float) -> tuple[IndexSet, IndexSet]:
-    # the transposed terms need no canonical form: is_monomial reads any list
-    if not oa.is_monomial(StructuredOperator._canonical(tuple(t.adjoint() for t in v.terms))):
+    if not all(agree for _, _, agree in oa._meeting_pairs(v.terms, outputs=True)):
         raise NotIsometricOnSupport(
             "columns share output rows, so the squared modulus is not a projector")
     for t in v.terms:
@@ -237,14 +231,11 @@ def _validate(v: StructuredOperator, tol: float) -> tuple[IndexSet, IndexSet]:
     if not rng.is_subset(support):
         raise UnsupportedForm(
             "the range leaves the support, so forward orbits are not total")
-    columns = IndexSet.empty()  # one term per column: the checks above hold per entry
-    for t in v.terms:
-        cols = from_parts((t.in_offset,), ()) if t.length == 1 \
-            else from_parts((), ((t.in_stride, t.in_offset),))
-        if not columns.is_disjoint(cols):
-            raise NotIsometricOnSupport(
-                f"two terms share column {columns.intersect(cols).first()}")
-        columns = columns.union(cols)
+    # one term per column: the checks above hold per entry.  Name the least
+    # column that the first term to share one shares with the terms before it
+    shared = min(((n, first) for n, first, _ in oa._meeting_pairs(v.terms)), default=None)
+    if shared is not None:
+        raise NotIsometricOnSupport(f"two terms share column {shared[1]}")
     return support, rng
 
 
@@ -269,7 +260,8 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
         else:
             active.append(t)
     fixed = from_parts((), fixed_parts)
-    forward, backward = _keyed(active), _keyed([t.adjoint() for t in active])
+    adjoints = [t.adjoint() for t in active]
+    forward, backward = (active, oa._term_index(active)), (adjoints, oa._term_index(adjoints))
     modulus = math.lcm(*(t.in_stride for t in active))
 
     generators = support.difference(rng)

@@ -9,7 +9,9 @@ frozensets, residue by residue, that the bitmask ``IndexSet`` must match.
 over all ordered pairs of outcomes, mirrored adjoint pairs included.
 ``ref_compose`` is the dict join that ``compose``'s dense point kernel must
 match bit for bit, and ``ref_adjoint`` the canonicalizing adjoint that the
-re-sorting ``adjoint`` must match bit for bit.
+re-sorting ``adjoint`` must match bit for bit.  ``ref_shared_column`` folds
+one ``IndexSet`` per term, the one-term-per-column check that ``wold``'s
+keyed check must match.
 """
 
 import dataclasses
@@ -322,7 +324,9 @@ def ref_compose(a, b):
                 dyds[key] = dyds.get(key, 0j) + ca * cb
             continue
         s1, os_ = ta.in_stride, ta.out_stride
-        for idx in sorted(oa._meeting(progs, s1, ai)):
+        meeting = [idx for s, group in progs.items() for r, idxs in group.items()
+                   if r % math.gcd(s1, s) == ai % math.gcd(s1, s) for idx in idxs]
+        for idx in sorted(meeting):
             p = oa._compose_terms(ta, b.terms[idx])
             sig = p[1:5]
             fams[sig] = fams.get(sig, 0.0) + p[0]
@@ -338,6 +342,20 @@ def ref_adjoint(op):
     """The adjoint canonicalized from scratch: every term flipped, then
     merged, filtered, absorbed and sorted as any new operator is."""
     return StructuredOperator([t.adjoint() for t in op.terms])
+
+
+def ref_shared_column(terms):
+    """The least column that the first term to share one shares with the
+    terms before it, or None: the union of the columns so far, folded one
+    ``IndexSet`` per term."""
+    columns = IndexSet.empty()
+    for t in terms:
+        cols = IndexSet.from_indices((t.in_offset,)) if t.length == 1 \
+            else IndexSet.from_progression(t.in_stride, t.in_offset)
+        if not columns.is_disjoint(cols):
+            return columns.intersect(cols).first()
+        columns = columns.union(cols)
+    return None
 
 
 @st.composite

@@ -257,6 +257,26 @@ def test_reading_a_large_dense_mask_is_linear():
     assert time.perf_counter() - start < 2.0
 
 
+def test_a_large_point_set_builds_in_one_pass():
+    # ORing one bit per point copied the whole mask: 2.5 s and 2.3 s on a
+    # 2-core x86-64 host
+    evens = range(0, 800_000, 2)
+    start = time.perf_counter()
+    built = IndexSet.from_indices(evens)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    given_bound = IndexSet(transient=evens, bound=800_000)
+    assert time.perf_counter() - start < 1.0
+    assert built == given_bound and built.bound == 799_999
+    assert built.member(799_998) and not built.member(799_997)
+
+
+def test_repunit_matches_the_division_formula():
+    for count in range(65):
+        for step in range(1, 41):
+            assert iss._repunit(count, step) == ((1 << count * step) - 1) // ((1 << step) - 1)
+
+
 _progressions = st.lists(st.tuples(st.sampled_from(DIVISORS_210[:8]) | st.integers(1, 12),
                                    st.integers(0, 60)), max_size=6)
 

@@ -22,9 +22,9 @@ import qrepeat.cli as cli
 import qrepeat.opalgebra as oa
 import qrepeat.wold as wold
 from qrepeat.config import current
-from helpers import no_repeatable_form_instruments
+from helpers import no_repeatable_form_instruments, ref_shared_column
 from qrepeat import (BilateralOrbit, CycleFamily, Dyad, Family, IndexSet,
-                     NotIsometricOnSupport, SplitInvariantViolation,
+                     NotIsometricOnSupport, QRepeatError, SplitInvariantViolation,
                      StateVector, StructuredOperator, UnsupportedForm,
                      build_binary_example, build_example_family,
                      build_nonrepeatable_sibling, build_orthogonal,
@@ -36,6 +36,9 @@ ODDS = IndexSet.from_progression(2, 1)
 
 def op(*terms):
     return StructuredOperator(terms)
+
+
+UNCHECKED = wold.wold_decompose  # for timings: the autouse fixture wraps it
 
 
 @pytest.fixture(autouse=True)
@@ -204,6 +207,31 @@ def test_lookups_try_only_the_terms_of_the_index_class(monkeypatch):
     assert dec.fixed_domain.is_empty and dec.u.is_zero()
 
 
+def test_a_wide_stride_decomposes_quickly():
+    # folding one IndexSet per term, each lifted to the lcm period, took 17 s
+    # on a 2-core x86-64 host; the orbits are those at K = 2000, scaled
+    k = 10001
+    m = op(Family(1.0, 2, 2, 2, 0), Family(1.0, 2 * k, 2 * k + 1, 2 * k, 1))
+    start = time.perf_counter()
+    dec = UNCHECKED(split(m).v)
+    assert time.perf_counter() - start < 5.0
+    assert [(o.generator, o.prefix, o.phases, o.step) for o in dec.shift_orbits] == \
+        [(2, (), tuple(range(2, 2 * k + 1, 2)), 2 * k), (2 * k + 1, (), (2 * k + 1,), 2 * k)]
+
+
+# Counted, not timed: the premise check built one IndexSet per term (2003 here)
+def test_validate_builds_only_the_range_and_the_support(monkeypatch):
+    k = 2000
+    v = split(op(Family(1.0, 2, 2, 2, 0), Family(1.0, 2 * k, 2 * k + 1, 2 * k, 1))).v
+    calls = []
+    for module in (wold, oa):
+        inner = module.from_parts
+        monkeypatch.setattr(module, "from_parts",
+                            lambda *args, inner=inner: calls.append(None) or inner(*args))
+    wold._validate(v, current().tolerance)
+    assert len(calls) <= 2
+
+
 def test_phased_shift_keeps_coefficients():
     v = op(Family(1j, 2, 3, 2, 1))
     dec = wold_decompose(v)
@@ -306,6 +334,109 @@ def test_column_disjoint_isometries_decompose(v):
             assert orbit.depth_of(i) == d
             assert oa.apply(v, StateVector.basis(i)).support() == (j,)
             assert read_memory(dec, StateVector.basis(i)).depth == d
+
+
+CO_MONOMIAL = (NotIsometricOnSupport,
+               "columns share output rows, so the squared modulus is not a projector")
+STRIDE = (UnsupportedForm, "a family changes stride, so its orbits are not eventually arithmetic")
+AMPLITUDE = (NotIsometricOnSupport, "column amplitude 0.5 differs from 1")
+RANGE = (UnsupportedForm, "the range leaves the support, so forward orbits are not total")
+
+
+def shared_column(c):
+    return NotIsometricOnSupport, f"two terms share column {c}"
+
+
+def broken_premises(v):
+    """The premises of ``wold_decompose`` that ``v`` breaks, each decided on its own."""
+    tol = current().tolerance
+    broken = set()
+    if not oa.is_monomial(oa.adjoint(v)):
+        broken.add("co-monomial")
+    if any(t.out_stride != t.in_stride for t in v.terms):
+        broken.add("stride")
+    if any(abs(abs(t.coeff) - 1.0) > tol for t in v.terms):
+        broken.add("amplitude")
+    if not v.range_set().is_subset(v.support_set()):
+        broken.add("range")
+    if ref_shared_column(v.terms) is not None:
+        broken.add("column")
+    return broken
+
+
+# Each premise broken alone, then in pairs: the first check in the order
+# co-monomial, per term (stride, then amplitude), range, column names it.
+PREMISES = [
+    ("co-monomial", op(Dyad(1.0, 0, 0), Dyad(1.0, 0, 1)), CO_MONOMIAL),
+    ("stride", op(Family(1.0, 2, 0, 1, 0)), STRIDE),
+    ("amplitude", op(Family(0.5, 1, 0, 1, 0)), AMPLITUDE),
+    ("range", op(Family(1.0, 1, 0, 1, 2)), RANGE),
+    ("column", op(Family(1.0, 2, 1, 2, 1), Family(1.0, 3, 3, 3, 3)), shared_column(3)),
+    # the second term is the first to share a column (20); the point's 10 comes later
+    ("column", op(Family(1.0, 10, 10, 10, 10), Family(1.0, 20, 20, 20, 20), Dyad(1.0, 10, 10)),
+     shared_column(20)),
+    ("co-monomial stride", op(Family(1.0, 4, 0, 2, 0), Dyad(1.0, 0, 1)), CO_MONOMIAL),
+    ("co-monomial amplitude", op(Dyad(0.5, 0, 0), Dyad(1.0, 0, 1)), CO_MONOMIAL),
+    ("co-monomial range", op(Dyad(1.0, 2, 0), Dyad(1.0, 2, 1)), CO_MONOMIAL),
+    ("co-monomial column", op(Family(1.0, 1, 0, 1, 0), Dyad(1.0, 3, 5)), CO_MONOMIAL),
+    ("stride amplitude", op(Family(0.5, 2, 0, 1, 0)), STRIDE),
+    # the amplitude term comes first in canonical order
+    ("stride amplitude", op(Family(0.5, 2, 1, 2, 1), Family(1.0, 4, 0, 2, 0)), AMPLITUDE),
+    ("stride range", op(Family(1.0, 2, 0, 1, 1)), STRIDE),
+    ("stride column", op(Family(1.0, 4, 0, 2, 0), Dyad(1.0, 2, 2)), STRIDE),
+    ("amplitude range", op(Family(0.5, 1, 0, 1, 2)), AMPLITUDE),
+    ("amplitude column", op(Family(1.0, 2, 1, 2, 1), Family(0.5, 3, 3, 3, 3)), AMPLITUDE),
+    ("range column", op(Family(1.0, 2, 0, 2, 2), Dyad(1.0, 1, 2)), RANGE),
+]
+
+
+@pytest.mark.parametrize("broken,v,expected", PREMISES,
+                         ids=[f"{row[0]}-{n}" for n, row in enumerate(PREMISES)])
+def test_each_broken_premise_is_named_by_the_first_check(broken, v, expected):
+    assert broken_premises(v) == set(broken.split())
+    error, text = expected
+    with pytest.raises(QRepeatError) as info:
+        wold_decompose(v)
+    assert type(info.value) is error and str(info.value) == text
+
+
+@st.composite
+def overlapping_isometries(draw):
+    """A ``column_disjoint_isometries`` draw plus terms on columns it already
+    uses that keep every earlier premise: sub-progressions and points of its
+    families, and points sending a used column to a row outside the range."""
+    v = draw(column_disjoint_isometries())
+    generators = v.support_set().difference(v.range_set())
+    rows = sorted(generators.transient) if generators.is_finite else []
+    extra = []
+    for t in draw(st.lists(st.sampled_from(v.terms), min_size=1, max_size=3)) if v.terms else ():
+        c = draw(st.sampled_from(PHASES))
+        if t.length is None and draw(st.booleans()):
+            k, m = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+            extra.append(Family(c, t.out_stride * m, t.out_stride * k + t.out_offset,
+                                t.in_stride * m, t.in_stride * k + t.in_offset))
+        elif t.length is None:
+            j = draw(st.integers(1, 3))
+            extra.append(Dyad(c, t.out_stride * j + t.out_offset, t.in_stride * j + t.in_offset))
+        elif rows:  # each generator row once, so no row takes two columns
+            extra.append(Dyad(c, rows.pop(draw(st.integers(0, len(rows) - 1))), t.in_offset))
+    # a repeated signature would merge coefficients, so keep the first
+    terms = {(t.length, t.out_stride, t.out_offset, t.in_stride, t.in_offset): t
+             for t in reversed(v.terms + tuple(extra))}
+    return StructuredOperator(terms.values())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(overlapping_isometries())
+def test_the_shared_column_is_the_one_the_union_fold_finds(v):
+    expected = ref_shared_column(v.terms)
+    try:
+        wold._validate(v, current().tolerance)
+    except NotIsometricOnSupport as e:
+        assert expected is not None and str(e) == f"two terms share column {expected}"
+    else:
+        assert expected is None
 
 
 # I - |5><5| and |5><5|: outcome 1 sums two terms on column 5 to zero
@@ -422,7 +553,7 @@ def test_memory_map_builds_two_adjoints_per_outcome(monkeypatch):
     monkeypatch.setattr(oa, "adjoint", counted)
     mm = memory_map(inst)
     assert all(dec is not None for dec in mm.values())
-    # split builds one adjoint(v) and the monomial check transposes the
-    # terms without one; u's unitarity follows from the construction and
-    # is not certified again
+    # split builds one adjoint(v) and the co-monomial check keys the terms
+    # by output without one; u's unitarity follows from the construction
+    # and is not certified again
     assert len(calls) == 24
