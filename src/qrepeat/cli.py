@@ -30,7 +30,7 @@ from .instruments import (Instrument, build_binary_example,
                           build_example_family, make_instrument)
 from .opalgebra import StateVector, StructuredOperator, Term
 from .simulate import run_trajectory
-from .wold import split, wold_decompose
+from .wold import outcome_decompositions
 
 SCHEMA_VERSION = "1"
 
@@ -208,16 +208,12 @@ def classification_doc(cls) -> dict:
 
 def wold_doc(inst: Instrument) -> dict:
     outcomes = []
-    for label, op in inst.items():
-        entry = {"label": label}
-        try:
-            parts = split(op)
-            dec = wold_decompose(parts.v)
-        except QRepeatError as e:
-            entry["unsupported"] = str(e)
-            outcomes.append(entry)
+    for label, parts, dec, reason in outcome_decompositions(inst):
+        if reason is not None:
+            outcomes.append({"label": label, "unsupported": reason})
             continue
-        entry.update({
+        outcomes.append({
+            "label": label,
             "v": _operator_doc(parts.v),
             "w": _operator_doc(parts.w),
             "u": _operator_doc(dec.u),
@@ -238,7 +234,6 @@ def wold_doc(inst: Instrument) -> dict:
             "unitaryDomain": _indexset_doc(dec.unitary_domain),
             "shiftDomain": _indexset_doc(dec.shift_domain),
         })
-        outcomes.append(entry)
     return {"schemaVersion": SCHEMA_VERSION, "outcomes": outcomes}
 
 

@@ -31,6 +31,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import chain, count
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -264,58 +265,58 @@ def _finish(fams: dict[tuple[int, int, int, int], complex],
 
     ``fams`` maps progression signatures ``(os, oo, is, io)`` and ``dyds``
     point positions ``(out, in)`` to their coefficient sums.  A sum that is
-    not finite raises ValueError before the tolerance filter, which would
-    drop a nan silently.  Sums within ``tol`` of zero are dropped, points on
-    a family boundary are absorbed, and the progressions, then the points,
-    are listed in sorted order.
+    not finite, before the tolerance filter (which would drop a nan) or in a
+    merge, raises ValueError.  Sums within ``tol`` of zero are dropped.  The
+    least point that cancels a family head or extends a family one step
+    backward is absorbed, against its families in sorted order, until none
+    is left.  Only the points at a family head or one step before it are
+    indexed, once; an absorption re-indexes and re-queues only the family it
+    moved.  The progressions, then the points, are listed in sorted order.
     """
     for c in chain(fams.values(), dyds.values()):
         if not cmath.isfinite(c):
             raise ValueError("coefficients must be finite")
     dyds = {k: c for k, c in dyds.items() if abs(c) > tol}
     fams = {k: c for k, c in fams.items() if abs(c) > tol}
-    while _absorb_one(fams, dyds, tol):  # each pass removes a point, so this ends
-        pass
+    if dyds:
+        near: dict[tuple[int, int], set[tuple[int, int, int, int]]] = {}
+        for sig in fams:
+            os_, oo, is_, io = sig
+            for p in ((oo, io), (oo - os_, io - is_)):
+                if p in dyds:
+                    near.setdefault(p, set()).add(sig)
+        queue = sorted(near)  # a sorted list is a heap
+        while queue:
+            pos = heappop(queue)
+            c = dyds.get(pos)  # None once absorbed through an earlier copy
+            # near keeps the families that moved or cancelled; fams has the live ones
+            for sig in sorted(fams.keys() & near[pos]) if c is not None else ():
+                os_, oo, is_, io = sig
+                cf = fams[sig]
+                if pos == (oo, io) and abs(c + cf) <= tol:
+                    step = 1  # the point cancels the head; the family starts one step later
+                elif pos == (oo - os_, io - is_) and abs(c - cf) <= tol:
+                    step = -1  # the point extends the family one step backward
+                else:
+                    continue
+                del dyds[pos]
+                del fams[sig]
+                nsig = (os_, oo + step * os_, is_, io + step * is_)
+                cf = fams.get(nsig, 0.0) + cf
+                if not cmath.isfinite(cf):
+                    raise ValueError("coefficients must be finite")
+                if abs(cf) > tol:
+                    fams[nsig] = cf
+                    p = (pos[0] + step * os_, pos[1] + step * is_)  # nsig's end other than pos
+                    if p in dyds:
+                        near.setdefault(p, set()).add(nsig)
+                        heappush(queue, p)
+                elif nsig in fams:
+                    del fams[nsig]
+                break
     out = [Term._trusted(c, *sig, None) for sig, c in sorted(fams.items())]
     out.extend(Term._trusted(c, 1, o, 1, i, 1) for (o, i), c in sorted(dyds.items()))
     return tuple(out)
-
-
-def _absorb_one(fams: dict[tuple[int, int, int, int], complex],
-                dyds: dict[tuple[int, int], complex], tol: float) -> bool:
-    """Absorb the least point that cancels a family head or extends a family
-    one step backward, trying its families in sorted order; False when none does.
-
-    Only a point at a family head or one step before it can match, so only
-    those points are tried.
-    """
-    near: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-    for sig in fams:
-        os_, oo, is_, io = sig
-        near.setdefault((oo, io), []).append(sig)
-        if oo >= os_ and io >= is_:
-            near.setdefault((oo - os_, io - is_), []).append(sig)
-    for pos in sorted(near.keys() & dyds.keys()):
-        c = dyds[pos]
-        for sig in sorted(near[pos]):
-            os_, oo, is_, io = sig
-            cf = fams[sig]
-            if pos == (oo, io) and abs(c + cf) <= tol:
-                step = 1  # the point cancels the head; the family starts one step later
-            elif pos == (oo - os_, io - is_) and abs(c - cf) <= tol:
-                step = -1  # the point extends the family one step backward
-            else:
-                continue
-            del dyds[pos]
-            del fams[sig]
-            nsig = (os_, oo + step * os_, is_, io + step * is_)
-            cf = fams.get(nsig, 0.0) + cf
-            if abs(cf) > tol:
-                fams[nsig] = cf
-            elif nsig in fams:
-                del fams[nsig]
-            return True
-    return False
 
 
 # -- state vectors -------------------------------------------------------

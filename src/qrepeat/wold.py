@@ -427,19 +427,23 @@ def read_memory(decomp: WoldDecomposition, psi: StateVector) -> MemoryReading | 
                          dist[0][0] if len(dist) == 1 else None, dist)
 
 
-def memory_map(inst):
-    """Per-outcome decompositions for instruments that support them.
-
-    Outcomes that ``qrepeat wold`` reports unsupported (any QRepeatError
-    from splitting or decomposing) map to None instead of raising, so
-    trajectory code can attach readings when they exist and stay silent
-    when they do not.
-    """
-    out = {}
+def outcome_decompositions(inst):
+    """``(label, parts, decomposition, reason)`` per outcome; ``reason`` is the message
+    of the QRepeatError that makes it unsupported (the other two None), else None."""
     for label, op in inst.items():
         try:
             parts = split(op)
-            out[label] = wold_decompose(parts.v)
-        except QRepeatError:
-            out[label] = None
-    return out
+            dec = wold_decompose(parts.v)
+        except QRepeatError as e:
+            yield label, None, None, str(e)
+        else:
+            yield label, parts, dec, None
+
+
+def memory_map(inst):
+    """Per-outcome decompositions for instruments that support them.
+
+    Unsupported outcomes map to None instead of raising, so trajectory code
+    can attach readings when they exist and stay silent when they do not.
+    """
+    return {label: dec for label, _, dec, _ in outcome_decompositions(inst)}

@@ -11,12 +11,16 @@ over all ordered pairs of outcomes, mirrored adjoint pairs included.
 match bit for bit, and ``ref_adjoint`` the canonicalizing adjoint that the
 re-sorting ``adjoint`` must match bit for bit.  ``ref_shared_column`` folds
 one ``IndexSet`` per term, the one-term-per-column check that ``wold``'s
-keyed check must match.
+keyed check must match.  ``ref_finish`` absorbs one point per pass over a
+fresh index of every family, the rule that ``_finish``'s single index must
+keep term for term and bit for bit.
 """
 
+import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from hypothesis import strategies as st
@@ -356,6 +360,75 @@ def ref_shared_column(terms):
             return columns.intersect(cols).first()
         columns = columns.union(cols)
     return None
+
+
+def ref_finish(fams, dyds, tol):
+    """Canonical terms from summed coefficients, absorbing one point per
+    pass: each pass indexes every family afresh and absorbs the least point
+    at a family head or one step before it that cancels the head or extends
+    the family, trying its families in sorted order."""
+    for c in chain(fams.values(), dyds.values()):
+        if not cmath.isfinite(c):
+            raise ValueError("coefficients must be finite")
+    dyds = {k: c for k, c in dyds.items() if abs(c) > tol}
+    fams = {k: c for k, c in fams.items() if abs(c) > tol}
+    while _ref_absorb_one(fams, dyds, tol):
+        pass
+    out = [oa.Term._trusted(c, *sig, None) for sig, c in sorted(fams.items())]
+    out.extend(oa.Term._trusted(c, 1, o, 1, i, 1) for (o, i), c in sorted(dyds.items()))
+    return tuple(out)
+
+
+def _ref_absorb_one(fams, dyds, tol):
+    near = {}
+    for sig in fams:
+        os_, oo, is_, io = sig
+        near.setdefault((oo, io), []).append(sig)
+        if oo >= os_ and io >= is_:
+            near.setdefault((oo - os_, io - is_), []).append(sig)
+    for pos in sorted(near.keys() & dyds.keys()):
+        c = dyds[pos]
+        for sig in sorted(near[pos]):
+            os_, oo, is_, io = sig
+            cf = fams[sig]
+            if pos == (oo, io) and abs(c + cf) <= tol:
+                step = 1
+            elif pos == (oo - os_, io - is_) and abs(c - cf) <= tol:
+                step = -1
+            else:
+                continue
+            del dyds[pos]
+            del fams[sig]
+            nsig = (os_, oo + step * os_, is_, io + step * is_)
+            cf = fams.get(nsig, 0.0) + cf
+            if abs(cf) > tol:
+                fams[nsig] = cf
+            elif nsig in fams:
+                del fams[nsig]
+            return True
+    return False
+
+
+@st.composite
+def boundary_sums(draw):
+    """Summed coefficient tables ``(fams, dyds)`` for ``_finish``: families
+    of stride 1-3 and offset 0-6, points at each family's head and one or
+    two steps to either side with a coefficient equal, opposite, half or
+    within 1e-13 of the family's, and stray points."""
+    fams, dyds = {}, {}
+    for _ in range(draw(st.integers(0, 5))):
+        os_, is_ = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        oo, io = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        cf = draw(st.sampled_from([1.0, -1.0, 0.5, 1j]) | _coeffs)
+        fams[(os_, oo, is_, io)] = cf
+        for _ in range(draw(st.integers(0, 3))):
+            k = draw(st.integers(-2, 2))
+            pos = (oo + k * os_, io + k * is_)
+            if min(pos) >= 0:
+                dyds[pos] = draw(st.sampled_from([cf, -cf, cf / 2, cf + 1e-13, -cf - 1e-13j]))
+    for _ in range(draw(st.integers(0, 3))):
+        dyds[(draw(st.integers(0, 10)), draw(st.integers(0, 10)))] = draw(_coeffs)
+    return fams, dyds
 
 
 @st.composite

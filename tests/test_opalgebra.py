@@ -7,6 +7,7 @@ which is exact and free of truncation artifacts.
 
 import contextlib
 import math
+import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -19,11 +20,12 @@ from hypothesis import strategies as st
 
 import qrepeat
 import qrepeat.opalgebra as oa
-from helpers import (NORM_DEFECT, UNDECIDED_NORMS, dense, dense_blocks, dense_vec,
-                     loose_operators, operators, point_products, ref_adjoint, ref_compose,
-                     signed_zero_operators, states)
+from helpers import (NORM_DEFECT, UNDECIDED_NORMS, boundary_sums, dense, dense_blocks,
+                     dense_vec, loose_operators, operators, point_products, ref_adjoint,
+                     ref_compose, ref_finish, signed_zero_operators, states)
 from qrepeat import (Dyad, Family, IndexSet, PeriodCapExceeded, StateVector,
                      StructuredOperator, UnsupportedForm)
+from qrepeat.indexsets import from_parts
 
 DIM = 24
 
@@ -103,6 +105,44 @@ def test_point_inside_a_family_stays_separate():
     op = StructuredOperator((Family(1.0, 2, 3, 2, 1), Dyad(0.25, 5, 3)))
     assert op.terms == (Family(1.0, 2, 3, 2, 1), Dyad(0.25, 5, 3))
     assert mat(op)[5, 3] == 1.25
+
+
+# _finish indexes the points on a family boundary once per call; it must
+# absorb exactly what one fresh pass per absorbed point does.  The large
+# tolerance makes drops and merges happen.
+@given(boundary_sums(), st.sampled_from([1e-12, 0.6]))
+@settings(deadline=None, max_examples=500)
+def test_finish_absorbs_as_one_pass_per_point_does_bit_for_bit(sums, tol):
+    fams, dyds = sums
+    got = SimpleNamespace(terms=oa._finish(dict(fams), dict(dyds), tol))
+    assert _bits(got) == _bits(SimpleNamespace(terms=ref_finish(fams, dyds, tol)))
+
+
+def test_canonicalization_is_linear_in_the_absorbed_points():
+    # the identity cut into stride-F families, its first period given as
+    # points one step before each head: every point extends one family
+    F = 2000
+    terms = ([Family(1.0, F, F + r, F, F + r) for r in range(F)]
+             + [Dyad(1.0, r, r) for r in range(F)])
+    start = time.perf_counter()
+    op = StructuredOperator(terms)
+    assert time.perf_counter() - start < 0.5
+    assert op.terms == tuple(Family(1.0, F, r, F, r) for r in range(F))
+
+
+def test_projector_of_a_long_period_absorbs_its_points_quickly():
+    s = from_parts([10999], [(1000, r) for r in range(500)])
+    start = time.perf_counter()
+    p = oa.projector(s)
+    assert time.perf_counter() - start < 0.5
+    assert len(p.terms) == 501
+
+
+def test_an_absorption_merge_that_overflows_is_rejected():
+    # (4, 4) extends the family at 5 back onto the one at 4; their sum is inf
+    with pytest.raises(ValueError, match="finite"):
+        StructuredOperator((Family(1e308, 1, 5, 1, 5), Family(1e308, 1, 4, 1, 4),
+                            Dyad(1e308, 4, 4)))
 
 
 def test_shift_family_dense_form():
