@@ -60,7 +60,10 @@ def certify_repeatable(inst: Instrument) -> CertificationReport:
     distinct outcomes (``M_f M_e`` and ``M_e M_f`` are different operators).
     Range/support inclusion and pairwise range orthogonality are reported
     as diagnostics only; the latter is decided once per unordered pair, as
-    ``M_e* M_f`` is the adjoint of ``M_f* M_e``.
+    ``M_e* M_f`` is the adjoint of ``M_f* M_e``.  A pair whose terms cannot
+    meet has a zero product, so it is decided without building it: one term
+    index over all outcomes lists the pairs that meet, at a cost that
+    follows the number of terms, not the largest index.
     """
     tol = current().tolerance
     witnesses: list[Witness] = []
@@ -86,17 +89,23 @@ def certify_repeatable(inst: Instrument) -> CertificationReport:
         per_outcome[label] = OutcomeChecks(iso, ris)
 
     zero = StructuredOperator.zero()
+    ops = [op for _, op in inst.items()]
+    # a pair missing here has no meeting terms: its product is 0, decided unbuilt
+    follows = oa._followers(ops, ops)
+    overlaps = oa._followers(ops, list(adjoints.values()))  # M_f* takes M_f's outputs
     per_pair: dict[tuple[Outcome, Outcome], PairChecks] = {}
-    for e, op_e in inst.items():
-        for f, op_f in inst.items():
-            if e == f:
+    for a, (e, op_e) in enumerate(inst.items()):
+        for b, (f, op_f) in enumerate(inst.items()):
+            if a == b:
                 continue
-            dev, pos = oa.max_deviation(oa.compose(op_f, op_e), zero)
+            dev, pos = oa.max_deviation(oa.compose(op_f, op_e), zero) \
+                if b in follows[a] else (0.0, None)
             vanish = dev <= tol
             if not vanish:
                 witnesses.append(Witness(f"annihilation ({f!r} after {e!r})", pos, dev))
             ranges = per_pair[(f, e)].ranges_orthogonal if (f, e) in per_pair \
-                else oa.max_deviation(oa.compose(adjoints[f], op_e), zero)[0] <= tol
+                else b not in overlaps[a] \
+                or oa.max_deviation(oa.compose(adjoints[f], op_e), zero)[0] <= tol
             per_pair[(e, f)] = PairChecks(vanish, ranges)
 
     repeatable = complete and all(c.isometric_on_range for c in per_outcome.values()) \

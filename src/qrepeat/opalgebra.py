@@ -21,7 +21,9 @@ Coefficients and deviations at or below the active tolerance of
 period cap; ``with qrepeat.settings(...)`` sets both for a block.
 
 Which terms hold index ``i``, by input or by output, is answered by one term
-index (``_term_index``), which ``compose``, ``is_monomial`` and :mod:`qrepeat.wold` read.
+index (``_term_index``), which ``compose``, ``is_monomial`` and :mod:`qrepeat.wold` read;
+``_followers`` keys it by operator, so :mod:`qrepeat.certify` composes only the
+outcome pairs whose terms meet.
 """
 
 from __future__ import annotations
@@ -400,8 +402,13 @@ class StateVector:
 
 
 def random_state(rng: np.random.Generator, max_index: int, max_support: int = 8) -> StateVector:
-    """Normalized state with small uniform support and Gaussian amplitudes."""
-    size = min(int(rng.integers(1, max_support + 1)), max_index)
+    """Normalized state with small uniform support and Gaussian amplitudes.
+    Raises ValueError, before any draw, when no index or no support is allowed."""
+    if max_index < 1:
+        raise ValueError(f"max_index must be at least 1, got {max_index}")
+    if max_support < 1:
+        raise ValueError(f"max_support must be at least 1, got {max_support}")
+    size =min(int(rng.integers(1, max_support + 1)), max_index)
     idx = rng.choice(max_index, size=size, replace=False)
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     n = np.linalg.norm(amps)
@@ -525,6 +532,56 @@ def _meeting(index, stride: int, offset: int) -> list[int]:
         else:
             hits.extend(idx for r in range(r0, s, g) for idx in group.get(r, ()))
     return hits
+
+
+def _followers(firsts: Sequence[StructuredOperator],
+               seconds: Sequence[StructuredOperator]) -> list[set[int]]:
+    """For each operator ``a`` in ``firsts``, the positions ``k`` in ``seconds``
+    of the operators with an input term that an output term of ``a`` meets.
+    For any other ``k``, ``compose(seconds[k], a)`` has no term.
+
+    The inputs of ``seconds`` are indexed once, in the term index's shape but
+    by owner: progressions by stride, then residue, with each owner's least
+    offset there; points by index.  A point row meets the points at it and
+    the progressions of its residue that start at or below it.  An output
+    progression meets the progressions whose residue agrees with its offset
+    modulo the gcd of the strides (``_meeting``), and the points of its
+    residue at or above its offset, bucketed once per output stride.  Each
+    test is exact, so ``k`` is listed exactly when two terms meet.
+    """
+    progs: dict[int, dict[int, dict[int, int]]] = {}  # stride -> residue -> owner -> offset
+    points: dict[int, set[int]] = {}  # index -> owners
+    for k, op in enumerate(seconds):
+        for t in op.terms:
+            if t.length is None:
+                group = progs.setdefault(t.in_stride, {}).setdefault(t.in_offset % t.in_stride, {})
+                group[k] = min(group.get(k, t.in_offset), t.in_offset)
+            else:
+                points.setdefault(t.in_offset, set()).add(k)
+    buckets: dict[int, dict[int, dict[int, int]]] = {}  # stride -> residue -> owner -> top point
+    follows = []
+    for op in firsts:
+        hits: set[int] = set()
+        rows = set()  # a dense block has d rows but d * d points
+        for t in op.terms:
+            if t.length == 1:
+                rows.add(t.out_offset)
+                continue
+            s, o = t.out_stride, t.out_offset
+            hits.update(_meeting((progs, points), s, o))
+            if s not in buckets:
+                bucket = buckets[s] = {}
+                for i, owners in points.items():
+                    top = bucket.setdefault(i % s, {})
+                    for k in owners:
+                        top[k] = max(top.get(k, i), i)
+            hits.update(k for k, i in buckets[s].get(o % s, {}).items() if i >= o)
+        for i in rows:
+            hits.update(points.get(i, ()))
+            for s, group in progs.items():
+                hits.update(k for k, o in group.get(i % s, {}).items() if o <= i)
+        follows.append(hits)
+    return follows
 
 
 def _point_block(points: Iterable[Term]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """Repeatability certification, the numerical cross-check, and POVM analysis."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -67,15 +68,15 @@ def test_stride_210_partition_builds_and_certifies():
     assert rep.repeatable and rep.orthogonal and rep.complete
 
 
-def _count_progression_products(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = []
-    inner = oa._compose_terms
+    inner = getattr(oa, name)
 
-    def counted(a, b):
+    def counted(*args):
         calls.append(None)
-        return inner(a, b)
+        return inner(*args)
 
-    monkeypatch.setattr(oa, "_compose_terms", counted)
+    monkeypatch.setattr(oa, name, counted)
     return calls
 
 
@@ -84,7 +85,7 @@ def _count_progression_products(monkeypatch):
 def test_certify_stride_210_partition_makes_few_progression_products(monkeypatch):
     s = IndexSet.from_progression(210, 0)
     inst = build_orthogonal({1: s, 2: s.complement()})
-    calls = _count_progression_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "_compose_terms")
     assert certify_repeatable(inst).repeatable
     assert len(calls) < 5000  # all pairs: 219,664
 
@@ -104,7 +105,7 @@ def test_certify_dense_block_makes_few_progression_products(monkeypatch):
             terms.append(Family(1.0, 1, d, 1, d))
         ops[label] = StructuredOperator(terms)
     inst = make_instrument(ops)
-    calls = _count_progression_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "_compose_terms")
     assert certify_repeatable(inst).repeatable
     assert len(calls) < 100  # all pairs: 69,637
 
@@ -159,6 +160,63 @@ def test_certify_builds_one_adjoint_per_outcome(monkeypatch):
     # one per outcome for the POVM and one shared by the isometry and range
     # checks; rebuilt at every use over all ordered pairs: 600
     assert len(calls) == 48
+
+
+# ex1 keeps each outcome to its own residue class, so most pairs never meet;
+# every pair of the sibling meets.  All ordered pairs take 901 products on both.
+def test_certify_composes_only_the_pairs_whose_terms_meet(monkeypatch):
+    ex1 = build_example_family(24, [1 / 24] * 24)
+    sibling = build_nonrepeatable_sibling(24, [1 / 24] * 24)
+    calls = _count_calls(monkeypatch, "compose")
+    assert certify_repeatable(ex1).repeatable
+    assert len(calls) <= 96
+    calls.clear()
+    rep = certify_repeatable(sibling)
+    assert len(calls) == 901
+    assert len(rep.witnesses) == 576
+
+
+def _outputs_raised(inst, shift):
+    return ins.Instrument(tuple(
+        (label, StructuredOperator(oa.Term(t.coeff, t.out_stride, t.out_offset + shift,
+                                           t.in_stride, t.in_offset, t.length)
+                                   for t in op.terms))
+        for label, op in inst.items()))
+
+
+# Repeatable and orthogonal; combining its two range masks takes period 154,
+# over the cap it is certified under below.
+STRIDE_PAIR = make_instrument({1: StructuredOperator([Family(1.0, 14, 0, 2, 0)]),
+                               2: StructuredOperator([Family(1.0, 22, 1, 2, 1)])})
+
+
+@pytest.mark.parametrize("name, inst, cap", [
+    ("ex1 n=8", build_example_family(8, [1 / 8] * 8), None),
+    ("ex1 n=24", build_example_family(24, [1 / 24] * 24), None),
+    ("sibling n=24", build_nonrepeatable_sibling(24, [1 / 24] * 24), None),
+    ("three-part partition", build_orthogonal({
+        0: IndexSet.from_progression(3, 0), 1: IndexSet.from_progression(3, 1),
+        2: IndexSet.from_progression(3, 2)}), None),
+    ("ex1 n=16, outputs raised", _outputs_raised(build_example_family(16, [1 / 16] * 16), 10**7),
+     None),
+    ("stride pair", STRIDE_PAIR, 100),
+])
+def test_certify_matches_the_reference_on_fixed_instruments(name, inst, cap):
+    with qrepeat.settings(period_cap=cap):
+        rep, ref = certify_repeatable(inst), ref_certify_repeatable(inst)
+    assert rep == ref
+    assert list(rep.per_pair) == list(ref.per_pair)
+    assert [(w.condition, w.position, w.deviation.hex()) for w in rep.witnesses] \
+        == [(w.condition, w.position, w.deviation.hex()) for w in ref.witnesses]
+
+
+# Certify's cost must follow the terms, not the largest index: every output
+# here lies above 10**7, so anything that spends a bit per index is slow.
+def test_certify_time_does_not_follow_the_largest_index():
+    inst = _outputs_raised(build_example_family(16, [1 / 16] * 16), 10**7)
+    started = time.perf_counter()
+    certify_repeatable(inst)
+    assert time.perf_counter() - started < 1.5
 
 
 _drawn_instruments = (
@@ -224,6 +282,12 @@ def test_numerical_check_is_reproducible():
     a = check_repeatability_numerical(inst, trials=10, seed=4)
     b = check_repeatability_numerical(inst, trials=10, seed=4)
     assert a == b
+
+
+def test_numerical_check_refuses_an_empty_index_range():
+    # max_index 0 left random_state drawing forever
+    with pytest.raises(ValueError, match="max_index"):
+        check_repeatability_numerical(build_binary_example(0.3, 0.7), trials=1, max_index=0)
 
 
 def test_finite_dim_suite_smoke():

@@ -211,6 +211,28 @@ def test_compose_equals_the_all_pairs_product_bit_for_bit(a, b):
     assert _bits(oa.compose(a, b)) == _bits(all_pairs)
 
 
+_factors = st.one_of(operators(), operators(max_index=30), dense_blocks())
+
+
+# A pair left out of _followers must compose to nothing; and a pair is left
+# out exactly when no output term of the first meets an input term of the second.
+@given(_factors, _factors)
+@settings(deadline=None)
+def test_followers_hold_every_pair_whose_product_has_a_term(a, b):
+    follows = 0 in oa._followers([a], [b])[0]
+    if oa.compose(b, a).terms:
+        assert follows
+    assert follows == any(oa._compose_terms(tb, ta) is not None
+                          for ta in a.terms for tb in b.terms)
+
+
+@given(st.lists(_factors, max_size=4), st.lists(_factors, max_size=4))
+@settings(deadline=None)
+def test_followers_of_many_operators_are_their_pairwise_followers(firsts, seconds):
+    assert oa._followers(firsts, seconds) == [
+        {k for k, b in enumerate(seconds) if oa._followers([a], [b])[0]} for a in firsts]
+
+
 @given(st.one_of(operators(), dense_blocks()))
 def test_canonical_terms_are_the_validating_constructors_terms(op):
     rebuilt = [oa.Term(t.coeff, t.out_stride, t.out_offset, t.in_stride, t.in_offset, t.length)
@@ -755,12 +777,21 @@ def test_random_state_keeps_the_public_constructors_bits():
 
     for seed in range(3):
         for k in range(40):
-            for args in ((16,), (3, 8), (64, 2)):
+            for args in ((16,), (3, 8), (64, 2), (1,), (1, 1)):
                 rng, ref_rng = np.random.default_rng([seed, k]), np.random.default_rng([seed, k])
                 psi, want = oa.random_state(rng, *args), public(ref_rng, *args)
                 assert hexes(psi) == hexes(want)
                 assert rng.random() == ref_rng.random()  # the same number of draws
                 assert psi.norm_sq().hex() == sum(abs(c) ** 2 for _, c in want.items()).hex()
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0,), "max_index"), ((-3,), "max_index"), ((16, 0), "max_support"), ((16, -1), "max_support")])
+def test_random_state_refuses_an_empty_draw_before_drawing(args, message):
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match=message):
+        oa.random_state(rng, *args)  # max_index 0 looped forever
+    assert rng.random() == np.random.default_rng(5).random()
 
 
 def test_tolerance_override_scopes_comparisons():

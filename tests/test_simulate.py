@@ -147,6 +147,12 @@ def test_empirical_conditionals_reproducible():
     assert a.counts == b.counts and a.first_counts == b.first_counts
 
 
+def test_random_state_sampler_refuses_an_empty_index_range():
+    # max_index 0 left random_state drawing forever
+    with pytest.raises(ValueError, match="max_index"):
+        empirical_conditionals(EX, random_state_sampler(0), trajectories=1, seed=0)
+
+
 def test_empirical_conditionals_requires_work():
     with pytest.raises(ValueError):
         empirical_conditionals(EX, fixed_state_sampler(StateVector.basis(0)),
