@@ -7,9 +7,9 @@ serialized instrument reproduces the operators exactly.  Trajectory logs
 are line-delimited: a header line, then one record per step.
 
 Exit codes: 0 a positive verdict (for ``certify``: repeatable), 1 a
-negative one, 2 parse or validation failure.  The default output directory
-is the ``QREPEAT_OUTDIR`` environment variable, falling back to the current
-directory.
+negative one, 2 parse or validation failure, or a file that cannot be read
+or written.  The default output directory is the ``QREPEAT_OUTDIR``
+environment variable, falling back to the current directory.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .simulate import run_trajectory
 from .wold import outcome_decompositions
 
 SCHEMA_VERSION = "1"
+_FLOAT_MAX = sys.float_info.max
 
 
 def _fail(message: str):
@@ -78,8 +79,8 @@ def _term_from(doc, where: str, k: int):
     kind = doc.get("kind")
     raw = doc.get("coeff")
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
-                       for x in raw)):
+            or not all(isinstance(x, (int, float)) and type(x) is not bool
+                       and abs(x) <= _FLOAT_MAX for x in raw)):
         raise ValueError(f"{where}[{k}]: coeff must be a [re, im] pair")
     coeff = complex(raw[0], raw[1])  # finite: both parts are at most the largest float
     if kind == "dyad":
@@ -146,10 +147,18 @@ def _write(doc: dict, path: Path) -> Path:
     return path
 
 
+def _save(write, doc, path: Path) -> Path:
+    """``write(doc, path)``; a path that cannot be written exits 2."""
+    try:
+        return write(doc, path)
+    except OSError as e:
+        _fail(f"cannot write {path}: {e}")
+
+
 def _load_instrument(path: str, check_completeness: bool) -> Instrument:
     try:
         doc = json.loads(Path(path).read_text())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         _fail(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         _fail(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
@@ -324,7 +333,7 @@ def _file_command(kind: str, out_help: str | None = None):
             except QRepeatError as e:
                 _fail(str(e))
             target = Path(out) if out else _out_dir(None) / f"{_stem(instrument)}.{kind}.json"
-            _write(doc, target)
+            _save(_write, doc, target)
             for line in lines:
                 click.echo(line)
             click.echo(f"{kind}: {target}")
@@ -390,7 +399,7 @@ def simulate(instrument, steps, seed, initial, log_path):
         _fail(str(e))
     target = Path(log_path) if log_path else \
         _out_dir(None) / (_stem(instrument) + ".trajectory.jsonl")
-    write_trajectory_log(record, target)
+    _save(write_trajectory_log, record, target)
     outcomes = " ".join(repr(s.outcome) for s in record.steps)
     depths = " ".join(
         "-" if s.memory is None or s.memory.depth is None else str(s.memory.depth)
@@ -423,19 +432,19 @@ def demo(name, n, p, p1, p2, seed, steps, outdir):
     except (ValueError, QRepeatError) as e:
         _fail(str(e))
     base = _out_dir(outdir)
-    written = [_write(instrument_doc(inst), base / f"{name}.instrument.json")]
+    written = [_save(_write, instrument_doc(inst), base / f"{name}.instrument.json")]
     rep = certify_repeatable(inst)
-    written.append(_write(report_doc(rep), base / f"{name}.report.json"))
+    written.append(_save(_write, report_doc(rep), base / f"{name}.report.json"))
     pv = inst.povm()
-    written.append(_write(povm_doc(pv), base / f"{name}.povm.json"))
+    written.append(_save(_write, povm_doc(pv), base / f"{name}.povm.json"))
     try:
         cls_doc = classification_doc(classify_povm(pv))
     except QRepeatError as e:
         cls_doc = {"schemaVersion": SCHEMA_VERSION, "unsupported": str(e)}
-    written.append(_write(cls_doc, base / f"{name}.classification.json"))
-    written.append(_write(wold_doc(inst), base / f"{name}.wold.json"))
+    written.append(_save(_write, cls_doc, base / f"{name}.classification.json"))
+    written.append(_save(_write, wold_doc(inst), base / f"{name}.wold.json"))
     record = run_trajectory(inst, StateVector.basis(0), steps, seed)
-    written.append(write_trajectory_log(record, base / f"{name}.trajectory.jsonl"))
+    written.append(_save(write_trajectory_log, record, base / f"{name}.trajectory.jsonl"))
     click.echo(report_doc(rep)["summary"])
     for path in written:
         click.echo(f"wrote {path}")

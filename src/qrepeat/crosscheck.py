@@ -105,7 +105,10 @@ def check_repeatability_numerical(inst: Instrument, trials: int = 100, max_index
     Each trial draws an independent state from the generator seeded with
     ``[seed, trial]`` and accumulates, per ordered outcome pair, the
     deviation of ``|M_f M_e psi|^2 / |M_e psi|^2`` from ``delta_ef``.
+    Raises ValueError, before any draw, when ``trials`` is below 1.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     tol = current().tolerance
     devs: dict[tuple[Outcome, Outcome], float] = {
         (e, f): 0.0 for e in inst.outcomes for f in inst.outcomes}

@@ -20,10 +20,10 @@ Coefficients and deviations at or below the active tolerance of
 :mod:`qrepeat.config` count as zero, and line periods are held to its
 period cap; ``with qrepeat.settings(...)`` sets both for a block.
 
-Which terms hold index ``i``, by input or by output, is answered by one term
-index (``_term_index``), which ``compose``, ``is_monomial`` and :mod:`qrepeat.wold` read;
-``_followers`` keys it by operator, so :mod:`qrepeat.certify` composes only the
-outcome pairs whose terms meet.
+Which terms hold an index or meet a progression, by input or by output, is
+answered exactly by one term index (``_term_index``).  ``compose``, ``is_monomial``,
+:mod:`qrepeat.wold` and ``_followers`` read it; the last maps the terms to their
+operators, so :mod:`qrepeat.certify` composes only the outcome pairs whose terms meet.
 """
 
 from __future__ import annotations
@@ -501,23 +501,26 @@ def _compose_terms(a: Term, b: Term) -> tuple | None:
 
 def _term_index(terms: Sequence[Term], outputs: bool = False):
     """Positions in ``terms`` keyed by input (by output with ``outputs``):
-    progressions by stride, then residue; points by index."""
-    progs, points = {}, {}  # stride -> residue -> positions; index -> positions
+    progressions by stride, then residue, with their offsets; points by index."""
+    # stride -> residue -> positions; index -> positions; progression position -> offset
+    progs, points, starts = {}, {}, {}
     for idx, t in enumerate(terms):
         offset = t.out_offset if outputs else t.in_offset
         if t.length is None:
             stride = t.out_stride if outputs else t.in_stride
             progs.setdefault(stride, {}).setdefault(offset % stride, []).append(idx)
+            starts[idx] = offset
         else:
             points.setdefault(offset, []).append(idx)
-    return progs, points
+    return progs, points, starts
 
 
 def _holding(index, i: int) -> list[int]:
-    """Ascending positions of the terms whose point is ``i`` or whose
-    progression has ``i``'s residue; the progressions may start above ``i``."""
-    progs, points = index
-    return sorted(points.get(i, []) + [n for s, g in progs.items() for n in g.get(i % s, ())])
+    """Ascending positions of the terms that hold ``i``: the points at ``i``
+    and the progressions of ``i``'s residue that start at or below it."""
+    progs, points, starts = index
+    return sorted(points.get(i, []) + [n for s, g in progs.items() for n in g.get(i % s, ())
+                                       if starts[n] <= i])
 
 
 def _meeting(index, stride: int, offset: int) -> list[int]:
@@ -540,46 +543,26 @@ def _followers(firsts: Sequence[StructuredOperator],
     of the operators with an input term that an output term of ``a`` meets.
     For any other ``k``, ``compose(seconds[k], a)`` has no term.
 
-    The inputs of ``seconds`` are indexed once, in the term index's shape but
-    by owner: progressions by stride, then residue, with each owner's least
-    offset there; points by index.  A point row meets the points at it and
-    the progressions of its residue that start at or below it.  An output
-    progression meets the progressions whose residue agrees with its offset
-    modulo the gcd of the strides (``_meeting``), and the points of its
-    residue at or above its offset, bucketed once per output stride.  Each
-    test is exact, so ``k`` is listed exactly when two terms meet.
+    The inputs of ``seconds`` are keyed once in the term index (``owner[n]``
+    is term ``n``'s operator), and its points are read by owner.  A row of
+    ``a`` meets the points there and the progressions ``_holding`` it; an
+    output progression, those ``_meeting`` lists and the points on it.  Each
+    answer is exact, so ``k`` is listed exactly when two terms meet.
     """
-    progs: dict[int, dict[int, dict[int, int]]] = {}  # stride -> residue -> owner -> offset
-    points: dict[int, set[int]] = {}  # index -> owners
-    for k, op in enumerate(seconds):
-        for t in op.terms:
-            if t.length is None:
-                group = progs.setdefault(t.in_stride, {}).setdefault(t.in_offset % t.in_stride, {})
-                group[k] = min(group.get(k, t.in_offset), t.in_offset)
-            else:
-                points.setdefault(t.in_offset, set()).add(k)
-    buckets: dict[int, dict[int, dict[int, int]]] = {}  # stride -> residue -> owner -> top point
+    terms = [t for op in seconds for t in op.terms]
+    owner = [k for k, op in enumerate(seconds) for _ in op.terms]
+    progs, points, starts = _term_index(terms)
+    owners = {i: {owner[n] for n in ns} for i, ns in points.items()}
+    index = (progs, {}, starts)  # the progressions alone
     follows = []
     for op in firsts:
         hits: set[int] = set()
-        rows = set()  # a dense block has d rows but d * d points
-        for t in op.terms:
-            if t.length == 1:
-                rows.add(t.out_offset)
-                continue
-            s, o = t.out_stride, t.out_offset
-            hits.update(_meeting((progs, points), s, o))
-            if s not in buckets:
-                bucket = buckets[s] = {}
-                for i, owners in points.items():
-                    top = bucket.setdefault(i % s, {})
-                    for k in owners:
-                        top[k] = max(top.get(k, i), i)
-            hits.update(k for k, i in buckets[s].get(o % s, {}).items() if i >= o)
-        for i in rows:
-            hits.update(points.get(i, ()))
-            for s, group in progs.items():
-                hits.update(k for k, o in group.get(i % s, {}).items() if o <= i)
+        for i in {t.out_offset for t in op.terms if t.length == 1}:
+            hits.update(owners.get(i, ()))
+            hits.update(owner[n] for n in _holding(index, i))
+        for s, o in {(t.out_stride, t.out_offset) for t in op.terms if t.length is None}:
+            hits.update(k for i, ks in owners.items() if i >= o and (i - o) % s == 0 for k in ks)
+            hits.update(owner[n] for n in _meeting(index, s, o))
         follows.append(hits)
     return follows
 
@@ -751,12 +734,10 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
         if ta.length == 1:
             if kernel:
                 continue
-            for idx in _holding(index, ai):  # a point of b has strides 1 and d == 0
+            for idx in _holding(index, ai):  # a point of b has strides 1
                 tb = b.terms[idx]
-                d = ai - tb.out_offset
-                if d >= 0:
-                    key = (ao, tb.in_stride * (d // tb.out_stride) + tb.in_offset)
-                    dyds[key] = dyds.get(key, 0j) + ca * tb.coeff
+                key = (ao, tb.in_stride * ((ai - tb.out_offset) // tb.out_stride) + tb.in_offset)
+                dyds[key] = dyds.get(key, 0j) + ca * tb.coeff
             continue
         s1, os_ = ta.in_stride, ta.out_stride
         for idx in sorted(_meeting(index, s1, ai)):
@@ -887,7 +868,6 @@ def _meeting_pairs(terms: Sequence[Term], outputs: bool = False):
     on their inputs (outputs, with ``outputs``): ``n`` the later position, ``first``
     the least shared index, ``agree`` whether both send each shared one alike."""
     index = _term_index(terms, outputs)
-    progs, points = index
     ins = operator.attrgetter("in_stride", "in_offset")
     outs = operator.attrgetter("out_stride", "out_offset")
     side, far = (outs, ins) if outputs else (ins, outs)
@@ -896,16 +876,14 @@ def _meeting_pairs(terms: Sequence[Term], outputs: bool = False):
         if t.length is None:
             partners = [k for k in _meeting(index, stride, offset) if k > n]
         else:  # a point meets its progressions here, not from their side
-            partners = [k for s, g in progs.items() for k in g.get(offset % s, ())]
-            partners += [k for k in points[offset] if k > n]
+            partners = [k for k in _holding(index, offset) if k > n or terms[k].length is None]
         for k in partners:
             u = terms[k]
-            m = _match_progressions(stride, offset, t.length, *side(u), u.length)
-            if m is not None:
-                k0, j0, kstep, jstep, length = m
-                (f1, g1), (f2, g2) = far(t), far(u)
-                yield (max(n, k), stride * k0 + offset,
-                       f1 * k0 + g1 == f2 * j0 + g2 and (length == 1 or f1 * kstep == f2 * jstep))
+            k0, j0, kstep, jstep, length = _match_progressions(stride, offset, t.length,
+                                                               *side(u), u.length)
+            (f1, g1), (f2, g2) = far(t), far(u)
+            yield (max(n, k), stride * k0 + offset,
+                   f1 * k0 + g1 == f2 * j0 + g2 and (length == 1 or f1 * kstep == f2 * jstep))
 
 
 def is_monomial(op: StructuredOperator) -> bool:

@@ -169,14 +169,11 @@ class WoldDecomposition:
 
 
 def _lookup(keyed, i: int) -> tuple[int, int] | None:
-    """Position of the first of ``keyed``'s terms taking input ``i``, and the
-    step it is at; only those its term index lists as holding ``i`` are tried."""
+    """Position of the first of ``keyed``'s terms taking input ``i``, as its
+    term index lists them, and the step it is at."""
     terms, index = keyed
-    for n in oa._holding(index, i):
-        j = terms[n].step_at(i)
-        if j is not None:
-            return n, j
-    return None
+    held = oa._holding(index, i)
+    return (held[0], terms[held[0]].step_at(i)) if held else None
 
 
 def _walk(keyed, start: int, modulus: int):

@@ -290,6 +290,15 @@ def test_numerical_check_refuses_an_empty_index_range():
         check_repeatability_numerical(build_binary_example(0.3, 0.7), trials=1, max_index=0)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_numerical_check_refuses_fewer_than_one_trial(trials, monkeypatch):
+    # no trial read as every deviation 0.0, an exactly repeatable instrument
+    inst = build_nonrepeatable_sibling(2, (0.5, 0.5))
+    monkeypatch.setattr(cc.oa, "random_state", None)  # no draw may happen
+    with pytest.raises(ValueError, match="at least one trial"):
+        check_repeatability_numerical(inst, trials=trials)
+
+
 def test_finite_dim_suite_smoke():
     for dim in range(2, 7):
         for seed in range(3):

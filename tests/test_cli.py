@@ -12,9 +12,10 @@ import qrepeat.instruments as ins
 import qrepeat.opalgebra as oa
 from helpers import (NORM_DEFECT, UNDECIDED_NORMS, near_complete_instrument,
                      no_repeatable_form_instruments)
-from qrepeat import (Dyad, Family, IndexSet, Instrument, Settings, StructuredOperator,
-                     build_binary_example, build_example_family,
-                     build_nonrepeatable_sibling, build_orthogonal, make_instrument)
+from qrepeat import (Dyad, Family, IndexSet, Instrument, Settings, StateVector,
+                     StructuredOperator, build_binary_example, build_example_family,
+                     build_nonrepeatable_sibling, build_orthogonal, make_instrument,
+                     run_trajectory)
 from qrepeat.config import current
 
 
@@ -78,6 +79,8 @@ def test_instrument_parse_rejects_malformed_documents(doc, msg):
      "coeff must be a [re, im] pair"),  # beyond every float
     ({"kind": "family", "coeff": [1.0, 0.0], "outStride": 1, "outOffset": -1,
       "inStride": 0, "inOffset": 0}, "outOffset must be an integer >= 0"),  # first bad field
+    ({"kind": "dyad", "coeff": [True, False], "out": 0, "in": 0},
+     "coeff must be a [re, im] pair"),  # JSON booleans are no numbers
 ])
 def test_a_bad_term_is_named_by_its_path(term, text):
     doc = cli.instrument_doc(build_example_family(3, (0.2, 0.3, 0.5)))
@@ -195,6 +198,44 @@ def test_certify_rejects_malformed_file(runner, tmp_path):
     path.write_text("{not json")
     result = runner.invoke(cli.main, ["certify", str(path)])
     assert result.exit_code == 2
+
+
+def test_certify_reports_a_file_that_is_not_utf8(runner, tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    result = runner.invoke(cli.main, ["certify", str(path), "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("args,env,target", [
+    (["certify", "--out", "F/r.json"], {}, "F/r.json"),
+    (["povm", "--out", "F/r.json"], {}, "F/r.json"),
+    (["classify", "--out", "F/r.json"], {}, "F/r.json"),
+    (["wold", "--out", "F/r.json"], {}, "F/r.json"),
+    (["certify"], {"QREPEAT_OUTDIR": "F"}, "F/ex.report.json"),
+    (["simulate", "--steps", "2", "--log", "F/t.jsonl"], {}, "F/t.jsonl"),
+    (["demo", "ex1", "--outdir", "F"], {}, "F/ex1.instrument.json"),
+])
+def test_an_output_path_under_a_regular_file_exits_2(runner, tmp_path, monkeypatch,
+                                                      args, env, target):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("a regular file\n")
+    write_instrument(build_example_family(2, (0.5, 0.5)), tmp_path / "ex.json")
+    if args[0] != "demo":
+        args = [args[0], "ex.json", *args[1:]]
+    result = runner.invoke(cli.main, args, env=env)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: cannot write {target}: ")
+    assert result.stdout == ""
+
+
+def test_a_library_caller_gets_the_trajectory_log_oserror(tmp_path):
+    inst = build_example_family(2, (0.5, 0.5))
+    record = run_trajectory(inst, StateVector.basis(0), 2, 0)
+    (tmp_path / "F").write_text("a regular file\n")
+    with pytest.raises(OSError):
+        cli.write_trajectory_log(record, tmp_path / "F" / "t.jsonl")
 
 
 def test_certify_rejects_invalid_schema(runner, tmp_path):

@@ -233,6 +233,37 @@ def test_followers_of_many_operators_are_their_pairwise_followers(firsts, second
         {k for k, b in enumerate(seconds) if oa._followers([a], [b])[0]} for a in firsts]
 
 
+@st.composite
+def _indexed_terms(draw):
+    """Terms of a drawn operator, the side to index them by, and an index
+    drawn around their offsets on that side."""
+    terms = draw(st.one_of(operators(), dense_blocks())).terms
+    outputs = draw(st.booleans())
+    offsets = [t.out_offset if outputs else t.in_offset for t in terms] or [0]
+    i = max(0, draw(st.sampled_from(offsets)) + draw(st.integers(-3, 8)))
+    return terms, outputs, i
+
+
+# The term index lists exactly the terms that hold an index, so its readers
+# need no second check.
+@given(_indexed_terms())
+@settings(deadline=None, max_examples=300)
+def test_holding_lists_exactly_the_terms_that_hold_the_index(drawn):
+    terms, outputs, i = drawn
+    sided = [t.adjoint() for t in terms] if outputs else terms
+    assert oa._holding(oa._term_index(terms, outputs), i) == \
+        [n for n, t in enumerate(sided) if t.step_at(i) is not None]
+
+
+def test_followers_key_the_seconds_through_the_one_term_index(monkeypatch):
+    ops = [op for _, op in qrepeat.build_nonrepeatable_sibling(2, (0.5, 0.5)).items()]
+    calls = []
+    term_index = oa._term_index
+    monkeypatch.setattr(oa, "_term_index", lambda *a, **k: calls.append(a) or term_index(*a, **k))
+    oa._followers(ops, ops)
+    assert len(calls) == 1
+
+
 @given(st.one_of(operators(), dense_blocks()))
 def test_canonical_terms_are_the_validating_constructors_terms(op):
     rebuilt = [oa.Term(t.coeff, t.out_stride, t.out_offset, t.in_stride, t.in_offset, t.length)
