@@ -429,6 +429,7 @@ def demo(name, n, p, p1, p2, seed, steps, outdir):
             inst = build_example_family(n, probs)
         else:
             inst = build_binary_example(p1, p2)
+        record = run_trajectory(inst, StateVector.basis(0), steps, seed)
     except (ValueError, QRepeatError) as e:
         _fail(str(e))
     base = _out_dir(outdir)
@@ -443,7 +444,6 @@ def demo(name, n, p, p1, p2, seed, steps, outdir):
         cls_doc = {"schemaVersion": SCHEMA_VERSION, "unsupported": str(e)}
     written.append(_save(_write, cls_doc, base / f"{name}.classification.json"))
     written.append(_save(_write, wold_doc(inst), base / f"{name}.wold.json"))
-    record = run_trajectory(inst, StateVector.basis(0), steps, seed)
     written.append(_save(write_trajectory_log, record, base / f"{name}.trajectory.jsonl"))
     click.echo(report_doc(rep)["summary"])
     for path in written:

@@ -13,12 +13,15 @@ shift orbits carry the repetition counter: the depth of a basis index
 inside its orbit counts how many times the measurement has acted since the
 state entered the orbit.
 
-Walk termination rests on two facts.  Forward orbits visit pairwise
-distinct indices, so each dyad is crossed at most once; and between dyad
-crossings a revisit of the same (family, index mod L) key at a higher
-index proves the walk has become translation-periodic, because the whole
-segment between the two visits shifts upward unchanged.  Revisits at lower
-indices form strictly decreasing chains, which are finite.
+A walk has no length cap; it ends by the premise alone.  Sigma is
+injective, so a walk visits pairwise distinct indices and crosses each
+point at most once.  Between point crossings the key (family, index mod L)
+takes finitely many values, and a revisit of a key at a higher index
+proves the walk has become translation-periodic, because the whole segment
+between the two visits shifts upward unchanged.  Revisits at lower indices
+form strictly decreasing chains, which are finite.  L is the strides' lcm,
+which ``period_cap`` bounds when the support and range are built, so the
+cap on periods is the one bound on the work.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from .errors import (NotIsometricOnSupport, PeriodCapExceeded, QRepeatError,
                      SplitInvariantViolation, UnsupportedForm)
 from .indexsets import IndexSet, from_parts
 from .opalgebra import StateVector, StructuredOperator
-
-_WALK_CAP = 500_000
 
 
 # -- splitting M = V + W ----------------------------------------------------
@@ -168,29 +169,26 @@ class WoldDecomposition:
 # -- the index map sigma -----------------------------------------------------
 
 
-def _lookup(keyed, i: int) -> tuple[int, int] | None:
+def _lookup(keyed, i: int) -> int:
     """Position of the first of ``keyed``'s terms taking input ``i``, as its
-    term index lists them, and the step it is at."""
-    terms, index = keyed
-    held = oa._holding(index, i)
-    return (held[0], terms[held[0]].step_at(i)) if held else None
+    term index lists them."""
+    return oa._holding(keyed[1], i)[0]
 
 
 def _walk(keyed, start: int, modulus: int):
     """Follow sigma from ``start`` until the orbit closes or turns periodic.
 
-    Returns ("cycle", indices) or ("ray", prefix, phases, step).
+    Every term's strides agree (a point's are 1), so sigma translates each
+    input by its term's ``out_offset - in_offset``.  Sigma is injective, so
+    only ``start`` can come back.  Returns ("cycle", indices) or
+    ("ray", prefix, phases, step).
     """
     terms = keyed[0]
     seq = [start]
-    visited = {start}
     seen: dict[tuple[int, int], int] = {}
-    while len(seq) <= _WALK_CAP:
+    while True:
         i = seq[-1]
-        hit = _lookup(keyed, i)
-        if hit is None:
-            raise RuntimeError(f"index map is not total at {i}")
-        n, j = hit
+        n = _lookup(keyed, i)
         t = terms[n]
         if t.length is None:
             key = (n, i % modulus)
@@ -200,14 +198,10 @@ def _walk(keyed, start: int, modulus: int):
             seen[key] = len(seq) - 1
         else:
             seen.clear()
-        nxt = t.out_stride * j + t.out_offset
+        nxt = i + t.out_offset - t.in_offset
         if nxt == start:
             return "cycle", tuple(seq)
-        if nxt in visited:
-            raise RuntimeError("orbit walk revisited an interior index")
         seq.append(nxt)
-        visited.add(nxt)
-    raise RuntimeError("orbit walk exceeded the safety cap")
 
 
 # -- decomposition -----------------------------------------------------------
@@ -244,9 +238,15 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
     and a range inside the support.  Forward walks from the finitely many generator
     indices (support minus range) yield the shift orbits; the rest of the
     support carries the unitary block, inventoried as a fixed domain, finite
-    cycles, periodic cycle families, and bilateral chains.  ``u + s = v``,
-    ``u``'s unitarity and the orbits' disjointness follow from the premise;
-    only the inventory's cover of the support is verified.
+    cycles, periodic cycle families, and bilateral chains.
+
+    Range inside support and an injective sigma make sigma permute the
+    residue classes of the periodic tail, so the generators are finite and
+    the tail residues permute; a generator lies outside the range, so its
+    walk never closes; the preimage of a leftover index is leftover, so the
+    backward walk is total.  With ``u + s = v``, ``u``'s unitarity and the
+    orbits' disjointness, all of this follows from the premise.  The one
+    fact verified at run time is the inventory's cover of the support.
     """
     support, rng = _validate(v, current().tolerance)
 
@@ -262,15 +262,10 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
     modulus = math.lcm(*(t.in_stride for t in active))
 
     generators = support.difference(rng)
-    if not generators.is_finite:
-        raise RuntimeError("generator set is infinite despite range inclusion")
     orbits: list[ShiftOrbit] = []
     shift_domain = IndexSet.empty()
     for g in generators.members_below(generators.bound):
-        kind, *rest = _walk(forward, g, modulus)
-        if kind != "ray":
-            raise RuntimeError("a generator orbit closed into a cycle")
-        prefix, phases, step = rest
+        _, prefix, phases, step = _walk(forward, g, modulus)
         orbit = ShiftOrbit(g, prefix, phases, step)
         orbits.append(orbit)
         shift_domain = shift_domain.union(orbit.index_set())
@@ -292,10 +287,7 @@ def wold_decompose(v: StructuredOperator) -> WoldDecomposition:
             claimed = claimed.union(IndexSet.from_indices(rest[0]))
             continue
         fprefix, fphases, fstep = rest
-        bkind, *brest = _walk(backward, q, modulus)
-        if bkind != "ray":
-            raise RuntimeError("backward walk closed a cycle the forward walk missed")
-        bprefix, bphases, bstep = brest
+        _, bprefix, bphases, bstep = _walk(backward, q, modulus)
         back = tuple(reversed(bprefix))
         core = back + fprefix[1:] if back and fprefix else back + fprefix
         orbit = BilateralOrbit(bphases, bstep, core, fphases, fstep)
@@ -349,17 +341,12 @@ def _tail_cycle_families(leftover: IndexSet, forward, modulus: int,
             done.add(r)
             deltas.append(lift)
             rep = horizon + ((r - horizon) % lam)
-            hit = _lookup(forward, rep)
-            if hit is None:
-                raise RuntimeError(f"tail index {rep} has no owning family")
-            owner, j = forward[0][hit[0]], hit[1]
-            shift = owner.out_stride * j + owner.out_offset - rep
+            owner = forward[0][_lookup(forward, rep)]
+            shift = owner.out_offset - owner.in_offset
             lift += shift
             r = (r + shift) % lam
             if r == r0:
                 break
-            if r not in residues or r in done:
-                raise RuntimeError("tail residues do not permute cleanly")
         if lift == 0:
             start = horizon - min(deltas)
             base = start + ((r0 - start) % lam)

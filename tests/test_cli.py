@@ -373,6 +373,18 @@ def test_demo_rejects_bad_probability_vector(runner, tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("knobs,message", [
+    (["--steps", "0"], "a trajectory needs at least one step"),
+    (["--seed", "-1"], "expected non-negative integer"),
+])
+def test_demo_rejects_bad_trajectory_knobs_before_writing(runner, tmp_path, knobs, message):
+    outdir = tmp_path / "bundle"
+    r = runner.invoke(cli.main, ["demo", "ex1", "--outdir", str(outdir), *knobs])
+    assert r.exit_code == 2
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 def test_outdir_env_variable(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("QREPEAT_OUTDIR", str(tmp_path / "env"))
     path = write_instrument(build_example_family(2, (0.5, 0.5)),

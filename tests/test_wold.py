@@ -1,8 +1,9 @@
 """Shift/unitary decomposition of the isometric block, and memory readout.
 
 Every decomposition is checked against the certificate: the two blocks
-recombine to the input, the unitary block is unitary on its domain, and
-the shift orbits are pairwise disjoint.  The library verifies none of
+recombine to the input, the unitary block is unitary on its domain, the
+shift orbits are pairwise disjoint, and every orbit follows the index map
+sigma that ``apply`` reads off the operator.  The library verifies none of
 these; they follow from its one-term-per-column premise, and the autouse
 fixture checks them here, on every decomposition this module builds.
 """
@@ -41,10 +42,43 @@ def op(*terms):
 UNCHECKED = wold.wold_decompose  # for timings: the autouse fixture wraps it
 
 
+def follows_sigma(v, path):
+    """Each index of ``path`` is sent to the next by ``v``, read through ``apply``."""
+    for i, j in zip(path, path[1:]):
+        assert oa.apply(v, StateVector.basis(i)).support() == (j,), (i, j)
+
+
+def orbits_follow_sigma(v, dec):
+    """Each orbit of ``dec`` walks the way ``v`` sends its indices: shift orbits
+    from a generator outside the range, over the prefix and two revolutions of
+    the phases; cycles, and a cycle family's first two cycles, closing; and a
+    bilateral orbit from its descending revolution through the core into its
+    ascending one."""
+    rng = v.range_set()
+    for orbit in dec.shift_orbits:
+        assert orbit.generator not in rng
+        follows_sigma(v, [orbit.index_at(d)
+                          for d in range(len(orbit.prefix) + 2 * len(orbit.phases) + 1)])
+    for cycle in dec.cycles:
+        follows_sigma(v, cycle + cycle[:1])
+    for family in dec.cycle_families:
+        for j in (0, 1):
+            cycle = tuple(off + j * family.step for off in family.offsets)
+            follows_sigma(v, cycle + cycle[:1])
+    for b in dec.bilateral_orbits:
+        down, up = b.descending_phases, b.ascending_phases
+        # a walk's start sits both in the core (or the other side's phases)
+        # and in the phases it turned periodic on, so drop the repeats
+        path = ((down[0] + b.descending_step,) + down[::-1] + b.core + up
+                + (up[0] + b.ascending_step,))
+        follows_sigma(v, [i for n, i in enumerate(path) if n == 0 or path[n - 1] != i])
+
+
 @pytest.fixture(autouse=True)
 def blocks_reassemble(monkeypatch):
-    """``u + s = v``, ``u*u = uu* = P_U`` and pairwise disjoint shift orbits
-    on every decomposition built here, directly or through ``memory_map``."""
+    """``u + s = v``, ``u*u = uu* = P_U``, pairwise disjoint shift orbits and
+    orbits that follow sigma on every decomposition built here, directly or
+    through ``memory_map``."""
     inner, adjoint = wold.wold_decompose, oa.adjoint  # before a test counts adjoints
 
     def checked(v):
@@ -59,6 +93,7 @@ def blocks_reassemble(monkeypatch):
         for orbit in dec.shift_orbits:
             assert seen.is_disjoint(orbit.index_set())
             seen = seen.union(orbit.index_set())
+        orbits_follow_sigma(v, dec)
         return dec
 
     monkeypatch.setattr(wold, "wold_decompose", checked)
@@ -108,6 +143,8 @@ def test_ladder_is_a_single_ray():
     assert (orbit.generator, orbit.prefix, orbit.phases, orbit.step) == (1, (), (1,), 2)
     assert [orbit.depth_of(i) for i in (1, 3, 5, 7)] == [0, 1, 2, 3]
     assert [orbit.index_at(k) for k in range(4)] == [1, 3, 5, 7]
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        orbit.index_at(-1)
     assert orbit.index_set() == ODDS
     assert dec.shift_domain == ODDS
     assert dec.fixed_domain.is_empty
@@ -153,6 +190,14 @@ def test_paired_swaps_collapse_into_a_cycle_family():
     assert dec.unitary_domain == IndexSet.full()
 
 
+def test_an_inventory_that_misses_the_support_is_refused(monkeypatch):
+    # the one fact verified at run time: drop the cycle family and the
+    # explicit cycles no longer cover the support
+    monkeypatch.setattr(wold, "_tail_cycle_families", lambda *args: ())
+    with pytest.raises(RuntimeError, match="orbit inventory fails to cover the support"):
+        wold_decompose(op(Family(1.0, 2, 1, 2, 0), Family(1.0, 2, 0, 2, 1)))
+
+
 def test_bilateral_chain_is_unitary():
     # evens descend toward 0, a dyad carries 0 to 1, odds ascend
     v = op(Family(1.0, 2, 0, 2, 2), Dyad(1.0, 1, 0), Family(1.0, 2, 3, 2, 1))
@@ -191,7 +236,8 @@ def test_shift_far_from_the_origin_decomposes_quickly():
 
 def test_lookups_try_only_the_terms_of_the_index_class(monkeypatch):
     # split cuts the evens into one family per residue mod 4000, so v holds
-    # 2001 terms; trying every term made 2,005,003 step_at calls here
+    # 2001 terms; trying every term made 2,005,003 step_at calls here.  Sigma
+    # translates by the owning term's offsets, so no lookup needs step_at
     k = 2000
     v = split(op(Family(1.0, 2, 2, 2, 0), Family(1.0, 2 * k, 2 * k + 1, 2 * k, 1))).v
     assert len(v.terms) == 2001
@@ -200,7 +246,7 @@ def test_lookups_try_only_the_terms_of_the_index_class(monkeypatch):
     monkeypatch.setattr(oa.Term, "step_at", lambda t, i: steps.append(i) or step_at(t, i))
     monkeypatch.setattr(wold, "_lookup", lambda keyed, i: lookups.append(i) or lookup(keyed, i))
     dec = wold_decompose(v)
-    assert len(lookups) == 2003 and len(steps) == len(lookups)
+    assert len(lookups) == 2003 and steps == []
     assert [(o.generator, o.prefix, o.phases, o.step) for o in dec.shift_orbits] == \
         [(2, (), tuple(range(2, 2 * k + 1, 2)), 2 * k), (2 * k + 1, (), (2 * k + 1,), 2 * k)]
     assert not (dec.cycles or dec.cycle_families or dec.bilateral_orbits)
