@@ -11,14 +11,16 @@ partitions, and reassembly from shift/deposit parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping
 
 from . import opalgebra as oa
-from .config import current
+from .config import Settings, current
 from .errors import (BadProbabilityVector, CompletenessViolation,
                      ContractionViolation, CoverageViolation, PartsViolation,
-                     UnsupportedForm)
+                     PeriodCapExceeded, UnsupportedForm)
 from .indexsets import IndexSet
 from .opalgebra import Dyad, Family, StructuredOperator
 
@@ -53,55 +55,127 @@ class _Labeled:
 class Instrument(_Labeled):
     """Labeled measurement operators, ordered by outcome label."""
 
+    # (tolerance, Povm): the effects composed under that tolerance, kept
+    _kept: tuple[float, "Povm"] | None = field(default=None, init=False, repr=False,
+                                               compare=False)
+
     operator = _Labeled._lookup
 
     def povm(self) -> "Povm":
-        return povm(self)
+        """The effects ``M_e* M_e``, composed once per active tolerance and
+        kept, as :class:`StructuredOperator` keeps the tolerance its terms are
+        canonical under; under another tolerance they are composed afresh."""
+        tol = current().tolerance
+        kept = self._kept
+        if kept is None or kept[0] != tol:
+            kept = (tol, povm(self))
+            object.__setattr__(self, "_kept", kept)
+        return kept[1]
 
 
 @dataclass(frozen=True)
 class Povm(_Labeled):
     """Effect operators ``P_e = M_e* M_e``, in outcome label order."""
 
+    # (Settings, result): the deviation decided under those settings, kept
+    _deviation: tuple[Settings, tuple] | None = field(default=None, init=False, repr=False,
+                                                      compare=False)
+    # Schur bound on the norm of what composing the effects left out (see
+    # povm); None for effects given as they are
+    _lost: float | None = field(default=None, init=False, repr=False, compare=False)
+
     effect = _Labeled._lookup
 
     def identity_deviation(self) -> tuple[float, tuple[int, int] | None]:
         """``max_deviation`` of ``sum_e P_e`` from the identity: the largest
         entry of ``sum_e P_e - I`` and its least position, every entry summed
-        over the effects' terms in label order."""
-        total = StructuredOperator._canonical(
-            tuple(t for _, p in self.entries for t in p.terms))
-        return oa.max_deviation(total, StructuredOperator.identity())
+        over the effects' terms in label order.  Decided once per active
+        settings and kept (the period cap bounds the decision); a decision
+        that raises is not kept."""
+        active = current()
+        kept = self._deviation
+        if kept is None or kept[0] != active:
+            total = StructuredOperator._canonical(
+                tuple(t for _, p in self.entries for t in p.terms))
+            kept = (active, oa.max_deviation(total, StructuredOperator.identity()))
+            object.__setattr__(self, "_deviation", kept)
+        return kept[1]
+
+
+def _contractive_by_completeness(inst: Instrument, tol: float) -> bool:
+    """True when the effects resolve the identity closely enough that every
+    outcome is a contraction.
+
+    With ``D = sum_e M_e* M_e - I``, ``M_e* M_e <= I + D``, so
+    ``||M_e||^2 <= 1 + ||D||``.  The effects as composed differ from the
+    ``M_e* M_e`` by what ``compose``'s tolerance filter and absorptions left
+    out, ``E``; the Schur test bounds ``||E||`` by its largest row or column
+    sum (``Povm._lost``).  Every term of the composed ``sum_e P_e - I`` (each
+    effect's, and the identity) holds at most one entry per row and per
+    column, and every entry is at most ``dev``, so a row or column holds at
+    most ``K = 1 + (progressions) + (most points in one row or column)``
+    entries and ``||D|| <= K dev + ||E||``.  ``K dev + ||E|| <= tol`` makes
+    every norm at most ``sqrt(1 + tol) <= 1 + tol / 2``, leaving ``tol / 2``
+    for the rounding of the sums.  An instrument whose POVM or deviation
+    cannot be built (a non-finite sum, a period over the cap) reads False, as
+    does one holding a non-operator or an operator canonical under another
+    tolerance, whose adjoint is canonicalized afresh.
+    """
+    if not all(isinstance(op, StructuredOperator) and op._tol == tol for _, op in inst.entries):
+        return False
+    try:
+        pv = inst.povm()
+        dev, _ = pv.identity_deviation()
+    except (ValueError, PeriodCapExceeded):
+        return False
+    progressions = 0
+    rows: Counter[int] = Counter()
+    cols: Counter[int] = Counter()
+    for _, p in pv.entries:
+        for t in p.terms:
+            if t.length is None:
+                progressions += 1
+            else:
+                rows[t.out_offset] += 1
+                cols[t.in_offset] += 1
+    most = max(chain(rows.values(), cols.values()), default=0)
+    return (1 + progressions + most) * dev + pv._lost <= tol
 
 
 def make_instrument(entries: Mapping[Outcome, StructuredOperator],
                     check_completeness: bool = True) -> Instrument:
     """Validate and freeze a labeled operator family.
 
-    Each operator must be a contraction: its exact norm (see
-    :func:`qrepeat.opalgebra.operator_norm`, which raises UnsupportedForm
-    when it cannot be decided) is at most ``1 + tol``.  When
-    ``check_completeness`` is set the squared moduli must sum to the
-    identity, decided exactly on the terms (see :meth:`Povm.identity_deviation`).
+    Each operator must be a contraction.  The POVM is composed first and kept
+    on the instrument (see :meth:`Instrument.povm`); when it resolves the
+    identity within the Schur bound, counting what composing it dropped
+    (see ``_contractive_by_completeness``), every outcome is a contraction
+    by completeness, and no norm is taken.  Otherwise each operator's exact norm
+    (see :func:`qrepeat.opalgebra.operator_norm`, which raises UnsupportedForm
+    when it cannot be decided) must be at most ``1 + tol``, outcome by
+    outcome.  When ``check_completeness`` is set the squared moduli must sum
+    to the identity, decided exactly on the terms (see
+    :meth:`Povm.identity_deviation`).
     """
     if not entries:
         raise ValueError("an instrument needs at least one outcome")
     ordered = tuple(sorted(entries.items(), key=lambda kv: _sort_key(kv[0])))
     tol = current().tolerance
-    for label, op in ordered:
-        if not isinstance(op, StructuredOperator):
-            raise TypeError(f"outcome {label!r} is not a StructuredOperator")
-        try:
-            norm, _ = oa.operator_norm(op)
-        except UnsupportedForm as exc:
-            raise UnsupportedForm(f"operator for outcome {label!r}: {exc}") from exc
-        if norm > 1.0 + tol:
-            raise ContractionViolation(
-                f"operator for outcome {label!r} has norm {norm:.6g} > 1",
-                outcome=label, norm=norm)
     inst = Instrument(ordered)
+    if not _contractive_by_completeness(inst, tol):
+        for label, op in ordered:
+            if not isinstance(op, StructuredOperator):
+                raise TypeError(f"outcome {label!r} is not a StructuredOperator")
+            try:
+                norm, _ = oa.operator_norm(op)
+            except UnsupportedForm as exc:
+                raise UnsupportedForm(f"operator for outcome {label!r}: {exc}") from exc
+            if norm > 1.0 + tol:
+                raise ContractionViolation(
+                    f"operator for outcome {label!r} has norm {norm:.6g} > 1",
+                    outcome=label, norm=norm)
     if check_completeness:
-        dev, pos = povm(inst).identity_deviation()
+        dev, pos = inst.povm().identity_deviation()
         if dev > tol:
             raise CompletenessViolation(
                 f"sum of squared moduli deviates from identity by {dev:.3g} at {pos}",
@@ -110,8 +184,23 @@ def make_instrument(entries: Mapping[Outcome, StructuredOperator],
 
 
 def povm(inst: Instrument) -> Povm:
-    return Povm(tuple((label, oa.compose(oa.adjoint(op), op))
-                      for label, op in inst.items()))
+    """The effects ``M_e* M_e``, with the Schur bound (largest row or column
+    sum) of the entries their composition left out kept as ``_lost``."""
+    lost: list = []
+    pv = Povm(tuple((label, oa.compose(oa.adjoint(op), op, lost))
+                    for label, op in inst.items()))
+    every = 0.0  # dropped progressions: at most one entry per row and column
+    rows: Counter[int] = Counter()
+    cols: Counter[int] = Counter()
+    for pos, mass in lost:
+        if pos is None:
+            every += mass
+        else:
+            rows[pos[0]] += mass
+            cols[pos[1]] += mass
+    object.__setattr__(pv, "_lost", every + max(chain(rows.values(), cols.values()),
+                                                default=0.0))
+    return pv
 
 
 # -- worked families -------------------------------------------------------

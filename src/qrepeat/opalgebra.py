@@ -262,7 +262,8 @@ def _canonicalize(terms: Iterable[Term], tol: float) -> tuple[Term, ...]:
 
 
 def _finish(fams: dict[tuple[int, int, int, int], complex],
-            dyds: dict[tuple[int, int], complex], tol: float) -> tuple[Term, ...]:
+            dyds: dict[tuple[int, int], complex], tol: float,
+            lost: list | None = None) -> tuple[Term, ...]:
     """Canonical terms from summed coefficients.
 
     ``fams`` maps progression signatures ``(os, oo, is, io)`` and ``dyds``
@@ -274,10 +275,17 @@ def _finish(fams: dict[tuple[int, int, int, int], complex],
     is left.  Only the points at a family head or one step before it are
     indexed, once; an absorption re-indexes and re-queues only the family it
     moved.  The progressions, then the points, are listed in sorted order.
+    With a ``lost`` list, every entry the result misses or changes is
+    appended as ``(position, |change|)``: a dropped point at its position, an
+    absorbed point's ``|c + cf|`` (cancelled head) or ``|c - cf|`` (backward
+    step) at the point, and a dropped progression with position None.
     """
     for c in chain(fams.values(), dyds.values()):
         if not cmath.isfinite(c):
             raise ValueError("coefficients must be finite")
+    if lost is not None:
+        lost.extend((k, abs(c)) for k, c in dyds.items() if abs(c) <= tol)
+        lost.extend((None, abs(c)) for c in fams.values() if abs(c) <= tol)
     dyds = {k: c for k, c in dyds.items() if abs(c) > tol}
     fams = {k: c for k, c in fams.items() if abs(c) > tol}
     if dyds:
@@ -303,10 +311,14 @@ def _finish(fams: dict[tuple[int, int, int, int], complex],
                     continue
                 del dyds[pos]
                 del fams[sig]
+                if lost is not None:
+                    lost.append((pos, abs(c + step * cf)))
                 nsig = (os_, oo + step * os_, is_, io + step * is_)
                 cf = fams.get(nsig, 0.0) + cf
                 if not cmath.isfinite(cf):
                     raise ValueError("coefficients must be finite")
+                if lost is not None and abs(cf) <= tol:
+                    lost.append((None, abs(cf)))
                 if abs(cf) > tol:
                     fams[nsig] = cf
                     p = (pos[0] + step * os_, pos[1] + step * is_)  # nsig's end other than pos
@@ -691,7 +703,8 @@ def _point_product(a: StructuredOperator, b: StructuredOperator,
     return dict(zip(zip(rows[r].tolist(), cols[c].tolist()), prod[r, c].tolist()))
 
 
-def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
+def compose(a: StructuredOperator, b: StructuredOperator,
+            lost: list | None = None) -> StructuredOperator:
     """Operator product ``a @ b`` (apply ``b`` first), summed straight into
     canonical form.
 
@@ -717,7 +730,9 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
     only signed zeros, which leave a nonzero sum as it is, and a sum that
     starts at ``+0.0`` never turns into ``-0.0`` (an exact zero sum is
     ``+0.0``).  The progressions still go through the join, and
-    ``_finish`` filters and orders both tables as before.
+    ``_finish`` filters and orders both tables as before, and appends to
+    ``lost``, when given, the entries its tolerance filter and absorptions
+    leave out of the product.
     """
     nprog = sum(1 for t in b.terms if t.length is None)  # canonical: progressions first
     points = b.terms[nprog:]
@@ -749,7 +764,7 @@ def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
             if d >= 0 and d % s1 == 0:
                 key = (os_ * (d // s1) + ao, tb.in_offset)
                 dyds[key] = dyds.get(key, 0j) + ca * tb.coeff
-    return StructuredOperator._canonical(_finish(fams, dyds, current().tolerance))
+    return StructuredOperator._canonical(_finish(fams, dyds, current().tolerance, lost))
 
 
 # -- equality, decided on the terms ----------------------------------------

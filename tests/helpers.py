@@ -116,6 +116,17 @@ UNDECIDED_NORMS = {
 }
 
 
+# A complete instrument (outcome 1's point |2><0| sits on a row of its
+# progression), so operator_norm cannot split outcome 1, but completeness
+# bounds it; not repeatable.
+_R = 1 / math.sqrt(2)
+POINT_ON_TAIL = {
+    1: StructuredOperator((Dyad(0.5, 0, 0), Dyad(0.5, 2, 0), Dyad(1.0, 1, 1),
+                           Family(_R, 1, 2, 1, 2))),
+    2: StructuredOperator((Dyad(0.5, 0, 0), Dyad(-0.5, 2, 0), Family(_R, 1, 2, 1, 2))),
+}
+
+
 # -- reference index sets -------------------------------------------------------
 # Index-set algebra in its first, plain form: frozensets of transient
 # indices and residues, every Boolean operation evaluated index by index

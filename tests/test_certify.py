@@ -121,7 +121,8 @@ def test_incomplete_instrument_reports_completeness():
 def test_certify_builds_the_povm_once_and_reads_both_verdicts_from_it(monkeypatch):
     # The substitute halves every effect of a projective partition, so a
     # verdict computed from the real effects would read complete and orthogonal.
-    inst = build_orthogonal({0: EVENS, 1: ODDS})
+    # A bare Instrument carries no POVM; certifying it again reuses the kept one.
+    inst = ins.Instrument(build_orthogonal({0: EVENS, 1: ODDS}).entries)
     calls = []
     inner = ins.povm
 
@@ -131,6 +132,7 @@ def test_certify_builds_the_povm_once_and_reads_both_verdicts_from_it(monkeypatc
 
     monkeypatch.setattr(ins, "povm", halved)
     rep = certify_repeatable(inst)
+    assert certify_repeatable(inst) == rep
     assert len(calls) == 1
     assert not rep.complete and not rep.orthogonal
     assert [(w.condition, w.deviation) for w in rep.witnesses] == [("completeness", 0.5)]
@@ -147,31 +149,23 @@ def test_non_monomial_outcome_leaves_inclusion_undecided():
 
 
 def test_certify_builds_one_adjoint_per_outcome(monkeypatch):
-    inst = build_example_family(24, [1 / 24] * 24)
-    calls = []
-    inner = oa.adjoint
-
-    def counted(op):
-        calls.append(None)
-        return inner(op)
-
-    monkeypatch.setattr(oa, "adjoint", counted)
-    assert certify_repeatable(inst).repeatable
-    # one per outcome for the POVM and one shared by the isometry and range
-    # checks; rebuilt at every use over all ordered pairs: 600
+    calls = _count_calls(monkeypatch, "adjoint")
+    assert certify_repeatable(build_example_family(24, [1 / 24] * 24)).repeatable
+    # across building and certifying: one per outcome for the POVM, kept on the
+    # instrument, and one shared by the isometry and range checks; rebuilt at
+    # every use over all ordered pairs, certifying alone would take 600
     assert len(calls) == 48
 
 
 # ex1 keeps each outcome to its own residue class, so most pairs never meet;
-# every pair of the sibling meets.  All ordered pairs take 901 products on both.
+# every pair of the sibling meets.  All ordered pairs take 901 products on both,
+# counted across building (the POVM, kept) and certifying.
 def test_certify_composes_only_the_pairs_whose_terms_meet(monkeypatch):
-    ex1 = build_example_family(24, [1 / 24] * 24)
-    sibling = build_nonrepeatable_sibling(24, [1 / 24] * 24)
     calls = _count_calls(monkeypatch, "compose")
-    assert certify_repeatable(ex1).repeatable
+    assert certify_repeatable(build_example_family(24, [1 / 24] * 24)).repeatable
     assert len(calls) <= 96
     calls.clear()
-    rep = certify_repeatable(sibling)
+    rep = certify_repeatable(build_nonrepeatable_sibling(24, [1 / 24] * 24))
     assert len(calls) == 901
     assert len(rep.witnesses) == 576
 

@@ -1,6 +1,10 @@
 """Command-line round trips, exit codes, and bundle regeneration."""
 
+import importlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,8 +14,9 @@ from hypothesis import strategies as st
 import qrepeat.cli as cli
 import qrepeat.instruments as ins
 import qrepeat.opalgebra as oa
-from helpers import (NORM_DEFECT, UNDECIDED_NORMS, near_complete_instrument,
+from helpers import (NORM_DEFECT, POINT_ON_TAIL, UNDECIDED_NORMS, near_complete_instrument,
                      no_repeatable_form_instruments)
+from qrepeat import QRepeatError
 from qrepeat import (Dyad, Family, IndexSet, Instrument, Settings, StateVector,
                      StructuredOperator, build_binary_example, build_example_family,
                      build_nonrepeatable_sibling, build_orthogonal, make_instrument,
@@ -193,6 +198,64 @@ def test_certify_names_the_outcome_of_an_undecided_norm(runner, tmp_path):
     assert "outcome 3" in result.stderr
 
 
+def test_certify_reads_a_complete_instrument_whose_norm_is_undecided(runner, tmp_path):
+    path = write_instrument(Instrument(tuple(POINT_ON_TAIL.items())), tmp_path / "op.json")
+    result = runner.invoke(cli.main, ["certify", path, "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 1, result.output
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert doc["complete"] is True and doc["repeatable"] is False
+
+
+def _one_coeff(digits: str) -> str:
+    return ('{"schemaVersion": "1", "outcomes": [{"label": 1, "terms": [{"kind": "dyad", '
+            '"coeff": [' + digits + ', 0], "out": 0, "in": 0}]}]}')
+
+
+@pytest.mark.parametrize("name, inst, reason", [
+    ("norm_defect", Instrument(((1, NORM_DEFECT),)), "operator for outcome 1 has norm 1.13137 > 1"),
+    ("toeplitz", Instrument(((1, UNDECIDED_NORMS["toeplitz"]),)),
+     "operator for outcome 1: operator norm undecided: the progressions are not monomial"),
+    ("evens_tail", Instrument(((1, oa.projector(IndexSet.from_progression(2, 0))),
+                               (3, UNDECIDED_NORMS["tail_head_row"]))),
+     "operator for outcome 3: operator norm undecided: row 2 holds a point and a progression"),
+    # 10^309 is past the largest float; 10^300 squares to inf, so no POVM is composed
+    ("huge_coeff", _one_coeff("1" + "0" * 309), "outcomes[0].terms[0]: coeff must be a [re, im] pair"),
+    ("large_coeff", _one_coeff("1" + "0" * 300), "operator for outcome 1 has norm 1e+300 > 1"),
+])
+def test_a_refused_input_keeps_its_exit_code_and_message(runner, tmp_path, name, inst, reason):
+    path = tmp_path / f"{name}.json"
+    if isinstance(inst, str):
+        path.write_text(inst)
+    else:
+        write_instrument(inst, path)
+    result = runner.invoke(cli.main, ["certify", str(path), "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {path}: {reason}\n"
+
+
+def test_only_an_incomplete_corpus_instrument_takes_a_norm(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench_corpus", Path(__file__).resolve().parents[1] / "bench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, corpus)  # its dataclasses look it up
+    spec.loader.exec_module(corpus)
+    q = {name: importlib.import_module(f"qrepeat.{name}")
+         for name in ("indexsets", "opalgebra", "instruments", "certify", "wold", "simulate", "cli")}
+    files = {(workload, name): path for workload in corpus.WORKLOADS
+             for name, path in corpus.build(q, workload, 3, tmp_path / workload).files.items()}
+    normed = set()
+    inner = oa.operator_norm
+    monkeypatch.setattr(oa, "operator_norm", lambda op: normed.add(item) or inner(op))
+    for item, path in files.items():
+        try:
+            cli.instrument_from_doc(json.loads(path.read_text()), check_completeness=False)
+        except QRepeatError:
+            pass
+    # the incomplete ones, by construction: a weakened deposit and the norm defect
+    assert normed == {("verdict_periodic", name)
+                      for name in ("mutated0_weak", "mutated1_weak", "norm_defect")}
+
+
 def test_certify_rejects_malformed_file(runner, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -351,9 +414,9 @@ def test_demo_composes_the_povm_once_for_its_povm_and_classification(runner, tmp
     monkeypatch.setattr(ins, "povm", counted)
     r = runner.invoke(cli.main, ["demo", "ex1", "--n", "2", "--outdir", str(tmp_path)])
     assert r.exit_code == 0, r.output
-    # building checks completeness, certifying reads the effects, and the
-    # povm and classification documents share one
-    assert len(calls) == 3
+    # building keeps the POVM it checks completeness on, and certifying and
+    # the povm and classification documents read that one
+    assert len(calls) == 1
 
 
 def test_demo_binary_bundle(runner, tmp_path):

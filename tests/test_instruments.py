@@ -4,15 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import qrepeat
+import qrepeat.crosscheck as cc
+import qrepeat.instruments as ins
 import qrepeat.opalgebra as oa
-from helpers import NORM_DEFECT, UNDECIDED_NORMS, dense
+from helpers import (NORM_DEFECT, POINT_ON_TAIL, UNDECIDED_NORMS, dense, dense_blocks,
+                     ref_certify_repeatable)
 from qrepeat import (BadProbabilityVector, CompletenessViolation,
                      ContractionViolation, CoverageViolation, Dyad, Family,
-                     IndexSet, PartsViolation, StructuredOperator, UnsupportedForm,
-                     build_binary_example, build_example_family,
+                     IndexSet, PartsViolation, PeriodCapExceeded, StructuredOperator,
+                     UnsupportedForm, build_binary_example, build_example_family,
                      build_from_parts, build_nonrepeatable_sibling,
-                     build_orthogonal, make_instrument, split)
+                     build_orthogonal, certify_repeatable,
+                     check_repeatability_numerical, make_instrument, split)
+from qrepeat.config import current
 
 DIM = 20
 
@@ -199,3 +207,150 @@ def test_instrument_operator_lookup():
     assert inst.operator(1).families == (Family(1.0, 2, 3, 2, 1),)
     with pytest.raises(KeyError):
         inst.operator(9)
+
+
+def _count_norms(monkeypatch):
+    calls = []
+    inner = oa.operator_norm
+
+    def counted(op):
+        calls.append(op)
+        return inner(op)
+
+    monkeypatch.setattr(oa, "operator_norm", counted)
+    return calls
+
+
+def test_a_complete_instrument_loads_without_deciding_a_norm(monkeypatch):
+    with pytest.raises(UnsupportedForm, match="row 2 holds a point and a progression"):
+        oa.operator_norm(POINT_ON_TAIL[1])
+    calls = _count_norms(monkeypatch)
+    inst = make_instrument(POINT_ON_TAIL)
+    assert calls == []
+    rep = certify_repeatable(inst)
+    assert rep.complete and not rep.repeatable
+    devs = check_repeatability_numerical(inst)
+    assert devs.keys() == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert all(d == pytest.approx(0.5, abs=1e-12) for d in devs.values())
+
+
+def test_an_incomplete_instrument_still_decides_each_norm(monkeypatch):
+    calls = _count_norms(monkeypatch)
+    half = StructuredOperator((Family(1.0, 2, 0, 2, 0),))
+    make_instrument({1: half, 2: half}, check_completeness=False)
+    assert calls == [half, half]
+
+
+@st.composite
+def complete_dense_instruments(draw):
+    """``M_e = Q P_e Q*`` on ``[0, d)``, ``Q`` from the QR of a drawn dense block
+    and ``P_e`` the projectors of a drawn split of ``[0, d)``; outcome 1 carries
+    the identity tail from ``d`` and may be followed by the swap of ``|0>`` and
+    ``|d-1>``, which keeps the effects (the bench corpus's perturbed blocks)."""
+    d = draw(st.integers(2, 6))
+    q, _ = np.linalg.qr(dense(draw(dense_blocks()), d))
+    first = draw(st.sets(st.integers(0, d - 1)))
+    swap = np.eye(d)
+    if draw(st.booleans()):
+        swap[[0, d - 1]] = swap[[d - 1, 0]]
+    entries = []
+    for label, mask in ((1, [i in first for i in range(d)]), (2, [i not in first for i in range(d)])):
+        p = np.diag(np.array(mask, dtype=float))
+        mat = q @ (swap @ p if label == 1 else p) @ q.conj().T
+        terms = [Dyad(complex(mat[i, j]), i, j) for i in range(d) for j in range(d)]
+        if label == 1:
+            terms.append(Family(1.0, 1, d, 1, d))
+        entries.append((label, StructuredOperator(terms)))
+    return ins.Instrument(tuple(entries))
+
+
+@st.composite
+def finite_dim_draws(draw):
+    """The finite-dimensional suite's draws (b) and (c): the square-root
+    instrument of a random POVM, or a rotated projective instrument."""
+    dim = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        ops = [cc._psd_sqrt(p) for p in cc._random_povm(rng, dim, int(rng.integers(2, 4)))]
+    else:
+        u = cc._random_unitary(rng, dim)
+        ops = [u @ np.diag([1.0 if i in block else 0.0 for i in range(dim)])
+               for block in cc._random_partition(rng, dim)]
+    return cc._point_instrument(ops)
+
+
+@settings(deadline=None, max_examples=60)
+@given(complete_dense_instruments() | finite_dim_draws())
+def test_a_norm_bound_by_completeness_holds_for_every_decided_norm(inst):
+    tol = current().tolerance
+    fires = ins._contractive_by_completeness(inst, tol)
+    event(f"bound by completeness: {fires}")
+    if not fires:
+        return
+    for _, op in inst.items():
+        try:
+            norm, _ = oa.operator_norm(op)
+        except UnsupportedForm:
+            continue
+        assert norm <= 1.0 + tol
+
+
+def _rotation_near_identity(d, eps, u, v):
+    """``I_d + eps (u v* - v u*)`` as points, with the identity tail from ``d`` as
+    a second outcome: ``M_1* M_1 = I + eps^2 (u u* + v v*)`` for orthonormal
+    ``u``, ``v``, so ``||M_1||^2 = 1 + eps^2`` while every entry of the excess
+    may sit below the tolerance."""
+    m = np.eye(d) + eps * (np.outer(u, v.conj()) - np.outer(v, u.conj()))
+    return {1: StructuredOperator([Dyad(complex(m[i, j]), i, j)
+                                   for i in range(d) for j in range(d)]),
+            2: StructuredOperator((Family(1.0, 1, d, 1, d),))}, float(np.linalg.norm(m, 2))
+
+
+def test_entries_dropped_from_the_effects_still_count_against_the_bound(monkeypatch):
+    # every entry of eps^2 (u u* + v v*) is 3e-13, under the tolerance, yet the
+    # norm of M_1 exceeds 1 + tol; the shortcut must not load it
+    d = 60
+    u = np.ones(d) / math.sqrt(d)
+    v = np.array([(-1.0) ** i for i in range(d)]) / math.sqrt(d)
+    entries, norm = _rotation_near_identity(d, 3e-6, u, v)
+    assert norm > 1 + current().tolerance
+    calls = _count_norms(monkeypatch)
+    with pytest.raises(ContractionViolation, match="operator for outcome 1 has norm 1 > 1"):
+        make_instrument(entries)
+    assert calls == [entries[1]]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.floats(-1.5, 1.5))
+def test_a_norm_bound_by_completeness_counts_what_composition_drops(d, seed, spread):
+    # ||M_1|| - 1 is about eps^2 / 2, drawn within a factor 30 of the tolerance
+    tol = current().tolerance
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2)))
+    entries, norm = _rotation_near_identity(d, math.sqrt(2 * tol * 10 ** spread), q[:, 0], q[:, 1])
+    fires = ins._contractive_by_completeness(ins.Instrument(tuple(entries.items())), tol)
+    event(f"bound by completeness: {fires}")
+    if fires:
+        assert norm <= 1 + tol
+
+
+def test_a_kept_povm_is_composed_afresh_under_another_tolerance():
+    # the effect entry 1e-8 at |0><0| of outcome 2 is kept at 1e-12, dropped at 1e-6
+    inst = build_example_family(2, (1 - 1e-8, 1e-8))
+    kept = inst.povm()
+    assert inst.povm() is kept
+    assert any(t.length == 1 for t in kept.effect(2).terms)
+    with qrepeat.settings(tolerance=1e-6):
+        fresh = inst.povm()
+        assert fresh.entries == ins.povm(inst).entries != kept.entries
+        assert not any(t.length == 1 for t in fresh.effect(2).terms)
+        assert certify_repeatable(inst) == ref_certify_repeatable(inst, tol=1e-6)
+    assert inst.povm().entries == kept.entries
+
+
+def test_a_kept_deviation_is_decided_afresh_under_another_period_cap():
+    pv = build_example_family(24, [1 / 24] * 24).povm()
+    assert pv.identity_deviation()[0] <= current().tolerance
+    # the effects' stride 24 meets the identity's stride 1 on the diagonal
+    with qrepeat.settings(period_cap=12), pytest.raises(PeriodCapExceeded):
+        pv.identity_deviation()

@@ -8,10 +8,11 @@ import threading
 import pytest
 
 import qrepeat
+import qrepeat.instruments as ins
 import qrepeat.opalgebra as oa
 from helpers import near_complete_instrument
-from qrepeat import (Dyad, Settings, StructuredOperator, certify_repeatable,
-                     settings)
+from qrepeat import (Dyad, Settings, StructuredOperator, build_example_family,
+                     certify_repeatable, settings)
 from qrepeat.config import current
 
 
@@ -42,6 +43,43 @@ def test_threads_in_lockstep_each_get_their_own_verdict():
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
     assert verdicts == {1e-6: True, 1e-12: False}
+
+
+def test_threads_under_two_tolerances_each_read_the_povm_of_their_own():
+    # the effect entry 1e-8 of outcome 2 is kept at 1e-12 and dropped at 1e-6,
+    # so a POVM kept under one tolerance and read under the other shows
+    inst = build_example_family(2, (1 - 1e-8, 1e-8))
+    expected = {}
+    for tolerance in (1e-6, 1e-12):
+        with settings(tolerance=tolerance):
+            expected[tolerance] = ins.povm(inst).entries
+    assert expected[1e-6] != expected[1e-12]
+    wrong, errors = [], []
+
+    def read_under(tolerance):
+        try:
+            with settings(tolerance=tolerance):
+                for _ in range(200):
+                    pv = inst.povm()
+                    if pv.entries != expected[tolerance] or pv.identity_deviation()[0] > tolerance:
+                        wrong.append(tolerance)
+        except Exception as e:  # reraised in the main thread below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read_under, args=(t,))
+                   for t in (1e-6, 1e-12, 1e-6, 1e-12)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert wrong == []
 
 
 def test_a_new_thread_starts_from_the_defaults():
