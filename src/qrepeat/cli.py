@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -141,9 +142,79 @@ def _state_doc(psi: StateVector) -> list:
     return [[i, amp.real, amp.imag] for i, amp in psi.items()]
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_str(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+# scalars as json.dumps writes them, keyed by exact type
+_SCALARS = {str: _encode_str, int: int.__repr__, float: _float_str,
+            bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _lines(value, head: str, pad: str, tail: str, out: list[str]) -> None:
+    """Append the lines of ``value`` as ``json.dumps(indent=2, sort_keys=True)``
+    lays them out, one string per line: the first opens with ``head``, the
+    last ends with ``tail``, and the items sit two spaces past ``pad``.
+    Mappings must have string keys, and scalars the exact types above."""
+    inner = pad + "  "
+    append = out.append
+    if isinstance(value, dict):
+        if not value:
+            append(head + "{}" + tail)
+            return
+        append(head + "{")
+        for k in sorted(value):
+            v = value[k]
+            lead = inner + _encode_str(k) + ": "
+            form = _SCALARS.get(type(v))
+            if form is not None:
+                append(lead + form(v) + ",")
+            else:
+                _lines(v, lead, inner, ",", out)
+        closing = "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append(head + "[]" + tail)
+            return
+        append(head + "[")
+        for v in value:
+            form = _SCALARS.get(type(v))
+            if form is not None:
+                append(inner + form(v) + ",")
+            else:
+                _lines(v, inner, inner, ",", out)
+        closing = "]"
+    else:
+        form = _SCALARS.get(type(value))
+        if form is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        append(head + form(value) + tail)
+        return
+    out[-1] = out[-1][:-1]  # no comma after the last item
+    append(pad + closing + tail)
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, without
+    the pure-Python encoder that ``indent`` selects."""
+    out: list[str] = []
+    _lines(doc, "", "", "", out)
+    out.append("")
+    return "\n".join(out)
+
+
 def _write(doc: dict, path: Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(_dumps(doc))
     return path
 
 

@@ -256,6 +256,24 @@ def test_only_an_incomplete_corpus_instrument_takes_a_norm(tmp_path, monkeypatch
                       for name in ("mutated0_weak", "mutated1_weak", "norm_defect")}
 
 
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner), max_leaves=40)
+
+
+@given(_json_values)
+def test_the_writer_lays_out_json_as_the_indented_encoder_does(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_the_writer_writes_the_indented_document_and_a_newline(tmp_path):
+    doc = {"b": [1, 2.5, float("nan"), -float("inf")], "a": {"x": "\u00e9", "y": []},
+           "c": ({}, None, True)}
+    cli._write(doc, tmp_path / "doc.json")
+    assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_certify_rejects_malformed_file(runner, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
