@@ -29,7 +29,7 @@ from .errors import QRepeatError
 from .indexsets import IndexSet
 from .instruments import (Instrument, build_binary_example,
                           build_example_family, make_instrument)
-from .opalgebra import StateVector, StructuredOperator, Term
+from .opalgebra import StateVector, StructuredOperator, _finish
 from .simulate import run_trajectory
 from .wold import outcome_decompositions
 
@@ -72,26 +72,35 @@ def _index(doc: dict, field: str, where: str, k: int, minimum: int = 0) -> int:
     return v
 
 
-def _term_from(doc, where: str, k: int):
-    """Term ``k`` of the operator at ``where``; its path is formatted only
-    for an error."""
+def _add_term(doc, where: str, k: int, fams: dict, dyds: dict) -> None:
+    """Add term ``k`` of the operator at ``where`` to the coefficient sums
+    ``_finish`` reads: a point's to ``dyds`` at ``(out, in)``, a family's to
+    ``fams`` at ``(outStride, outOffset, inStride, inOffset)``, a ``jStart``
+    folded into the offsets as ``Family`` folds it.  Its path is formatted
+    only for an error."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}[{k}]: term must be an object")
     kind = doc.get("kind")
     raw = doc.get("coeff")
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not all(isinstance(x, (int, float)) and type(x) is not bool
-                       and abs(x) <= _FLOAT_MAX for x in raw)):
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ValueError(f"{where}[{k}]: coeff must be a [re, im] pair")
-    coeff = complex(raw[0], raw[1])  # finite: both parts are at most the largest float
+    re, im = raw
+    if not (isinstance(re, (int, float)) and isinstance(im, (int, float))
+            and type(re) is not bool and type(im) is not bool
+            and abs(re) <= _FLOAT_MAX and abs(im) <= _FLOAT_MAX):
+        raise ValueError(f"{where}[{k}]: coeff must be a [re, im] pair")
+    coeff = complex(re, im)  # finite: both parts are at most the largest float
     if kind == "dyad":
-        return Term._trusted(coeff, 1, _index(doc, "out", where, k),
-                             1, _index(doc, "in", where, k), 1)
+        key = (_index(doc, "out", where, k), _index(doc, "in", where, k))
+        dyds[key] = dyds.get(key, 0.0) + coeff
+        return
     if kind == "family":
         os_, oo = _index(doc, "outStride", where, k, 1), _index(doc, "outOffset", where, k)
         is_, io = _index(doc, "inStride", where, k, 1), _index(doc, "inOffset", where, k)
-        j = _index(doc, "jStart", where, k) if "jStart" in doc else 0  # folded as Family does
-        return Term._trusted(coeff, os_, oo + j * os_, is_, io + j * is_, None)
+        j = _index(doc, "jStart", where, k) if "jStart" in doc else 0
+        key = (os_, oo + j * os_, is_, io + j * is_)
+        fams[key] = fams.get(key, 0.0) + coeff
+        return
     raise ValueError(f"{where}[{k}]: kind must be 'dyad' or 'family'")
 
 
@@ -100,9 +109,15 @@ def _operator_doc(op: StructuredOperator) -> list:
 
 
 def _operator_from(doc, where: str) -> StructuredOperator:
+    """The operator at ``where``, its terms summed as they are validated and
+    canonicalized as ``StructuredOperator`` canonicalizes them."""
     if not isinstance(doc, list):
         raise ValueError(f"{where}: terms must be a list")
-    return StructuredOperator(tuple(_term_from(t, where, k) for k, t in enumerate(doc)))
+    fams: dict = {}
+    dyds: dict = {}
+    for k, t in enumerate(doc):
+        _add_term(t, where, k, fams, dyds)
+    return StructuredOperator._canonical(_finish(fams, dyds, current().tolerance))
 
 
 def instrument_doc(inst: Instrument) -> dict:
@@ -324,16 +339,19 @@ def _memory_doc(reading):
             "distribution": [[d, p] for d, p in reading.distribution]}
 
 
+# json.dumps(v, sort_keys=True) builds this encoder anew for every call
+_encode_line = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_trajectory_log(record, path: Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps({"schemaVersion": SCHEMA_VERSION, "seed": record.seed,
-                         "initialState": _state_doc(record.initial_state),
-                         "steps": len(record.steps)}, sort_keys=True)]
+    lines = [_encode_line({"schemaVersion": SCHEMA_VERSION, "seed": record.seed,
+                           "initialState": _state_doc(record.initial_state),
+                           "steps": len(record.steps)})]
     for k, s in enumerate(record.steps):
-        lines.append(json.dumps(
+        lines.append(_encode_line(
             {"step": k, "outcome": s.outcome, "probability": s.probability,
-             "state": _state_doc(s.post_state), "memory": _memory_doc(s.memory)},
-            sort_keys=True))
+             "state": _state_doc(s.post_state), "memory": _memory_doc(s.memory)}))
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -269,7 +269,8 @@ def _finish(fams: dict[tuple[int, int, int, int], complex],
     ``fams`` maps progression signatures ``(os, oo, is, io)`` and ``dyds``
     point positions ``(out, in)`` to their coefficient sums.  A sum that is
     not finite, before the tolerance filter (which would drop a nan) or in a
-    merge, raises ValueError.  Sums within ``tol`` of zero are dropped.  The
+    merge, raises ValueError, and so does a finite sum whose modulus
+    overflows.  Sums within ``tol`` of zero are dropped.  The
     least point that cancels a family head or extends a family one step
     backward is absorbed, against its families in sorted order, until none
     is left.  Only the points at a family head or one step before it are
@@ -280,6 +281,15 @@ def _finish(fams: dict[tuple[int, int, int, int], complex],
     absorbed point's ``|c + cf|`` (cancelled head) or ``|c - cf|`` (backward
     step) at the point, and a dropped progression with position None.
     """
+    try:
+        return _absorb(fams, dyds, tol, lost)
+    except OverflowError:  # abs() of a finite coefficient past the largest float
+        raise ValueError("coefficient moduli must be finite") from None
+
+
+def _absorb(fams: dict[tuple[int, int, int, int], complex],
+            dyds: dict[tuple[int, int], complex], tol: float,
+            lost: list | None) -> tuple[Term, ...]:
     for c in chain(fams.values(), dyds.values()):
         if not cmath.isfinite(c):
             raise ValueError("coefficients must be finite")
@@ -400,7 +410,13 @@ class StateVector:
         return abs(self.norm_sq() - 1.0) <= current().tolerance
 
     def normalized(self) -> "StateVector":
+        """This state divided by its norm.  At a norm of exactly 1.0 the state
+        itself: ``c / 1.0`` keeps the bits of every stored amplitude, as no
+        stored part is ``-0.0`` up to CPython 3.13 and 3.14 divides each
+        part of a complex by a float on its own."""
         n = math.sqrt(self.norm_sq())
+        if n == 1.0:
+            return self
         if n == 0:
             raise ValueError("cannot normalize the zero vector")
         return StateVector._trusted({i: c / n for i, c in self._amp.items()})
@@ -420,14 +436,14 @@ def random_state(rng: np.random.Generator, max_index: int, max_support: int = 8)
         raise ValueError(f"max_index must be at least 1, got {max_index}")
     if max_support < 1:
         raise ValueError(f"max_support must be at least 1, got {max_support}")
-    size =min(int(rng.integers(1, max_support + 1)), max_index)
+    size = min(int(rng.integers(1, max_support + 1)), max_index)
     idx = rng.choice(max_index, size=size, replace=False)
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     n = np.linalg.norm(amps)
     while n < 1e-9:  # absurdly unlikely, but keep the draw well defined
         amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         n = np.linalg.norm(amps)
-    return StateVector._trusted({int(i): complex(a / n) for i, a in zip(idx, amps)})
+    return StateVector._trusted(dict(zip(idx.tolist(), (amps / n).tolist())))
 
 
 # -- application and composition ----------------------------------------

@@ -10,16 +10,17 @@ numpy's SeedSequence mixing and loads each into one reused PCG64, so its
 draws are those of ``default_rng([seed, k])`` bit for bit.
 
 One selection applies each outcome operator once (:func:`born_probabilities`
-keeps the images it computes) and normalizes the chosen image.  Within one
-statistics run (:func:`empirical_conditionals`) the Born distribution of a
-state and its normalized post-states are computed once per state object,
-while the sampler keeps returning that object, and reused with identical
-results.
+keeps the images it computes) and normalizes the chosen image, unless its
+post-state is not read.  Within one statistics run
+(:func:`empirical_conditionals`) the Born distribution of a state and its
+normalized post-states are computed once per state object, while the
+sampler keeps returning that object, and reused with identical results.
+A batch normalizes each drawn state and its first post-state only: the
+second selection yields an outcome and its probability, no post-state.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 from dataclasses import dataclass
 
@@ -55,8 +56,10 @@ def born_probabilities(inst: Instrument, psi: StateVector) -> BornDistribution:
 
 
 def _select(inst: Instrument, psi: StateVector, u: float, tol: float,
-            memo: dict) -> tuple[Outcome, float, StateVector]:
-    """Inverse-CDF selection of one outcome for the uniform ``u``.
+            memo: dict, post: bool = True):
+    """Inverse-CDF selection of one outcome for the uniform ``u``: its label,
+    Born probability and normalized image, or with ``post`` false only the
+    label and probability, normalizing nothing.
 
     ``memo`` maps a state to ``(Born distribution, total, post-states)``,
     ``post-states`` holding each normalized image once computed.  A
@@ -76,10 +79,12 @@ def _select(inst: Instrument, psi: StateVector, u: float, tol: float,
         acc += prob
         if target < acc:
             break
-    post = posts.get(label)
-    if post is None:
-        post = posts[label] = probs.images[label].normalized()
-    return label, prob, post
+    if not post:
+        return label, prob
+    phi = posts.get(label)
+    if phi is None:
+        phi = posts[label] = probs.images[label].normalized()
+    return label, prob, phi
 
 
 def measure_once(inst: Instrument, psi: StateVector,
@@ -133,9 +138,9 @@ def run_trajectory(inst: Instrument, psi: StateVector, steps: int,
         reading = None
         decomp = decomps.get(label)
         if decomp is not None:
-            reading = read_memory(decomp, state)
-            if reading is not None:
-                reading = dataclasses.replace(reading, outcome=label)
+            r = read_memory(decomp, state)
+            if r is not None:
+                reading = MemoryReading(label, r.orbit_id, r.depth, r.distribution)
         record.append(TrajectoryStep(label, prob, state, reading))
     return TrajectoryRecord(seed, psi, tuple(record))
 
@@ -276,7 +281,7 @@ def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
             sample, psi = drawn, drawn.normalized()
             memo.clear()
         e, _, phi = _select(inst, psi, rng.random(), tol, memo)
-        f, _, _ = _select(inst, phi, rng.random(), tol, memo)
+        f, _ = _select(inst, phi, rng.random(), tol, memo, False)
         first_counts[e] = first_counts.get(e, 0) + 1
         counts[(e, f)] = counts.get((e, f), 0) + 1
     return ConditionalStats(trajectories, first_counts, counts)

@@ -114,20 +114,28 @@ def term_docs(draw):
     return doc
 
 
-@given(term_docs())
-def test_a_parsed_term_is_the_term_the_constructors_build(doc):
-    parsed = cli._term_from(doc, "terms", 0)
-    re, im = doc["coeff"]
-    if doc["kind"] == "dyad":
-        built = Dyad(complex(re, im), doc["out"], doc["in"])
-    else:
-        built = Family(complex(re, im), doc["outStride"], doc["outOffset"],
-                       doc["inStride"], doc["inOffset"], doc.get("jStart", 0))
-    assert type(parsed.coeff) is complex
-    assert [parsed.coeff.real.hex(), parsed.coeff.imag.hex()] == \
-        [built.coeff.real.hex(), built.coeff.imag.hex()]
-    assert [getattr(parsed, f) for f in oa.Term.__slots__[1:]] == \
-        [getattr(built, f) for f in oa.Term.__slots__[1:]]
+@given(st.lists(term_docs(), min_size=1, max_size=4))
+def test_a_parsed_term_is_the_term_the_constructors_build(docs):
+    built = []
+    for doc in docs:
+        re, im = doc["coeff"]
+        if doc["kind"] == "dyad":
+            built.append(Dyad(complex(re, im), doc["out"], doc["in"]))
+        else:
+            built.append(Family(complex(re, im), doc["outStride"], doc["outOffset"],
+                                doc["inStride"], doc["inOffset"], doc.get("jStart", 0)))
+    try:
+        want = StructuredOperator(built)
+    except ValueError:  # two coefficients whose sum overflows
+        with pytest.raises(ValueError, match="finite"):
+            cli._operator_from(docs, "terms")
+        return
+    parsed = cli._operator_from(docs, "terms")
+    assert all(type(t.coeff) is complex for t in parsed.terms)
+    assert [(t.coeff.real.hex(), t.coeff.imag.hex()) for t in parsed.terms] == \
+        [(t.coeff.real.hex(), t.coeff.imag.hex()) for t in want.terms]
+    assert [[getattr(t, f) for f in oa.Term.__slots__[1:]] for t in parsed.terms] == \
+        [[getattr(t, f) for f in oa.Term.__slots__[1:]] for t in want.terms]
 
 
 def test_certify_exit_codes(runner, tmp_path):
@@ -206,9 +214,9 @@ def test_certify_reads_a_complete_instrument_whose_norm_is_undecided(runner, tmp
     assert doc["complete"] is True and doc["repeatable"] is False
 
 
-def _one_coeff(digits: str) -> str:
+def _one_coeff(digits: str, imag: str = "0") -> str:
     return ('{"schemaVersion": "1", "outcomes": [{"label": 1, "terms": [{"kind": "dyad", '
-            '"coeff": [' + digits + ', 0], "out": 0, "in": 0}]}]}')
+            '"coeff": [' + digits + ', ' + imag + '], "out": 0, "in": 0}]}]}')
 
 
 @pytest.mark.parametrize("name, inst, reason", [
@@ -221,6 +229,9 @@ def _one_coeff(digits: str) -> str:
     # 10^309 is past the largest float; 10^300 squares to inf, so no POVM is composed
     ("huge_coeff", _one_coeff("1" + "0" * 309), "outcomes[0].terms[0]: coeff must be a [re, im] pair"),
     ("large_coeff", _one_coeff("1" + "0" * 300), "operator for outcome 1 has norm 1e+300 > 1"),
+    # both parts are floats, but the modulus is past the largest float
+    ("wide_coeff", _one_coeff("1.2711610061536462e+308", "1.2711610061536464e+308"),
+     "coefficient moduli must be finite"),
 ])
 def test_a_refused_input_keeps_its_exit_code_and_message(runner, tmp_path, name, inst, reason):
     path = tmp_path / f"{name}.json"

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qrepeat
@@ -772,6 +772,33 @@ def test_normalized_stores_signed_zeros_as_the_public_constructor_does():
         return [(i, c.real.hex(), c.imag.hex()) for i, c in v.items()]
 
     assert hexes(psi.normalized()) == hexes(want)
+
+
+_UNIT_PART = st.sampled_from([0.0, -0.0]) | st.floats(0.01, 2.0) | st.floats(-2.0, -0.01)
+
+
+# At norm exactly 1.0, normalized() returns the state itself, which must
+# have the bits of the division it skips.  The zero parts of either sign
+# reach the constructor; from CPython 3.14 a -0.0 imaginary part is stored.
+@given(st.dictionaries(st.integers(0, 12), st.builds(complex, _UNIT_PART, _UNIT_PART),
+                       min_size=1, max_size=6))
+@example({0: complex(0.6, -0.0), 2: complex(0.0, -0.8)})
+@example({0: complex(-0.0, -1.0)})
+@example({1: complex(1.0, -0.0)})
+def test_normalized_keeps_a_unit_state_as_the_division_would(amps):
+    psi = StateVector(amps)
+    assume(psi.norm_sq() > 0)
+    if math.sqrt(psi.norm_sq()) != 1.0:
+        psi = psi.normalized()
+    assume(math.sqrt(psi.norm_sq()) == 1.0)
+    want = StateVector._trusted({i: c / 1.0 for i, c in psi.items()})
+
+    def hexes(v):
+        return [(i, c.real.hex(), c.imag.hex()) for i, c in v.items()]
+
+    got = psi.normalized()
+    assert got is psi
+    assert hexes(got) == hexes(want)
 
 
 def test_normalized_drops_an_amplitude_that_underflows():

@@ -195,7 +195,11 @@ def _assert_matches_reference(monkeypatch, inst, sampler, trajectories=300, seed
     stats, got = _recorded_conditionals(monkeypatch, inst, sampler, trajectories, seed)
     first_counts, counts, want = ref_conditionals(inst, sampler, trajectories, seed)
     assert stats.first_counts == first_counts and stats.counts == counts
-    assert [bits(*s) for s in got] == [bits(*s) for s in want]
+    # the second selection of a trajectory builds no post-state: its outcome
+    # and probability bits are compared
+    assert [bits(*s) for s in got[::2]] == [bits(*s) for s in want[::2]]
+    assert ([(f, p.hex()) for f, p in got[1::2]]
+            == [(f, p.hex()) for f, p, _ in want[1::2]])
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS)
@@ -302,6 +306,22 @@ def test_a_sampler_that_buffers_32_bits_matches_the_reference(monkeypatch):
         return oa.random_state(rng, 32, 8)
 
     _assert_matches_reference(monkeypatch, SAMPLED["binary"], buffered)
+
+
+# Counted: a batch normalizes each drawn state and its first post-state, not
+# the second post-state, which nothing reads (3,000 calls before).
+def test_a_batch_normalizes_no_second_post_state(monkeypatch):
+    calls = []
+    normalized = StateVector.normalized
+
+    def counted(psi):
+        calls.append(None)
+        return normalized(psi)
+
+    monkeypatch.setattr(StateVector, "normalized", counted)
+    empirical_conditionals(SAMPLED["binary"], random_state_sampler(32, 8),
+                           trajectories=1000, seed=3)
+    assert len(calls) <= 2 * 1000
 
 
 def test_a_batch_builds_no_generator_per_trajectory(monkeypatch):
