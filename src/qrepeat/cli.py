@@ -371,7 +371,10 @@ def _parse_initial(spec: str) -> StateVector:
                          "nor a comma-separated amplitude list")
     psi = StateVector({i: a for i, a in enumerate(amps)})
     tol = current().tolerance
-    total = psi.norm_sq()
+    try:
+        total = psi.norm_sq()
+    except OverflowError:  # a squared modulus past the largest float
+        raise ValueError(f"initial state {spec!r} has a norm too large to represent") from None
     if total <= tol:
         raise ValueError("initial state has no amplitude")
     if abs(total - 1.0) > tol:

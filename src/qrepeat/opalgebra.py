@@ -24,6 +24,14 @@ Which terms hold an index or meet a progression, by input or by output, is
 answered exactly by one term index (``_term_index``).  ``compose``, ``is_monomial``,
 :mod:`qrepeat.wold` and ``_followers`` read it; the last maps the terms to their
 operators, so :mod:`qrepeat.certify` composes only the outcome pairs whose terms meet.
+
+Dense point blocks stay arrays.  An operator keeps what ``compose``'s
+numpy kernel reads: its progressions, its points' order and counts per row
+and column, and, once a product pays for the kernel, its point block.  A
+kernel product keeps its block and builds its point terms only when they
+are read; ``max_deviation`` compares blocks where an operand holds one.
+``adjoint`` keeps the adjoint it builds on the operator.  None of this
+changes a bit of any result.
 """
 
 from __future__ import annotations
@@ -144,7 +152,11 @@ class StructuredOperator:
     entrywise realization.
     """
 
-    __slots__ = ("terms", "_tol")  # _tol: the tolerance the terms are canonical under
+    # _tol: the tolerance the terms are canonical under.  The other slots are
+    # caches, unset until first read: what compose and max_deviation read
+    # (filled through _kept), and the adjoint, kept by adjoint under the
+    # tolerance the terms are canonical under.
+    __slots__ = ("terms", "_tol", "_progs", "_counts", "_block", "_adj")
 
     def __init__(self, terms: Iterable[Term] = ()):
         object.__setattr__(self, "_tol", current().tolerance)
@@ -280,6 +292,8 @@ def _finish(fams: dict[tuple[int, int, int, int], complex],
     appended as ``(position, |change|)``: a dropped point at its position, an
     absorbed point's ``|c + cf|`` (cancelled head) or ``|c - cf|`` (backward
     step) at the point, and a dropped progression with position None.
+    A table from ``compose``'s dense kernel comes here only when
+    ``_finish_block`` cannot keep it as arrays.
     """
     try:
         return _absorb(fams, dyds, tol, lost)
@@ -473,13 +487,20 @@ def adjoint(op: StructuredOperator) -> StructuredOperator:
     the active tolerance.  Then the swap keeps signatures distinct and ``|c|``
     above the tolerance, and takes a family head (the step before one) to a
     head (the step before), so nothing merges, drops or is absorbed: the terms
-    are only sorted back, each stored as ``0.0 + c`` as canonicalization does."""
+    are only sorted back, each stored as ``0.0 + c`` as canonicalization does.
+    That adjoint is built once and kept on ``op``; the one canonicalized
+    afresh, under another tolerance, is not."""
     if op._tol != current().tolerance:
         return StructuredOperator([t.adjoint() for t in op.terms])
-    return StructuredOperator._canonical(tuple(sorted(
+    adj = _held(op, "_adj")
+    if adj is not None:
+        return adj
+    adj = StructuredOperator._canonical(tuple(sorted(
         (Term._trusted(0.0 + t.coeff.conjugate(), t.in_stride, t.in_offset, t.out_stride,
                        t.out_offset, t.length) for t in op.terms),
         key=lambda t: (t.length == 1, t.out_stride, t.out_offset, t.in_stride, t.in_offset))))
+    _setattr(op, "_adj", adj)
+    return adj
 
 
 def add(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
@@ -612,12 +633,91 @@ def _on_progression(indices: Iterable[int], progressions: list[tuple[int, int]])
     return any(i >= o and (i - o) % s == 0 for s, o in progressions for i in indices)
 
 
+# -- what an operator keeps for the dense kernel --------------------------
+#
+# Each is filled from the terms on first read (_kept), except on a kernel
+# product, which is made holding all three and fills its terms from them.
+
+
+def _progressions(op: StructuredOperator) -> tuple[Term, ...]:
+    return tuple(t for t in op.terms if t.length is None)
+
+
+def _point_counts(op: StructuredOperator) -> tuple[bool, dict[int, int], dict[int, int]]:
+    """``(ascending, per_row, per_col)``: whether the points' ``(row, col)``
+    are strictly ascending, as in canonical order, and how many points sit
+    in each row and in each column."""
+    keys = [(t.out_offset, t.in_offset) for t in op.terms if t.length == 1]
+    return (all(map(operator.lt, keys, keys[1:])),
+            Counter(r for r, _ in keys), Counter(c for _, c in keys))
+
+
+def _own_block(op: StructuredOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _point_block([t for t in op.terms if t.length == 1])
+
+
+class _KernelProduct(StructuredOperator):
+    """A product from ``compose``'s dense kernel.  It holds its progressions,
+    point counts and point block from the start, and builds its terms when
+    they are first read: the progressions, then a point per nonzero entry of
+    the block, in row-major order, which is canonical order.  The hook
+    lives here alone because a class with ``__getattr__`` reads every
+    attribute, slots included, more slowly."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: unbuilt terms, or no such name
+        if name != "terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows, cols, block = self._block
+        r, c = np.nonzero(block)
+        trusted = Term._trusted
+        terms = self._progs + tuple([trusted(v, 1, o, 1, i, 1) for o, i, v in zip(
+            rows[r].tolist(), cols[c].tolist(), block[r, c].tolist())])
+        _setattr(self, "terms", terms)
+        return terms
+
+
+_FILLERS = {"_progs": _progressions, "_counts": _point_counts, "_block": _own_block}
+# the slots' own getters, which raise on an unset slot and fill nothing
+_SLOT_GETTERS = {name: StructuredOperator.__dict__[name].__get__
+                 for name in StructuredOperator.__slots__}
+
+
+def _held(op: StructuredOperator, name: str):
+    """What ``op`` holds in slot ``name``, or None when it is unset; fills nothing."""
+    try:
+        return _SLOT_GETTERS[name](op)
+    except AttributeError:
+        return None
+
+
+def _kept(op: StructuredOperator, name: str):
+    """What ``op`` keeps in slot ``name``, filled from its terms on first read."""
+    value = _held(op, name)
+    if value is None:
+        value = _FILLERS[name](op)
+        _setattr(op, name, value)
+    return value
+
+
+def _term_count(op: StructuredOperator) -> int:
+    """``len(op.terms)``, without building a kernel product's point terms."""
+    terms = _held(op, "terms")
+    return len(op._progs) + sum(op._counts[1].values()) if terms is None else len(terms)
+
+
 # The dense kernel pays only on dense point blocks.  It costs rows * inner
 # * cols products however sparse the blocks are, where the join costs one
 # multiply per matching pair: the sum over inner k of (a's points in
 # column k) * (b's points in row k).  It runs when the matching pairs
 # number at least _KERNEL_MIN_PAIRS and fill at least 1/_KERNEL_FILL of
-# rows * inner * cols; _kernel_pays gives the timings behind both.
+# rows * inner * cols; _kernel_pays gives the timings behind both.  The
+# counts it reads and each factor's block are built once per operator and
+# kept; the product keeps its own block, and its point terms are built
+# only when read (_finish_block), so a chain of kernel products and the
+# max_deviation that decides it stay arrays.
 _KERNEL_MIN_PAIRS = 512
 _KERNEL_FILL = 2
 # Inner indices per step of the dense kernel: its two buffers hold
@@ -661,10 +761,11 @@ def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_pays(a_points: list[Term], b_points: list[Term]) -> bool:
+def _kernel_pays(a_counts: tuple, b_counts: tuple) -> bool:
     """True when the point x point products of ``a @ b`` are dense enough
     for the kernel: at least ``_KERNEL_MIN_PAIRS`` matching pairs, filling
-    at least ``1/_KERNEL_FILL`` of the kernel's rows * inner * cols.
+    at least ``1/_KERNEL_FILL`` of the kernel's rows * inner * cols.  Each
+    factor is given by its ``_counts``.
 
     Timed on a 2-core x86-64 host, each factor a point block plus an
     identity tail, kernel time over join time: dense d x d blocks 1.3-1.4
@@ -676,47 +777,103 @@ def _kernel_pays(a_points: list[Term], b_points: list[Term]) -> bool:
     250 at d = 200, where the join makes 200 multiplies and the kernel
     8e6.
     """
-    per_col = Counter(t.in_offset for t in a_points)
-    per_row = Counter(t.out_offset for t in b_points)
+    _, a_rows, per_col = a_counts
+    _, per_row, b_cols = b_counts
     inner = per_col.keys() & per_row.keys()
     pairs = sum(per_col[k] * per_row[k] for k in inner)
-    rows = len({t.out_offset for t in a_points})
-    cols = len({t.in_offset for t in b_points})
-    return pairs >= _KERNEL_MIN_PAIRS and pairs * _KERNEL_FILL >= rows * len(inner) * cols
+    return pairs >= _KERNEL_MIN_PAIRS and \
+        pairs * _KERNEL_FILL >= len(a_rows) * len(inner) * len(b_cols)
 
 
-def _point_product(a: StructuredOperator, b: StructuredOperator,
-                   nprog: int) -> dict[tuple[int, int], complex] | None:
-    """The point table of ``a @ b`` from the dense kernel, holding its
-    nonzero entries; None when the dict join must build it.  ``b`` is
-    canonical, with ``nprog`` progressions ahead of its points.
+def _point_product(a: StructuredOperator, b: StructuredOperator):
+    """The point table of ``a @ b`` from the dense kernel: the sorted rows of
+    ``a``'s points, the sorted columns of ``b``'s and the product block over
+    them; None when the dict join must build it.  ``b`` is canonical.
 
     The kernel applies when only point x point products reach the table:
     no column of a point of ``a`` lies on an output progression of ``b``
     and no row of a point of ``b`` on an input progression of ``a``.
     ``a``'s points must be distinct and ascending by ``(row, col)``, as in
     canonical order, so that the join, too, sums each entry in ascending
-    inner index.
+    inner index.  The factors' blocks are built only then, and kept.
     """
-    b_points = b.terms[nprog:]
-    a_points = [t for t in a.terms if t.length == 1]
-    if len(a_points) * len(b_points) < _KERNEL_MIN_PAIRS:  # bounds the matching pairs
+    if _term_count(a) * _term_count(b) < _KERNEL_MIN_PAIRS:  # bounds the matching pairs
         return None
-    keys = [(t.out_offset, t.in_offset) for t in a_points]
-    if not all(map(operator.lt, keys, keys[1:])) or not _kernel_pays(a_points, b_points):
+    a_counts, b_counts = _kept(a, "_counts"), _kept(b, "_counts")
+    if not a_counts[0] or not _kernel_pays(a_counts, b_counts):
         return None
-    rows, a_cols, a_block = _point_block(a_points)
-    b_rows, cols, b_block = _point_block(b_points)
-    a_inputs = [(t.in_stride, t.in_offset) for t in a.terms if t.length is None]
-    b_outputs = [(t.out_stride, t.out_offset) for t in b.terms[:nprog]]
-    if _on_progression(a_cols.tolist(), b_outputs) or _on_progression(b_rows.tolist(), a_inputs):
+    b_outputs = [(t.out_stride, t.out_offset) for t in _kept(b, "_progs")]
+    a_inputs = [(t.in_stride, t.in_offset) for t in _kept(a, "_progs")]
+    if _on_progression(a_counts[2], b_outputs) or _on_progression(b_counts[1], a_inputs):
         return None
+    rows, a_cols, a_block = _kept(a, "_block")
+    b_rows, cols, b_block = _kept(b, "_block")
     _, ia, ib = np.intersect1d(a_cols, b_rows, assume_unique=True, return_indices=True)
-    if not len(ia):
-        return {}
-    prod = _block_product(a_block[:, ia], b_block[ib])
-    r, c = np.nonzero(prod)  # nan is nonzero, so non-finite sums reach _finish
-    return dict(zip(zip(rows[r].tolist(), cols[c].tolist()), prod[r, c].tolist()))
+    return rows, cols, _block_product(a_block[:, ia], b_block[ib])
+
+
+def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarray,
+                  cols: np.ndarray, prod: np.ndarray, tol: float,
+                  lost: list | None) -> StructuredOperator | None:
+    """``_finish`` of a kernel product, its point table kept as arrays: the
+    canonical operator, holding its progressions and its point block, whose
+    point terms are built on first read; or None, before anything is
+    appended to ``lost``, when ``_finish`` must run: on a sum that is not
+    finite, a modulus that overflows, or a point that a family absorbs.
+
+    Short of those, ``_finish`` only filters and sorts, and the arrays do
+    the same with its bits.  A modulus is ``np.hypot`` of the parts, as
+    ``abs`` computes it (numpy's complex ``abs`` differs in the last bit).
+    The table's nonzero entries, in row-major order, are the dict's points
+    in its order, and the kept ones end up sorted by ``(row, col)``.  Only
+    a point at a family's head or one step before it can be absorbed, and
+    only under ``_absorb``'s conditions ``|c + cf| <= tol`` (head) and
+    ``|c - cf| <= tol`` (the step before); when no point meets them
+    against the families as filtered, no absorption happens at all.
+    """
+    try:
+        fam_mods = [abs(c) for c in fams.values()]
+    except OverflowError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        mod = np.hypot(prod.real, prod.imag)
+    if not (np.isfinite(mod).all() and all(map(math.isfinite, fam_mods))):
+        return None
+    keep = mod > tol
+    progs = {sig: c for (sig, c), m in zip(fams.items(), fam_mods) if m > tol}
+    if progs:
+        at_row = dict(zip(rows.tolist(), count()))
+        at_col = dict(zip(cols.tolist(), count()))
+        try:
+            for (os_, oo, is_, io), cf in progs.items():
+                for r, k, head in ((oo, io, True), (oo - os_, io - is_, False)):
+                    i, j = at_row.get(r), at_col.get(k)
+                    if i is None or j is None or not keep[i, j]:
+                        continue
+                    c = prod[i, j].item()
+                    if abs(c + cf if head else c - cf) <= tol:
+                        return None
+        except OverflowError:
+            return None
+    if lost is not None:
+        r, c = np.nonzero(~keep & (prod != 0))
+        lost.extend(zip(zip(rows[r].tolist(), cols[c].tolist()), mod[r, c].tolist()))
+        lost.extend((None, m) for m in fam_mods if m <= tol)
+    out = tuple([Term._trusted(c, *sig, None) for sig, c in sorted(progs.items())])
+    if not keep.any():
+        return StructuredOperator._canonical(out)
+    block = np.where(keep, prod, 0)
+    live_rows, live_cols = keep.any(axis=1), keep.any(axis=0)
+    if not (live_rows.all() and live_cols.all()):  # a block spans only its points
+        live = np.ix_(live_rows, live_cols)
+        rows, cols, block, keep = rows[live_rows], cols[live_cols], block[live], keep[live]
+    counts = (True, dict(zip(rows.tolist(), keep.sum(axis=1).tolist())),
+              dict(zip(cols.tolist(), keep.sum(axis=0).tolist())))
+    op = object.__new__(_KernelProduct)
+    for name, value in (("_tol", tol), ("_progs", out), ("_counts", counts),
+                        ("_block", (rows, cols, block))):
+        _setattr(op, name, value)
+    return op
 
 
 def compose(a: StructuredOperator, b: StructuredOperator,
@@ -745,34 +902,35 @@ def compose(a: StructuredOperator, b: StructuredOperator,
     CPython's complex multiply in real arithmetic.  The absent pairs add
     only signed zeros, which leave a nonzero sum as it is, and a sum that
     starts at ``+0.0`` never turns into ``-0.0`` (an exact zero sum is
-    ``+0.0``).  The progressions still go through the join, and
-    ``_finish`` filters and orders both tables as before, and appends to
-    ``lost``, when given, the entries its tolerance filter and absorptions
-    leave out of the product.
+    ``+0.0``).  Then only ``a``'s progressions go through the join, and
+    they meet ``b``'s progressions alone.  ``_finish_block`` finishes the
+    kernel's table as arrays: the product keeps its point block and builds
+    its point terms only when they are read.  A table it hands back (a
+    point to absorb, a sum or modulus that is not finite) and the join's
+    table go through ``_finish``, which filters, absorbs and orders.
+    Either appends to ``lost``, when given, the entries its tolerance
+    filter and absorptions leave out of the product.
     """
-    nprog = sum(1 for t in b.terms if t.length is None)  # canonical: progressions first
-    points = b.terms[nprog:]
+    tol = current().tolerance
+    table = _point_product(a, b)
+    kernel = table is not None
+    b_terms = b._progs if kernel else b.terms  # _point_product kept both factors' progressions
+    # canonical: progressions first
+    points = () if kernel else b_terms[sum(1 for t in b_terms if t.length is None):]
+    index = _term_index(b_terms, outputs=True)
     fams: dict[tuple[int, int, int, int], complex] = {}
-    dyds = _point_product(a, b, nprog)
-    kernel = dyds is not None
-    # the kernel's table leaves the index b's progressions to list
-    index = _term_index(b.terms[:nprog] if kernel else b.terms, outputs=True)
-    if not kernel:
-        dyds = {}
-
-    for ta in a.terms:
+    dyds: dict[tuple[int, int], complex] = {}
+    for ta in a._progs if kernel else a.terms:
         ca, ai, ao = ta.coeff, ta.in_offset, ta.out_offset
         if ta.length == 1:
-            if kernel:
-                continue
             for idx in _holding(index, ai):  # a point of b has strides 1
-                tb = b.terms[idx]
+                tb = b_terms[idx]
                 key = (ao, tb.in_stride * ((ai - tb.out_offset) // tb.out_stride) + tb.in_offset)
                 dyds[key] = dyds.get(key, 0j) + ca * tb.coeff
             continue
         s1, os_ = ta.in_stride, ta.out_stride
         for idx in sorted(_meeting(index, s1, ai)):
-            p = _compose_terms(ta, b.terms[idx])
+            p = _compose_terms(ta, b_terms[idx])
             sig = p[1:5]
             fams[sig] = fams.get(sig, 0.0) + p[0]
         for tb in points:
@@ -780,7 +938,14 @@ def compose(a: StructuredOperator, b: StructuredOperator,
             if d >= 0 and d % s1 == 0:
                 key = (os_ * (d // s1) + ao, tb.in_offset)
                 dyds[key] = dyds.get(key, 0j) + ca * tb.coeff
-    return StructuredOperator._canonical(_finish(fams, dyds, current().tolerance, lost))
+    if kernel:
+        product = _finish_block(fams, *table, tol, lost)
+        if product is not None:
+            return product
+        rows, cols, prod = table
+        r, c = np.nonzero(prod)  # nan is nonzero, so non-finite sums reach _finish
+        dyds = dict(zip(zip(rows[r].tolist(), cols[c].tolist()), prod[r, c].tolist()))
+    return StructuredOperator._canonical(_finish(fams, dyds, tol, lost))
 
 
 # -- equality, decided on the terms ----------------------------------------
@@ -816,9 +981,87 @@ def max_deviation(a: StructuredOperator, b: StructuredOperator):
     and crossings, each line's rows up to its highest head plus ``L``, and,
     where one of those rows is a point or a crossing, the first later row of
     its residue that is neither.  The terms need not be canonical; each
-    entry is summed in term order.
+    entry is summed in term order.  When either operand already holds a
+    point block, the points are compared as arrays where that gives the
+    same bits (``_block_deviation``).
     """
-    terms = a.terms + b.terms
+    if _held(a, "_block") is not None or _held(b, "_block") is not None:
+        found = _block_deviation(a, b)
+        if found is not None:
+            return found
+    return _term_deviation(a.terms, b.terms)
+
+
+def _point_arrays(op: StructuredOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and coefficients of ``op``'s points, in term order:
+    from its block, in row-major order, when it holds one."""
+    held = _held(op, "_block")
+    if held is not None:
+        rows, cols, block = held
+        r, c = np.nonzero(block)
+        return rows[r], cols[c], block[r, c]
+    points = [t for t in op.terms if t.length == 1]
+    return (np.array([t.out_offset for t in points]), np.array([t.in_offset for t in points]),
+            np.array([t.coeff for t in points], dtype=complex))
+
+
+def _block_deviation(a: StructuredOperator, b: StructuredOperator):
+    """``max_deviation`` with the points compared as arrays, one operand
+    holding a point block; None when the terms must decide it.
+
+    When both operands' points are strictly ascending and no progression
+    of either holds a row that a point of either sits on, no progression
+    has an entry on a point's row.  The entry at a point is then the
+    point's coefficient, and the positions the terms evaluate split into
+    the points' and those the progressions alone decide.  So the deviation
+    is the larger of the progressions' own (``_term_deviation``) and that
+    of the aligned point difference, and on a tie the least position wins.
+    The other operand's points are placed on the block's rows and columns,
+    those off it compared with zero.  A modulus is ``np.hypot`` of the
+    parts, as ``abs`` computes it; the first largest in row-major order is
+    at the least position.  A modulus that overflows, where ``abs`` may
+    raise, hands the decision back to the terms.
+    """
+    a_counts, b_counts = _kept(a, "_counts"), _kept(b, "_counts")
+    if not (a_counts[0] and b_counts[0]):
+        return None
+    a_progs, b_progs = _kept(a, "_progs"), _kept(b, "_progs")
+    holders = [(t.out_stride, t.out_offset) for t in a_progs + b_progs]
+    if _on_progression(a_counts[1].keys() | b_counts[1].keys(), holders):
+        return None
+    base, other = (a, b) if _held(a, "_block") is not None else (b, a)
+    rows, cols, diff = base._block
+    o_rows, o_cols, o_vals = _point_arrays(other)
+    if len(o_vals):
+        ri, ci = np.searchsorted(rows, o_rows), np.searchsorted(cols, o_cols)
+        on = (ri < len(rows)) & (ci < len(cols))
+        on[on] = (rows[ri[on]] == o_rows[on]) & (cols[ci[on]] == o_cols[on])
+        diff = diff.copy()  # |x - y| = |y - x|, bit for bit, so base may be either
+        with np.errstate(over="ignore"):
+            diff[ri[on], ci[on]] -= o_vals[on]
+        o_rows, o_cols, o_vals = o_rows[~on], o_cols[~on], o_vals[~on]
+    with np.errstate(over="ignore"):
+        grid = np.hypot(diff.real, diff.imag)
+        off = np.hypot(o_vals.real, o_vals.imag)
+    if np.isinf(grid).any() or np.isinf(off).any():
+        return None
+    found = [_term_deviation(a_progs, b_progs)]
+    if grid.size:
+        i, j = divmod(int(grid.argmax()), grid.shape[1])
+        found.append((float(grid[i, j]), (int(rows[i]), int(cols[j]))))
+    if off.size:
+        k = int(off.argmax())
+        found.append((float(off[k]), (int(o_rows[k]), int(o_cols[k]))))
+    dev, pos = 0.0, None
+    for d, key in found:
+        if d > dev or (d == dev and pos is not None and key < pos):
+            dev, pos = d, key
+    return dev, pos
+
+
+def _term_deviation(a_terms: tuple[Term, ...], b_terms: tuple[Term, ...]):
+    """``max_deviation`` of two term lists, decided on the terms."""
+    terms = a_terms + b_terms
     line_of = {t: _line(t) for t in terms if t.length is None}
     tails: dict[tuple[int, int, int], list[int]] = {}  # line -> [highest head row, L]
     by_dir: dict[tuple[int, int], list[Term]] = {}
@@ -877,7 +1120,7 @@ def max_deviation(a: StructuredOperator, b: StructuredOperator):
                     ents[key] = ents.get(key, 0.0) + c
         return ents
 
-    ea, eb = entries(a.terms), entries(b.terms)
+    ea, eb = entries(a_terms), entries(b_terms)
     dev, pos = 0.0, None
     for key in ea.keys() | eb.keys():
         d = abs(ea.get(key, 0.0) - eb.get(key, 0.0))

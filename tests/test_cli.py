@@ -419,6 +419,15 @@ def test_simulate_rejects_garbage_initial_state(runner, tmp_path):
     assert r.exit_code == 2
 
 
+def test_simulate_rejects_an_initial_state_whose_norm_overflows(runner, tmp_path):
+    # 1e200 is finite, but its squared modulus is not
+    path = write_instrument(build_example_family(2, (0.5, 0.5)),
+                            tmp_path / "ex.json")
+    r = runner.invoke(cli.main, ["simulate", path, "--initial", "1e200,1"])
+    assert r.exit_code == 2
+    assert "error: initial state '1e200,1' has a norm too large to represent" in r.output
+
+
 def test_demo_bundles_regenerate_byte_identical(runner, tmp_path):
     names = ["ex1.instrument.json", "ex1.report.json", "ex1.povm.json",
              "ex1.classification.json", "ex1.wold.json", "ex1.trajectory.jsonl"]

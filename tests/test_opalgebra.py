@@ -469,6 +469,176 @@ def test_a_diagonal_factor_takes_the_dict_join(dense_left):
     assert _bits(got) == _bits(d)
 
 
+# -- kernel products kept as arrays --------------------------------------------
+
+
+def _terms_built(op):
+    return oa._held(op, "terms") is not None
+
+
+def _ones_block(d, value):
+    return [Dyad(value, i, j) for i in range(d) for j in range(d)]
+
+
+def _tail(t, c=1.0):
+    return [Family(c, 1, t, 1, t)]
+
+
+# Each entry of (1/8 everywhere) @ (1 everywhere) is exactly 1.0, the
+# coefficient of the product's tail, 2 * 1/2, though of neither factor's:
+# (7, 7) extends the product's tail one step backward, and so on down to (0, 0).
+_EXTENDS = (StructuredOperator(_ones_block(8, 0.125) + _tail(8, 2.0)),
+            StructuredOperator(_ones_block(8, 1.0) + _tail(8, 0.5)))
+# a is 1/8 but for row 8, 1/4; b is 1 but for column 9, -1.  The product's
+# (9, 9) is exactly -1.0 and cancels the head of its tail, which starts at 9;
+# its (8, 8) is 2.0 and extends nothing.
+_CANCELS = (StructuredOperator([Dyad(0.25 if i == 8 else 0.125, i, j)
+                                for i in range(10) for j in range(8)] + _tail(9)),
+            StructuredOperator([Dyad(-1.0 if j == 9 else 1.0, i, j)
+                                for i in range(8) for j in range(10)] + _tail(9)))
+# Every entry is z = 0.345584192064786+0.19483956316952594j, summed exactly:
+# the first eight products cancel in pairs, the ninth is z * 1.  np.abs(z)
+# is 0.396725206132863, abs(z) 0.39672520613286294.
+_Z = 0.345584192064786 + 0.19483956316952594j
+_NP_ABS = (StructuredOperator([Dyad(_Z if k == 8 else 1.0, i, k)
+                               for i in range(9) for k in range(9)]),
+           StructuredOperator([Dyad((-1.0) ** k if k < 8 else 1.0, k, j)
+                               for k in range(9) for j in range(9)]))
+# (1/8 everywhere) @ b: column 0 of b is 2, the rest 1, so the product's
+# column 0 is 2.0 and every other entry 1.0, exactly a tolerance of 1.0
+_AT_TOL = (StructuredOperator(_ones_block(8, 0.125)),
+           StructuredOperator([Dyad(2.0 if j == 0 else 1.0, i, j)
+                               for i in range(8) for j in range(8)]))
+# each product of these 1e300 entries overflows
+_HUGE = (StructuredOperator(_ones_block(8, 1e300 + 1e300j)),
+         StructuredOperator(_ones_block(8, -1e300)))
+
+
+def _array_examples(test):
+    for ab, tol in ((_EXTENDS, 1e-12), (_CANCELS, 1e-12), (_NP_ABS, 1e-12), (_NP_ABS, 0.5),
+                    (_AT_TOL, 1.0), ((_real_block(8, -2.0), _real_block(8, -3.0)), 1e-12),
+                    (_HUGE, 1e-12)):
+        test = example(ab, tol)(test)
+    return test
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised, under
+    warnings turned into errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(*args)
+        except (ValueError, OverflowError) as e:
+            return type(e).__name__, str(e)
+
+
+def _finished(a, b, array_finish):
+    """Bits of ``compose(a, b)``'s terms and ``lost`` list, with the array
+    finish or with the dict ``_finish`` alone."""
+    def run():
+        lost = []
+        got = oa.compose(a, b, lost)
+        return _bits(got), [(pos, m.hex()) for pos, m in lost]
+    if array_finish:
+        return _outcome(run)
+    with mock.patch.object(oa, "_finish_block", lambda *args: None):
+        return _outcome(run)
+
+
+@given(point_products(), st.sampled_from([1e-12, 1e-4, 1.0, 1e4]))
+@_array_examples
+@settings(deadline=None, max_examples=150)
+def test_the_kernel_products_array_finish_is_the_dict_finish_bit_for_bit(ab, tol):
+    a, b = ab
+    with qrepeat.settings(tolerance=tol):
+        assert _finished(a, b, True) == _finished(a, b, False)
+
+
+def _plain(op):
+    """``op``'s terms as given, in an operator that holds no block."""
+    return StructuredOperator._canonical(tuple(op.terms))
+
+
+@given(point_products(), st.sampled_from([1e-12, 1e-4, 1.0, 1e4]))
+@_array_examples
+@settings(deadline=None, max_examples=150)
+def test_block_deviation_is_the_term_deviation_bit_for_bit(ab, tol):
+    a, b = ab
+    with qrepeat.settings(tolerance=tol):
+        p = _outcome(oa.compose, a, b)
+        # terms in reverse order, one of them twice: the terms decide it
+        ops = [a, b, StructuredOperator.zero(),
+               StructuredOperator._canonical(tuple(reversed(b.terms)) + b.terms[:1])]
+        if isinstance(p, StructuredOperator):
+            ops += [p, _outcome(oa.compose, p, b)]
+        ops = [op for op in ops if isinstance(op, StructuredOperator)]
+        for x in ops:
+            for y in ops:
+                got = _outcome(oa.max_deviation, x, y)
+                want = _outcome(oa.max_deviation, _plain(x), _plain(y))
+                if isinstance(want, tuple) and isinstance(want[0], float):
+                    got, want = (got[0].hex(), got[1]), (want[0].hex(), want[1])
+                assert got == want
+
+
+def test_a_kernel_product_keeps_its_block_and_builds_its_terms_when_read():
+    a, b = _block(8, 1), _block(8, 2)
+    with kernel_runs() as ran:
+        p = oa.compose(a, b)
+    assert ran == [True]
+    assert oa._held(p, "_block") is not None and not _terms_built(p)
+    # a product of kernel products and its comparison stay arrays
+    q = oa.compose(p, b)
+    assert oa.max_deviation(q, p)[0] > 0 and not _terms_built(q) and not _terms_built(p)
+    assert _bits(p) == _bits(ref_compose(a, b))
+    assert _terms_built(p)
+
+
+def test_an_absorbed_point_takes_the_dict_finish():
+    for a, b in (_EXTENDS, _CANCELS):
+        with kernel_runs() as ran:
+            p = oa.compose(a, b)
+        assert ran == [True]
+        assert oa._held(p, "_block") is None and _terms_built(p)
+        assert _bits(p) == _bits(ref_compose(a, b))
+    extended, cancelled = oa.compose(*_EXTENDS), oa.compose(*_CANCELS)
+    assert extended.families == (Family(1.0, 1, 0, 1, 0),) and len(extended.dyads) == 56
+    assert Family(1.0, 1, 10, 1, 10) in cancelled.terms
+    assert not any(t.out_offset == 9 and t.in_offset == 9 for t in cancelled.dyads)
+
+
+def test_a_kernel_product_read_under_another_tolerance_has_its_own_terms():
+    a, b = _AT_TOL
+    with qrepeat.settings(tolerance=0.5):
+        p = oa.compose(a, b)
+        want = _bits(ref_compose(a, b))
+    assert not _terms_built(p)
+    with qrepeat.settings(tolerance=1.5):  # would drop all of them
+        assert _bits(p) == want
+    assert len(want) == 64
+
+
+def test_equality_and_hash_read_a_kernel_products_terms():
+    a, b = _block(8, 1), _block(8, 2)
+    p, q, r = oa.compose(a, b), oa.compose(a, b), oa.compose(a, b)
+    assert not any(map(_terms_built, (p, q, r)))
+    assert p == q and _terms_built(p) and _terms_built(q)
+    assert hash(r) == hash(ref_compose(a, b)) and _terms_built(r)
+
+
+def test_the_adjoint_is_kept_under_the_tolerance_its_operator_is_canonical_under():
+    op = _block(8, 3)
+    adj = oa.adjoint(op)
+    assert oa.adjoint(op) is adj
+    with qrepeat.settings(tolerance=1e-6):
+        fresh = oa.adjoint(op)
+        assert fresh is not adj and oa.adjoint(op) is not fresh
+        assert _bits(fresh) == _bits(ref_adjoint(op))
+        assert fresh._tol == 1e-6
+    assert oa.adjoint(op) is adj
+
+
 def test_compose_shift_with_adjoint_is_range_projector():
     shift = StructuredOperator((Family(1.0, 2, 3, 2, 1),))
     gram = oa.compose(shift, oa.adjoint(shift))
