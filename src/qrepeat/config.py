@@ -7,6 +7,7 @@ asyncio task that runs it; a new thread starts from the defaults.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -19,8 +20,8 @@ class Settings:
     period_cap: int = 10**6  # largest period index sets and equality checks may build
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise ValueError("tolerance must be positive and finite")
         if self.period_cap < 1:
             raise ValueError("period cap must be positive")
 

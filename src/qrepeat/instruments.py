@@ -11,9 +11,7 @@ partitions, and reassembly from shift/deposit parts.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Mapping
 
 from . import opalgebra as oa
@@ -114,11 +112,12 @@ def _contractive_by_completeness(inst: Instrument, tol: float) -> bool:
     effect's, and the identity) holds at most one entry per row and per
     column, and every entry is at most ``dev``, so a row or column holds at
     most ``K = 1 + (progressions) + (most points in one row or column)``
-    entries and ``||D|| <= K dev + ||E||``.  ``K dev + ||E|| <= tol`` makes
-    every norm at most ``sqrt(1 + tol) <= 1 + tol / 2``, leaving ``tol / 2``
-    for the rounding of the sums.  An instrument whose POVM or deviation
-    cannot be built (a non-finite sum, a period over the cap) reads False, as
-    does one holding a non-operator or an operator canonical under another
+    entries, one more than ``opalgebra._schur`` counts at weight 1, and
+    ``||D|| <= K dev + ||E||``.  ``K dev + ||E|| <= tol`` makes every norm
+    at most ``sqrt(1 + tol) <= 1 + tol / 2``, leaving ``tol / 2`` for the
+    rounding of the sums.  An instrument whose POVM or deviation cannot be
+    built (a non-finite sum, a period over the cap) reads False, as does
+    one holding a non-operator or an operator canonical under another
     tolerance, whose adjoint is canonicalized afresh.
     """
     if not all(isinstance(op, StructuredOperator) and op._tol == tol for _, op in inst.entries):
@@ -128,18 +127,9 @@ def _contractive_by_completeness(inst: Instrument, tol: float) -> bool:
         dev, _ = pv.identity_deviation()
     except (ValueError, PeriodCapExceeded):
         return False
-    progressions = 0
-    rows: Counter[int] = Counter()
-    cols: Counter[int] = Counter()
-    for _, p in pv.entries:
-        for t in p.terms:
-            if t.length is None:
-                progressions += 1
-            else:
-                rows[t.out_offset] += 1
-                cols[t.in_offset] += 1
-    most = max(chain(rows.values(), cols.values()), default=0)
-    return (1 + progressions + most) * dev + pv._lost <= tol
+    K = 1 + oa._schur(((None if t.length is None else (t.out_offset, t.in_offset)), 1)
+                      for _, p in pv.entries for t in p.terms)
+    return K * dev + pv._lost <= tol
 
 
 def make_instrument(entries: Mapping[Outcome, StructuredOperator],
@@ -184,22 +174,12 @@ def make_instrument(entries: Mapping[Outcome, StructuredOperator],
 
 
 def povm(inst: Instrument) -> Povm:
-    """The effects ``M_e* M_e``, with the Schur bound (largest row or column
-    sum) of the entries their composition left out kept as ``_lost``."""
+    """The effects ``M_e* M_e``, with the Schur bound (``opalgebra._schur``)
+    of the entries their composition left out kept as ``_lost``."""
     lost: list = []
     pv = Povm(tuple((label, oa.compose(oa.adjoint(op), op, lost))
                     for label, op in inst.items()))
-    every = 0.0  # dropped progressions: at most one entry per row and column
-    rows: Counter[int] = Counter()
-    cols: Counter[int] = Counter()
-    for pos, mass in lost:
-        if pos is None:
-            every += mass
-        else:
-            rows[pos[0]] += mass
-            cols[pos[1]] += mass
-    object.__setattr__(pv, "_lost", every + max(chain(rows.values(), cols.values()),
-                                                default=0.0))
+    object.__setattr__(pv, "_lost", oa._schur(lost))
     return pv
 
 

@@ -153,9 +153,9 @@ class StructuredOperator:
     """
 
     # _tol: the tolerance the terms are canonical under.  The other slots are
-    # caches, unset until first read: what compose and max_deviation read
-    # (filled through _kept), and the adjoint, kept by adjoint under the
-    # tolerance the terms are canonical under.
+    # caches, unset until first read and read with a plain getattr: what
+    # compose and max_deviation read (filled through _kept), and the adjoint,
+    # kept by adjoint under the tolerance the terms are canonical under.
     __slots__ = ("terms", "_tol", "_progs", "_counts", "_block", "_adj")
 
     def __init__(self, terms: Iterable[Term] = ()):
@@ -203,7 +203,7 @@ class StructuredOperator:
 
     @property
     def families(self) -> tuple[Term, ...]:
-        return tuple(t for t in self.terms if t.length is None)
+        return _kept(self, "_progs")
 
     def is_zero(self) -> bool:
         return equals(self, StructuredOperator.zero())
@@ -357,6 +357,22 @@ def _absorb(fams: dict[tuple[int, int, int, int], complex],
     return tuple(out)
 
 
+def _schur(entries: Iterable[tuple[tuple[int, int] | None, float]]) -> float:
+    """Schur-test bound on the norm of ``(position, weight)`` parts, as in
+    ``compose``'s ``lost`` list: the largest row or column sum, plus every
+    weight at None, a part with at most one entry, of at most that weight,
+    per row and column.  The sums run in the given order."""
+    every = 0.0
+    rows, cols = Counter(), Counter()
+    for pos, weight in entries:
+        if pos is None:
+            every += weight
+        else:
+            rows[pos[0]] += weight
+            cols[pos[1]] += weight
+    return every + max(chain(rows.values(), cols.values()), default=0.0)
+
+
 # -- state vectors -------------------------------------------------------
 
 
@@ -492,7 +508,7 @@ def adjoint(op: StructuredOperator) -> StructuredOperator:
     afresh, under another tolerance, is not."""
     if op._tol != current().tolerance:
         return StructuredOperator([t.adjoint() for t in op.terms])
-    adj = _held(op, "_adj")
+    adj = getattr(op, "_adj", None)
     if adj is not None:
         return adj
     adj = StructuredOperator._canonical(tuple(sorted(
@@ -635,12 +651,10 @@ def _on_progression(indices: Iterable[int], progressions: list[tuple[int, int]])
 
 # -- what an operator keeps for the dense kernel --------------------------
 #
-# Each is filled from the terms on first read (_kept), except on a kernel
-# product, which is made holding all three and fills its terms from them.
-
-
-def _progressions(op: StructuredOperator) -> tuple[Term, ...]:
-    return tuple(t for t in op.terms if t.length is None)
+# Each is read with a plain getattr and filled from the terms on first read
+# (_kept), except on a kernel product, which is made holding all three and
+# fills its terms from them.  An unset slot, and a kernel product's
+# __getattr__ for any name but "terms", raise AttributeError: None is read.
 
 
 def _point_counts(op: StructuredOperator) -> tuple[bool, dict[int, int], dict[int, int]]:
@@ -650,10 +664,6 @@ def _point_counts(op: StructuredOperator) -> tuple[bool, dict[int, int], dict[in
     keys = [(t.out_offset, t.in_offset) for t in op.terms if t.length == 1]
     return (all(map(operator.lt, keys, keys[1:])),
             Counter(r for r, _ in keys), Counter(c for _, c in keys))
-
-
-def _own_block(op: StructuredOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _point_block([t for t in op.terms if t.length == 1])
 
 
 class _KernelProduct(StructuredOperator):
@@ -670,32 +680,21 @@ class _KernelProduct(StructuredOperator):
         # reached only when normal lookup fails: unbuilt terms, or no such name
         if name != "terms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows, cols, block = self._block
-        r, c = np.nonzero(block)
+        rows, cols, vals = _point_arrays(self)
         trusted = Term._trusted
         terms = self._progs + tuple([trusted(v, 1, o, 1, i, 1) for o, i, v in zip(
-            rows[r].tolist(), cols[c].tolist(), block[r, c].tolist())])
+            rows.tolist(), cols.tolist(), vals.tolist())])
         _setattr(self, "terms", terms)
         return terms
 
 
-_FILLERS = {"_progs": _progressions, "_counts": _point_counts, "_block": _own_block}
-# the slots' own getters, which raise on an unset slot and fill nothing
-_SLOT_GETTERS = {name: StructuredOperator.__dict__[name].__get__
-                 for name in StructuredOperator.__slots__}
-
-
-def _held(op: StructuredOperator, name: str):
-    """What ``op`` holds in slot ``name``, or None when it is unset; fills nothing."""
-    try:
-        return _SLOT_GETTERS[name](op)
-    except AttributeError:
-        return None
+_FILLERS = {"_progs": lambda op: tuple(t for t in op.terms if t.length is None),
+            "_counts": _point_counts, "_block": lambda op: _point_block(op.dyads)}
 
 
 def _kept(op: StructuredOperator, name: str):
     """What ``op`` keeps in slot ``name``, filled from its terms on first read."""
-    value = _held(op, name)
+    value = getattr(op, name, None)
     if value is None:
         value = _FILLERS[name](op)
         _setattr(op, name, value)
@@ -704,8 +703,8 @@ def _kept(op: StructuredOperator, name: str):
 
 def _term_count(op: StructuredOperator) -> int:
     """``len(op.terms)``, without building a kernel product's point terms."""
-    terms = _held(op, "terms")
-    return len(op._progs) + sum(op._counts[1].values()) if terms is None else len(terms)
+    kernel = type(op) is _KernelProduct  # its point count is in _counts, built or not
+    return len(op._progs) + sum(op._counts[1].values()) if kernel else len(op.terms)
 
 
 # The dense kernel pays only on dense point blocks.  It costs rows * inner
@@ -985,7 +984,7 @@ def max_deviation(a: StructuredOperator, b: StructuredOperator):
     point block, the points are compared as arrays where that gives the
     same bits (``_block_deviation``).
     """
-    if _held(a, "_block") is not None or _held(b, "_block") is not None:
+    if getattr(a, "_block", None) is not None or getattr(b, "_block", None) is not None:
         found = _block_deviation(a, b)
         if found is not None:
             return found
@@ -995,7 +994,7 @@ def max_deviation(a: StructuredOperator, b: StructuredOperator):
 def _point_arrays(op: StructuredOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and coefficients of ``op``'s points, in term order:
     from its block, in row-major order, when it holds one."""
-    held = _held(op, "_block")
+    held = getattr(op, "_block", None)
     if held is not None:
         rows, cols, block = held
         r, c = np.nonzero(block)
@@ -1029,7 +1028,7 @@ def _block_deviation(a: StructuredOperator, b: StructuredOperator):
     holders = [(t.out_stride, t.out_offset) for t in a_progs + b_progs]
     if _on_progression(a_counts[1].keys() | b_counts[1].keys(), holders):
         return None
-    base, other = (a, b) if _held(a, "_block") is not None else (b, a)
+    base, other = (a, b) if getattr(a, "_block", None) is not None else (b, a)
     rows, cols, diff = base._block
     o_rows, o_cols, o_vals = _point_arrays(other)
     if len(o_vals):
@@ -1210,18 +1209,20 @@ def operator_norm(op: StructuredOperator) -> tuple[float, str]:
     holds a row or column of a point and the progressions are monomial, the
     operator is the direct sum of the finite block of its points, on exactly
     their rows and columns, and its progressions; the norm is the larger of
-    the block's largest singular value and the progressions' norm.  Any other
-    operator raises UnsupportedForm naming the reason.
+    the block's largest singular value and the progressions' norm.  The split
+    is decided on the terms, at a cost that follows them, not the largest
+    index.  Any other operator raises UnsupportedForm naming the reason.
     """
     if is_monomial(op):
         return _monomial_norm(op), "exact"
     tail = StructuredOperator._canonical(op.families)
     if not is_monomial(tail):
         raise UnsupportedForm("operator norm undecided: the progressions are not monomial")
-    rows, cols = tail.range_set(), tail.support_set()
+    outputs = [(t.out_stride, t.out_offset) for t in tail.terms]
+    inputs = [(t.in_stride, t.in_offset) for t in tail.terms]
     for t in op.dyads:
-        for kind, i, held in (("row", t.out_offset, rows), ("column", t.in_offset, cols)):
-            if held.member(i):
+        for kind, i, progs in (("row", t.out_offset, outputs), ("column", t.in_offset, inputs)):
+            if _on_progression((i,), progs):
                 raise UnsupportedForm(
                     f"operator norm undecided: {kind} {i} holds a point and a progression")
     _, _, block = _point_block(op.dyads)

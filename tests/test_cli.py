@@ -177,7 +177,8 @@ def test_knobs_last_for_one_command(tmp_path):
 
 
 @pytest.mark.parametrize("knob", [["--tolerance", "0"], ["--tolerance", "nan"],
-                                  ["--tolerance", "-1e-3"], ["--period-cap", "0"]])
+                                  ["--tolerance", "inf"], ["--tolerance", "-1e-3"],
+                                  ["--period-cap", "0"]])
 def test_invalid_knobs_exit_2(runner, tmp_path, knob):
     path = write_instrument(build_example_family(2, (0.5, 0.5)), tmp_path / "ex.json")
     result = runner.invoke(cli.main, ["certify", path, *knob,

@@ -202,6 +202,19 @@ def test_build_from_parts_rejects_overlapping_shift_blocks():
                           2: (v, StructuredOperator.zero())})
 
 
+def test_build_from_parts_rejects_a_cover_that_certifies_non_repeatable():
+    # every part check and the identity check pass: |1><0| and the shift
+    # |j+2><j+1| are isometries on their supports, with orthogonal ranges,
+    # but |1><0| sends 1, its own output, to zero
+    parts = {1: (StructuredOperator((Dyad(1.0, 1, 0),)), StructuredOperator.zero()),
+             2: (StructuredOperator((Family(1.0, 1, 2, 1, 1),)), StructuredOperator.zero())}
+    with pytest.raises(PartsViolation) as err:
+        build_from_parts(parts)
+    assert err.value.condition == "repeatability"
+    assert err.value.position == (1, 0) and err.value.deviation == 1.0
+    assert str(err.value).endswith("(isometry on range (1) at (1, 0))")
+
+
 def test_instrument_operator_lookup():
     inst = build_example_family(2, (0.5, 0.5))
     assert inst.operator(1).families == (Family(1.0, 2, 3, 2, 1),)
@@ -239,6 +252,17 @@ def test_an_incomplete_instrument_still_decides_each_norm(monkeypatch):
     half = StructuredOperator((Family(1.0, 2, 0, 2, 0),))
     make_instrument({1: half, 2: half}, check_completeness=False)
     assert calls == [half, half]
+
+
+def test_an_instrument_whose_povm_deviation_is_over_the_cap_decides_each_norm(monkeypatch):
+    # the effects' line periods have lcm 1009 * 1013 = 1022117, over the cap,
+    # so the bound from completeness reads False
+    calls = _count_norms(monkeypatch)
+    ops = {1: StructuredOperator((Family(1.0, 1009, 0, 1009, 0),)),
+           2: StructuredOperator((Family(1.0, 1013, 1, 1013, 1),))}
+    inst = make_instrument(ops, check_completeness=False)
+    assert inst.outcomes == (1, 2)
+    assert calls == [ops[1], ops[2]]
 
 
 @st.composite

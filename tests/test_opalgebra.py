@@ -473,7 +473,11 @@ def test_a_diagonal_factor_takes_the_dict_join(dense_left):
 
 
 def _terms_built(op):
-    return oa._held(op, "terms") is not None
+    try:
+        StructuredOperator.__dict__["terms"].__get__(op)
+    except AttributeError:
+        return False
+    return True
 
 
 def _ones_block(d, value):
@@ -587,7 +591,7 @@ def test_a_kernel_product_keeps_its_block_and_builds_its_terms_when_read():
     with kernel_runs() as ran:
         p = oa.compose(a, b)
     assert ran == [True]
-    assert oa._held(p, "_block") is not None and not _terms_built(p)
+    assert getattr(p, "_block", None) is not None and not _terms_built(p)
     # a product of kernel products and its comparison stay arrays
     q = oa.compose(p, b)
     assert oa.max_deviation(q, p)[0] > 0 and not _terms_built(q) and not _terms_built(p)
@@ -600,7 +604,7 @@ def test_an_absorbed_point_takes_the_dict_finish():
         with kernel_runs() as ran:
             p = oa.compose(a, b)
         assert ran == [True]
-        assert oa._held(p, "_block") is None and _terms_built(p)
+        assert getattr(p, "_block", None) is None and _terms_built(p)
         assert _bits(p) == _bits(ref_compose(a, b))
     extended, cancelled = oa.compose(*_EXTENDS), oa.compose(*_CANCELS)
     assert extended.families == (Family(1.0, 1, 0, 1, 0),) and len(extended.dyads) == 56
@@ -878,6 +882,34 @@ def test_operator_norm_sees_a_block_far_from_the_origin():
     value, quality = oa.operator_norm(NORM_DEFECT)
     assert quality == "exact"
     assert value == pytest.approx(0.8 * math.sqrt(2.0), abs=1e-12)
+
+
+def test_operator_norm_splits_off_a_far_progression_head_on_the_terms():
+    # index sets of the tail's rows and columns would run up to its head,
+    # 10**12; the points' rows and columns are tested against it instead
+    def op(n):
+        return StructuredOperator((Dyad(0.6, 0, 0), Dyad(0.6, 1, 0), Family(1.0, 1, n, 1, n)))
+
+    # the first call also imports what numpy loads lazily
+    assert oa.operator_norm(op(2)) == (1.0, "exact")
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = oa.operator_norm(op(10**12))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (1.0, "exact")
+    assert elapsed < 0.5
+    assert peak < 2**20
+
+
+def test_schur_adds_the_parts_at_none_to_the_largest_row_or_column_sum():
+    # row 2 sums to 0.25 + 0.5 = 0.75, columns 0 and 5 to 0.25 and 0.5
+    assert oa._schur([((2, 0), 0.25), (None, 0.125), ((2, 5), 0.5)]) == 0.125 + 0.75
+    assert oa._schur([((2, 0), 0.25), ((7, 0), 0.5)]) == 0.75  # column 0
+    assert oa._schur([]) == 0.0
 
 
 @pytest.mark.parametrize("name,reason", [("toeplitz", "progressions are not monomial"),

@@ -116,7 +116,7 @@ def test_settings_are_restored_after_a_raise_and_after_nested_blocks():
 
 
 @pytest.mark.parametrize("fields", [{"tolerance": 0}, {"tolerance": -1e-3},
-                                    {"tolerance": math.nan},
+                                    {"tolerance": math.nan}, {"tolerance": math.inf},
                                     {"period_cap": 0}, {"period_cap": -5}])
 def test_settings_reject_non_positive_values(fields):
     with pytest.raises(ValueError, match="must be positive"):
