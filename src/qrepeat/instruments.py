@@ -93,9 +93,8 @@ class Povm(_Labeled):
         active = current()
         kept = self._deviation
         if kept is None or kept[0] != active:
-            total = StructuredOperator._canonical(
-                tuple(t for _, p in self.entries for t in p.terms))
-            kept = (active, oa.max_deviation(total, StructuredOperator.identity()))
+            kept = (active, oa._term_deviation(tuple(t for _, p in self.entries for t in p.terms),
+                                               StructuredOperator.identity().terms))
             object.__setattr__(self, "_deviation", kept)
         return kept[1]
 

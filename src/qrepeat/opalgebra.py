@@ -26,8 +26,8 @@ answered exactly by one term index (``_term_index``).  ``compose``, ``is_monomia
 operators, so :mod:`qrepeat.certify` composes only the outcome pairs whose terms meet.
 
 Dense point blocks stay arrays.  An operator keeps what ``compose``'s
-numpy kernel reads: its progressions, its points' order and counts per row
-and column, and, once a product pays for the kernel, its point block.  A
+numpy kernel reads: its progressions, its points' counts per row and
+column, and, once a product pays for the kernel, its point block.  A
 kernel product keeps its block and builds its point terms only when they
 are read; ``max_deviation`` compares blocks where an operand holds one.
 ``adjoint`` keeps the adjoint it builds on the operator.  None of this
@@ -107,13 +107,6 @@ class Term:
         _set_length(t, length)
         return t
 
-    def step_at(self, i: int) -> int | None:
-        """The ``j`` whose input index is ``i``, or None when ``i`` is not an input."""
-        j, rem = divmod(i - self.in_offset, self.in_stride)
-        if rem or j < 0 or (self.length is not None and j >= self.length):
-            return None
-        return j
-
     def adjoint(self) -> "Term":
         # swapping the fields of a valid term keeps it valid
         return Term._trusted(self.coeff.conjugate(), self.in_stride, self.in_offset,
@@ -164,9 +157,10 @@ class StructuredOperator:
 
     @classmethod
     def _canonical(cls, terms: tuple[Term, ...]) -> "StructuredOperator":
-        """Wrap terms, canonical under the active tolerance, as given.  Terms
-        that are not canonical may go only to readers of any term list, such as
-        ``max_deviation``, ``is_monomial`` and ``compose``'s left factor, not to ``adjoint``."""
+        """Wrap terms, canonical under the active tolerance, as given.  Every
+        operator is in canonical order: progressions sorted by signature, then
+        points sorted by ``(row, col)``, each position once.  The dense paths
+        of ``compose`` and ``max_deviation`` rely on it without checking it."""
         op = object.__new__(cls)
         object.__setattr__(op, "_tol", current().tolerance)
         object.__setattr__(op, "terms", terms)
@@ -488,7 +482,7 @@ def apply(op: StructuredOperator, psi: StateVector) -> StateVector:
     """
     out: dict[int, complex] = {}
     for i, c in psi.items():
-        for t in op.terms:  # Term.step_at, inlined: this loop is the sampling hot path
+        for t in op.terms:  # each term's step at i, inline: the sampling hot path
             d = i - t.in_offset
             if d >= 0 and d % t.in_stride == 0:
                 j = d // t.in_stride
@@ -657,13 +651,10 @@ def _on_progression(indices: Iterable[int], progressions: list[tuple[int, int]])
 # __getattr__ for any name but "terms", raise AttributeError: None is read.
 
 
-def _point_counts(op: StructuredOperator) -> tuple[bool, dict[int, int], dict[int, int]]:
-    """``(ascending, per_row, per_col)``: whether the points' ``(row, col)``
-    are strictly ascending, as in canonical order, and how many points sit
-    in each row and in each column."""
-    keys = [(t.out_offset, t.in_offset) for t in op.terms if t.length == 1]
-    return (all(map(operator.lt, keys, keys[1:])),
-            Counter(r for r, _ in keys), Counter(c for _, c in keys))
+def _point_counts(op: StructuredOperator) -> tuple[dict[int, int], dict[int, int]]:
+    """``(per_row, per_col)``: how many points sit in each row and in each column."""
+    points = [t for t in op.terms if t.length == 1]
+    return Counter(t.out_offset for t in points), Counter(t.in_offset for t in points)
 
 
 class _KernelProduct(StructuredOperator):
@@ -704,7 +695,7 @@ def _kept(op: StructuredOperator, name: str):
 def _term_count(op: StructuredOperator) -> int:
     """``len(op.terms)``, without building a kernel product's point terms."""
     kernel = type(op) is _KernelProduct  # its point count is in _counts, built or not
-    return len(op._progs) + sum(op._counts[1].values()) if kernel else len(op.terms)
+    return len(op._progs) + sum(op._counts[0].values()) if kernel else len(op.terms)
 
 
 # The dense kernel pays only on dense point blocks.  It costs rows * inner
@@ -776,8 +767,8 @@ def _kernel_pays(a_counts: tuple, b_counts: tuple) -> bool:
     250 at d = 200, where the join makes 200 multiplies and the kernel
     8e6.
     """
-    _, a_rows, per_col = a_counts
-    _, per_row, b_cols = b_counts
+    a_rows, per_col = a_counts
+    per_row, b_cols = b_counts
     inner = per_col.keys() & per_row.keys()
     pairs = sum(per_col[k] * per_row[k] for k in inner)
     return pairs >= _KERNEL_MIN_PAIRS and \
@@ -787,23 +778,23 @@ def _kernel_pays(a_counts: tuple, b_counts: tuple) -> bool:
 def _point_product(a: StructuredOperator, b: StructuredOperator):
     """The point table of ``a @ b`` from the dense kernel: the sorted rows of
     ``a``'s points, the sorted columns of ``b``'s and the product block over
-    them; None when the dict join must build it.  ``b`` is canonical.
+    them; None when the dict join must build it.
 
     The kernel applies when only point x point products reach the table:
     no column of a point of ``a`` lies on an output progression of ``b``
     and no row of a point of ``b`` on an input progression of ``a``.
-    ``a``'s points must be distinct and ascending by ``(row, col)``, as in
-    canonical order, so that the join, too, sums each entry in ascending
-    inner index.  The factors' blocks are built only then, and kept.
+    ``a``'s points are distinct and ascending by ``(row, col)``, as in every
+    operator, so the join, too, sums each entry in ascending inner index.
+    The factors' blocks are built only then, and kept.
     """
     if _term_count(a) * _term_count(b) < _KERNEL_MIN_PAIRS:  # bounds the matching pairs
         return None
     a_counts, b_counts = _kept(a, "_counts"), _kept(b, "_counts")
-    if not a_counts[0] or not _kernel_pays(a_counts, b_counts):
+    if not _kernel_pays(a_counts, b_counts):
         return None
     b_outputs = [(t.out_stride, t.out_offset) for t in _kept(b, "_progs")]
     a_inputs = [(t.in_stride, t.in_offset) for t in _kept(a, "_progs")]
-    if _on_progression(a_counts[2], b_outputs) or _on_progression(b_counts[1], a_inputs):
+    if _on_progression(a_counts[1], b_outputs) or _on_progression(b_counts[0], a_inputs):
         return None
     rows, a_cols, a_block = _kept(a, "_block")
     b_rows, cols, b_block = _kept(b, "_block")
@@ -866,7 +857,7 @@ def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarr
     if not (live_rows.all() and live_cols.all()):  # a block spans only its points
         live = np.ix_(live_rows, live_cols)
         rows, cols, block, keep = rows[live_rows], cols[live_cols], block[live], keep[live]
-    counts = (True, dict(zip(rows.tolist(), keep.sum(axis=1).tolist())),
+    counts = (dict(zip(rows.tolist(), keep.sum(axis=1).tolist())),
               dict(zip(cols.tolist(), keep.sum(axis=0).tolist())))
     op = object.__new__(_KernelProduct)
     for name, value in (("_tol", tol), ("_progs", out), ("_counts", counts),
@@ -895,7 +886,8 @@ def compose(a: StructuredOperator, b: StructuredOperator,
     (``_kernel_pays``: at least ``_KERNEL_MIN_PAIRS`` matching pairs,
     filling at least half of rows * inner * cols), that table comes from
     a numpy kernel over the two blocks instead (``_point_product``).  It
-    keeps the join's bits: ``a``'s points are sorted, so the join sums
+    keeps the join's bits: ``a``'s points are in canonical order, as every
+    operator's are, so the join sums
     each entry in ascending inner index, and the kernel adds its products
     in that order too, one index at a time from ``0j``, each formed by
     CPython's complex multiply in real arithmetic.  The absent pairs add
@@ -979,10 +971,11 @@ def max_deviation(a: StructuredOperator, b: StructuredOperator):
     non-parallel progressions.  So the positions evaluated are those points
     and crossings, each line's rows up to its highest head plus ``L``, and,
     where one of those rows is a point or a crossing, the first later row of
-    its residue that is neither.  The terms need not be canonical; each
-    entry is summed in term order.  When either operand already holds a
-    point block, the points are compared as arrays where that gives the
-    same bits (``_block_deviation``).
+    its residue that is neither.  Each entry is summed in term order
+    (``_term_deviation``, which takes any term lists).  When either operand
+    already holds a point block, the points are compared as arrays where
+    that gives the same bits (``_block_deviation``), which relies on both
+    operands' canonical order.
     """
     if getattr(a, "_block", None) is not None or getattr(b, "_block", None) is not None:
         found = _block_deviation(a, b)
@@ -1008,8 +1001,9 @@ def _block_deviation(a: StructuredOperator, b: StructuredOperator):
     """``max_deviation`` with the points compared as arrays, one operand
     holding a point block; None when the terms must decide it.
 
-    When both operands' points are strictly ascending and no progression
-    of either holds a row that a point of either sits on, no progression
+    Both operands' points are distinct and ascending, as in every
+    operator.  When no progression of either holds a row that a point of
+    either sits on, no progression
     has an entry on a point's row.  The entry at a point is then the
     point's coefficient, and the positions the terms evaluate split into
     the points' and those the progressions alone decide.  So the deviation
@@ -1021,12 +1015,9 @@ def _block_deviation(a: StructuredOperator, b: StructuredOperator):
     at the least position.  A modulus that overflows, where ``abs`` may
     raise, hands the decision back to the terms.
     """
-    a_counts, b_counts = _kept(a, "_counts"), _kept(b, "_counts")
-    if not (a_counts[0] and b_counts[0]):
-        return None
     a_progs, b_progs = _kept(a, "_progs"), _kept(b, "_progs")
     holders = [(t.out_stride, t.out_offset) for t in a_progs + b_progs]
-    if _on_progression(a_counts[1].keys() | b_counts[1].keys(), holders):
+    if _on_progression(_kept(a, "_counts")[0].keys() | _kept(b, "_counts")[0].keys(), holders):
         return None
     base, other = (a, b) if getattr(a, "_block", None) is not None else (b, a)
     rows, cols, diff = base._block
@@ -1059,7 +1050,7 @@ def _block_deviation(a: StructuredOperator, b: StructuredOperator):
 
 
 def _term_deviation(a_terms: tuple[Term, ...], b_terms: tuple[Term, ...]):
-    """``max_deviation`` of two term lists, decided on the terms."""
+    """``max_deviation`` of two term lists in any order, decided on the terms."""
     terms = a_terms + b_terms
     line_of = {t: _line(t) for t in terms if t.length is None}
     tails: dict[tuple[int, int, int], list[int]] = {}  # line -> [highest head row, L]

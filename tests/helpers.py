@@ -48,6 +48,14 @@ def dense(op, dim):
     return m
 
 
+def step_at(t, i):
+    """The ``j`` whose input index under term ``t`` is ``i``, or None."""
+    j, rem = divmod(i - t.in_offset, t.in_stride)
+    if rem or j < 0 or (t.length is not None and j >= t.length):
+        return None
+    return j
+
+
 def dense_vec(psi, dim):
     v = np.zeros(dim, dtype=complex)
     for i, amp in psi.items():

@@ -16,7 +16,7 @@ import qrepeat.opalgebra as oa
 from helpers import (agreement_window, dense_blocks, diagonal_povms, index_sets,
                      loose_operators, near_complete_instrument,
                      no_repeatable_form_instruments, operators, partitions,
-                     ref_adjoint, ref_certify_repeatable, ref_check_orthogonal)
+                     ref_adjoint, ref_certify_repeatable, ref_check_orthogonal, step_at)
 from qrepeat import (Dyad, Family, IndexSet, InvalidPovm, Povm, StructuredOperator,
                      UnsupportedForm, build_binary_example,
                      build_example_family, build_nonrepeatable_sibling,
@@ -387,7 +387,7 @@ def _diag_value(op, i):
     """One diagonal entry, found by scanning every term."""
     val = 0.0 + 0.0j
     for t in op.terms:
-        j = t.step_at(i)
+        j = step_at(t, i)
         if j is not None and t.out_stride * j + t.out_offset == i:
             val += t.coeff
     return val.real

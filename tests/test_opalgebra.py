@@ -7,6 +7,7 @@ which is exact and free of truncation artifacts.
 
 import contextlib
 import math
+import operator
 import time
 import tracemalloc
 import warnings
@@ -19,10 +20,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qrepeat
+import qrepeat.cli as cli
 import qrepeat.opalgebra as oa
 from helpers import (NORM_DEFECT, UNDECIDED_NORMS, boundary_sums, dense, dense_blocks,
                      dense_vec, loose_operators, operators, point_products, ref_adjoint,
-                     ref_compose, ref_finish, signed_zero_operators, states)
+                     ref_compose, ref_finish, signed_zero_operators, states, step_at)
 from qrepeat import (Dyad, Family, IndexSet, PeriodCapExceeded, StateVector,
                      StructuredOperator, UnsupportedForm)
 from qrepeat.indexsets import from_parts
@@ -145,6 +147,17 @@ def test_an_absorption_merge_that_overflows_is_rejected():
                             Dyad(1e308, 4, 4)))
 
 
+def test_a_moved_family_that_cancels_the_family_it_lands_on_is_dropped():
+    # (0, 0) cancels the head of the family at 0, which moves onto the
+    # family at 1 with the opposite coefficient: nothing is left
+    assert StructuredOperator((Family(1.0, 1, 0, 1, 0), Family(-1.0, 1, 1, 1, 1),
+                               Dyad(-1.0, 0, 0))).terms == ()
+    fams, dyds = {(1, 0, 1, 0): 1.0 + 0j, (1, 1, 1, 1): -1.0 + 0j}, {(0, 0): -1.0 + 0j}
+    lost = []
+    assert oa._finish(dict(fams), dict(dyds), 1e-12, lost) == ref_finish(fams, dyds, 1e-12) == ()
+    assert lost == [((0, 0), 0.0), (None, 0.0)]
+
+
 def test_shift_family_dense_form():
     shift = StructuredOperator((Family(1.0, 2, 3, 2, 1),))
     expected = np.zeros((8, 8), dtype=complex)
@@ -252,7 +265,7 @@ def test_holding_lists_exactly_the_terms_that_hold_the_index(drawn):
     terms, outputs, i = drawn
     sided = [t.adjoint() for t in terms] if outputs else terms
     assert oa._holding(oa._term_index(terms, outputs), i) == \
-        [n for n, t in enumerate(sided) if t.step_at(i) is not None]
+        [n for n, t in enumerate(sided) if step_at(t, i) is not None]
 
 
 def test_followers_key_the_seconds_through_the_one_term_index(monkeypatch):
@@ -397,20 +410,6 @@ def test_compose_point_kernel_equals_the_dict_join_bit_for_bit(ab):
     # pure point blocks above the size threshold must take the kernel, and
     # points on a tail's head or the step before it the dict join
     assert ran == [kernel_applies(a, b)]
-
-
-def test_compose_keeps_the_term_order_of_a_non_canonical_left_factor():
-    # the join sums each entry in a's term order; reversed points would make
-    # the kernel's ascending order differ in the last bits
-    rng = np.random.default_rng(3)
-    vals = rng.standard_normal((8, 8)) * 10.0 ** rng.uniform(-8, 8, size=(8, 8))
-    a = StructuredOperator._canonical(tuple(
-        Dyad(float(vals[i, j]), i, j) for i in reversed(range(8)) for j in reversed(range(8))))
-    b = _block(8, 4)
-    with kernel_runs() as ran:
-        got = oa.compose(a, b)
-    assert _bits(got) == _bits(ref_compose(a, b))
-    assert ran == [False]
 
 
 def test_point_kernel_rejects_overflowing_products_without_warnings():
@@ -571,9 +570,7 @@ def test_block_deviation_is_the_term_deviation_bit_for_bit(ab, tol):
     a, b = ab
     with qrepeat.settings(tolerance=tol):
         p = _outcome(oa.compose, a, b)
-        # terms in reverse order, one of them twice: the terms decide it
-        ops = [a, b, StructuredOperator.zero(),
-               StructuredOperator._canonical(tuple(reversed(b.terms)) + b.terms[:1])]
+        ops = [a, b, StructuredOperator.zero()]
         if isinstance(p, StructuredOperator):
             ops += [p, _outcome(oa.compose, p, b)]
         ops = [op for op in ops if isinstance(op, StructuredOperator)]
@@ -658,6 +655,50 @@ def test_operator_dunders():
     assert (a @ b) == StructuredOperator((Dyad(2.0, 0, 0),))
     assert (a * 3).terms == (Dyad(3.0, 0, 1),)
     assert (a - a).is_zero()
+
+
+# -- canonical order, fixed by construction --------------------------------------
+# compose's kernel and max_deviation's block path rely on it unchecked.
+
+
+def _assert_canonical(op):
+    """Progressions sorted by signature, then points by ``(row, col)``, each
+    once; canonicalizing the terms again under the active tolerance keeps them."""
+    keys = [(t.length == 1, t.out_stride, t.out_offset, t.in_stride, t.in_offset)
+            for t in op.terms]
+    assert all(map(operator.lt, keys, keys[1:]))
+    assert StructuredOperator(op.terms).terms == op.terms
+
+
+_TOLERANCES = st.sampled_from([1e-12, 1e-6, 1.0])
+
+
+@given(st.one_of(operators(), dense_blocks(), loose_operators()),
+       st.one_of(operators(), dense_blocks()), st.randoms(), _TOLERANCES)
+@settings(deadline=None, max_examples=200)
+def test_constructor_join_adjoint_and_parser_build_canonical_order(a, b, rnd, tol):
+    doc = cli._operator_doc(a) + cli._operator_doc(b)
+    rnd.shuffle(doc)
+    with qrepeat.settings(tolerance=tol), kernel_runs() as ran:
+        for op in (StructuredOperator(b.terms + a.terms), oa.compose(a, b), oa.adjoint(a),
+                   cli._operator_from(doc, "terms")):
+            _assert_canonical(op)
+    assert True not in ran
+
+
+@given(point_products(), _TOLERANCES)
+@example((_block(8, 1), _block(8, 2)), 1e-12)  # a pure draw that takes the kernel
+@settings(deadline=None, max_examples=100)
+def test_compose_builds_canonical_order_through_either_path(ab, tol):
+    a, b = ab
+    with qrepeat.settings(tolerance=tol), kernel_runs() as ran:
+        p = oa.compose(a, b)
+        pp = oa.compose(p, oa.adjoint(p))
+        for op in (p, pp, oa.adjoint(p)):
+            _assert_canonical(op)
+    assert len(ran) == 2
+    if kernel_applies(a, b):
+        assert ran[0]
 
 
 # -- comparisons ---------------------------------------------------------------
@@ -1009,7 +1050,9 @@ def test_normalized_drops_an_amplitude_that_underflows():
 
 
 def test_apply_sorts_its_indices_whatever_the_term_order():
-    op = StructuredOperator._canonical((Dyad(1, 5, 0), Dyad(1, 2, 0)))
+    # canonical order lists the family first, so the terms emit row 5 before row 2
+    op = StructuredOperator([Family(1, 1, 5, 1, 0), Dyad(1, 2, 0)])
+    assert [t.out_offset for t in op.terms] == [5, 2]
     assert oa.apply(op, StateVector.basis(0)).support() == (2, 5)
 
 

@@ -19,14 +19,15 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import qrepeat
 import qrepeat.cli as cli
 import qrepeat.opalgebra as oa
 import qrepeat.wold as wold
 from qrepeat.config import current
 from helpers import no_repeatable_form_instruments, ref_shared_column
 from qrepeat import (BilateralOrbit, CycleFamily, Dyad, Family, IndexSet,
-                     NotIsometricOnSupport, QRepeatError, SplitInvariantViolation,
-                     StateVector, StructuredOperator, UnsupportedForm,
+                     NotIsometricOnSupport, PeriodCapExceeded, QRepeatError,
+                     SplitInvariantViolation, StateVector, StructuredOperator, UnsupportedForm,
                      build_binary_example, build_example_family,
                      build_nonrepeatable_sibling, build_orthogonal,
                      make_instrument, memory_map, read_memory, split, wold_decompose)
@@ -236,17 +237,16 @@ def test_shift_far_from_the_origin_decomposes_quickly():
 
 def test_lookups_try_only_the_terms_of_the_index_class(monkeypatch):
     # split cuts the evens into one family per residue mod 4000, so v holds
-    # 2001 terms; trying every term made 2,005,003 step_at calls here.  Sigma
-    # translates by the owning term's offsets, so no lookup needs step_at
+    # 2001 terms; trying every term made 2,005,003 per-term step lookups here.
+    # Sigma translates by the owning term's offsets instead
     k = 2000
     v = split(op(Family(1.0, 2, 2, 2, 0), Family(1.0, 2 * k, 2 * k + 1, 2 * k, 1))).v
     assert len(v.terms) == 2001
-    steps, lookups = [], []
-    step_at, lookup = oa.Term.step_at, wold._lookup
-    monkeypatch.setattr(oa.Term, "step_at", lambda t, i: steps.append(i) or step_at(t, i))
+    lookups = []
+    lookup = wold._lookup
     monkeypatch.setattr(wold, "_lookup", lambda keyed, i: lookups.append(i) or lookup(keyed, i))
     dec = wold_decompose(v)
-    assert len(lookups) == 2003 and steps == []
+    assert len(lookups) == 2003
     assert [(o.generator, o.prefix, o.phases, o.step) for o in dec.shift_orbits] == \
         [(2, (), tuple(range(2, 2 * k + 1, 2)), 2 * k), (2 * k + 1, (), (2 * k + 1,), 2 * k)]
     assert not (dec.cycles or dec.cycle_families or dec.bilateral_orbits)
@@ -263,6 +263,26 @@ def test_a_wide_stride_decomposes_quickly():
     assert time.perf_counter() - start < 5.0
     assert [(o.generator, o.prefix, o.phases, o.step) for o in dec.shift_orbits] == \
         [(2, (), tuple(range(2, 2 * k + 1, 2)), 2 * k), (2 * k + 1, (), (2 * k + 1,), 2 * k)]
+
+
+def test_the_tail_cycle_analysis_can_pass_the_cap_that_every_set_passed():
+    # Modulus 10 (stride-10 halves of stride-5 translations).  {0, 1 mod 5}
+    # descend by 5 into two bilateral chains, which climb {2 mod 5} by 15 and
+    # {3 mod 5} by 35; {4 mod 5} is fixed.  The leftover has period 105 and
+    # every set built has a period of at most 105, but the residue analysis
+    # runs modulo lcm(10, 105) = 210.
+    def halves(out, in_):
+        return [Family(1.0, 10, out, 10, in_), Family(1.0, 10, out + 5, 10, in_ + 5)]
+    v = op(*halves(0, 5), *halves(1, 6), *halves(17, 2), *halves(38, 3),
+           Family(1.0, 5, 4, 5, 4), Dyad(1.0, 2, 0), Dyad(1.0, 3, 1))
+    for cap in (105, 209):
+        with qrepeat.settings(period_cap=cap), \
+                pytest.raises(PeriodCapExceeded, match="needs period 210 beyond the cap"):
+            wold_decompose(v)
+    with qrepeat.settings(period_cap=210):
+        dec = wold_decompose(v)
+    assert (len(dec.shift_orbits), len(dec.bilateral_orbits)) == (8, 2)
+    assert not (dec.cycles or dec.cycle_families)
 
 
 # Counted, not timed: the premise check built one IndexSet per term (2003 here)
