@@ -887,10 +887,10 @@ def compose(a: StructuredOperator, b: StructuredOperator,
     filling at least half of rows * inner * cols), that table comes from
     a numpy kernel over the two blocks instead (``_point_product``).  It
     keeps the join's bits: ``a``'s points are in canonical order, as every
-    operator's are, so the join sums
-    each entry in ascending inner index, and the kernel adds its products
-    in that order too, one index at a time from ``0j``, each formed by
-    CPython's complex multiply in real arithmetic.  The absent pairs add
+    operator's are, so the join sums each entry in ascending inner index,
+    and the kernel adds its products in that order too, one index at a
+    time from ``0j``, each formed by CPython's complex multiply in real
+    arithmetic.  The absent pairs add
     only signed zeros, which leave a nonzero sum as it is, and a sum that
     starts at ``+0.0`` never turns into ``-0.0`` (an exact zero sum is
     ``+0.0``).  Then only ``a``'s progressions go through the join, and
@@ -1001,19 +1001,18 @@ def _block_deviation(a: StructuredOperator, b: StructuredOperator):
     """``max_deviation`` with the points compared as arrays, one operand
     holding a point block; None when the terms must decide it.
 
-    Both operands' points are distinct and ascending, as in every
-    operator.  When no progression of either holds a row that a point of
-    either sits on, no progression
-    has an entry on a point's row.  The entry at a point is then the
-    point's coefficient, and the positions the terms evaluate split into
-    the points' and those the progressions alone decide.  So the deviation
-    is the larger of the progressions' own (``_term_deviation``) and that
-    of the aligned point difference, and on a tie the least position wins.
-    The other operand's points are placed on the block's rows and columns,
-    those off it compared with zero.  A modulus is ``np.hypot`` of the
-    parts, as ``abs`` computes it; the first largest in row-major order is
-    at the least position.  A modulus that overflows, where ``abs`` may
-    raise, hands the decision back to the terms.
+    Both operands' points are distinct and ascending, as in every operator.
+    When no progression of either holds a row that a point of either sits
+    on, no progression has an entry on a point's row.  The entry at a point
+    is then the point's coefficient, and the positions the terms evaluate
+    split into the points' and those the progressions alone decide.  So the
+    deviation is the larger of the progressions' own (``_term_deviation``)
+    and that of the aligned point difference, and on a tie the least
+    position wins.  The other operand's points are placed on the block's
+    rows and columns, those off it compared with zero.  A modulus is
+    ``np.hypot`` of the parts, as ``abs`` computes it; the first largest in
+    row-major order is at the least position.  A modulus that overflows,
+    where ``abs`` may raise, hands the decision back to the terms.
     """
     a_progs, b_progs = _kept(a, "_progs"), _kept(b, "_progs")
     holders = [(t.out_stride, t.out_offset) for t in a_progs + b_progs]

@@ -683,7 +683,7 @@ def test_constructor_join_adjoint_and_parser_build_canonical_order(a, b, rnd, to
         for op in (StructuredOperator(b.terms + a.terms), oa.compose(a, b), oa.adjoint(a),
                    cli._operator_from(doc, "terms")):
             _assert_canonical(op)
-    assert True not in ran
+    assert not any(ran)  # blocks of at most 6 x 6 stay below the kernel's threshold
 
 
 @given(point_products(), _TOLERANCES)
@@ -696,7 +696,6 @@ def test_compose_builds_canonical_order_through_either_path(ab, tol):
         pp = oa.compose(p, oa.adjoint(p))
         for op in (p, pp, oa.adjoint(p)):
             _assert_canonical(op)
-    assert len(ran) == 2
     if kernel_applies(a, b):
         assert ran[0]
 
