@@ -7,9 +7,10 @@ serialized instrument reproduces the operators exactly.  Trajectory logs
 are line-delimited: a header line, then one record per step.
 
 Exit codes: 0 a positive verdict (for ``certify``: repeatable), 1 a
-negative one, 2 parse or validation failure, or a file that cannot be read
-or written.  The default output directory is the ``QREPEAT_OUTDIR``
-environment variable, falling back to the current directory.
+negative one, 2 parse or validation failure, a file whose products
+overflow, or a file that cannot be read or written.  The default output
+directory is the ``QREPEAT_OUTDIR`` environment variable, falling back to
+the current directory.
 """
 
 from __future__ import annotations
@@ -393,7 +394,8 @@ def main():
 
 def _settings(command):
     """Give ``command`` the --tolerance and --period-cap options and run it
-    under them; an invalid value exits 2."""
+    under them; an invalid value, and any ValueError or QRepeatError the
+    command raises, exits 2."""
     @click.option("--tolerance", type=float, default=None,
                   help="Comparison tolerance override.")
     @click.option("--period-cap", type=int, default=None,
@@ -402,17 +404,17 @@ def _settings(command):
     def run(tolerance, period_cap, **kwargs):
         try:
             click.get_current_context().with_resource(settings(tolerance, period_cap))
-        except ValueError as e:
+            return command(**kwargs)
+        except (ValueError, QRepeatError) as e:
             _fail(str(e))
-        return command(**kwargs)
     return run
 
 
 def _file_command(kind: str, out_help: str | None = None):
     """Register ``body``, which maps the loaded instrument to a document, its
-    console lines and the exit code, as a command on an instrument file.  A
-    QRepeatError exits 2; else the document goes to --out or
-    ``<stem>.<kind>.json``, and the lines and ``<kind>: <target>`` are echoed."""
+    console lines and the exit code, as a command on an instrument file.  The
+    document goes to --out or ``<stem>.<kind>.json``, and the lines and
+    ``<kind>: <target>`` are echoed."""
     def register(body):
         @main.command(name=body.__name__, help=body.__doc__)
         @click.argument("instrument", type=click.Path())
@@ -420,10 +422,7 @@ def _file_command(kind: str, out_help: str | None = None):
         @_settings
         def command(instrument, out):
             inst = _load_instrument(instrument, check_completeness=False)
-            try:
-                doc, lines, code = body(inst)
-            except QRepeatError as e:
-                _fail(str(e))
+            doc, lines, code = body(inst)
             target = Path(out) if out else _out_dir(None) / f"{_stem(instrument)}.{kind}.json"
             _save(_write, doc, target)
             for line in lines:
@@ -484,11 +483,8 @@ def wold(inst):
 def simulate(instrument, steps, seed, initial, log_path):
     """Run a seeded measurement trajectory and log it step by step."""
     inst = _load_instrument(instrument, check_completeness=True)
-    try:
-        psi = _parse_initial(initial)
-        record = run_trajectory(inst, psi, steps, seed)
-    except (ValueError, QRepeatError) as e:
-        _fail(str(e))
+    psi = _parse_initial(initial)
+    record = run_trajectory(inst, psi, steps, seed)
     target = Path(log_path) if log_path else \
         _out_dir(None) / (_stem(instrument) + ".trajectory.jsonl")
     _save(write_trajectory_log, record, target)
@@ -515,15 +511,12 @@ def simulate(instrument, steps, seed, initial, log_path):
 @_settings
 def demo(name, n, p, p1, p2, seed, steps, outdir):
     """Write a full bundle: instrument, reports, decomposition, trajectory."""
-    try:
-        if name == "ex1":
-            probs = tuple(float(x) for x in p.split(","))
-            inst = build_example_family(n, probs)
-        else:
-            inst = build_binary_example(p1, p2)
-        record = run_trajectory(inst, StateVector.basis(0), steps, seed)
-    except (ValueError, QRepeatError) as e:
-        _fail(str(e))
+    if name == "ex1":
+        probs = tuple(float(x) for x in p.split(","))
+        inst = build_example_family(n, probs)
+    else:
+        inst = build_binary_example(p1, p2)
+    record = run_trajectory(inst, StateVector.basis(0), steps, seed)
     base = _out_dir(outdir)
     written = [_save(_write, instrument_doc(inst), base / f"{name}.instrument.json")]
     rep = certify_repeatable(inst)

@@ -208,8 +208,6 @@ def finite_dim_corollary_suite(dim: int, seed: int) -> bool:
     report = certify_repeatable(_point_instrument(roots))
     ok &= report.complete and not report.repeatable
     ok &= _dense_eq4_deviation(roots, rng, trials=20) > 1e-6
-    if report.repeatable:  # implication guard, never expected to trigger
-        ok &= report.orthogonal
 
     # (c) rotated projective instrument: orthogonal POVM, not repeatable
     proj = [np.diag([1.0 + 0j if i in block else 0.0 for i in range(dim)])

@@ -70,8 +70,9 @@ class Term:
     in_offset: int
     length: int | None
 
-    # Written out rather than generated: adjoint builds a Term per term, and
-    # the generated frozen __init__ costs about half as much again.
+    # Written out rather than generated: projector and the build_* functions
+    # call Dyad and Family once per term, and a generated frozen __init__ plus
+    # a __post_init__ takes 30-40 % longer per Dyad and 10-25 % per Family.
     def __init__(self, coeff: complex, out_stride: int, out_offset: int,
                  in_stride: int, in_offset: int, length: int | None = None):
         if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
@@ -286,8 +287,9 @@ def _finish(fams: dict[tuple[int, int, int, int], complex],
     appended as ``(position, |change|)``: a dropped point at its position, an
     absorbed point's ``|c + cf|`` (cancelled head) or ``|c - cf|`` (backward
     step) at the point, and a dropped progression with position None.
-    A table from ``compose``'s dense kernel comes here only when
-    ``_finish_block`` cannot keep it as arrays.
+    The progressions of a product from ``compose``'s dense kernel always
+    come here, its point table only when ``_finish_block`` cannot keep it
+    as arrays.
     """
     try:
         return _absorb(fams, dyds, tol, lost)
@@ -373,12 +375,12 @@ def _schur(entries: Iterable[tuple[tuple[int, int] | None, float]]) -> float:
 class StateVector:
     """Finitely supported vector, stored as an index -> amplitude map.
 
-    The public constructor coerces and validates every entry.  ``apply``
-    and ``normalized`` build their results through :meth:`_trusted`, which
-    skips the coercion and index checks because their indices and
-    amplitudes come from a valid state, but still rejects non-finite
-    amplitudes, drops zeros, sorts the indices and stores ``0.0 + c``, as
-    the public constructor does.
+    The public constructor coerces and validates every entry, sums the
+    entries of each index and finishes the sums through :meth:`_trusted`,
+    which rejects non-finite amplitudes, drops zeros, sorts the indices and
+    stores ``0.0 + c``.  ``apply`` and ``normalized`` build their results
+    through ``_trusted`` alone, as their indices and amplitudes come from a
+    valid state.
     """
 
     __slots__ = ("_amp",)
@@ -395,14 +397,13 @@ class StateVector:
                 raise ValueError("basis indices must be nonnegative")
             if c != 0:
                 amp[i] = amp.get(i, 0.0) + c
-        object.__setattr__(self, "_amp", {i: amp[i] for i in sorted(amp) if amp[i] != 0})
+        _setattr(self, "_amp", StateVector._trusted(amp)._amp)
 
     @classmethod
     def _trusted(cls, amplitudes: dict[int, complex]) -> "StateVector":
         """State from a dict of nonnegative int indices to complex amplitudes,
         equal to the public constructor's result on such input.  Each
-        amplitude is stored as ``0.0 + c``, so signed zeros come out as
-        they do from the public constructor."""
+        amplitude is stored as ``0.0 + c``."""
         amp: dict[int, complex] = {}
         for i in sorted(amplitudes):
             c = 0.0 + amplitudes[i]
@@ -626,15 +627,13 @@ def _followers(firsts: Sequence[StructuredOperator],
     return follows
 
 
-def _point_block(points: Iterable[Term]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted distinct rows and columns of point terms with distinct
-    positions, and the dense complex block holding each coefficient at its
-    row and column."""
-    out = np.array([t.out_offset for t in points])
-    in_ = np.array([t.in_offset for t in points])
+def _point_block(op: StructuredOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct rows and columns of ``op``'s points, and the dense
+    complex block holding each coefficient at its row and column."""
+    out, in_, coeffs = _point_arrays(op)
     rows, cols = np.unique(out), np.unique(in_)
     block = np.zeros((len(rows), len(cols)), dtype=complex)
-    block[np.searchsorted(rows, out), np.searchsorted(cols, in_)] = [t.coeff for t in points]
+    block[np.searchsorted(rows, out), np.searchsorted(cols, in_)] = coeffs
     return rows, cols, block
 
 
@@ -680,7 +679,7 @@ class _KernelProduct(StructuredOperator):
 
 
 _FILLERS = {"_progs": lambda op: tuple(t for t in op.terms if t.length is None),
-            "_counts": _point_counts, "_block": lambda op: _point_block(op.dyads)}
+            "_counts": _point_counts, "_block": _point_block}
 
 
 def _kept(op: StructuredOperator, name: str):
@@ -808,8 +807,10 @@ def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarr
     """``_finish`` of a kernel product, its point table kept as arrays: the
     canonical operator, holding its progressions and its point block, whose
     point terms are built on first read; or None, before anything is
-    appended to ``lost``, when ``_finish`` must run: on a sum that is not
-    finite, a modulus that overflows, or a point that a family absorbs.
+    appended to ``lost``, when ``_finish`` must run on the whole table: on
+    a point sum that is not finite or whose modulus overflows, or a point
+    that a family absorbs.  The progressions alone go through ``_finish``,
+    which raises as it would on the whole table once the points are finite.
 
     Short of those, ``_finish`` only filters and sorts, and the arrays do
     the same with its bits.  A modulus is ``np.hypot`` of the parts, as
@@ -821,35 +822,32 @@ def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarr
     ``|c - cf| <= tol`` (the step before); when no point meets them
     against the families as filtered, no absorption happens at all.
     """
-    try:
-        fam_mods = [abs(c) for c in fams.values()]
-    except OverflowError:
-        return None
     with np.errstate(over="ignore", invalid="ignore"):
         mod = np.hypot(prod.real, prod.imag)
-    if not (np.isfinite(mod).all() and all(map(math.isfinite, fam_mods))):
+    if not np.isfinite(mod).all():
         return None
+    fam_lost: list = []
+    out = _finish(fams, {}, tol, fam_lost)
     keep = mod > tol
-    progs = {sig: c for (sig, c), m in zip(fams.items(), fam_mods) if m > tol}
-    if progs:
+    if out:
         at_row = dict(zip(rows.tolist(), count()))
         at_col = dict(zip(cols.tolist(), count()))
         try:
-            for (os_, oo, is_, io), cf in progs.items():
+            for t in out:
+                os_, oo, is_, io = t.out_stride, t.out_offset, t.in_stride, t.in_offset
                 for r, k, head in ((oo, io, True), (oo - os_, io - is_, False)):
                     i, j = at_row.get(r), at_col.get(k)
                     if i is None or j is None or not keep[i, j]:
                         continue
                     c = prod[i, j].item()
-                    if abs(c + cf if head else c - cf) <= tol:
+                    if abs(c + t.coeff if head else c - t.coeff) <= tol:
                         return None
         except OverflowError:
             return None
     if lost is not None:
         r, c = np.nonzero(~keep & (prod != 0))
         lost.extend(zip(zip(rows[r].tolist(), cols[c].tolist()), mod[r, c].tolist()))
-        lost.extend((None, m) for m in fam_mods if m <= tol)
-    out = tuple([Term._trusted(c, *sig, None) for sig, c in sorted(progs.items())])
+        lost.extend(fam_lost)
     if not keep.any():
         return StructuredOperator._canonical(out)
     block = np.where(keep, prod, 0)
@@ -1041,8 +1039,14 @@ def _block_deviation(a: StructuredOperator, b: StructuredOperator):
     if off.size:
         k = int(off.argmax())
         found.append((float(off[k]), (int(o_rows[k]), int(o_cols[k]))))
+    return _worst(found)
+
+
+def _worst(pairs: Iterable[tuple[float, tuple[int, int] | None]]):
+    """The largest of ``(deviation, position)`` pairs, at the least position
+    attaining it; ``(0.0, None)`` when none exceeds 0."""
     dev, pos = 0.0, None
-    for d, key in found:
+    for d, key in pairs:
         if d > dev or (d == dev and pos is not None and key < pos):
             dev, pos = d, key
     return dev, pos
@@ -1110,12 +1114,8 @@ def _term_deviation(a_terms: tuple[Term, ...], b_terms: tuple[Term, ...]):
         return ents
 
     ea, eb = entries(a_terms), entries(b_terms)
-    dev, pos = 0.0, None
-    for key in ea.keys() | eb.keys():
-        d = abs(ea.get(key, 0.0) - eb.get(key, 0.0))
-        if d > dev or (d == dev and pos is not None and key < pos):
-            dev, pos = d, key
-    return dev, pos
+    return _worst((abs(ea.get(key, 0.0) - eb.get(key, 0.0)), key)
+                  for key in ea.keys() | eb.keys())
 
 
 def equals(a: StructuredOperator, b: StructuredOperator) -> bool:
@@ -1215,7 +1215,7 @@ def operator_norm(op: StructuredOperator) -> tuple[float, str]:
             if _on_progression((i,), progs):
                 raise UnsupportedForm(
                     f"operator norm undecided: {kind} {i} holds a point and a progression")
-    _, _, block = _point_block(op.dyads)
+    _, _, block = _kept(op, "_block")
     return max(float(np.linalg.norm(block, 2)), _monomial_norm(tail)), "exact"
 
 

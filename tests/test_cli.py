@@ -3,7 +3,9 @@
 import importlib
 import importlib.util
 import json
+import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from qrepeat import (Dyad, Family, IndexSet, Instrument, Settings, StateVector,
                      build_nonrepeatable_sibling, build_orthogonal, make_instrument,
                      run_trajectory)
 from qrepeat.config import current
+from qrepeat.indexsets import from_parts
 
 
 @pytest.fixture
@@ -164,6 +167,55 @@ def test_certify_accepts_a_stride_210_partition(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
+def _wide_shift():
+    # split cuts the evens into 20001 families of stride 40002
+    k = 20001
+    return Instrument(((1, StructuredOperator([Family(1.0, 2, 2, 2, 0),
+                                               Family(1.0, 2 * k, 2 * k + 1, 2 * k, 1)])),))
+
+
+def _period_1000_partition():
+    # its two projectors absorb about 41,000 points
+    s = from_parts([40999], [(1000, r) for r in range(500)])
+    return build_orthogonal({0: s, 1: s.complement()})
+
+
+def _stride_pair():
+    # combining the two range masks needs period 154: certify must not build it
+    return Instrument(((1, StructuredOperator([Family(1.0, 14, 0, 2, 0)])),
+                       (2, StructuredOperator([Family(1.0, 22, 1, 2, 1)]))))
+
+
+@pytest.mark.parametrize("args, build, seconds", [
+    (["wold"], _wide_shift, 60.0),
+    (["classify"], _period_1000_partition, 15.0),
+    (["wold"], _period_1000_partition, 15.0),
+    (["certify", "--period-cap", "100"], _stride_pair, math.inf),
+], ids=["wold-wide-shift", "classify-partition", "wold-partition", "certify-stride-pair"])
+def test_a_wide_or_long_period_instrument_is_decided_in_time(runner, tmp_path, args, build,
+                                                             seconds):
+    path = write_instrument(build(), tmp_path / "op.json")
+    start = time.perf_counter()
+    result = runner.invoke(cli.main, [args[0], path, *args[1:],
+                                      "--out", str(tmp_path / "r.json")])
+    assert time.perf_counter() - start < seconds
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("command", ["certify", "povm", "classify", "wold"])
+def test_a_file_whose_products_overflow_exits_2(runner, tmp_path, command):
+    # entrywise zero, so it loads with norm 0, but composing its POVM
+    # multiplies 1e300 by 1e300
+    op = StructuredOperator([Family(1e300, 1, 0, 1, 0), Family(-1e300, 2, 0, 2, 0),
+                             Family(-1e300, 2, 1, 2, 1)])
+    path = write_instrument(Instrument(((1, op),)), tmp_path / "op.json")
+    out = tmp_path / "r.json"
+    result = runner.invoke(cli.main, [command, path, "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == "error: coefficients must be finite\n"
+    assert result.stdout == "" and not out.exists()
+
+
 def test_knobs_last_for_one_command(tmp_path):
     knobs = ["--tolerance", "1e-3", "--period-cap", "50"]
     cli.main(["demo", "ex1", "--outdir", str(tmp_path), *knobs], standalone_mode=False)
@@ -229,6 +281,7 @@ def _one_coeff(digits: str, imag: str = "0") -> str:
      "operator for outcome 3: operator norm undecided: row 2 holds a point and a progression"),
     # 10^309 is past the largest float; 10^300 squares to inf, so no POVM is composed
     ("huge_coeff", _one_coeff("1" + "0" * 309), "outcomes[0].terms[0]: coeff must be a [re, im] pair"),
+    ("bool_coeff", _one_coeff("true", "false"), "outcomes[0].terms[0]: coeff must be a [re, im] pair"),
     ("large_coeff", _one_coeff("1" + "0" * 300), "operator for outcome 1 has norm 1e+300 > 1"),
     # both parts are floats, but the modulus is past the largest float
     ("wide_coeff", _one_coeff("1.2711610061536462e+308", "1.2711610061536464e+308"),

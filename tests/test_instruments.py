@@ -263,6 +263,8 @@ def test_an_instrument_whose_povm_deviation_is_over_the_cap_decides_each_norm(mo
     inst = make_instrument(ops, check_completeness=False)
     assert inst.outcomes == (1, 2)
     assert calls == [ops[1], ops[2]]
+    with pytest.raises(PeriodCapExceeded, match="stride lcm 1022117"):
+        certify_repeatable(inst)
 
 
 @st.composite

@@ -515,12 +515,21 @@ _AT_TOL = (StructuredOperator(_ones_block(8, 0.125)),
 # each product of these 1e300 entries overflows
 _HUGE = (StructuredOperator(_ones_block(8, 1e300 + 1e300j)),
          StructuredOperator(_ones_block(8, -1e300)))
+# each entry of a - b is 1.3e308 (1 + i), whose modulus passes the largest
+# float, so the block comparison hands a against b to the terms, where abs raises
+_VAST = (StructuredOperator(_ones_block(8, 1.3e308)),
+         StructuredOperator(_ones_block(8, -1.3e308j)))
+# every entry of the product is about z = 6.5e307 (1 + i), and its tail,
+# which starts at (8, 8), has coefficient -z: testing whether (7, 7)
+# extends it takes abs(c - cf), about 1.3e308 (1 + i), which overflows
+_STEP_OVERFLOWS = (StructuredOperator(_ones_block(8, 0.125) + _tail(8, -6.5e307)),
+                   StructuredOperator(_ones_block(8, 6.5e307 + 6.5e307j) + _tail(8, 1 + 1j)))
 
 
 def _array_examples(test):
     for ab, tol in ((_EXTENDS, 1e-12), (_CANCELS, 1e-12), (_NP_ABS, 1e-12), (_NP_ABS, 0.5),
                     (_AT_TOL, 1.0), ((_real_block(8, -2.0), _real_block(8, -3.0)), 1e-12),
-                    (_HUGE, 1e-12)):
+                    (_HUGE, 1e-12), (_VAST, 1e-12), (_STEP_OVERFLOWS, 1e-12)):
         test = example(ab, tol)(test)
     return test
 
@@ -990,6 +999,11 @@ def test_state_vector_basics():
     phi = StateVector({2: 2.0}).normalized()
     assert phi.norm_sq() == pytest.approx(1.0)
     assert dict(phi.items()) == {2: pytest.approx(1.0)}
+
+
+def test_the_constructor_rejects_amplitudes_whose_sum_overflows():
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        StateVector([(0, 1e308), (0, 1e308)])
 
 
 # apply and normalized build their results through StateVector._trusted,

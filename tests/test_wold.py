@@ -575,6 +575,15 @@ def test_read_memory_outside_orbits_is_undefined():
     assert read_memory(dec, StateVector({1: 0.6, 0: 0.8})) is None
 
 
+def test_read_memory_of_a_state_with_no_weight_over_the_tolerance_is_undefined():
+    dec = wold_decompose(op(Family(1.0, 2, 3, 2, 1)))
+    assert read_memory(dec, StateVector()) is None
+    uniform = StateVector({1: 1.0, 3: 1.0, 5: 1.0})
+    assert read_memory(dec, uniform) is not None
+    with qrepeat.settings(tolerance=0.5):  # each index holds a third of the weight
+        assert read_memory(dec, uniform) is None
+
+
 def test_read_memory_straddling_orbits_is_undefined():
     dec = wold_decompose(op(Family(1.0, 1, 2, 1, 0)))
     assert read_memory(dec, StateVector({0: 0.6, 1: 0.8})) is None
