@@ -60,7 +60,10 @@ def certify_repeatable(inst: Instrument) -> CertificationReport:
     distinct outcomes (``M_f M_e`` and ``M_e M_f`` are different operators).
     Range/support inclusion and pairwise range orthogonality are reported
     as diagnostics only; the latter is decided once per unordered pair, as
-    ``M_e* M_f`` is the adjoint of ``M_f* M_e``.  A pair whose terms cannot
+    ``M_e* M_f`` is the adjoint of ``M_f* M_e``, when every operator is
+    canonical under the active tolerance.  Under another, each adjoint is
+    canonicalized afresh and may drop a term its operator keeps, so each
+    ordered pair is decided.  A pair whose terms cannot
     meet has a zero product, so it is decided without building it: one term
     index over all outcomes lists the pairs that meet, at a cost that
     follows the number of terms, not the largest index.
@@ -75,6 +78,7 @@ def certify_repeatable(inst: Instrument) -> CertificationReport:
         witnesses.append(Witness("completeness", pos, dev))
 
     adjoints = {label: oa.adjoint(op) for label, op in inst.items()}
+    exact = all(op._tol == tol for _, op in inst.items())  # every adjoint only re-sorted
     per_outcome: dict[Outcome, OutcomeChecks] = {}
     for label, op in inst.items():
         triple = oa.compose(adjoints[label], oa.compose(op, op))
@@ -103,7 +107,7 @@ def certify_repeatable(inst: Instrument) -> CertificationReport:
             vanish = dev <= tol
             if not vanish:
                 witnesses.append(Witness(f"annihilation ({f!r} after {e!r})", pos, dev))
-            ranges = per_pair[(f, e)].ranges_orthogonal if (f, e) in per_pair \
+            ranges = per_pair[(f, e)].ranges_orthogonal if exact and (f, e) in per_pair \
                 else b not in overlaps[a] \
                 or oa.max_deviation(oa.compose(adjoints[f], op_e), zero)[0] <= tol
             per_pair[(e, f)] = PairChecks(vanish, ranges)

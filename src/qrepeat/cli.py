@@ -30,7 +30,7 @@ from .errors import QRepeatError
 from .indexsets import IndexSet
 from .instruments import (Instrument, build_binary_example,
                           build_example_family, make_instrument)
-from .opalgebra import StateVector, StructuredOperator, _finish
+from .opalgebra import StateVector, StructuredOperator, _from_sums
 from .simulate import run_trajectory
 from .wold import outcome_decompositions
 
@@ -75,7 +75,7 @@ def _index(doc: dict, field: str, where: str, k: int, minimum: int = 0) -> int:
 
 def _add_term(doc, where: str, k: int, fams: dict, dyds: dict) -> None:
     """Add term ``k`` of the operator at ``where`` to the coefficient sums
-    ``_finish`` reads: a point's to ``dyds`` at ``(out, in)``, a family's to
+    ``_from_sums`` reads: a point's to ``dyds`` at ``(out, in)``, a family's to
     ``fams`` at ``(outStride, outOffset, inStride, inOffset)``, a ``jStart``
     folded into the offsets as ``Family`` folds it.  Its path is formatted
     only for an error."""
@@ -111,14 +111,15 @@ def _operator_doc(op: StructuredOperator) -> list:
 
 def _operator_from(doc, where: str) -> StructuredOperator:
     """The operator at ``where``, its terms summed as they are validated and
-    canonicalized as ``StructuredOperator`` canonicalizes them."""
+    canonicalized as ``StructuredOperator`` canonicalizes them; dense points
+    stay a block (``opalgebra._from_sums``)."""
     if not isinstance(doc, list):
         raise ValueError(f"{where}: terms must be a list")
     fams: dict = {}
     dyds: dict = {}
     for k, t in enumerate(doc):
         _add_term(t, where, k, fams, dyds)
-    return StructuredOperator._canonical(_finish(fams, dyds, current().tolerance))
+    return _from_sums(fams, dyds, current().tolerance)
 
 
 def instrument_doc(inst: Instrument) -> dict:
@@ -374,7 +375,7 @@ def _parse_initial(spec: str) -> StateVector:
     tol = current().tolerance
     try:
         total = psi.norm_sq()
-    except OverflowError:  # a squared modulus past the largest float
+    except ValueError:  # a norm past the largest float
         raise ValueError(f"initial state {spec!r} has a norm too large to represent") from None
     if total <= tol:
         raise ValueError("initial state has no amplitude")

@@ -87,14 +87,15 @@ class Povm(_Labeled):
     def identity_deviation(self) -> tuple[float, tuple[int, int] | None]:
         """``max_deviation`` of ``sum_e P_e`` from the identity: the largest
         entry of ``sum_e P_e - I`` and its least position, every entry summed
-        over the effects' terms in label order.  Decided once per active
-        settings and kept (the period cap bounds the decision); a decision
-        that raises is not kept."""
+        over the effects' terms in label order.  Effects that hold point
+        blocks are summed as arrays (``opalgebra._sum_deviation``), with the
+        same bits.  Decided once per active settings and kept (the period cap
+        bounds the decision); a decision that raises is not kept."""
         active = current()
         kept = self._deviation
         if kept is None or kept[0] != active:
-            kept = (active, oa._term_deviation(tuple(t for _, p in self.entries for t in p.terms),
-                                               StructuredOperator.identity().terms))
+            kept = (active, oa._sum_deviation([p for _, p in self.entries],
+                                              [StructuredOperator.identity()]))
             object.__setattr__(self, "_deviation", kept)
         return kept[1]
 
@@ -111,13 +112,14 @@ def _contractive_by_completeness(inst: Instrument, tol: float) -> bool:
     effect's, and the identity) holds at most one entry per row and per
     column, and every entry is at most ``dev``, so a row or column holds at
     most ``K = 1 + (progressions) + (most points in one row or column)``
-    entries, one more than ``opalgebra._schur`` counts at weight 1, and
-    ``||D|| <= K dev + ||E||``.  ``K dev + ||E|| <= tol`` makes every norm
-    at most ``sqrt(1 + tol) <= 1 + tol / 2``, leaving ``tol / 2`` for the
-    rounding of the sums.  An instrument whose POVM or deviation cannot be
-    built (a non-finite sum, a period over the cap) reads False, as does
-    one holding a non-operator or an operator canonical under another
-    tolerance, whose adjoint is canonicalized afresh.
+    entries, one more than ``opalgebra._schur`` counts from the effects'
+    kept progressions and point counts, and ``||D|| <= K dev + ||E||``.
+    ``K dev + ||E|| <= tol`` makes every norm at most ``sqrt(1 + tol) <=
+    1 + tol / 2``, leaving ``tol / 2`` for the rounding of the sums.  An
+    instrument whose POVM or deviation cannot be built (a non-finite sum, a
+    period over the cap) reads False, as does one holding a non-operator or
+    an operator canonical under another tolerance, whose adjoint is
+    canonicalized afresh.
     """
     if not all(isinstance(op, StructuredOperator) and op._tol == tol for _, op in inst.entries):
         return False
@@ -126,8 +128,8 @@ def _contractive_by_completeness(inst: Instrument, tol: float) -> bool:
         dev, _ = pv.identity_deviation()
     except (ValueError, PeriodCapExceeded):
         return False
-    K = 1 + oa._schur(((None if t.length is None else (t.out_offset, t.in_offset)), 1)
-                      for _, p in pv.entries for t in p.terms)
+    progs = [oa._kept(p, "_progs") for _, p in pv.entries]  # kept with the point counts
+    K = 1 + oa._schur(sum(map(len, progs)), [p._counts for _, p in pv.entries])
     return K * dev + pv._lost <= tol
 
 
@@ -178,7 +180,9 @@ def povm(inst: Instrument) -> Povm:
     lost: list = []
     pv = Povm(tuple((label, oa.compose(oa.adjoint(op), op, lost))
                     for label, op in inst.items()))
-    object.__setattr__(pv, "_lost", oa._schur(lost))
+    object.__setattr__(pv, "_lost", oa._schur(
+        sum([weight for pos, weight in lost if pos is None]),
+        [({pos[0]: weight}, {pos[1]: weight}) for pos, weight in lost if pos is not None]))
     return pv
 
 

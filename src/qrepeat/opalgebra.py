@@ -28,10 +28,14 @@ operators, so :mod:`qrepeat.certify` composes only the outcome pairs whose terms
 Dense point blocks stay arrays.  An operator keeps what ``compose``'s
 numpy kernel reads: its progressions, its points' counts per row and
 column, and, once a product pays for the kernel, its point block.  A
-kernel product keeps its block and builds its point terms only when they
-are read; ``max_deviation`` compares blocks where an operand holds one.
-``adjoint`` keeps the adjoint it builds on the operator.  None of this
-changes a bit of any result.
+block operator (``_BlockOperator``) holds all three from the start and
+builds its point terms only when they are read: a kernel product, an
+operator summed from a dense table (``_from_sums``, which the instrument
+parser calls) and the adjoint of either.  ``max_deviation`` compares
+blocks where an operand holds one, and ``is_monomial``, ``_followers``
+and ``operator_norm`` read the kept counts, not the points.  ``adjoint``
+keeps the adjoint it builds on the operator.  None of this changes a bit
+of any result.
 """
 
 from __future__ import annotations
@@ -353,19 +357,19 @@ def _absorb(fams: dict[tuple[int, int, int, int], complex],
     return tuple(out)
 
 
-def _schur(entries: Iterable[tuple[tuple[int, int] | None, float]]) -> float:
-    """Schur-test bound on the norm of ``(position, weight)`` parts, as in
-    ``compose``'s ``lost`` list: the largest row or column sum, plus every
-    weight at None, a part with at most one entry, of at most that weight,
-    per row and column.  The sums run in the given order."""
-    every = 0.0
+def _schur(every: float,
+           parts: Iterable[tuple[Mapping[int, float], Mapping[int, float]]]) -> float:
+    """Schur-test bound on a norm: ``every``, the weight of parts with at
+    most one entry per row and column, plus the largest row or column sum
+    of ``parts``, each given as its weights per row and per column, as an
+    operator keeps its point counts (``_counts``).  The sums run in the
+    given order."""
     rows, cols = Counter(), Counter()
-    for pos, weight in entries:
-        if pos is None:
-            every += weight
-        else:
-            rows[pos[0]] += weight
-            cols[pos[1]] += weight
+    for per_row, per_col in parts:
+        for i, weight in per_row.items():
+            rows[i] += weight
+        for i, weight in per_col.items():
+            cols[i] += weight
     return every + max(chain(rows.values(), cols.values()), default=0.0)
 
 
@@ -429,7 +433,14 @@ class StateVector:
         return tuple(self._amp)
 
     def norm_sq(self) -> float:
-        return sum([abs(c) ** 2 for c in self._amp.values()])
+        """Sum of the squared moduli; ValueError when it passes the largest float."""
+        try:
+            total = sum([abs(c) ** 2 for c in self._amp.values()])
+        except OverflowError:  # a squared modulus past the largest float
+            total = math.inf
+        if total == math.inf:
+            raise ValueError("state norm is too large to represent")
+        return total
 
     def is_normalized(self) -> bool:
         return abs(self.norm_sq() - 1.0) <= current().tolerance
@@ -500,18 +511,43 @@ def adjoint(op: StructuredOperator) -> StructuredOperator:
     head (the step before), so nothing merges, drops or is absorbed: the terms
     are only sorted back, each stored as ``0.0 + c`` as canonicalization does.
     That adjoint is built once and kept on ``op``; the one canonicalized
-    afresh, under another tolerance, is not."""
+    afresh, under another tolerance, is not.  When ``op`` holds a point
+    block, its adjoint holds the conjugate transpose (``_adjoint_block``)
+    and builds its point terms only when they are read."""
     if op._tol != current().tolerance:
         return StructuredOperator([t.adjoint() for t in op.terms])
     adj = getattr(op, "_adj", None)
     if adj is not None:
         return adj
-    adj = StructuredOperator._canonical(tuple(sorted(
+    held = getattr(op, "_block", None)
+    flipped = sorted(
         (Term._trusted(0.0 + t.coeff.conjugate(), t.in_stride, t.in_offset, t.out_stride,
-                       t.out_offset, t.length) for t in op.terms),
-        key=lambda t: (t.length == 1, t.out_stride, t.out_offset, t.in_stride, t.in_offset))))
+                       t.out_offset, t.length)
+         for t in (op.terms if held is None else _kept(op, "_progs"))),
+        key=lambda t: (t.length == 1, t.out_stride, t.out_offset, t.in_stride, t.in_offset))
+    if held is None:
+        adj = StructuredOperator._canonical(tuple(flipped))
+    else:
+        rows, cols, block = held
+        per_row, per_col = _kept(op, "_counts")
+        adj = _block_operator(op._tol, tuple(flipped), (per_col, per_row),
+                              (cols, rows, _adjoint_block(block)))
     _setattr(op, "_adj", adj)
     return adj
+
+
+# CPython 3.14 adds a float to a complex part by part, so 0.0 + z keeps the
+# sign of a zero imaginary part; earlier versions add complex(0.0, 0.0)
+_ADD_KEEPS_IMAG = math.copysign(1.0, (0.0 + complex(1.0, -0.0)).imag) < 0
+
+
+def _adjoint_block(block: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of ``block``, each entry ``0.0 + conj(c)`` as
+    ``adjoint`` stores a flipped term's coefficient on this Python."""
+    out = np.empty(block.shape[::-1], dtype=complex)
+    out.real = block.real.T + 0.0
+    out.imag = np.negative(block.imag.T) if _ADD_KEEPS_IMAG else 0.0 - block.imag.T
+    return out
 
 
 def add(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
@@ -603,38 +639,62 @@ def _followers(firsts: Sequence[StructuredOperator],
     of the operators with an input term that an output term of ``a`` meets.
     For any other ``k``, ``compose(seconds[k], a)`` has no term.
 
-    The inputs of ``seconds`` are keyed once in the term index (``owner[n]``
-    is term ``n``'s operator), and its points are read by owner.  A row of
-    ``a`` meets the points there and the progressions ``_holding`` it; an
-    output progression, those ``_meeting`` lists and the points on it.  Each
+    The input progressions of ``seconds`` are keyed once in the term index
+    (``owner[n]`` is progression ``n``'s operator), and the columns of its
+    points, read from the kept counts, by owner.  A row of a point of ``a``
+    meets the points there and the progressions ``_holding`` it; an output
+    progression, those ``_meeting`` lists and the points on it.  Each
     answer is exact, so ``k`` is listed exactly when two terms meet.
     """
-    terms = [t for op in seconds for t in op.terms]
-    owner = [k for k, op in enumerate(seconds) for _ in op.terms]
-    progs, points, starts = _term_index(terms)
-    owners = {i: {owner[n] for n in ns} for i, ns in points.items()}
-    index = (progs, {}, starts)  # the progressions alone
+    progs: list[Term] = []
+    owner: list[int] = []
+    owners: dict[int, set[int]] = {}
+    for k, op in enumerate(seconds):
+        kept = _kept(op, "_progs")  # kept with the point counts
+        progs.extend(kept)
+        owner.extend([k] * len(kept))
+        for i in op._counts[1]:
+            owners.setdefault(i, set()).add(k)
+    index = _term_index(progs)
     follows = []
     for op in firsts:
         hits: set[int] = set()
-        for i in {t.out_offset for t in op.terms if t.length == 1}:
+        for i in _kept(op, "_counts")[0]:
             hits.update(owners.get(i, ()))
             hits.update(owner[n] for n in _holding(index, i))
-        for s, o in {(t.out_stride, t.out_offset) for t in op.terms if t.length is None}:
+        for s, o in {(t.out_stride, t.out_offset) for t in op._progs}:
             hits.update(k for i, ks in owners.items() if i >= o and (i - o) % s == 0 for k in ks)
             hits.update(owner[n] for n in _meeting(index, s, o))
         follows.append(hits)
     return follows
 
 
-def _point_block(op: StructuredOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted distinct rows and columns of ``op``'s points, and the dense
-    complex block holding each coefficient at its row and column."""
-    out, in_, coeffs = _point_arrays(op)
+def _table(out: list[int], in_: list[int],
+           coeffs: list[complex]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct rows and columns of points at distinct positions
+    ``(out[k], in_[k])``, and the dense complex block holding each
+    coefficient at its row and column, zero elsewhere."""
+    out, in_ = _indices(out), _indices(in_)
     rows, cols = np.unique(out), np.unique(in_)
     block = np.zeros((len(rows), len(cols)), dtype=complex)
     block[np.searchsorted(rows, out), np.searchsorted(cols, in_)] = coeffs
     return rows, cols, block
+
+
+def _indices(values: list[int]) -> np.ndarray:
+    """``values`` as int64, or as Python ints when one passes int64: numpy
+    would hold indices on both sides of 2**63 as float64, which rounds them."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _point_block(op: StructuredOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_table`` of ``op``'s points, read from its terms."""
+    points = [t for t in op.terms if t.length == 1]
+    return _table([t.out_offset for t in points], [t.in_offset for t in points],
+                  [t.coeff for t in points])
 
 
 def _on_progression(indices: Iterable[int], progressions: list[tuple[int, int]]) -> bool:
@@ -645,24 +705,37 @@ def _on_progression(indices: Iterable[int], progressions: list[tuple[int, int]])
 # -- what an operator keeps for the dense kernel --------------------------
 #
 # Each is read with a plain getattr and filled from the terms on first read
-# (_kept), except on a kernel product, which is made holding all three and
-# fills its terms from them.  An unset slot, and a kernel product's
-# __getattr__ for any name but "terms", raise AttributeError: None is read.
+# (_kept), except on a block operator, which is made holding all three and
+# fills its terms from them.  The progressions and the point counts are
+# always kept together, so reading one through _kept keeps the other.  An
+# unset slot, and a block operator's __getattr__ for any name but "terms",
+# raise AttributeError: None is read.
 
 
-def _point_counts(op: StructuredOperator) -> tuple[dict[int, int], dict[int, int]]:
-    """``(per_row, per_col)``: how many points sit in each row and in each column."""
-    points = [t for t in op.terms if t.length == 1]
-    return Counter(t.out_offset for t in points), Counter(t.in_offset for t in points)
+def _split(op: StructuredOperator) -> None:
+    """Keep ``op``'s progressions and its point counts ``(per_row,
+    per_col)``, how many points sit in each row and in each column, from
+    one walk of its terms."""
+    progs: list[Term] = []
+    per_row: dict[int, int] = {}
+    per_col: dict[int, int] = {}
+    for t in op.terms:
+        if t.length is None:
+            progs.append(t)
+        else:
+            per_row[t.out_offset] = per_row.get(t.out_offset, 0) + 1
+            per_col[t.in_offset] = per_col.get(t.in_offset, 0) + 1
+    _setattr(op, "_progs", tuple(progs))
+    _setattr(op, "_counts", (per_row, per_col))
 
 
-class _KernelProduct(StructuredOperator):
-    """A product from ``compose``'s dense kernel.  It holds its progressions,
-    point counts and point block from the start, and builds its terms when
-    they are first read: the progressions, then a point per nonzero entry of
-    the block, in row-major order, which is canonical order.  The hook
-    lives here alone because a class with ``__getattr__`` reads every
-    attribute, slots included, more slowly."""
+class _BlockOperator(StructuredOperator):
+    """An operator made holding its progressions, point counts and point
+    block (``_block_operator``), which builds its terms when they are first
+    read: the progressions, then a point per nonzero entry of the block, in
+    row-major order, which is canonical order.  The hook lives here alone
+    because a class with ``__getattr__`` reads every attribute, slots
+    included, more slowly."""
 
     __slots__ = ()
 
@@ -670,31 +743,45 @@ class _KernelProduct(StructuredOperator):
         # reached only when normal lookup fails: unbuilt terms, or no such name
         if name != "terms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows, cols, vals = _point_arrays(self)
+        rows, cols, block = self._block
+        r, c = np.nonzero(block)
         trusted = Term._trusted
         terms = self._progs + tuple([trusted(v, 1, o, 1, i, 1) for o, i, v in zip(
-            rows.tolist(), cols.tolist(), vals.tolist())])
+            rows[r].tolist(), cols[c].tolist(), block[r, c].tolist())])
         _setattr(self, "terms", terms)
         return terms
 
 
-_FILLERS = {"_progs": lambda op: tuple(t for t in op.terms if t.length is None),
-            "_counts": _point_counts, "_block": _point_block}
+def _block_operator(tol: float, progs: tuple[Term, ...], counts: tuple,
+                    block: tuple[np.ndarray, np.ndarray, np.ndarray]) -> _BlockOperator:
+    """The operator canonical under ``tol`` with progressions ``progs`` (in
+    canonical order) and a point at each nonzero entry of ``block``, given
+    as ``(rows, cols, entries)`` with ascending rows and columns, and
+    ``counts`` its points per row and per column."""
+    op = object.__new__(_BlockOperator)
+    for name, value in (("_tol", tol), ("_progs", progs), ("_counts", counts),
+                        ("_block", block)):
+        _setattr(op, name, value)
+    return op
 
 
 def _kept(op: StructuredOperator, name: str):
     """What ``op`` keeps in slot ``name``, filled from its terms on first read."""
     value = getattr(op, name, None)
     if value is None:
-        value = _FILLERS[name](op)
-        _setattr(op, name, value)
+        if name == "_block":
+            value = _point_block(op)
+            _setattr(op, name, value)
+        else:
+            _split(op)
+            value = getattr(op, name)
     return value
 
 
 def _term_count(op: StructuredOperator) -> int:
-    """``len(op.terms)``, without building a kernel product's point terms."""
-    kernel = type(op) is _KernelProduct  # its point count is in _counts, built or not
-    return len(op._progs) + sum(op._counts[0].values()) if kernel else len(op.terms)
+    """``len(op.terms)``, without building a block operator's point terms."""
+    held = type(op) is _BlockOperator  # its point count is in _counts, built or not
+    return len(op._progs) + sum(op._counts[0].values()) if held else len(op.terms)
 
 
 # The dense kernel pays only on dense point blocks.  It costs rows * inner
@@ -706,7 +793,8 @@ def _term_count(op: StructuredOperator) -> int:
 # counts it reads and each factor's block are built once per operator and
 # kept; the product keeps its own block, and its point terms are built
 # only when read (_finish_block), so a chain of kernel products and the
-# max_deviation that decides it stay arrays.
+# max_deviation that decides it stay arrays.  An operator parsed from a
+# table as dense keeps its block from the start (_from_sums).
 _KERNEL_MIN_PAIRS = 512
 _KERNEL_FILL = 2
 # Inner indices per step of the dense kernel: its two buffers hold
@@ -804,9 +892,10 @@ def _point_product(a: StructuredOperator, b: StructuredOperator):
 def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarray,
                   cols: np.ndarray, prod: np.ndarray, tol: float,
                   lost: list | None) -> StructuredOperator | None:
-    """``_finish`` of a kernel product, its point table kept as arrays: the
-    canonical operator, holding its progressions and its point block, whose
-    point terms are built on first read; or None, before anything is
+    """``_finish`` of summed coefficients, the point sums given as a table
+    (a kernel product's, or a parsed operator's) and kept as arrays: the
+    canonical block operator, holding its progressions and its point block,
+    whose point terms are built on first read; or None, before anything is
     appended to ``lost``, when ``_finish`` must run on the whole table: on
     a point sum that is not finite or whose modulus overflows, or a point
     that a family absorbs.  The progressions alone go through ``_finish``,
@@ -815,8 +904,10 @@ def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarr
     Short of those, ``_finish`` only filters and sorts, and the arrays do
     the same with its bits.  A modulus is ``np.hypot`` of the parts, as
     ``abs`` computes it (numpy's complex ``abs`` differs in the last bit).
-    The table's nonzero entries, in row-major order, are the dict's points
-    in its order, and the kept ones end up sorted by ``(row, col)``.  Only
+    A kernel product's nonzero entries, in row-major order, are the join's
+    points in its dict order, which ``lost`` follows, and the kept ones end
+    up sorted by ``(row, col)``.  A zero entry is no point: ``_finish``
+    drops a zero sum.  Only
     a point at a family's head or one step before it can be absorbed, and
     only under ``_absorb``'s conditions ``|c + cf| <= tol`` (head) and
     ``|c - cf| <= tol`` (the step before); when no point meets them
@@ -857,11 +948,27 @@ def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarr
         rows, cols, block, keep = rows[live_rows], cols[live_cols], block[live], keep[live]
     counts = (dict(zip(rows.tolist(), keep.sum(axis=1).tolist())),
               dict(zip(cols.tolist(), keep.sum(axis=0).tolist())))
-    op = object.__new__(_KernelProduct)
-    for name, value in (("_tol", tol), ("_progs", out), ("_counts", counts),
-                        ("_block", (rows, cols, block))):
-        _setattr(op, name, value)
-    return op
+    return _block_operator(tol, out, counts, (rows, cols, block))
+
+
+def _from_sums(fams: dict[tuple[int, int, int, int], complex],
+               dyds: dict[tuple[int, int], complex], tol: float) -> StructuredOperator:
+    """``StructuredOperator._canonical(_finish(fams, dyds, tol))``, with the
+    bits of its terms and the error it raises.  When the points are dense
+    enough that composing the operator's adjoint with it pays for the
+    kernel (``_kernel_pays``, on the counts of every summed point), they
+    are put in a table and finished as arrays (``_finish_block``): the
+    operator holds its block and builds its point terms only when read.
+    What that finish hands back goes through ``_finish``."""
+    if len(dyds) ** 2 >= _KERNEL_MIN_PAIRS:  # bounds the matching pairs
+        per_row, per_col = Counter(o for o, _ in dyds), Counter(i for _, i in dyds)
+        if _kernel_pays((per_col, per_row), (per_row, per_col)):
+            rows, cols, table = _table([o for o, _ in dyds], [i for _, i in dyds],
+                                       list(dyds.values()))
+            op = _finish_block(fams, rows, cols, table, tol, None)
+            if op is not None:
+                return op
+    return StructuredOperator._canonical(_finish(fams, dyds, tol))
 
 
 def compose(a: StructuredOperator, b: StructuredOperator,
@@ -971,75 +1078,82 @@ def max_deviation(a: StructuredOperator, b: StructuredOperator):
     where one of those rows is a point or a crossing, the first later row of
     its residue that is neither.  Each entry is summed in term order
     (``_term_deviation``, which takes any term lists).  When either operand
-    already holds a point block, the points are compared as arrays where
-    that gives the same bits (``_block_deviation``), which relies on both
-    operands' canonical order.
+    holds a point block and the other holds one too or no points, the
+    points are compared as arrays with the same bits (``_sum_deviation``),
+    which relies on both operands' canonical order.
     """
-    if getattr(a, "_block", None) is not None or getattr(b, "_block", None) is not None:
-        found = _block_deviation(a, b)
-        if found is not None:
-            return found
-    return _term_deviation(a.terms, b.terms)
+    if getattr(a, "_block", None) is None and getattr(b, "_block", None) is None:
+        return _term_deviation(a.terms, b.terms)
+    return _sum_deviation([a], [b])
 
 
-def _point_arrays(op: StructuredOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and coefficients of ``op``'s points, in term order:
-    from its block, in row-major order, when it holds one."""
-    held = getattr(op, "_block", None)
-    if held is not None:
-        rows, cols, block = held
-        r, c = np.nonzero(block)
-        return rows[r], cols[c], block[r, c]
-    points = [t for t in op.terms if t.length == 1]
-    return (np.array([t.out_offset for t in points]), np.array([t.in_offset for t in points]),
-            np.array([t.coeff for t in points], dtype=complex))
+def _sum_deviation(firsts: Sequence[StructuredOperator], seconds: Sequence[StructuredOperator]):
+    """``_term_deviation`` of the terms of ``firsts`` against those of
+    ``seconds``, the operators of each summed in the given order, with the
+    points compared as arrays unless the terms must decide it: when an
+    operator with points holds no block, no operator holds one, or a
+    modulus on the grid is not finite (where ``abs`` may raise).
 
-
-def _block_deviation(a: StructuredOperator, b: StructuredOperator):
-    """``max_deviation`` with the points compared as arrays, one operand
-    holding a point block; None when the terms must decide it.
-
-    Both operands' points are distinct and ascending, as in every operator.
-    When no progression of either holds a row that a point of either sits
-    on, no progression has an entry on a point's row.  The entry at a point
-    is then the point's coefficient, and the positions the terms evaluate
-    split into the points' and those the progressions alone decide.  So the
-    deviation is the larger of the progressions' own (``_term_deviation``)
-    and that of the aligned point difference, and on a tie the least
-    position wins.  The other operand's points are placed on the block's
-    rows and columns, those off it compared with zero.  A modulus is
-    ``np.hypot`` of the parts, as ``abs`` computes it; the first largest in
-    row-major order is at the least position.  A modulus that overflows,
-    where ``abs`` may raise, hands the decision back to the terms.
+    The grid is the union of the blocks' rows and columns, and it holds
+    every point.  Each side is summed on it as the terms sum it, operator
+    by operator: the entries the operator's progressions hold on the grid,
+    then its block.  The terms add only where a term holds the position,
+    the arrays add zeros too, and a zero changes only the sign of a zero
+    sum, which no modulus reads.  Off the grid only progressions hold
+    entries, so what remains is the progressions' own deviation with the
+    grid positions they hold skipped.  A modulus is ``np.hypot`` of the
+    parts, as ``abs`` computes it, and the first largest in row-major order
+    is at the least position; on a tie with the progressions' own, the
+    least position wins.
     """
-    a_progs, b_progs = _kept(a, "_progs"), _kept(b, "_progs")
-    holders = [(t.out_stride, t.out_offset) for t in a_progs + b_progs]
-    if _on_progression(_kept(a, "_counts")[0].keys() | _kept(b, "_counts")[0].keys(), holders):
-        return None
-    base, other = (a, b) if getattr(a, "_block", None) is not None else (b, a)
-    rows, cols, diff = base._block
-    o_rows, o_cols, o_vals = _point_arrays(other)
-    if len(o_vals):
-        ri, ci = np.searchsorted(rows, o_rows), np.searchsorted(cols, o_cols)
-        on = (ri < len(rows)) & (ci < len(cols))
-        on[on] = (rows[ri[on]] == o_rows[on]) & (cols[ci[on]] == o_cols[on])
-        diff = diff.copy()  # |x - y| = |y - x|, bit for bit, so base may be either
-        with np.errstate(over="ignore"):
-            diff[ri[on], ci[on]] -= o_vals[on]
-        o_rows, o_cols, o_vals = o_rows[~on], o_cols[~on], o_vals[~on]
-    with np.errstate(over="ignore"):
-        grid = np.hypot(diff.real, diff.imag)
-        off = np.hypot(o_vals.real, o_vals.imag)
-    if np.isinf(grid).any() or np.isinf(off).any():
-        return None
-    found = [_term_deviation(a_progs, b_progs)]
-    if grid.size:
-        i, j = divmod(int(grid.argmax()), grid.shape[1])
-        found.append((float(grid[i, j]), (int(rows[i]), int(cols[j]))))
-    if off.size:
-        k = int(off.argmax())
-        found.append((float(off[k]), (int(o_rows[k]), int(o_cols[k]))))
-    return _worst(found)
+    held = [op._block for op in (*firsts, *seconds) if getattr(op, "_block", None) is not None]
+    if held and all(getattr(op, "_block", None) is not None or not _kept(op, "_counts")[0]
+                    for op in (*firsts, *seconds)):
+        rows, cols = _union([r for r, _, _ in held]), _union([c for _, c, _ in held])
+        row_list, at_col = rows.tolist(), dict(zip(cols.tolist(), count()))
+        skip: set[tuple[int, int]] = set()
+
+        def total(side):
+            grid = np.zeros((len(rows), len(cols)), dtype=complex)
+            for op in side:
+                for t in _kept(op, "_progs"):
+                    os_, oo, is_, io = t.out_stride, t.out_offset, t.in_stride, t.in_offset
+                    for i, r in enumerate(row_list):
+                        if r >= oo and (r - oo) % os_ == 0:
+                            c = (r - oo) // os_ * is_ + io
+                            j = at_col.get(c)
+                            if j is not None:
+                                grid[i, j] += t.coeff
+                                skip.add((r, c))
+                if getattr(op, "_block", None) is not None:
+                    r, c, block = op._block
+                    if block.shape == grid.shape:  # its rows and columns are the grid's
+                        grid += block
+                    else:
+                        grid[np.ix_(np.searchsorted(rows, r), np.searchsorted(cols, c))] += block
+            return grid
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = total(firsts) - total(seconds)
+            grid = np.hypot(diff.real, diff.imag)
+        if np.isfinite(grid).all():
+            found = [_term_deviation(tuple(t for op in firsts for t in op._progs),
+                                     tuple(t for op in seconds for t in op._progs), skip)]
+            if grid.size:
+                i, j = divmod(int(grid.argmax()), grid.shape[1])
+                found.append((float(grid[i, j]), (int(rows[i]), int(cols[j]))))
+            return _worst(found)
+    return _term_deviation(tuple(chain.from_iterable(op.terms for op in firsts)),
+                           tuple(chain.from_iterable(op.terms for op in seconds)))
+
+
+def _union(indices: list[np.ndarray]) -> np.ndarray:
+    """The sorted union of sorted distinct index arrays: the first, when
+    they are all equal, as the blocks of one instrument's products are."""
+    first = indices[0]
+    if all(a.shape == first.shape and (a == first).all() for a in indices[1:]):
+        return first
+    return np.unique(np.concatenate(indices))
 
 
 def _worst(pairs: Iterable[tuple[float, tuple[int, int] | None]]):
@@ -1052,8 +1166,12 @@ def _worst(pairs: Iterable[tuple[float, tuple[int, int] | None]]):
     return dev, pos
 
 
-def _term_deviation(a_terms: tuple[Term, ...], b_terms: tuple[Term, ...]):
-    """``max_deviation`` of two term lists in any order, decided on the terms."""
+def _term_deviation(a_terms: tuple[Term, ...], b_terms: tuple[Term, ...],
+                    skip: frozenset | set = frozenset()):
+    """``max_deviation`` of two term lists in any order, decided on the
+    terms, over the positions not in ``skip``.  A position skipped counts as
+    fixed, as a point's does, so every line still evaluates the first later
+    row of its residue that is neither fixed nor skipped."""
     terms = a_terms + b_terms
     line_of = {t: _line(t) for t in terms if t.length is None}
     tails: dict[tuple[int, int, int], list[int]] = {}  # line -> [highest head row, L]
@@ -1069,6 +1187,7 @@ def _term_deviation(a_terms: tuple[Term, ...], b_terms: tuple[Term, ...]):
             raise PeriodCapExceeded(f"stride lcm {period} on one line exceeds cap {cap}")
 
     fixed = {(t.out_offset, t.in_offset) for t in terms if t.length == 1}
+    fixed |= skip
     groups = list(by_dir.values())
     for i, group in enumerate(groups):
         for other in groups[i + 1:]:
@@ -1114,8 +1233,10 @@ def _term_deviation(a_terms: tuple[Term, ...], b_terms: tuple[Term, ...]):
         return ents
 
     ea, eb = entries(a_terms), entries(b_terms)
-    return _worst((abs(ea.get(key, 0.0) - eb.get(key, 0.0)), key)
-                  for key in ea.keys() | eb.keys())
+    keys = ea.keys() | eb.keys()
+    if skip:
+        keys -= skip
+    return _worst((abs(ea.get(key, 0.0) - eb.get(key, 0.0)), key) for key in keys)
 
 
 def equals(a: StructuredOperator, b: StructuredOperator) -> bool:
@@ -1154,8 +1275,13 @@ def is_monomial(op: StructuredOperator) -> bool:
 
     Decided exactly: any clash between two terms lives on the intersection
     of their input progressions, which is itself a progression, and only
-    the pairs that the term index lists as meeting there are solved.
+    the pairs that the term index lists as meeting there are solved.  A
+    column that the kept counts give two points answers first: points sit
+    at distinct positions, so two in one column are at different rows.
     """
+    counts = getattr(op, "_counts", None)
+    if counts is not None and any(n > 1 for n in counts[1].values()):
+        return False
     return all(agree for _, _, agree in _meeting_pairs(op.terms))
 
 
@@ -1200,8 +1326,9 @@ def operator_norm(op: StructuredOperator) -> tuple[float, str]:
     operator is the direct sum of the finite block of its points, on exactly
     their rows and columns, and its progressions; the norm is the larger of
     the block's largest singular value and the progressions' norm.  The split
-    is decided on the terms, at a cost that follows them, not the largest
-    index.  Any other operator raises UnsupportedForm naming the reason.
+    is decided on the progressions and the points' kept counts per row and
+    column, at a cost that follows them, not the largest index.  Any other
+    operator raises UnsupportedForm naming the reason.
     """
     if is_monomial(op):
         return _monomial_norm(op), "exact"
@@ -1210,11 +1337,14 @@ def operator_norm(op: StructuredOperator) -> tuple[float, str]:
         raise UnsupportedForm("operator norm undecided: the progressions are not monomial")
     outputs = [(t.out_stride, t.out_offset) for t in tail.terms]
     inputs = [(t.in_stride, t.in_offset) for t in tail.terms]
-    for t in op.dyads:
-        for kind, i, progs in (("row", t.out_offset, outputs), ("column", t.in_offset, inputs)):
-            if _on_progression((i,), progs):
-                raise UnsupportedForm(
-                    f"operator norm undecided: {kind} {i} holds a point and a progression")
+    per_row, per_col = _kept(op, "_counts")
+    if _on_progression(per_row, outputs) or _on_progression(per_col, inputs):
+        for t in op.dyads:  # name the first point, in canonical order, on one
+            for kind, i, progs in (("row", t.out_offset, outputs),
+                                   ("column", t.in_offset, inputs)):
+                if _on_progression((i,), progs):
+                    raise UnsupportedForm(
+                        f"operator norm undecided: {kind} {i} holds a point and a progression")
     _, _, block = _kept(op, "_block")
     return max(float(np.linalg.norm(block, 2)), _monomial_norm(tail)), "exact"
 

@@ -367,6 +367,118 @@ def ref_adjoint(op):
     return StructuredOperator([t.adjoint() for t in op.terms])
 
 
+def ref_parse(doc, where):
+    """The operator at ``where`` by the term path: each term summed as the
+    parser sums it, then the whole table finished by ``_finish``."""
+    fams, dyds = {}, {}
+    for k, t in enumerate(doc):
+        cli._add_term(t, where, k, fams, dyds)
+    return StructuredOperator._canonical(oa._finish(fams, dyds, current().tolerance))
+
+
+def ref_followers(firsts, seconds):
+    """``_followers`` read from the terms: every term of ``seconds`` keyed by
+    input in one term index, and the rows and output progressions of each
+    operator of ``firsts`` read from its terms."""
+    terms = [t for op in seconds for t in op.terms]
+    owner = [k for k, op in enumerate(seconds) for _ in op.terms]
+    progs, points, starts = oa._term_index(terms)
+    owners = {i: {owner[n] for n in ns} for i, ns in points.items()}
+    index = (progs, {}, starts)
+    follows = []
+    for op in firsts:
+        hits = set()
+        for i in {t.out_offset for t in op.terms if t.length == 1}:
+            hits.update(owners.get(i, ()))
+            hits.update(owner[n] for n in oa._holding(index, i))
+        for s, o in {(t.out_stride, t.out_offset) for t in op.terms if t.length is None}:
+            hits.update(k for i, ks in owners.items() if i >= o and (i - o) % s == 0 for k in ks)
+            hits.update(owner[n] for n in oa._meeting(index, s, o))
+        follows.append(hits)
+    return follows
+
+
+def ref_is_monomial(op):
+    """``is_monomial`` decided on the terms alone."""
+    return all(agree for _, _, agree in oa._meeting_pairs(op.terms))
+
+
+def _dense_parts(rng, d, zeros):
+    """Real and imaginary parts of a ``d x d`` block spanning 1e-14 to 1e6,
+    with a fraction ``zeros`` of the parts set to a zero of either sign."""
+    parts = rng.standard_normal((2, d, d)) * 10.0 ** rng.uniform(-14, 6, size=(2, d, d))
+    signed = np.copysign(0.0, rng.choice([1.0, -1.0], size=parts.shape))
+    return np.where(rng.random(parts.shape) < zeros, signed, parts)
+
+
+@st.composite
+def dense_docs(draw):
+    """Term documents of one outcome around a dense ``d x d`` point block,
+    d from 6 to 12, at drawn row and column offsets, in a drawn order, so
+    some draws pay for the dense kernel and some do not.  Parts may be
+    zeros of either sign; some positions are given twice, the second time
+    as the same or the negated coefficient (an exact zero sum); one pair
+    of entries may be about 1e308, so that their sum or its modulus
+    overflows; an identity tail just past the block may carry a point on
+    its head or the step before it, which the tail absorbs; and one term
+    may be malformed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([6, 8, 8, 10, 12]))
+    r0, c0 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    parts = _dense_parts(rng, d, draw(st.sampled_from([0.0, 0.2])))
+
+    def dyad(re, im, out, in_):
+        return {"kind": "dyad", "coeff": [float(re), float(im)], "out": out, "in": in_}
+
+    terms = [dyad(parts[0, i, j], parts[1, i, j], r0 + i, c0 + j)
+             for i in range(d) for j in range(d)]
+    for k in rng.choice(len(terms), size=draw(st.integers(0, 3)), replace=False):
+        re, im = terms[k]["coeff"]
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        terms.append(dyad(sign * re, sign * im, terms[k]["out"], terms[k]["in"]))
+    big = draw(st.sampled_from([None] * 6 + [(1e308, 0.0), (1.5e308, 1.5e308)]))
+    if big is not None:
+        k = int(rng.integers(len(terms)))
+        terms[k] = dyad(*big, terms[k]["out"], terms[k]["in"])
+        if big[1] == 0.0:  # a second one at the same position: the sum is inf
+            terms.append(dict(terms[k]))
+    terms = [terms[k] for k in rng.permutation(len(terms))]
+    if draw(st.booleans()):
+        t = max(r0, c0) + d
+        terms.append({"kind": "family", "coeff": [1.0, 0.0], "outStride": 1, "outOffset": t,
+                      "inStride": 1, "inOffset": t})
+        if draw(st.booleans()):
+            p = draw(st.sampled_from([t - 1, t]))
+            terms.append(dyad(1.0 if p < t else -1.0, 0.0, p, p))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        terms.insert(int(rng.integers(len(terms) + 1)),
+                     draw(st.sampled_from([dyad(1.0, 0.0, -1, 0), {"kind": "dyad"}])))
+    return terms
+
+
+@st.composite
+def block_sums(draw):
+    """Summed coefficient tables ``(fams, dyds)`` for ``_from_sums``: a
+    dense ``d x d`` point block, d from 6 to 12, at drawn offsets, its parts
+    zeros of either sign at times (as no parsed sum holds before CPython
+    3.14), and up to three progressions of stride 1-3 drawn around the
+    block, which may hold its rows and columns, cross it or run along its
+    diagonal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([6, 8, 8, 10, 12]))
+    r0, c0 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    parts = _dense_parts(rng, d, draw(st.sampled_from([0.0, 0.2])))
+    dyds = {(r0 + i, c0 + j): complex(parts[0, i, j], parts[1, i, j])
+            for i in range(d) for j in range(d) if parts[0, i, j] or parts[1, i, j]}
+    fams = {}
+    for _ in range(draw(st.integers(0, 3))):
+        sig = (draw(st.integers(1, 3)), draw(st.integers(0, 16)),
+               draw(st.integers(1, 3)), draw(st.integers(0, 16)))
+        fams[sig] = draw(st.sampled_from([1.0, -1.0, 0.5j])
+                         | _coeffs.filter(lambda c: abs(c) > 1e-3))
+    return fams, dyds
+
+
 def ref_shared_column(terms):
     """The least column that the first term to share one shares with the
     terms before it, or None: the union of the columns so far, folded one

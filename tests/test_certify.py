@@ -241,6 +241,10 @@ def test_certify_matches_the_all_ordered_pairs_reference(inst):
 @settings(deadline=None, max_examples=50)
 @given(st.lists(loose_operators(), min_size=1, max_size=3).map(
     lambda ops: ins.Instrument(tuple(enumerate(ops, 1)))) | st.just(near_complete_instrument()))
+# under 1e-6 the adjoint of the second drops its term and that of the first
+# does not, so M_2* M_1 = 0 while M_1* M_2 = 2e-6 |0><0|
+@example(ins.Instrument(((1, StructuredOperator((Dyad(2.0, 0, 0),))),
+                         (2, StructuredOperator((Family(1e-6, 1, 0, 1, 0),))))))
 def test_certify_under_a_larger_tolerance_matches_the_reference(inst):
     with qrepeat.settings(tolerance=1e-6):
         rep, ref = certify_repeatable(inst), ref_certify_repeatable(inst, tol=1e-6)

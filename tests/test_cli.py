@@ -480,6 +480,45 @@ def test_simulate_rejects_an_initial_state_whose_norm_overflows(runner, tmp_path
     r = runner.invoke(cli.main, ["simulate", path, "--initial", "1e200,1"])
     assert r.exit_code == 2
     assert "error: initial state '1e200,1' has a norm too large to represent" in r.output
+    # each squared modulus is finite, their sum is not
+    r = runner.invoke(cli.main, ["simulate", path, "--initial", "1e154,1e154"])
+    assert r.exit_code == 2
+    assert r.output == "error: initial state '1e154,1e154' has a norm too large to represent\n"
+
+
+# (file, certify's exit code): dense8 is perturbed, dense16_0 repeatable
+_DENSE_FILES = [(Path(__file__).parent / "golden" / "dense8.instrument.json", 1),
+                (Path(__file__).parent / "sweep" / "dense16_0.instrument.json", 0)]
+
+
+@pytest.mark.parametrize("path,certified", _DENSE_FILES,
+                         ids=[p.name.split(".")[0] for p, _ in _DENSE_FILES])
+def test_certify_and_wold_on_a_dense_file_build_no_point_term(runner, tmp_path, monkeypatch,
+                                                              path, certified):
+    trusted = oa.Term._trusted.__func__
+    points = []
+
+    def counting(cls, coeff, out_stride, out_offset, in_stride, in_offset, length):
+        if length == 1:
+            points.append((out_offset, in_offset))
+        return trusted(cls, coeff, out_stride, out_offset, in_stride, in_offset, length)
+
+    monkeypatch.setattr(oa.Term, "_trusted", classmethod(counting))
+    for cmd, code in (("certify", certified), ("wold", 0)):
+        r = runner.invoke(cli.main, [cmd, str(path), "--out", str(tmp_path / f"{cmd}.json")])
+        assert r.exit_code == code, r.output
+    assert points == []
+    # povm writes the effects' point terms, built from their blocks, with the
+    # bytes of the golden file and of the byte sweep
+    r = runner.invoke(cli.main, ["povm", str(path), "--out", str(tmp_path / "povm.json")])
+    assert r.exit_code == 0 and points
+    written = (tmp_path / "povm.json").read_bytes()
+    if path.parent.name == "golden":
+        assert written == (path.parent / "dense8.povm.json").read_bytes()
+    else:
+        from test_sweep import DIGESTS, _digest, render
+        assert _digest(render("dense16_0", "povm", tmp_path)) == \
+            json.loads(DIGESTS.read_text())["dense16_0.povm"]
 
 
 def test_demo_bundles_regenerate_byte_identical(runner, tmp_path):

@@ -6,11 +6,13 @@ which is exact and free of truncation artifacts.
 """
 
 import contextlib
+import json
 import math
 import operator
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -22,10 +24,11 @@ from hypothesis import strategies as st
 import qrepeat
 import qrepeat.cli as cli
 import qrepeat.opalgebra as oa
-from helpers import (NORM_DEFECT, UNDECIDED_NORMS, boundary_sums, dense, dense_blocks,
-                     dense_vec, loose_operators, operators, point_products, ref_adjoint,
-                     ref_compose, ref_finish, signed_zero_operators, states, step_at)
-from qrepeat import (Dyad, Family, IndexSet, PeriodCapExceeded, StateVector,
+from helpers import (NORM_DEFECT, UNDECIDED_NORMS, block_sums, boundary_sums, dense,
+                     dense_blocks, dense_docs, dense_vec, loose_operators, operators,
+                     point_products, ref_adjoint, ref_compose, ref_finish, ref_followers,
+                     ref_is_monomial, ref_parse, signed_zero_operators, states, step_at)
+from qrepeat import (Dyad, Family, IndexSet, PeriodCapExceeded, Povm, StateVector,
                      StructuredOperator, UnsupportedForm)
 from qrepeat.indexsets import from_parts
 
@@ -412,6 +415,22 @@ def test_compose_point_kernel_equals_the_dict_join_bit_for_bit(ab):
     assert ran == [kernel_applies(a, b)]
 
 
+# numpy holds ints on both sides of 2**63 as float64, which rounds them: a
+# table built that way merged the rows and columns of an 8 x 8 block at
+# 2**63 - 4, and the product of two came out as one point
+@pytest.mark.parametrize("base", [2**63 - 4, 2**64 - 4, 2**70])
+def test_the_point_kernel_keeps_indices_past_two_to_the_63_exact(base):
+    rng = np.random.default_rng(7)
+    a, b = (StructuredOperator([Dyad(complex(*rng.standard_normal(2)), base + i, base + j)
+                                for i in range(8) for j in range(8)]) for _ in range(2))
+    with kernel_runs() as ran:
+        got = oa.compose(a, b)
+    assert ran == [True]
+    assert _bits(got) == _bits(ref_compose(a, b)) and len(got.terms) == 64
+    doc = cli._operator_doc(a)
+    assert _bits(cli._operator_from(doc, "terms")) == _bits(ref_parse(doc, "terms"))
+
+
 def test_point_kernel_rejects_overflowing_products_without_warnings():
     big = 1e300 * (1 + 1j)  # ar*br and ai*bi overflow, and their difference is inf - inf
     a = StructuredOperator([Dyad(big * (-1) ** j, i, j) for i in range(8) for j in range(8)])
@@ -647,6 +666,117 @@ def test_the_adjoint_is_kept_under_the_tolerance_its_operator_is_canonical_under
         assert _bits(fresh) == _bits(ref_adjoint(op))
         assert fresh._tol == 1e-6
     assert oa.adjoint(op) is adj
+
+
+# -- dense outcomes kept as arrays from the parser -------------------------------
+
+
+def _summed(table, tol):
+    """``_from_sums`` of a drawn table under ``tol``."""
+    with qrepeat.settings(tolerance=tol):
+        return oa._from_sums(*table, tol)
+
+
+# the dense8 golden, parsed: two 8 x 8 blocks, one with an identity tail
+_DENSE8 = cli.instrument_from_doc(json.loads(
+    (Path(__file__).parent / "golden" / "dense8.instrument.json").read_text()))
+
+
+@given(dense_docs(), st.sampled_from([1e-12, 1e-4, 1.0]))
+@settings(deadline=None, max_examples=200)
+def test_a_parsed_dense_block_is_the_term_path_bit_for_bit(doc, tol):
+    with qrepeat.settings(tolerance=tol):
+        got = _outcome(lambda: _bits(cli._operator_from(doc, "terms")))
+        want = _outcome(lambda: _bits(ref_parse(doc, "terms")))
+    assert got == want
+
+
+def test_a_dense_outcome_is_parsed_into_a_block():
+    for _, op in _DENSE8.items():
+        assert getattr(op, "_block", None) is not None and not _terms_built(op)
+        assert _bits(op) == _bits(ref_parse(cli._operator_doc(op), "terms"))
+    # too few products for the kernel: the parser builds the terms
+    sparse = cli._operator_from([{"kind": "dyad", "coeff": [1.0, 0.0], "out": i, "in": i}
+                                 for i in range(30)], "terms")
+    assert getattr(sparse, "_block", None) is None and _terms_built(sparse)
+
+
+@given(st.one_of(block_sums().map(lambda t: _summed(t, 1e-12)),
+                 point_products().map(lambda ab: _outcome(oa.compose, *ab))))
+@settings(deadline=None, max_examples=200)
+def test_a_block_adjoint_is_the_term_adjoint_bit_for_bit(op):
+    if not isinstance(op, StructuredOperator):
+        return  # the product overflows; that path has its own property
+    adj = oa.adjoint(op)
+    if getattr(op, "_block", None) is not None:
+        assert getattr(adj, "_block", None) is not None and not _terms_built(adj)
+    assert _bits(adj) == _bits(ref_adjoint(_plain(op)))
+    assert oa.adjoint(_plain(op)) == adj
+
+
+# CI runs CPython 3.10 to 3.14, whose 0.0 + z differ in the sign of a zero
+# imaginary part; the block adjoint must follow whichever rule it runs under
+@pytest.mark.parametrize("keeps_imag", [False, True])
+def test_the_adjoint_block_follows_either_rule_for_adding_a_float_to_a_complex(
+        monkeypatch, keeps_imag):
+    assert oa._ADD_KEEPS_IMAG == (math.copysign(1.0, (0.0 + complex(1.0, -0.0)).imag) < 0)
+    monkeypatch.setattr(oa, "_ADD_KEEPS_IMAG", keeps_imag)
+    z = [0.0, -0.0, 1.5, -2.0]
+    block = np.array([[complex(x, y) for y in z] for x in z])
+    got = oa._adjoint_block(block)
+    for i, x in enumerate(z):
+        for j, y in enumerate(z):
+            re, im = 0.0 + x, -y if keeps_imag else 0.0 + -y  # 0.0 + conj(x + iy)
+            assert (got[j, i].real.hex(), got[j, i].imag.hex()) == (re.hex(), im.hex())
+
+
+@given(st.lists(block_sums(), min_size=1, max_size=3), st.integers(0, 2),
+       st.sampled_from([1e-12, 1e-4]))
+@settings(deadline=None, max_examples=200)
+def test_the_summed_block_deviation_is_the_term_deviation_bit_for_bit(tables, split, tol):
+    ops = [_summed(t, tol) for t in tables]
+    identity = StructuredOperator.identity()
+    # the effects against the identity, as Povm.identity_deviation reads
+    # them, and one list of operators against another
+    for firsts, seconds in ((ops, [identity]), (ops[:split], ops[split:] + [identity])):
+        with qrepeat.settings(tolerance=tol):
+            got = _outcome(oa._sum_deviation, firsts, seconds)
+            want = _outcome(oa._term_deviation, tuple(t for op in firsts for t in op.terms),
+                            tuple(t for op in seconds for t in op.terms))
+        if isinstance(want, tuple) and isinstance(want[0], float):
+            got, want = (got[0].hex(), got[1]), (want[0].hex(), want[1])
+        assert got == want
+    with qrepeat.settings(tolerance=tol):
+        pv = Povm(tuple(enumerate(ops)))
+        assert _outcome(pv.identity_deviation) == _outcome(
+            oa._term_deviation, tuple(t for op in ops for t in op.terms), identity.terms)
+
+
+def test_effects_that_hold_blocks_decide_their_deviation_as_arrays():
+    pv = _DENSE8.povm()
+    assert all(getattr(p, "_block", None) is not None for _, p in pv.items())
+    dev, pos = pv.identity_deviation()
+    assert not any(_terms_built(p) for _, p in pv.items())
+    assert (dev, pos) == oa._term_deviation(tuple(t for _, p in pv.items() for t in p.terms),
+                                            StructuredOperator.identity().terms)
+    assert 0 < dev < 1e-12
+
+
+_counted = st.one_of(operators(), dense_blocks(), block_sums().map(lambda t: _summed(t, 1e-12)),
+                     block_sums().map(lambda t: oa.adjoint(_summed(t, 1e-12))))
+
+
+@given(_counted)
+@settings(deadline=None, max_examples=200)
+def test_a_blocks_kept_counts_decide_is_monomial_as_the_terms_do(op):
+    assert oa.is_monomial(op) == ref_is_monomial(_plain(op))
+
+
+@given(st.lists(_counted, max_size=3), st.lists(_counted, max_size=3))
+@settings(deadline=None, max_examples=150)
+def test_block_followers_read_from_the_kept_counts_are_the_term_index_followers(firsts, seconds):
+    assert oa._followers(firsts, seconds) == ref_followers([_plain(op) for op in firsts],
+                                                           [_plain(op) for op in seconds])
 
 
 def test_compose_shift_with_adjoint_is_range_projector():
@@ -955,10 +1085,14 @@ def test_operator_norm_splits_off_a_far_progression_head_on_the_terms():
 
 
 def test_schur_adds_the_parts_at_none_to_the_largest_row_or_column_sum():
-    # row 2 sums to 0.25 + 0.5 = 0.75, columns 0 and 5 to 0.25 and 0.5
-    assert oa._schur([((2, 0), 0.25), (None, 0.125), ((2, 5), 0.5)]) == 0.125 + 0.75
-    assert oa._schur([((2, 0), 0.25), ((7, 0), 0.5)]) == 0.75  # column 0
-    assert oa._schur([]) == 0.0
+    # the parts at None weigh 0.125; row 2 sums to 0.25 + 0.5 = 0.75,
+    # columns 0 and 5 to 0.25 and 0.5
+    assert oa._schur(0.125, [({2: 0.25}, {0: 0.25}), ({2: 0.5}, {5: 0.5})]) == 0.125 + 0.75
+    assert oa._schur(0.0, [({2: 0.25}, {0: 0.25}), ({7: 0.5}, {0: 0.5})]) == 0.75  # column 0
+    assert oa._schur(0.0, []) == 0.0
+    # an operator's kept point counts are its points at weight 1
+    op = StructuredOperator((Dyad(1.0, 0, 0), Dyad(1.0, 0, 1), Dyad(1.0, 1, 2)))
+    assert oa._schur(0, [oa._kept(op, "_counts")]) == 2  # row 0
 
 
 @pytest.mark.parametrize("name,reason", [("toeplitz", "progressions are not monomial"),
@@ -1014,6 +1148,16 @@ def test_the_constructor_rejects_amplitudes_whose_sum_overflows():
 def test_apply_rejects_an_overflowing_amplitude():
     with pytest.raises(ValueError, match="finite"):
         oa.apply(StructuredOperator([Dyad(1e200, 0, 0)]), StateVector({0: 1e200}))
+
+
+# 1e200 squared passes the largest float; 1e154 squared does not, but the
+# sum of two does
+@pytest.mark.parametrize("amplitudes", [{0: 1e200}, {0: 1e154, 1: 1e154}])
+def test_a_state_whose_norm_overflows_raises_valueerror(amplitudes):
+    psi = StateVector(amplitudes)
+    for call in (psi.norm_sq, psi.normalized):
+        with pytest.raises(ValueError, match="state norm is too large to represent"):
+            call()
 
 
 def test_normalized_stores_signed_zeros_as_the_public_constructor_does():

@@ -22,6 +22,11 @@ from qrepeat.cli import instrument_from_doc
 EX = build_example_family(2, (0.3, 0.7))
 
 
+def test_a_trajectory_from_a_state_whose_norm_overflows_raises_valueerror():
+    with pytest.raises(ValueError, match="state norm is too large to represent"):
+        run_trajectory(build_example_family(2, (0.5, 0.5)), StateVector({0: 1e200}), 2, 0)
+
+
 def test_window_ordering_is_enforced():
     with pytest.raises(WindowInvalid):
         TruncationWindow(dim=2, valid_input_dim=5)
