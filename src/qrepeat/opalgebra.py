@@ -380,11 +380,12 @@ class StateVector:
     """Finitely supported vector, stored as an index -> amplitude map.
 
     The public constructor coerces and validates every entry, sums the
-    entries of each index and finishes the sums through :meth:`_trusted`,
+    entries of each index and finishes the sums through ``_finished``,
     which rejects non-finite amplitudes, drops zeros, sorts the indices and
     stores ``0.0 + c``.  ``apply`` and ``normalized`` build their results
-    through ``_trusted`` alone, as their indices and amplitudes come from a
-    valid state.
+    through :meth:`_trusted`, which only finishes, as their indices and
+    amplitudes come from a valid state.  Every norm is taken by
+    ``_norm_sq``.
     """
 
     __slots__ = ("_amp",)
@@ -401,22 +402,15 @@ class StateVector:
                 raise ValueError("basis indices must be nonnegative")
             if c != 0:
                 amp[i] = amp.get(i, 0.0) + c
-        _setattr(self, "_amp", StateVector._trusted(amp)._amp)
+        _setattr(self, "_amp", _finished(amp))
 
     @classmethod
     def _trusted(cls, amplitudes: dict[int, complex]) -> "StateVector":
         """State from a dict of nonnegative int indices to complex amplitudes,
         equal to the public constructor's result on such input.  Each
         amplitude is stored as ``0.0 + c``."""
-        amp: dict[int, complex] = {}
-        for i in sorted(amplitudes):
-            c = 0.0 + amplitudes[i]
-            if c:
-                if not cmath.isfinite(c):
-                    raise ValueError("coefficients must be finite")
-                amp[i] = c
         vec = object.__new__(cls)
-        _setattr(vec, "_amp", amp)
+        _setattr(vec, "_amp", _finished(amplitudes))
         return vec
 
     def __setattr__(self, name, value):
@@ -434,13 +428,7 @@ class StateVector:
 
     def norm_sq(self) -> float:
         """Sum of the squared moduli; ValueError when it passes the largest float."""
-        try:
-            total = sum([abs(c) ** 2 for c in self._amp.values()])
-        except OverflowError:  # a squared modulus past the largest float
-            total = math.inf
-        if total == math.inf:
-            raise ValueError("state norm is too large to represent")
-        return total
+        return _norm_sq(self._amp.values())
 
     def is_normalized(self) -> bool:
         return abs(self.norm_sq() - 1.0) <= current().tolerance
@@ -463,6 +451,33 @@ class StateVector:
     def __repr__(self) -> str:
         inner = ", ".join(f"{i}: {c:.6g}" for i, c in self._amp.items())
         return f"StateVector({{{inner}}})"
+
+
+def _finished(sums: dict[int, complex]) -> dict[int, complex]:
+    """A state's amplitudes from summed ones: by ascending index, each stored
+    as ``0.0 + c``, zeros dropped; ValueError on a non-finite sum."""
+    amp: dict[int, complex] = {}
+    for i in sorted(sums):
+        c = 0.0 + sums[i]
+        if c:
+            if not cmath.isfinite(c):
+                raise ValueError("coefficients must be finite")
+            amp[i] = c
+    return amp
+
+
+def _norm_sq(amplitudes: Iterable[complex]) -> float:
+    """Sum of the squared moduli, in the order given; ValueError when it
+    passes the largest float.  ``sum`` is compensated from Python 3.12, so
+    its bits depend on the Python; every norm of a state is taken here, so
+    that every path has the same bits on each."""
+    try:
+        total = sum([abs(c) ** 2 for c in amplitudes])
+    except OverflowError:  # a squared modulus past the largest float
+        total = math.inf
+    if total == math.inf:
+        raise ValueError("state norm is too large to represent")
+    return total
 
 
 def random_state(rng: np.random.Generator, max_index: int, max_support: int = 8) -> StateVector:
@@ -488,20 +503,31 @@ def random_state(rng: np.random.Generator, max_index: int, max_support: int = 8)
 def apply(op: StructuredOperator, psi: StateVector) -> StateVector:
     """Image of ``psi`` under ``op`` (not renormalized).
 
-    The image is built with the trusted ``StateVector._trusted``, which
+    Each amplitude goes where ``_column`` sends it, summed in the order of
+    ``psi``, then of the terms.  The image is built with the trusted
+    ``StateVector._trusted``, which
     keeps the finiteness check, the zero drop, the sorted indices and the
     ``0.0 + c`` rule of the public constructor.
     """
     out: dict[int, complex] = {}
-    for i, c in psi.items():
-        for t in op.terms:  # each term's step at i, inline: the sampling hot path
-            d = i - t.in_offset
-            if d >= 0 and d % t.in_stride == 0:
-                j = d // t.in_stride
-                if t.length is None or j < t.length:
-                    r = t.out_stride * j + t.out_offset
-                    out[r] = out.get(r, 0.0) + t.coeff * c
+    terms = op.terms
+    for i, c in psi._amp.items():
+        for r, coeff in _column(terms, i):
+            out[r] = out.get(r, 0.0) + coeff * c
     return StateVector._trusted(out)
+
+
+def _column(terms: Sequence[Term], i: int) -> list[tuple[int, complex]]:
+    """``(row, coeff)`` of each term of ``terms`` that holds column ``i``, in
+    term order: where the term sends ``|i>``, and with what coefficient."""
+    out = []
+    for t in terms:
+        d = i - t.in_offset
+        if d >= 0 and d % t.in_stride == 0:
+            j = d // t.in_stride
+            if t.length is None or j < t.length:
+                out.append((t.out_stride * j + t.out_offset, t.coeff))
+    return out
 
 
 def adjoint(op: StructuredOperator) -> StructuredOperator:
@@ -1306,6 +1332,18 @@ def diagonal_part(op: StructuredOperator) -> StructuredOperator:
 
 
 def is_diagonal(op: StructuredOperator) -> bool:
+    """Whether ``op`` equals its diagonal part.  A kept point block answers
+    no at once when it holds an off-diagonal entry above the tolerance at a
+    position no progression passes through, as the operator's entry there
+    is that point's alone; a progression there could cancel it."""
+    held = getattr(op, "_block", None)
+    if held is not None:
+        rows, cols, block = held
+        r, c = np.nonzero(np.abs(block) > current().tolerance)
+        progs = _kept(op, "_progs")
+        for i, j in zip(rows[r].tolist(), cols[c].tolist()):
+            if i != j and all(row != i for row, _ in _column(progs, j)):
+                return False
     return equals(op, diagonal_part(op))
 
 

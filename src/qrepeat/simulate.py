@@ -9,14 +9,20 @@ computes their PCG64 states for a chunk of ``k`` in one vectorized pass of
 numpy's SeedSequence mixing and loads each into one reused PCG64, so its
 draws are those of ``default_rng([seed, k])`` bit for bit.
 
-One selection applies each outcome operator once (:func:`born_probabilities`
-keeps the images it computes) and normalizes the chosen image, unless its
-post-state is not read.  Within one statistics run
-(:func:`empirical_conditionals`) the Born distribution of a state and its
-normalized post-states are computed once per state object, while the
-sampler keeps returning that object, and reused with identical results.
-A batch normalizes each drawn state and its first post-state only: the
-second selection yields an outcome and its probability, no post-state.
+A trajectory step applies each outcome operator once
+(:func:`born_probabilities` keeps the images it computes) and normalizes
+the chosen image.  A statistics run (:func:`empirical_conditionals`)
+applies no operator: it keeps a column table for the call, which lists,
+for each basis index the batch reads, where every term of every outcome
+sends that index (``opalgebra._column``).  Each outcome's image is summed
+from the table in the order ``apply`` sums it, and its probability taken
+by the rule ``StateVector.norm_sq`` uses, so the bits are ``apply``'s.  A
+state is built only for the chosen image of each two-step trajectory's
+first selection; the second selection yields an outcome and its
+probability, no post-state.  Within one run the probabilities of a state
+and its normalized post-states are computed once per state object, while
+the sampler keeps returning that object, and reused with identical
+results.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ class BornDistribution(dict):
 
 
 def born_probabilities(inst: Instrument, psi: StateVector) -> BornDistribution:
+    """The Born distribution of ``psi``, one ``apply`` per outcome, each
+    probability the image's ``norm_sq``.  Trajectory steps select through
+    it; a statistics run reads the same bits from its column table."""
     probs = BornDistribution()
     probs.images = {}
     for label, op in inst.items():
@@ -55,22 +64,12 @@ def born_probabilities(inst: Instrument, psi: StateVector) -> BornDistribution:
     return probs
 
 
-def _select(inst: Instrument, psi: StateVector, u: float, tol: float,
-            memo: dict, post: bool = True):
-    """Inverse-CDF selection of one outcome for the uniform ``u``: its label,
-    Born probability and normalized image, or with ``post`` false only the
-    label and probability, normalizing nothing.
-
-    ``memo`` maps a state to ``(Born distribution, total, post-states)``,
-    ``post-states`` holding each normalized image once computed.  A
-    StateVector hashes by identity, so an entry keeps its state alive and a
-    fresh state equal to it misses.
-    """
-    entry = memo.get(psi)
-    if entry is None:
-        probs = born_probabilities(inst, psi)
-        entry = memo[psi] = (probs, sum(probs.values()), {})
-    probs, total, posts = entry
+def _pick(probs: dict[Outcome, float], total: float, u: float, tol: float) -> Outcome:
+    """The outcome that inverse-CDF selection over ``probs``, in instrument
+    order, gives the uniform ``u``: the first whose running sum passes ``u *
+    total``.  ``total`` is ``sum(probs.values())``, which Python 3.12+
+    compensates, so it can pass the last running sum and ``u`` fall
+    through; then the last outcome of positive probability is picked."""
     if total <= tol:
         raise DegenerateState("every outcome probability vanished")
     target = u * total
@@ -78,20 +77,24 @@ def _select(inst: Instrument, psi: StateVector, u: float, tol: float,
     for label, prob in probs.items():
         acc += prob
         if target < acc:
-            break
-    if not post:
-        return label, prob
-    phi = posts.get(label)
-    if phi is None:
-        phi = posts[label] = probs.images[label].normalized()
-    return label, prob, phi
+            return label
+    return [label for label, prob in probs.items() if prob > 0][-1]
+
+
+def _measure(inst: Instrument, psi: StateVector, u: float,
+             tol: float) -> tuple[Outcome, float, StateVector]:
+    """One measurement of ``psi`` for the uniform ``u``: the selected outcome,
+    its Born probability and its normalized image."""
+    dist = born_probabilities(inst, psi)
+    label = _pick(dist, sum(dist.values()), u, tol)
+    return label, dist[label], dist.images[label].normalized()
 
 
 def measure_once(inst: Instrument, psi: StateVector,
                  seed: int) -> tuple[Outcome, float, StateVector]:
     """Sample one measurement: outcome, its Born probability, reduced state."""
     u = float(np.random.default_rng(seed).random())
-    return _select(inst, psi.normalized(), u, current().tolerance, {})
+    return _measure(inst, psi.normalized(), u, current().tolerance)
 
 
 # -- trajectories ------------------------------------------------------------
@@ -134,7 +137,7 @@ def run_trajectory(inst: Instrument, psi: StateVector, steps: int,
     state = psi
     record = []
     for _ in range(steps):
-        label, prob, state = _select(inst, state, float(rng.random()), tol, {})
+        label, prob, state = _measure(inst, state, float(rng.random()), tol)
         reading = None
         decomp = decomps.get(label)
         if decomp is not None:
@@ -251,6 +254,63 @@ class ConditionalStats:
         return {pair: self.frequency(*pair) for pair in self.counts}
 
 
+class _Columns(dict):
+    """An instrument's column table, kept for one statistics run: basis index
+    ``i`` -> ``(outcome position, row, coeff)`` for every term of every
+    outcome that holds column ``i``, in instrument order, then term order.
+    Each index is filled when first read."""
+
+    __slots__ = ("labels", "terms")
+
+    def __init__(self, inst: Instrument):
+        super().__init__()
+        self.labels = inst.outcomes
+        self.terms = [op.terms for _, op in inst.items()]
+
+    def __missing__(self, i: int) -> list[tuple[int, int, complex]]:
+        column = self[i] = [(k, r, coeff) for k, terms in enumerate(self.terms)
+                            for r, coeff in oa._column(terms, i)]
+        return column
+
+    def born(self, psi: StateVector) -> tuple[dict[Outcome, float], dict[Outcome, dict]]:
+        """The Born probability of ``psi`` and the sums of its image, per
+        outcome in instrument order: ``apply``'s sums, in its order, and
+        ``norm_sq``'s probabilities of the states they finish to."""
+        sums = [{} for _ in self.terms]
+        for i, c in psi.items():
+            for k, r, coeff in self[i]:
+                image = sums[k]
+                image[r] = image.get(r, 0.0) + coeff * c
+        # an outcome that holds no column of psi has the empty sum, 0
+        probs = [oa._norm_sq(oa._finished(image).values()) if image else 0 for image in sums]
+        return dict(zip(self.labels, probs)), dict(zip(self.labels, sums))
+
+
+def _select(table: _Columns, psi: StateVector, u: float, tol: float,
+            memo: dict, post: bool = True):
+    """Inverse-CDF selection of one outcome for the uniform ``u``, read from
+    ``table``: its label, Born probability and normalized image, or with
+    ``post`` false only the label and probability, building no state.
+
+    ``memo`` maps a state to ``(probabilities, total, image sums,
+    post-states)``, ``post-states`` holding each normalized image once
+    computed.  A StateVector hashes by identity, so an entry keeps its
+    state alive and a fresh state equal to it misses.
+    """
+    entry = memo.get(psi)
+    if entry is None:
+        probs, sums = table.born(psi)
+        entry = memo[psi] = (probs, sum(probs.values()), sums, {})
+    probs, total, sums, posts = entry
+    label = _pick(probs, total, u, tol)
+    if not post:
+        return label, probs[label]
+    phi = posts.get(label)
+    if phi is None:
+        phi = posts[label] = StateVector._trusted(sums[label]).normalized()
+    return label, probs[label], phi
+
+
 def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
                            seed: int) -> ConditionalStats:
     """Tally p(second | first) over two-step trajectories.
@@ -266,6 +326,7 @@ def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
     tol = current().tolerance
     first_counts: dict[Outcome, int] = {}
     counts: dict[tuple[Outcome, Outcome], int] = {}
+    table = _Columns(inst)
     memo: dict = {}  # Born distributions of the current sample and its post-states
     sample = object()  # no sampler returns this, so the first draw is new
     rng = np.random.Generator(np.random.PCG64(0))
@@ -280,8 +341,8 @@ def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
         if drawn is not sample:
             sample, psi = drawn, drawn.normalized()
             memo.clear()
-        e, _, phi = _select(inst, psi, rng.random(), tol, memo)
-        f, _ = _select(inst, phi, rng.random(), tol, memo, False)
+        e, _, phi = _select(table, psi, rng.random(), tol, memo)
+        f, _ = _select(table, phi, rng.random(), tol, memo, False)
         first_counts[e] = first_counts.get(e, 0) + 1
         counts[(e, f)] = counts.get((e, f), 0) + 1
     return ConditionalStats(trajectories, first_counts, counts)

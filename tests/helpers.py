@@ -580,6 +580,10 @@ def loose_operators(draw):
     return StructuredOperator(terms)
 
 
+_zero_part_coeffs = st.builds(lambda x, k: (complex(x, 0.0), complex(0.0, x), complex(x, x))[k],
+                              st.floats(1e-6, 2.0) | st.floats(-2.0, -1e-6), st.integers(0, 2))
+
+
 @st.composite
 def signed_zero_operators(draw):
     """A canonical operator whose coefficients have zero real or imaginary
@@ -589,13 +593,18 @@ def signed_zero_operators(draw):
     ``adjoint`` on every version."""
     terms = []
     for _ in range(draw(st.integers(1, 5))):
-        x = draw(st.floats(1e-6, 2.0) | st.floats(-2.0, -1e-6))
-        c = draw(st.sampled_from([complex(x, 0.0), complex(0.0, x), complex(x, x)]))
+        c = draw(_zero_part_coeffs)
         if draw(st.booleans()):
             terms.append(Dyad(c, draw(st.integers(0, 6)), draw(st.integers(0, 6))))
         else:
             terms.append(Family(c, draw(st.integers(1, 3)), draw(st.integers(0, 6)),
                                 draw(st.integers(1, 3)), draw(st.integers(0, 6))))
+    return _resigned(draw, terms)
+
+
+def _resigned(draw, terms):
+    """The canonical operator of ``terms``, each zero part of a coefficient
+    given a drawn sign."""
     signed = []
     for t in StructuredOperator(terms).terms:
         re, im = (math.copysign(0.0, draw(st.sampled_from([1.0, -1.0]))) if part == 0 else part
@@ -603,6 +612,27 @@ def signed_zero_operators(draw):
         signed.append(oa.Term._trusted(complex(re, im), t.out_stride, t.out_offset,
                                        t.in_stride, t.in_offset, t.length))
     return StructuredOperator._canonical(tuple(signed))
+
+
+@st.composite
+def crowded_operators(draw):
+    """A non-monomial operator: two points in one column, two columns sent
+    to one row, and up to three families, each started at a drawn step, that
+    may cross them.  Some coefficients have a zero part, whose sign is
+    drawn."""
+    def coeff():
+        return draw(_zero_part_coeffs | _coeffs.filter(lambda c: abs(c) > 1e-9))
+
+    def index():
+        return draw(st.integers(0, 6))
+
+    col, row = index(), index()
+    terms = [Dyad(coeff(), index(), col), Dyad(coeff(), index(), col),
+             Dyad(coeff(), row, index()), Dyad(coeff(), row, index())]
+    for _ in range(draw(st.integers(0, 3))):
+        terms.append(Family(coeff(), draw(st.integers(1, 3)), index(),
+                            draw(st.integers(1, 3)), index(), draw(st.integers(0, 2))))
+    return _resigned(draw, terms)
 
 
 @st.composite
@@ -653,8 +683,8 @@ def ref_select(inst, psi, u, tol):
         acc += probs[label]
         if target < acc:
             break
-    else:
-        label = labels[-1]
+    else:  # a compensated total (Python 3.12+) passed the running sum
+        label = [lab for lab in labels if probs[lab] > 0][-1]
     return label, probs[label], ref_normalized(ref_apply(inst.operator(label), psi))
 
 

@@ -1,7 +1,9 @@
 """Repeatability certification, the numerical cross-check, and POVM analysis."""
 
 import dataclasses
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from qrepeat import (Dyad, Family, IndexSet, InvalidPovm, Povm, StructuredOperat
                      check_orthogonal, check_repeatability_numerical,
                      classify_povm, finite_dim_corollary_suite,
                      make_instrument)
+from qrepeat.cli import instrument_from_doc
 
 EVENS = IndexSet.from_progression(2, 0)
 ODDS = IndexSet.from_progression(2, 1)
@@ -406,6 +409,24 @@ def _diag_value(op, i):
 def test_diagonal_table_matches_a_scan_per_index_bit_for_bit(op):
     n = 40
     assert [v.hex() for v in cer._diagonal(op, n)] == [_diag_value(op, i).hex() for i in range(n)]
+
+
+# Counted: is_diagonal built each dense effect's point terms, 272 on this
+# file, only to find an off-diagonal entry that its kept block holds.
+def test_classify_refuses_a_dense_effect_without_building_its_point_terms(monkeypatch):
+    path = Path(__file__).parent / "sweep" / "dense16_0.instrument.json"
+    pv = instrument_from_doc(json.loads(path.read_text()), check_completeness=False).povm()
+    calls = []
+    trusted = oa.Term._trusted.__func__
+
+    def counted(cls, *args):
+        calls.append(None)
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(oa.Term, "_trusted", classmethod(counted))
+    with pytest.raises(UnsupportedForm, match="^effect 1 is not diagonal in the canonical basis$"):
+        classify_povm(pv)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["half", "finite_z"])

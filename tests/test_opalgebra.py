@@ -24,10 +24,11 @@ from hypothesis import strategies as st
 import qrepeat
 import qrepeat.cli as cli
 import qrepeat.opalgebra as oa
-from helpers import (NORM_DEFECT, UNDECIDED_NORMS, block_sums, boundary_sums, dense,
-                     dense_blocks, dense_docs, dense_vec, loose_operators, operators,
-                     point_products, ref_adjoint, ref_compose, ref_finish, ref_followers,
-                     ref_is_monomial, ref_parse, signed_zero_operators, states, step_at)
+from helpers import (NORM_DEFECT, UNDECIDED_NORMS, block_sums, boundary_sums,
+                     crowded_operators, dense, dense_blocks, dense_docs, dense_vec,
+                     loose_operators, operators, point_products, ref_adjoint, ref_compose,
+                     ref_finish, ref_followers, ref_is_monomial, ref_parse,
+                     signed_zero_operators, states, step_at)
 from qrepeat import (Dyad, Family, IndexSet, PeriodCapExceeded, Povm, StateVector,
                      StructuredOperator, UnsupportedForm)
 from qrepeat.indexsets import from_parts
@@ -1002,6 +1003,16 @@ def test_is_diagonal_and_diagonal_part():
     part = oa.diagonal_part(op)
     assert oa.is_diagonal(part)
     assert np.allclose(mat(part), np.diag(np.diag(mat(op))))
+
+
+# A kept point block decides "not diagonal" on its own only where no
+# progression passes through the off-diagonal entry it finds.
+@given(crowded_operators() | dense_blocks())
+def test_is_diagonal_on_a_kept_block_agrees_with_the_terms(op):
+    for case in (op, oa.diagonal_part(op)):
+        want = oa.equals(case, oa.diagonal_part(case))
+        oa._kept(case, "_block")
+        assert oa.is_diagonal(case) == want
 
 
 def test_projector_renders_indicator():

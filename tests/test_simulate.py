@@ -1,16 +1,21 @@
 """Seeded trajectory sampling and the dense truncation oracle."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 import qrepeat.opalgebra as oa
 import qrepeat.simulate as sim
-from helpers import (bits, dense, dense_vec, reading_bits, ref_conditionals,
-                     ref_normalized, ref_select, ref_trajectory)
-from qrepeat import (DegenerateState, Dyad, Family, StateVector,
+from helpers import (bits, crowded_operators, dense, dense_vec, reading_bits,
+                     ref_conditionals, ref_normalized, ref_select,
+                     ref_trajectory, signed_zero_operators, states)
+from qrepeat import (DegenerateState, Dyad, Family, Instrument, StateVector,
                      StructuredOperator, TruncationWindow, WindowInvalid,
                      born_probabilities, build_binary_example,
                      build_example_family, build_nonrepeatable_sibling,
@@ -248,28 +253,83 @@ def test_memo_follows_a_sampler_that_alternates_two_states(monkeypatch, run):
     _assert_matches_reference(monkeypatch, EX, alternating)
 
 
-# Counted, not timed: without the memo every two-step trajectory applies
-# each of the two outcome operators once per selection, plus a second apply
-# for each chosen post-state, 6,000 calls for 1,000 trajectories.
-def test_conditionals_on_a_fixed_state_apply_each_transition_once(monkeypatch):
-    calls, distributions = [], []
-    apply, born = oa.apply, sim.born_probabilities
+# Counted, not timed: without the memo every two-step trajectory computes
+# the Born distribution of its drawn state and of its post-state, 2,000
+# computations for 1,000 trajectories, and without the table each one scans
+# every term for every amplitude.
+def test_conditionals_on_a_fixed_state_compute_each_transition_once(monkeypatch):
+    born, fill = sim._Columns.born, sim._Columns.__missing__
+    per_state, per_index, held = {}, {}, []
 
-    def counted(op, psi):
-        calls.append(None)
-        return apply(op, psi)
+    def counted_born(table, psi):
+        held.append(psi)  # so no two counted states share an id
+        per_state[id(psi)] = per_state.get(id(psi), 0) + 1
+        return born(table, psi)
 
-    def counted_born(inst, psi):
-        distributions.append(None)
-        return born(inst, psi)
+    def counted_fill(table, i):
+        per_index[i] = per_index.get(i, 0) + 1
+        return fill(table, i)
 
-    monkeypatch.setattr(oa, "apply", counted)
-    monkeypatch.setattr(sim, "born_probabilities", counted_born)
+    monkeypatch.setattr(sim._Columns, "born", counted_born)
+    monkeypatch.setattr(sim._Columns, "__missing__", counted_fill)
     empirical_conditionals(EX, fixed_state_sampler(StateVector.basis(0)),
                            trajectories=1000, seed=0)
-    assert len(calls) < 50
-    # every apply is made by a Born distribution, one per outcome
-    assert 0 < len(distributions) and len(calls) == 2 * len(distributions)
+    # |0> and the post-state of each of the two outcomes
+    assert sorted(per_state.values()) == [1, 1, 1]
+    assert per_index and set(per_index.values()) == {1}
+
+
+def _table_instruments():
+    ops = st.lists(crowded_operators() | signed_zero_operators(), min_size=1, max_size=3)
+    return ops.map(lambda ops: Instrument(tuple(enumerate(ops, 1))))
+
+
+# The column table sums each image in apply's order and takes each
+# probability by norm_sq's rule, so every bit, signed zeros included, is
+# apply's.
+@given(_table_instruments(), states())
+@settings(deadline=None, max_examples=300)
+def test_the_column_table_sums_each_image_as_apply_does(inst, psi):
+    probs, sums = sim._Columns(inst).born(psi)
+    assert list(probs) == list(sums) == list(inst.outcomes)
+    for label, op in inst.items():
+        want = oa.apply(op, psi)
+        prob = probs[label]
+        assert (bits(label, float(prob), StateVector._trusted(sums[label]))
+                == bits(label, float(want.norm_sq()), want))
+        assert type(prob) is type(want.norm_sq())
+
+
+def test_the_column_table_refuses_a_sum_that_is_not_finite():
+    inst = Instrument(((1, StructuredOperator((Dyad(1e308, 0, 0), Dyad(1e308, 0, 1)))),))
+    psi = StateVector({0: 1.0, 1: 1.0})
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        oa.apply(inst.operator(1), psi)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        sim._Columns(inst).born(psi)
+
+
+# From |0>, the probabilities are [1.0, 1e-16, 1e-16, 0].  Their sum() is
+# 1.0000000000000002 from Python 3.12, where sum() is compensated, while the
+# running sum ends at 1.0, so a uniform this close to 1 passes every running
+# sum.  math.fsum stands in for the compensated sum() on earlier Pythons.
+FALL_THROUGH = Instrument(((1, StructuredOperator((Dyad(1.0, 0, 0),))),
+                           (2, StructuredOperator((Dyad(1e-8, 1, 0),))),
+                           (3, StructuredOperator((Dyad(1e-8, 2, 0),))),
+                           (4, StructuredOperator((Family(1.0, 1, 3, 1, 1),)))))
+
+
+@pytest.mark.parametrize("total", [sum, math.fsum])
+@pytest.mark.parametrize("u", [0.9999999999999999, 0.9999999999999998])
+def test_a_uniform_past_every_running_sum_picks_an_outcome_that_can_occur(
+        monkeypatch, u, total):
+    monkeypatch.setattr(sim, "sum", total, raising=False)
+    monkeypatch.setattr(helpers, "sum", total, raising=False)
+    psi = StateVector.basis(0)
+    want = ref_select(FALL_THROUGH, psi, u, 1e-12)
+    assert want[0] in ((1, 3) if total is sum else (3,))
+    assert bits(*sim._select(sim._Columns(FALL_THROUGH), psi, u, 1e-12, {})) == bits(*want)
+    assert bits(*sim._measure(FALL_THROUGH, psi, u, 1e-12)) == bits(*want)
 
 
 # -- batched [seed, k] streams -------------------------------------------------
