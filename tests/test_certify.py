@@ -411,8 +411,9 @@ def test_diagonal_table_matches_a_scan_per_index_bit_for_bit(op):
     assert [v.hex() for v in cer._diagonal(op, n)] == [_diag_value(op, i).hex() for i in range(n)]
 
 
-# Counted: is_diagonal built each dense effect's point terms, 272 on this
-# file, only to find an off-diagonal entry that its kept block holds.
+# Counted: is_diagonal built each dense effect's point terms (273
+# Term._trusted calls on this file) only to find an off-diagonal entry
+# that its kept block holds.
 def test_classify_refuses_a_dense_effect_without_building_its_point_terms(monkeypatch):
     path = Path(__file__).parent / "sweep" / "dense16_0.instrument.json"
     pv = instrument_from_doc(json.loads(path.read_text()), check_completeness=False).povm()
