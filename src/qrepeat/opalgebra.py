@@ -467,12 +467,13 @@ def _finished(sums: dict[int, complex]) -> dict[int, complex]:
 
 
 def _norm_sq(amplitudes: Iterable[complex]) -> float:
-    """Sum of the squared moduli, in the order given; ValueError when it
-    passes the largest float.  ``sum`` is compensated from Python 3.12, so
-    its bits depend on the Python; every norm of a state is taken here, so
-    that every path has the same bits on each."""
+    """Sum of the squared moduli, in the order given, from ``0.0``, so that
+    no amplitudes give the float ``0.0``; ValueError when it passes the
+    largest float.  ``sum`` is compensated from Python 3.12, so its bits
+    depend on the Python; every norm of a state is taken here, so that
+    every path has the same bits on each."""
     try:
-        total = sum([abs(c) ** 2 for c in amplitudes])
+        total = sum([abs(c) ** 2 for c in amplitudes], 0.0)
     except OverflowError:  # a squared modulus past the largest float
         total = math.inf
     if total == math.inf:

@@ -12,23 +12,27 @@ draws are those of ``default_rng([seed, k])`` bit for bit.
 A trajectory step applies each outcome operator once
 (:func:`born_probabilities` keeps the images it computes) and normalizes
 the chosen image.  A statistics run (:func:`empirical_conditionals`)
-applies no operator: it keeps a column table for the call, which lists,
-for each basis index the batch reads, where every term of every outcome
-sends that index (``opalgebra._column``).  Each outcome's image is summed
-from the table in the order ``apply`` sums it, and its probability taken
-by the rule ``StateVector.norm_sq`` uses, so the bits are ``apply``'s.  A
-state is built only for the chosen image of each two-step trajectory's
-first selection; the second selection yields an outcome and its
-probability, no post-state.  Within one run the probabilities of a state
-and its normalized post-states are computed once per state object, while
-the sampler keeps returning that object, and reused with identical
-results.
+applies no operator and builds no state besides those its sampler draws.
+It keeps a column table for the call, which lists, for each basis index
+the batch reads, where every term of every outcome sends that index
+(``opalgebra._column``).  It selects a chunk of trajectories at a time,
+in three phases: it draws each trajectory's state and two uniforms, as a
+trajectory-by-trajectory run would; it selects every first outcome with
+arrays over the distinct drawn states; then every second outcome, over
+the distinct post-states ``(state, first outcome)``.  Each image is
+summed from the table in the order ``apply`` sums it and each
+probability taken by ``norm_sq``'s rule, so every bit is ``apply``'s,
+and the batch raises the error that the earliest failing trajectory
+would.  Consecutive draws of one state object share its selections.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,59 +260,291 @@ class ConditionalStats:
 
 class _Columns(dict):
     """An instrument's column table, kept for one statistics run: basis index
-    ``i`` -> ``(outcome position, row, coeff)`` for every term of every
-    outcome that holds column ``i``, in instrument order, then term order.
-    Each index is filled when first read."""
+    ``i`` -> its slot.  Slot ``s`` holds rows ``bounds[s]`` to ``bounds[s +
+    1]`` of ``rows``, one ``(outcome position, row, coeff)`` for every term
+    of every outcome that holds column ``i`` (``opalgebra._column``), in
+    instrument order, then term order.  Each index is filled when first
+    read; :meth:`arrays` gives the rows as arrays."""
 
-    __slots__ = ("labels", "terms")
+    __slots__ = ("terms", "bounds", "rows", "_arrays")
 
     def __init__(self, inst: Instrument):
         super().__init__()
-        self.labels = inst.outcomes
         self.terms = [op.terms for _, op in inst.items()]
+        self.bounds = [0]
+        self.rows: list[tuple[int, int, complex]] = []
+        self._arrays = None
 
-    def __missing__(self, i: int) -> list[tuple[int, int, complex]]:
-        column = self[i] = [(k, r, coeff) for k, terms in enumerate(self.terms)
-                            for r, coeff in oa._column(terms, i)]
-        return column
+    def __missing__(self, i: int) -> int:
+        self.rows += [(k, r, coeff) for k, terms in enumerate(self.terms)
+                      for r, coeff in oa._column(terms, i)]
+        self.bounds.append(len(self.rows))
+        self._arrays = None
+        slot = self[i] = len(self)
+        return slot
 
-    def born(self, psi: StateVector) -> tuple[dict[Outcome, float], dict[Outcome, dict]]:
-        """The Born probability of ``psi`` and the sums of its image, per
-        outcome in instrument order: ``apply``'s sums, in its order, and
-        ``norm_sq``'s probabilities of the states they finish to."""
-        sums = [{} for _ in self.terms]
-        for i, c in psi.items():
-            for k, r, coeff in self[i]:
-                image = sums[k]
-                image[r] = image.get(r, 0.0) + coeff * c
-        # an outcome that holds no column of psi has the empty sum, 0
-        probs = [oa._norm_sq(oa._finished(image).values()) if image else 0 for image in sums]
-        return dict(zip(self.labels, probs)), dict(zip(self.labels, sums))
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """``bounds`` and the rows' outcome positions, rows and the real and
+        imaginary parts of their coefficients."""
+        if self._arrays is None:
+            k, r, coeff = zip(*self.rows) if self.rows else ((), (), ())
+            coeff = np.array(coeff, dtype=complex)
+            self._arrays = (np.array(self.bounds), np.array(k, dtype=np.intp),
+                            oa._indices(r), coeff.real.copy(), coeff.imag.copy())
+        return self._arrays
 
 
-def _select(table: _Columns, psi: StateVector, u: float, tol: float,
-            memo: dict, post: bool = True):
-    """Inverse-CDF selection of one outcome for the uniform ``u``, read from
-    ``table``: its label, Born probability and normalized image, or with
-    ``post`` false only the label and probability, building no state.
+# A batch holds a set of states as flat entries: ``owner`` (the state of each
+# entry), ``idx`` and the real and imaginary parts of the amplitude, each
+# state's entries together, by ascending index, and the states in order.
 
-    ``memo`` maps a state to ``(probabilities, total, image sums,
-    post-states)``, ``post-states`` holding each normalized image once
-    computed.  A StateVector hashes by identity, so an entry keeps its
-    state alive and a fresh state equal to it misses.
+
+def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The positions ``lo[j]`` to ``lo[j] + n[j]``, for each ``j`` in turn."""
+    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+
+
+def _square(m: float) -> float:
+    try:
+        return m ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _squares(moduli: list[float]) -> list[float]:
+    """``m ** 2`` of each modulus, by Python's float power as ``_norm_sq``
+    takes it, and ``inf`` where that overflows, as ``_norm_sq`` reads it."""
+    try:
+        return [m ** 2 for m in moduli]
+    except OverflowError:
+        return [_square(m) for m in moduli]
+
+
+def _norms(moduli: np.ndarray, sizes: np.ndarray) -> list[float]:
+    """Per run of ``sizes[j]`` consecutive moduli, the ``sum`` of their
+    squares: ``_norm_sq``'s sum, in its order, on this Python (compensated
+    from 3.12).  An empty run gives ``0.0``; on a nonempty one, ``sum``
+    from ``0`` and from ``0.0`` agree."""
+    squares = iter(_squares(moduli.tolist()))
+    return [sum(islice(squares, n)) if n else 0.0 for n in sizes.tolist()]
+
+
+def _normalized(owner, idx, re, im, norms):
+    """The states, each divided by the square root of its ``norms`` entry as
+    ``StateVector.normalized`` divides a state, then finished as
+    ``_finished`` finishes it: ``0.0 +`` each part (on CPython 3.14 the real
+    part only), zeros dropped.  A state of norm exactly 1.0 keeps its bits,
+    as ``normalized`` keeps it: ``x / 1.0`` is ``x``, and the finish leaves
+    finished amplitudes as they are."""
+    n = np.sqrt(norms)[owner]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a norm of 0 is flagged
+        re = re / n + 0.0
+        im = im / n if oa._ADD_KEEPS_IMAG else im / n + 0.0
+    kept = (re != 0) | (im != 0)
+    return owner[kept], idx[kept], re[kept], im[kept]
+
+
+class _Born(NamedTuple):
+    """The Born distributions of a set of states.  ``probs[s, k]`` is the
+    probability of outcome position ``k`` on state ``s``, ``totals[s]`` the
+    ``sum`` of its row and ``bad[s]`` whether selecting on ``s`` raises.  The
+    finished image of ``s`` under ``k`` is ``sizes[s * outcomes + k]``
+    consecutive entries of ``rows``, ``re`` and ``im``, by ascending row."""
+
+    probs: np.ndarray
+    totals: np.ndarray
+    bad: np.ndarray
+    sizes: np.ndarray
+    rows: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+
+
+def _sums(table: _Columns, owner, idx, re, im):
+    """The summed images of a set of states: ``(group, row, re, im)`` per
+    image entry, where the group of state ``s`` under outcome position
+    ``k`` is ``s * outcomes + k``, ordered by group, then row.  Each product
+    of an amplitude and a table coefficient is formed in real arithmetic,
+    as CPython forms a complex product, and added to its entry in
+    ``apply``'s order (state, then outcome, then term) by ``np.add.at``,
+    which adds one at a time.  A sum starts at ``0.0`` in its real part;
+    its imaginary part follows ``0.0 + z``, which keeps the sign of a zero
+    there from CPython 3.14, so it starts at the additive identity ``-0.0``
+    on 3.14 and at ``0.0`` before."""
+    read, inverse = np.unique(idx, return_inverse=True)
+    slots = np.array([table[i] for i in read.tolist()], dtype=np.intp)[inverse]
+    bounds, out_k, out_row, cre, cim = table.arrays()
+    lo, n = bounds[slots], bounds[slots + 1] - bounds[slots]
+    entry = np.repeat(np.arange(len(idx)), n)
+    at = _ranges(lo, n)
+    ar, ai, br, bi = re[entry], im[entry], cre[at], cim[at]
+    rows, rank = np.unique(out_row[at], return_inverse=True)
+    span = max(len(rows), 1)
+    keys, cell = np.unique((owner[entry] * len(table.terms) + out_k[at]) * span + rank,
+                           return_inverse=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # _born flags them
+        sum_re = np.zeros(len(keys))
+        sum_im = np.full(len(keys), -0.0 if oa._ADD_KEEPS_IMAG else 0.0)
+        np.add.at(sum_re, cell, br * ar - bi * ai)
+        np.add.at(sum_im, cell, br * ai + bi * ar)
+    return keys // span, rows[keys % span], sum_re, sum_im
+
+
+def _born(table: _Columns, owner, idx, re, im, count: int, tol: float) -> _Born:
+    """The Born distributions of ``count`` states, with ``born_probabilities``'
+    bits: each image summed by ``_sums``, then finished as ``_finished``
+    finishes it and its probability taken by ``_norm_sq``'s rule.  A state
+    is bad when an image entry is not finite, an image's norm overflows or
+    the total is at most ``tol``: where ``born_probabilities`` or ``_pick``
+    raises."""
+    outcomes = len(table.terms)
+    group, rows, sum_re, sum_im = _sums(table, owner, idx, re, im)
+    sum_re += 0.0
+    if not oa._ADD_KEEPS_IMAG:
+        sum_im += 0.0
+    kept = (sum_re != 0) | (sum_im != 0)
+    group, rows, sum_re, sum_im = group[kept], rows[kept], sum_re[kept], sum_im[kept]
+    with np.errstate(over="ignore"):  # an overflowing modulus is flagged below
+        moduli = np.hypot(sum_re, sum_im)
+    sizes = np.bincount(group, minlength=count * outcomes)
+    probs = _norms(moduli, sizes)
+    totals = np.array([sum(probs[s * outcomes:(s + 1) * outcomes]) for s in range(count)])
+    probs = np.array(probs).reshape(count, outcomes)
+    bad = np.isinf(probs)
+    bad.flat[group[~(np.isfinite(sum_re) & np.isfinite(sum_im))]] = True
+    bad = bad.any(axis=1) | (totals <= tol)
+    return _Born(probs, totals, bad, sizes, rows, sum_re, sum_im)
+
+
+def _picks(born: _Born, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The outcome position ``_pick`` selects on ``state[t]`` for the uniform
+    ``u[t]``, for each ``t``.  ``np.cumsum`` along the outcomes is its
+    running sum; a target past every running sum falls through to the last
+    outcome of positive probability."""
+    probs = born.probs[state]
+    with np.errstate(invalid="ignore"):  # 0.0 * an overflowed total
+        target = u * born.totals[state]
+    hit = target[:, None] < np.cumsum(probs, axis=1)
+    pos = hit.argmax(axis=1)
+    fell = ~hit[np.arange(len(pos)), pos]
+    if fell.any():
+        pos[fell] = probs.shape[1] - 1 - (probs[fell, ::-1] > 0).argmax(axis=1)
+    return pos
+
+
+class _Chunk(NamedTuple):
+    """A chunk's selections, per trajectory: the outcome position and Born
+    probability of each selection, and the number of its first post-state
+    in ``posts``, the distinct first post-states as flat entries."""
+
+    first: np.ndarray
+    first_prob: np.ndarray
+    post: np.ndarray
+    posts: tuple[np.ndarray, ...]
+    second: np.ndarray
+    second_prob: np.ndarray
+
+
+def _replay(inst: Instrument, psi: StateVector, u1: float, u2: float, tol: float):
+    """Select one trajectory's two outcomes through ``_measure``, to raise
+    the error that its array selection found."""
+    _, _, phi = _measure(inst, psi.normalized(), u1, tol)
+    _measure(inst, phi, u2, tol)
+    raise AssertionError("the array selection refused a trajectory that _measure accepts")
+
+
+def _select_chunk(inst: Instrument, table: _Columns, drawn: list[StateVector],
+                  state: list[int], u1: list[float], u2: list[float], tol: float) -> _Chunk:
+    """Both selections of each trajectory of a chunk, where trajectory ``t``
+    drew ``drawn[state[t]]`` and the uniforms ``u1[t]`` and ``u2[t]``.
+
+    The first selection runs as arrays over the drawn states, normalized,
+    and the second over the distinct first post-states ``(state, first
+    outcome)``, built as no ``StateVector``.  When a trajectory's selection
+    would raise, the first such trajectory is replayed through ``_replay``.
     """
-    entry = memo.get(psi)
-    if entry is None:
-        probs, sums = table.born(psi)
-        entry = memo[psi] = (probs, sum(probs.values()), sums, {})
-    probs, total, sums, posts = entry
-    label = _pick(probs, total, u, tol)
-    if not post:
-        return label, probs[label]
-    phi = posts.get(label)
-    if phi is None:
-        phi = posts[label] = StateVector._trusted(sums[label]).normalized()
-    return label, probs[label], phi
+    amp_idx: list[int] = []
+    amps: list[complex] = []
+    for psi in drawn:
+        amp_idx += psi._amp
+        amps += psi._amp.values()
+    sizes = np.array([len(psi) for psi in drawn])
+    amps = np.array(amps, dtype=complex)
+    with np.errstate(over="ignore"):  # an overflowed norm is flagged below
+        norms = _norms(np.hypot(amps.real, amps.imag), sizes)
+    first = _born(table, *_normalized(np.repeat(np.arange(len(drawn)), sizes),
+                                      oa._indices(amp_idx), amps.real,
+                                      amps.imag, norms),
+                  len(drawn), tol)
+    norms = np.array(norms)
+    state = np.array(state, dtype=np.intp)
+    bad = (first.bad | (norms == 0) | np.isinf(norms))[state]
+    stop = int(bad.argmax()) if bad.any() else len(state)
+    if stop == 0:
+        _replay(inst, drawn[state[0]], u1[0], u2[0], tol)
+    ok = state[:stop]
+    first_pos = _picks(first, ok, np.array(u1[:stop]))
+    outcomes = len(table.terms)
+    groups, post = np.unique(ok * outcomes + first_pos, return_inverse=True)
+    n = first.sizes[groups]
+    at = _ranges((np.cumsum(first.sizes) - first.sizes)[groups], n)
+    posts = _normalized(np.repeat(np.arange(len(groups)), n), first.rows[at],
+                        first.re[at], first.im[at], first.probs.ravel()[groups])
+    second = _born(table, *posts, len(groups), tol)
+    bad = second.bad[post]
+    if bad.any():
+        stop = int(bad.argmax())
+    if stop < len(state):
+        _replay(inst, drawn[state[stop]], u1[stop], u2[stop], tol)
+    second_pos = _picks(second, post, np.array(u2))
+    return _Chunk(first_pos, first.probs[ok, first_pos], post, posts,
+                  second_pos, second.probs[post, second_pos])
+
+
+def _selections(inst: Instrument, state_sampler, trajectories: int, seed: int, tol: float):
+    """The ``_Chunk`` of each ``_CHUNK`` of trajectories in turn.  Trajectory
+    ``k`` loads the stream of ``default_rng([seed, k])``, calls the sampler
+    and draws its two uniforms; consecutive draws of one state object
+    share its selections.  A sampler that raises at trajectory ``k`` ends
+    the batch after the chunk's earlier trajectories are selected, so an
+    error of theirs is raised first, as a trajectory-by-trajectory run
+    would."""
+    table = _Columns(inst)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    # a fresh PCG64 has no buffered 32-bit half, so neither may the reused one
+    fresh = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    streams = _streams(seed, 0, trajectories)
+    for _ in range(0, trajectories, _CHUNK):
+        drawn: list[StateVector] = []
+        state: list[int] = []
+        u1: list[float] = []
+        u2: list[float] = []
+        failure = None
+        for pcg["state"], pcg["inc"] in islice(streams, _CHUNK):
+            bit_generator.state = fresh
+            try:
+                psi = state_sampler(rng)
+            except Exception as exc:
+                failure = exc
+                break
+            if not drawn or psi is not drawn[-1]:
+                drawn.append(psi)
+            state.append(len(drawn) - 1)
+            u1.append(rng.random())
+            u2.append(rng.random())
+        if state:
+            yield _select_chunk(inst, table, drawn, state, u1, u2, tol)
+        if failure is not None:
+            raise failure
+
+
+def _tally(keys: np.ndarray):
+    """``(key, count)`` of each distinct key, in order of first occurrence."""
+    keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return zip(keys[order].tolist(), counts[order].tolist())
 
 
 def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
@@ -323,28 +559,15 @@ def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
     """
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
-    tol = current().tolerance
+    labels = inst.outcomes
     first_counts: dict[Outcome, int] = {}
     counts: dict[tuple[Outcome, Outcome], int] = {}
-    table = _Columns(inst)
-    memo: dict = {}  # Born distributions of the current sample and its post-states
-    sample = object()  # no sampler returns this, so the first draw is new
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    pcg = {"state": 0, "inc": 0}
-    # a fresh PCG64 has no buffered 32-bit half, so neither may the reused one
-    fresh = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for state, inc in _streams(seed, 0, trajectories):
-        pcg["state"], pcg["inc"] = state, inc
-        bit_generator.state = fresh
-        drawn = state_sampler(rng)
-        if drawn is not sample:
-            sample, psi = drawn, drawn.normalized()
-            memo.clear()
-        e, _, phi = _select(table, psi, rng.random(), tol, memo)
-        f, _ = _select(table, phi, rng.random(), tol, memo, False)
-        first_counts[e] = first_counts.get(e, 0) + 1
-        counts[(e, f)] = counts.get((e, f), 0) + 1
+    for chunk in _selections(inst, state_sampler, trajectories, seed, current().tolerance):
+        for e, n in _tally(chunk.first):
+            first_counts[labels[e]] = first_counts.get(labels[e], 0) + n
+        for key, n in _tally(chunk.first * len(labels) + chunk.second):
+            pair = labels[key // len(labels)], labels[key % len(labels)]
+            counts[pair] = counts.get(pair, 0) + n
     return ConditionalStats(trajectories, first_counts, counts)
 
 

@@ -649,8 +649,9 @@ def states(draw, max_index=12):
 # The sampling algorithm in its first, plain form: every image and every
 # normalized state goes through the validating StateVector constructor, the
 # probabilities take one apply per outcome, and the chosen post-state a
-# second apply.  The library's one-pass, memoized path must match it bit
-# for bit under the same seeding contract.
+# second apply.  The library's trajectories and its array selection in
+# statistics batches must match it bit for bit under the same seeding
+# contract.
 
 
 def ref_apply(op, psi):

@@ -169,7 +169,7 @@ def test_empirical_conditionals_requires_work():
                                trajectories=0, seed=0)
 
 
-# -- the one-pass, memoized selection against the reference sampler ----------
+# -- the array selection against the reference sampler ------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
 SAMPLED = {
@@ -187,35 +187,53 @@ SAMPLERS = {
 }
 
 
-def _recorded_conditionals(monkeypatch, inst, sampler, trajectories, seed):
-    """Run empirical_conditionals, also returning every selection it made."""
-    selections = []
-    select = sim._select
+def _chunk_bits(inst, chunk):
+    """Each trajectory's selections in a chunk: ``bits`` of the first, with
+    its post-state, and the outcome and probability bits of the second."""
+    labels = inst.outcomes
+    owner, idx, re, im = (a.tolist() for a in chunk.posts)
+    posts = {}
+    for p, i, r, m in zip(owner, idx, re, im):
+        posts.setdefault(p, []).append((i, r.hex(), m.hex()))
+    out = []
+    for e, pe, p, f, pf in zip(chunk.first.tolist(), chunk.first_prob.tolist(),
+                               chunk.post.tolist(), chunk.second.tolist(),
+                               chunk.second_prob.tolist()):
+        out.append(((labels[e], pe.hex(), tuple(posts.get(p, ()))), (labels[f], pf.hex())))
+    return out
+
+
+def _recorded_conditionals(inst, sampler, trajectories, seed):
+    """Run empirical_conditionals, also returning the selections of each
+    trajectory, from the batch's own record of each chunk."""
+    chunks = []
+    selections = sim._selections
 
     def recording(*args):
-        out = select(*args)
-        selections.append(out)
-        return out
+        for chunk in selections(*args):
+            chunks.append(chunk)
+            yield chunk
 
-    monkeypatch.setattr(sim, "_select", recording)
-    return empirical_conditionals(inst, sampler, trajectories, seed), selections
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_selections", recording)
+        stats = empirical_conditionals(inst, sampler, trajectories, seed)
+    return stats, [s for chunk in chunks for s in _chunk_bits(inst, chunk)]
 
 
-def _assert_matches_reference(monkeypatch, inst, sampler, trajectories=300, seed=5):
-    stats, got = _recorded_conditionals(monkeypatch, inst, sampler, trajectories, seed)
+def _assert_matches_reference(inst, sampler, trajectories=300, seed=5):
+    stats, got = _recorded_conditionals(inst, sampler, trajectories, seed)
     first_counts, counts, want = ref_conditionals(inst, sampler, trajectories, seed)
     assert stats.first_counts == first_counts and stats.counts == counts
     # the second selection of a trajectory builds no post-state: its outcome
     # and probability bits are compared
-    assert [bits(*s) for s in got[::2]] == [bits(*s) for s in want[::2]]
-    assert ([(f, p.hex()) for f, p in got[1::2]]
-            == [(f, p.hex()) for f, p, _ in want[1::2]])
+    assert got == [(bits(*first), (f, pf.hex()))
+                   for first, (f, pf, _) in zip(want[::2], want[1::2])]
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS)
 @pytest.mark.parametrize("name", SAMPLED)
-def test_conditionals_match_the_reference_sampler_bit_for_bit(monkeypatch, name, sampler):
-    _assert_matches_reference(monkeypatch, SAMPLED[name], SAMPLERS[sampler]())
+def test_conditionals_match_the_reference_sampler_bit_for_bit(name, sampler):
+    _assert_matches_reference(SAMPLED[name], SAMPLERS[sampler]())
 
 
 @pytest.mark.parametrize("name", SAMPLED)
@@ -234,15 +252,22 @@ def test_trajectories_match_the_reference_sampler_bit_for_bit(name):
                 *ref_select(inst, ref_normalized(psi), u, 1e-12))
 
 
-def test_memo_is_not_fooled_by_a_fresh_equal_state(monkeypatch):
-    _assert_matches_reference(monkeypatch, EX, lambda rng: StateVector({0: 0.6, 1: 0.8}))
+# Consecutive draws of one state object share its selections; a fresh state
+# equal to the last one is a new draw.
+def test_memo_is_not_fooled_by_a_fresh_equal_state():
+    _assert_matches_reference(EX, lambda rng: StateVector({0: 0.6, 1: 0.8}))
 
 
-# A memo that keyed on id() without holding the state would, once a state is
-# freed, hand its transitions to a new object at the same address.  Runs of
-# one, two and three draws give the allocator different reuse patterns.
+# Indices past 2**63 stay Python ints, as numpy would round them as float64.
+def test_a_batch_keeps_indices_past_two_to_the_63_exact():
+    far = 2**64 + 1
+    _assert_matches_reference(EX, fixed_state_sampler(StateVector({0: 0.6, far: 0.8})), 50)
+    _assert_matches_reference(EX, fixed_state_sampler(StateVector({far - 2: 0.6, far: 0.8})), 50)
+
+
+# Runs of one, two and three draws of each of two states.
 @pytest.mark.parametrize("run", [1, 2, 3])
-def test_memo_follows_a_sampler_that_alternates_two_states(monkeypatch, run):
+def test_memo_follows_a_sampler_that_alternates_two_states(run):
     states = (StateVector({0: 0.6, 1: 0.8}), StateVector({0: 0.8, 3: -0.6j}))
     calls = []
 
@@ -250,63 +275,158 @@ def test_memo_follows_a_sampler_that_alternates_two_states(monkeypatch, run):
         calls.append(None)
         return states[len(calls) // run % 2]
 
-    _assert_matches_reference(monkeypatch, EX, alternating)
+    _assert_matches_reference(EX, alternating)
 
 
-# Counted, not timed: without the memo every two-step trajectory computes
-# the Born distribution of its drawn state and of its post-state, 2,000
-# computations for 1,000 trajectories, and without the table each one scans
-# every term for every amplitude.
+# Counted, not timed: a batch computes the Born distribution of each distinct
+# state once, here |0> and the post-state of each of the two outcomes, where
+# a trajectory-by-trajectory run computes 2,000 for 1,000 trajectories; and
+# it fills the column of each basis index once.
 def test_conditionals_on_a_fixed_state_compute_each_transition_once(monkeypatch):
-    born, fill = sim._Columns.born, sim._Columns.__missing__
-    per_state, per_index, held = {}, {}, []
+    born, fill = sim._born, sim._Columns.__missing__
+    per_call, per_index = [], {}
 
-    def counted_born(table, psi):
-        held.append(psi)  # so no two counted states share an id
-        per_state[id(psi)] = per_state.get(id(psi), 0) + 1
-        return born(table, psi)
+    def counted_born(table, owner, idx, re, im, count, tol):
+        per_call.append(count)
+        return born(table, owner, idx, re, im, count, tol)
 
     def counted_fill(table, i):
         per_index[i] = per_index.get(i, 0) + 1
         return fill(table, i)
 
-    monkeypatch.setattr(sim._Columns, "born", counted_born)
+    monkeypatch.setattr(sim, "_born", counted_born)
     monkeypatch.setattr(sim._Columns, "__missing__", counted_fill)
     empirical_conditionals(EX, fixed_state_sampler(StateVector.basis(0)),
                            trajectories=1000, seed=0)
-    # |0> and the post-state of each of the two outcomes
-    assert sorted(per_state.values()) == [1, 1, 1]
+    # |0>, then the post-states of its two outcomes
+    assert per_call == [1, 2]
     assert per_index and set(per_index.values()) == {1}
 
 
-def _table_instruments():
+def _table_instruments(unread=st.booleans()):
+    """Instruments of one to three crowded or signed-zero outcomes, and, when
+    ``unread`` draws true, an outcome on a column no drawn state reaches, so
+    its image is empty."""
     ops = st.lists(crowded_operators() | signed_zero_operators(), min_size=1, max_size=3)
-    return ops.map(lambda ops: Instrument(tuple(enumerate(ops, 1))))
+    never = StructuredOperator((Dyad(1.0, 0, 50),))
+    return st.builds(lambda ops, extra: Instrument(tuple(enumerate(ops + [never] * extra, 1))),
+                     ops, unread)
 
 
-# The column table sums each image in apply's order and takes each
-# probability by norm_sq's rule, so every bit, signed zeros included, is
-# apply's.
+def _born_of(inst, psi):
+    """The array Born distribution of ``psi`` alone."""
+    amps = np.array([c for _, c in psi.items()], dtype=complex)
+    return sim._born(sim._Columns(inst), np.zeros(len(psi), dtype=np.intp),
+                     np.array(psi.support(), dtype=np.int64), amps.real.copy(),
+                     amps.imag.copy(), 1, 1e-12)
+
+
+def _born_bits(inst, psi):
+    """``bits`` of each outcome's probability and finished image, from the
+    array path and from ``apply``, in instrument order."""
+    born = _born_of(inst, psi)
+    rows, re, im = born.rows.tolist(), born.re.tolist(), born.im.tolist()
+    got, want, at = [], [], 0
+    for k, (label, op) in enumerate(inst.items()):
+        n = int(born.sizes[k])
+        got.append((label, float(born.probs[0, k]).hex(),
+                    tuple((i, r.hex(), m.hex())
+                          for i, r, m in zip(rows[at:at + n], re[at:at + n], im[at:at + n]))))
+        at += n
+        image = oa.apply(op, psi)
+        assert type(image.norm_sq()) is float
+        want.append(bits(label, image.norm_sq(), image))
+    return got, want
+
+
+# The array path sums each image in apply's order and takes each probability
+# by norm_sq's rule, so every bit, signed zeros included, is apply's.
 @given(_table_instruments(), states())
 @settings(deadline=None, max_examples=300)
 def test_the_column_table_sums_each_image_as_apply_does(inst, psi):
-    probs, sums = sim._Columns(inst).born(psi)
-    assert list(probs) == list(sums) == list(inst.outcomes)
-    for label, op in inst.items():
-        want = oa.apply(op, psi)
-        prob = probs[label]
-        assert (bits(label, float(prob), StateVector._trusted(sums[label]))
-                == bits(label, float(want.norm_sq()), want))
-        assert type(prob) is type(want.norm_sq())
+    got, want = _born_bits(inst, psi)
+    assert got == want
 
 
 def test_the_column_table_refuses_a_sum_that_is_not_finite():
-    inst = Instrument(((1, StructuredOperator((Dyad(1e308, 0, 0), Dyad(1e308, 0, 1)))),))
-    psi = StateVector({0: 1.0, 1: 1.0})
+    inst = Instrument(((1, StructuredOperator((Dyad(1.7e308, 0, 0), Dyad(1.7e308, 0, 1)))),))
+    psi = StateVector({0: 1.0, 1: 1.0}).normalized()
     with pytest.raises(ValueError, match="coefficients must be finite"):
         oa.apply(inst.operator(1), psi)
+    assert _born_of(inst, psi).bad.tolist() == [True]
     with pytest.raises(ValueError, match="coefficients must be finite"):
-        sim._Columns(inst).born(psi)
+        empirical_conditionals(inst, fixed_state_sampler(psi), 3, 0)
+
+
+# Each bit hazard of the array path, against apply and norm_sq: a case
+# where the hazard changes a bit, so that each would fail on its own.
+R = 1 / math.sqrt(2)
+HAZARDS = {
+    # three products in one entry, whose sum depends on its order, the
+    # state's: (1 + 1e-16) + 1e-16 is 1.0, 1 + (1e-16 + 1e-16) is not
+    "order": (Instrument(((1, StructuredOperator((Dyad(1.0, 0, 0), Dyad(1e-16, 0, 1),
+                                                  Dyad(1e-16, 0, 2)))),)),
+              StateVector({0: 1.0, 1: 1.0, 2: 1.0})),
+    # (-2+0j) * (-3+0j) is 6-0j: the imaginary sum keeps -0.0 on CPython 3.14
+    "signed zero": (Instrument(((1, StructuredOperator((Dyad(-2.0, 0, 0),))),)),
+                    StateVector({0: -3.0})),
+    # a complex product formed in real arithmetic, with cancellation
+    "product": (Instrument(((1, StructuredOperator((Dyad(complex(R, 1 / 3), 0, 0),))),)),
+                StateVector({0: complex(1 / 3, -R)})),
+    # a modulus whose ** 2, libm's pow, differs from its x * x (np.square's)
+    # in the last bit, at least with glibc's pow
+    "square": (Instrument(((1, StructuredOperator((Dyad(1.0, 0, 0),))),)),
+               StateVector({0: 0.633541589146366})),
+    # squared moduli whose sum is compensated from Python 3.12
+    "sum": (Instrument(((1, StructuredOperator((Dyad(1.0, 0, 0), Dyad(1e-8, 1, 1),
+                                                Dyad(1e-8, 2, 2)))),)),
+            StateVector({0: 1.0, 1: 1.0, 2: 1.0})),
+    # a square that overflows: the norm is too large
+    "overflow": (Instrument(((1, StructuredOperator((Dyad(1e200, 0, 0),))),)),
+                 StateVector({0: 1.0})),
+}
+
+
+@pytest.mark.parametrize("name", HAZARDS)
+def test_each_bit_hazard_of_the_array_path_keeps_applys_bits(name):
+    inst, psi = HAZARDS[name]
+    if name == "overflow":
+        with pytest.raises(ValueError, match="too large"):
+            oa.apply(inst.operator(1), psi).norm_sq()
+        assert _born_of(inst, psi).bad.tolist() == [True]
+        return
+    got, want = _born_bits(inst, psi)
+    assert got == want
+
+
+# normalized() divides each part by the norm, stores 0.0 + c, drops what
+# underflows to zero and keeps a state of norm exactly 1.0 as it is.
+NORMALIZED = [StateVector({0: 0.6, 1: -0.8j}), StateVector({0: 1e150, 1: 5e-324}),
+              StateVector({0: 3.0, 2: complex(4.0, -1e-310)}), StateVector({3: -1.0}),
+              StateVector({0: complex(0.0, -R), 1: complex(-R, 0.0)}),
+              StateVector({0: complex(1.0, -0.0)})]
+
+
+@pytest.mark.parametrize("psi", NORMALIZED, ids=range(len(NORMALIZED)))
+def test_the_array_normalization_is_normalizeds(psi):
+    amps = np.array([c for _, c in psi.items()], dtype=complex)
+    moduli = np.hypot(amps.real, amps.imag)
+    norms = sim._norms(moduli, np.array([len(psi)]))
+    assert norms[0].hex() == psi.norm_sq().hex()
+    owner, idx, re, im = sim._normalized(np.zeros(len(psi), dtype=np.intp),
+                                         np.array(psi.support()), amps.real, amps.imag, norms)
+    want = psi.normalized()
+    assert (tuple(zip(idx.tolist(), map(float.hex, re.tolist()), map(float.hex, im.tolist())))
+            == bits(None, 0.0, want)[2])
+
+
+def test_empty_images_have_probability_zero_as_a_float():
+    probs = born_probabilities(EX, StateVector.basis(1))
+    assert [(label, p.hex()) for label, p in probs.items()] == [(1, "0x1.0000000000000p+0"),
+                                                                (2, "0x0.0p+0")]
+    assert type(StateVector({}).norm_sq()) is float
+    got, want = _born_bits(EX, StateVector.basis(1))
+    assert got == want
 
 
 # From |0>, the probabilities are [1.0, 1e-16, 1e-16, 0].  Their sum() is
@@ -328,8 +448,118 @@ def test_a_uniform_past_every_running_sum_picks_an_outcome_that_can_occur(
     psi = StateVector.basis(0)
     want = ref_select(FALL_THROUGH, psi, u, 1e-12)
     assert want[0] in ((1, 3) if total is sum else (3,))
-    assert bits(*sim._select(sim._Columns(FALL_THROUGH), psi, u, 1e-12, {})) == bits(*want)
+    chunk = sim._select_chunk(FALL_THROUGH, sim._Columns(FALL_THROUGH), [psi], [0], [u], [u],
+                              1e-12)
+    assert _chunk_bits(FALL_THROUGH, chunk)[0][0] == bits(*want)
     assert bits(*sim._measure(FALL_THROUGH, psi, u, 1e-12)) == bits(*want)
+
+
+# A batch draws a chunk's states before it selects any, yet raises what a
+# trajectory-by-trajectory run raises first: the error of the earliest
+# trajectory, and within one the first selection's before the second's.
+# Outcome 1 sends |0> to |5>, on which nothing acts (the second selection
+# finds no probability), and |1> to 1e200|7>, whose norm overflows (the
+# first selection fails); outcome 2 keeps |2>.
+ERRORS = Instrument(((1, StructuredOperator((Dyad(1.0, 5, 0), Dyad(1e200, 7, 1)))),
+                     (2, StructuredOperator((Dyad(1.0, 2, 2),)))))
+
+
+class SamplerFailed(Exception):
+    pass
+
+
+def _scripted(script):
+    """A sampler returning the states of ``script`` in turn, raising where
+    it holds None."""
+    calls = []
+
+    def sampler(rng):
+        calls.append(None)
+        psi = script[len(calls) - 1]
+        if psi is None:
+            raise SamplerFailed(len(calls) - 1)
+        return psi
+    return sampler
+
+
+KEPT, LOST, HUGE = StateVector.basis(2), StateVector.basis(0), StateVector.basis(1)
+
+
+@pytest.mark.parametrize("script, error, match", [
+    ([KEPT] * 3 + [LOST, KEPT, None], DegenerateState, "vanished"),
+    ([KEPT, HUGE, LOST, None], ValueError, "too large"),
+    ([KEPT, LOST, HUGE, None], DegenerateState, "vanished"),
+    ([KEPT] * 4 + [None], SamplerFailed, "4"),
+])
+def test_a_batch_raises_the_error_of_its_earliest_failing_trajectory(script, error, match):
+    n = len(script)
+    with pytest.raises(error, match=match) as want:
+        ref_conditionals(ERRORS, _scripted(script), n, 0)
+    with pytest.raises(error, match=match) as got:
+        empirical_conditionals(ERRORS, _scripted(script), n, 0)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+# The reference sampler's normalization passes an empty state on; the
+# library's refuses it, before that trajectory's selections.
+def test_a_batch_refuses_a_drawn_zero_vector_as_normalized_does():
+    with pytest.raises(ValueError) as want:
+        StateVector({}).normalized()
+    with pytest.raises(ValueError) as got:
+        empirical_conditionals(ERRORS, _scripted([KEPT, StateVector({}), LOST, None]), 4, 0)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_batch_on_an_instrument_without_outcomes_raises_as_a_trajectory_does():
+    with pytest.raises(DegenerateState) as want:
+        measure_once(Instrument(()), StateVector.basis(0), 0)
+    with pytest.raises(DegenerateState) as got:
+        empirical_conditionals(Instrument(()), fixed_state_sampler(StateVector.basis(0)), 3, 0)
+    assert str(got.value) == str(want.value)
+
+
+def _samplers(draw):
+    """A maker of new samplers: random, fixed, alternating two objects, or
+    returning a fresh state equal to the last."""
+    kind = draw(st.sampled_from(["random", "fixed", "alternating", "fresh"]))
+    if kind == "random":
+        sampler = random_state_sampler(draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+        return lambda: sampler
+    a, b = draw(states()), draw(states())
+    if kind == "fixed":
+        return lambda: fixed_state_sampler(a)
+    if kind == "fresh":
+        return lambda: lambda rng: StateVector(dict(a.items()))
+    run = draw(st.integers(1, 3))
+
+    def alternating():
+        calls = []
+
+        def sampler(rng):
+            calls.append(None)
+            return (a, b)[len(calls) // run % 2]
+        return sampler
+    return alternating
+
+
+# The batch against the reference sampler on drawn instruments and samplers:
+# both selections' outcome and probability bits, the first post-state's
+# amplitudes with signed zeros, and the error, when one is raised.
+@given(_table_instruments(), st.data(), st.integers(1, 40), st.integers(0, 3))
+@settings(deadline=None, max_examples=150)
+def test_a_batch_matches_the_reference_sampler_on_drawn_instruments(inst, data, n, seed):
+    sampler = _samplers(data.draw)
+    try:
+        first_counts, counts, want = ref_conditionals(inst, sampler(), n, seed)
+    except (ValueError, DegenerateState) as exc:
+        with pytest.raises(type(exc)) as got:
+            empirical_conditionals(inst, sampler(), n, seed)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    stats, got = _recorded_conditionals(inst, sampler(), n, seed)
+    assert stats.first_counts == first_counts and stats.counts == counts
+    assert got == [(bits(*first), (f, pf.hex()))
+                   for first, (f, pf, _) in zip(want[::2], want[1::2])]
 
 
 # -- batched [seed, k] streams -------------------------------------------------
@@ -365,12 +595,12 @@ def test_streams_reject_a_negative_seed_as_numpy_does():
 # The reused Generator must start every trajectory like a fresh one: a 32-bit
 # draw leaves half of a 64-bit output buffered, which must not leak into the
 # next trajectory.
-def test_a_sampler_that_buffers_32_bits_matches_the_reference(monkeypatch):
+def test_a_sampler_that_buffers_32_bits_matches_the_reference():
     def buffered(rng):
         rng.integers(0, 7, dtype=np.int32)
         return oa.random_state(rng, 32, 8)
 
-    _assert_matches_reference(monkeypatch, SAMPLED["binary"], buffered)
+    _assert_matches_reference(SAMPLED["binary"], buffered)
 
 
 # Counted: a batch normalizes each drawn state and its first post-state, not
