@@ -26,16 +26,16 @@ answered exactly by one term index (``_term_index``).  ``compose``, ``is_monomia
 operators, so :mod:`qrepeat.certify` composes only the outcome pairs whose terms meet.
 
 Dense point blocks stay arrays.  An operator keeps what ``compose``'s
-numpy kernel reads: its progressions, its points' counts per row and
-column, and, once a product pays for the kernel, its point block.  A
-block operator (``_BlockOperator``) holds all three from the start and
-builds its point terms only when they are read: a kernel product, an
-operator summed from a dense table (``_from_sums``, which the instrument
-parser calls) and the adjoint of either.  ``max_deviation`` compares
-blocks where an operand holds one, and ``is_monomial``, ``_followers``
-and ``operator_norm`` read the kept counts, not the points.  ``adjoint``
-keeps the adjoint it builds on the operator.  None of this changes a bit
-of any result.
+numpy kernel reads: its progressions and its points' counts per row and
+column.  Only a block operator (``_BlockOperator``) holds a point block,
+from the start, and builds its point terms only when they are read: a
+kernel product, an operator summed from a dense table (``_from_sums``,
+which the instrument parser calls) and the adjoint of either.
+``max_deviation`` compares blocks where an operand holds one, and
+``is_monomial``, ``_followers`` and ``operator_norm`` read the kept
+counts, not the points.  ``adjoint`` keeps the adjoint it builds on the
+operator.  Each bit rule of the arrays has one helper: ``_moduli``,
+``_plus_zero`` and ``_squares``.  None of this changes a bit of any result.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class StructuredOperator:
     # caches, unset until first read and read with a plain getattr: what
     # compose and max_deviation read (filled through _kept), and the adjoint,
     # kept by adjoint under the tolerance the terms are canonical under.
-    __slots__ = ("terms", "_tol", "_progs", "_counts", "_block", "_adj")
+    __slots__ = ("terms", "_tol", "_progs", "_counts", "_adj")
 
     def __init__(self, terms: Iterable[Term] = ()):
         object.__setattr__(self, "_tol", current().tolerance)
@@ -472,13 +472,34 @@ def _norm_sq(amplitudes: Iterable[complex]) -> float:
     largest float.  ``sum`` is compensated from Python 3.12, so its bits
     depend on the Python; every norm of a state is taken here, so that
     every path has the same bits on each."""
-    try:
-        total = sum([abs(c) ** 2 for c in amplitudes], 0.0)
-    except OverflowError:  # a squared modulus past the largest float
-        total = math.inf
+    total = sum(_squares(amplitudes), 0.0)
     if total == math.inf:
         raise ValueError("state norm is too large to represent")
     return total
+
+
+def _squares(values: Iterable[complex]) -> list[float]:
+    """``abs(v) ** 2`` of each value, by Python's float power, and ``inf``
+    where that overflows.  When one overflows, ``values`` is read a second
+    time, so it is a list or a dict view."""
+    try:
+        return [abs(v) ** 2 for v in values]
+    except OverflowError:  # a square past the largest float
+        out = []
+        for v in values:
+            try:
+                out.append(abs(v) ** 2)
+            except OverflowError:
+                out.append(math.inf)
+        return out
+
+
+def _moduli(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``abs`` of each ``re + i*im`` with its bits, ``np.hypot`` of the parts
+    (numpy's complex ``abs`` differs in the last bit); ``inf`` where it
+    overflows, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.hypot(re, im)
 
 
 def random_state(rng: np.random.Generator, max_index: int, max_support: int = 8) -> StateVector:
@@ -546,7 +567,7 @@ def adjoint(op: StructuredOperator) -> StructuredOperator:
     adj = getattr(op, "_adj", None)
     if adj is not None:
         return adj
-    held = getattr(op, "_block", None)
+    held = getattr(op, "_block", None)  # only a block operator holds one
     flipped = sorted(
         (Term._trusted(0.0 + t.coeff.conjugate(), t.in_stride, t.in_offset, t.out_stride,
                        t.out_offset, t.length)
@@ -568,12 +589,17 @@ def adjoint(op: StructuredOperator) -> StructuredOperator:
 _ADD_KEEPS_IMAG = math.copysign(1.0, (0.0 + complex(1.0, -0.0)).imag) < 0
 
 
+def _plus_zero(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of ``0.0 + z`` for each ``z = re + i*im`` on this Python,
+    which from CPython 3.14 keeps the imaginary part as it is."""
+    return re + 0.0, im if _ADD_KEEPS_IMAG else im + 0.0
+
+
 def _adjoint_block(block: np.ndarray) -> np.ndarray:
     """The conjugate transpose of ``block``, each entry ``0.0 + conj(c)`` as
     ``adjoint`` stores a flipped term's coefficient on this Python."""
     out = np.empty(block.shape[::-1], dtype=complex)
-    out.real = block.real.T + 0.0
-    out.imag = np.negative(block.imag.T) if _ADD_KEEPS_IMAG else 0.0 - block.imag.T
+    out.real, out.imag = _plus_zero(block.real.T, np.negative(block.imag.T))
     return out
 
 
@@ -718,7 +744,10 @@ def _indices(values: list[int]) -> np.ndarray:
 
 
 def _point_block(op: StructuredOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_table`` of ``op``'s points, read from its terms."""
+    """``op``'s point table: a block operator's own block, else ``_table`` of
+    its points, read from its terms and not kept."""
+    if type(op) is _BlockOperator:
+        return op._block
     points = [t for t in op.terms if t.length == 1]
     return _table([t.out_offset for t in points], [t.in_offset for t in points],
                   [t.coeff for t in points])
@@ -731,12 +760,12 @@ def _on_progression(indices: Iterable[int], progressions: list[tuple[int, int]])
 
 # -- what an operator keeps for the dense kernel --------------------------
 #
-# Each is read with a plain getattr and filled from the terms on first read
-# (_kept), except on a block operator, which is made holding all three and
-# fills its terms from them.  The progressions and the point counts are
-# always kept together, so reading one through _kept keeps the other.  An
-# unset slot, and a block operator's __getattr__ for any name but "terms",
-# raise AttributeError: None is read.
+# The progressions and the point counts are read with a plain getattr and
+# filled from the terms on first read (_kept), except on a block operator,
+# which is made holding both and its block, and fills its terms from them.
+# The two are always kept together, so reading one through _kept keeps the
+# other.  An unset slot, and a block operator's __getattr__ for
+# any name but "terms", raise AttributeError: None is read.
 
 
 def _split(op: StructuredOperator) -> None:
@@ -764,7 +793,7 @@ class _BlockOperator(StructuredOperator):
     because a class with ``__getattr__`` reads every attribute, slots
     included, more slowly."""
 
-    __slots__ = ()
+    __slots__ = ("_block",)
 
     def __getattr__(self, name):
         # reached only when normal lookup fails: unbuilt terms, or no such name
@@ -796,12 +825,8 @@ def _kept(op: StructuredOperator, name: str):
     """What ``op`` keeps in slot ``name``, filled from its terms on first read."""
     value = getattr(op, name, None)
     if value is None:
-        if name == "_block":
-            value = _point_block(op)
-            _setattr(op, name, value)
-        else:
-            _split(op)
-            value = getattr(op, name)
+        _split(op)
+        value = getattr(op, name)
     return value
 
 
@@ -817,11 +842,12 @@ def _term_count(op: StructuredOperator) -> int:
 # column k) * (b's points in row k).  It runs when the matching pairs
 # number at least _KERNEL_MIN_PAIRS and fill at least 1/_KERNEL_FILL of
 # rows * inner * cols; _kernel_pays gives the timings behind both.  The
-# counts it reads and each factor's block are built once per operator and
-# kept; the product keeps its own block, and its point terms are built
-# only when read (_finish_block), so a chain of kernel products and the
-# max_deviation that decides it stay arrays.  An operator parsed from a
-# table as dense keeps its block from the start (_from_sums).
+# counts it reads are kept per operator, and a factor's block is built from
+# its terms unless it holds one (_point_block).  The product holds its own
+# block, and its point terms are built only when read (_finish_block), so a
+# chain of kernel products and the max_deviation that decides it stay
+# arrays.  An operator parsed from a table as dense holds its block from
+# the start (_from_sums).
 _KERNEL_MIN_PAIRS = 512
 _KERNEL_FILL = 2
 # Inner indices per step of the dense kernel: its two buffers hold
@@ -899,7 +925,7 @@ def _point_product(a: StructuredOperator, b: StructuredOperator):
     and no row of a point of ``b`` on an input progression of ``a``.
     ``a``'s points are distinct and ascending by ``(row, col)``, as in every
     operator, so the join, too, sums each entry in ascending inner index.
-    The factors' blocks are built only then, and kept.
+    The factors' blocks are read (``_point_block``) only then.
     """
     if _term_count(a) * _term_count(b) < _KERNEL_MIN_PAIRS:  # bounds the matching pairs
         return None
@@ -910,8 +936,8 @@ def _point_product(a: StructuredOperator, b: StructuredOperator):
     a_inputs = [(t.in_stride, t.in_offset) for t in _kept(a, "_progs")]
     if _on_progression(a_counts[1], b_outputs) or _on_progression(b_counts[0], a_inputs):
         return None
-    rows, a_cols, a_block = _kept(a, "_block")
-    b_rows, cols, b_block = _kept(b, "_block")
+    rows, a_cols, a_block = _point_block(a)
+    b_rows, cols, b_block = _point_block(b)
     _, ia, ib = np.intersect1d(a_cols, b_rows, assume_unique=True, return_indices=True)
     return rows, cols, _block_product(a_block[:, ia], b_block[ib])
 
@@ -929,19 +955,17 @@ def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarr
     which raises as it would on the whole table once the points are finite.
 
     Short of those, ``_finish`` only filters and sorts, and the arrays do
-    the same with its bits.  A modulus is ``np.hypot`` of the parts, as
-    ``abs`` computes it (numpy's complex ``abs`` differs in the last bit).
-    A kernel product's nonzero entries, in row-major order, are the join's
-    points in its dict order, which ``lost`` follows, and the kept ones end
-    up sorted by ``(row, col)``.  A zero entry is no point: ``_finish``
+    the same with its bits, each modulus taken by ``_moduli``.  A kernel
+    product's nonzero entries, in row-major order, are the join's points in
+    its dict order, which ``lost`` follows, and the kept ones end up sorted
+    by ``(row, col)``.  A zero entry is no point: ``_finish``
     drops a zero sum.  Only
     a point at a family's head or one step before it can be absorbed, and
     only under ``_absorb``'s conditions ``|c + cf| <= tol`` (head) and
     ``|c - cf| <= tol`` (the step before); when no point meets them
     against the families as filtered, no absorption happens at all.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mod = np.hypot(prod.real, prod.imag)
+    mod = _moduli(prod.real, prod.imag)
     if not np.isfinite(mod).all():
         return None
     fam_lost: list = []
@@ -1128,10 +1152,9 @@ def _sum_deviation(firsts: Sequence[StructuredOperator], seconds: Sequence[Struc
     the arrays add zeros too, and a zero changes only the sign of a zero
     sum, which no modulus reads.  Off the grid only progressions hold
     entries, so what remains is the progressions' own deviation with the
-    grid positions they hold skipped.  A modulus is ``np.hypot`` of the
-    parts, as ``abs`` computes it, and the first largest in row-major order
-    is at the least position; on a tie with the progressions' own, the
-    least position wins.
+    grid positions they hold skipped.  A modulus is taken by ``_moduli``,
+    and the first largest in row-major order is at the least position; on
+    a tie with the progressions' own, the least position wins.
     """
     held = [op._block for op in (*firsts, *seconds) if getattr(op, "_block", None) is not None]
     if held and all(getattr(op, "_block", None) is not None or not _kept(op, "_counts")[0]
@@ -1162,7 +1185,7 @@ def _sum_deviation(firsts: Sequence[StructuredOperator], seconds: Sequence[Struc
 
         with np.errstate(over="ignore", invalid="ignore"):
             diff = total(firsts) - total(seconds)
-            grid = np.hypot(diff.real, diff.imag)
+        grid = _moduli(diff.real, diff.imag)
         if np.isfinite(grid).all():
             found = [_term_deviation(tuple(t for op in firsts for t in op._progs),
                                      tuple(t for op in seconds for t in op._progs), skip)]
@@ -1333,14 +1356,15 @@ def diagonal_part(op: StructuredOperator) -> StructuredOperator:
 
 
 def is_diagonal(op: StructuredOperator) -> bool:
-    """Whether ``op`` equals its diagonal part.  A kept point block answers
-    no at once when it holds an off-diagonal entry above the tolerance at a
-    position no progression passes through, as the operator's entry there
-    is that point's alone; a progression there could cancel it."""
+    """Whether ``op`` equals its diagonal part.  A block operator's block
+    answers no at once when it holds an off-diagonal entry above the
+    tolerance at a position no progression passes through, as the
+    operator's entry there is that point's alone; a progression there could
+    cancel it."""
     held = getattr(op, "_block", None)
     if held is not None:
         rows, cols, block = held
-        r, c = np.nonzero(np.abs(block) > current().tolerance)
+        r, c = np.nonzero(_moduli(block.real, block.imag) > current().tolerance)
         progs = _kept(op, "_progs")
         for i, j in zip(rows[r].tolist(), cols[c].tolist()):
             if i != j and all(row != i for row, _ in _column(progs, j)):
@@ -1384,7 +1408,7 @@ def operator_norm(op: StructuredOperator) -> tuple[float, str]:
                 if _on_progression((i,), progs):
                     raise UnsupportedForm(
                         f"operator norm undecided: {kind} {i} holds a point and a progression")
-    _, _, block = _kept(op, "_block")
+    _, _, block = _point_block(op)
     return max(float(np.linalg.norm(block, 2)), _monomial_norm(tail)), "exact"
 
 

@@ -13,22 +13,21 @@ A trajectory step applies each outcome operator once
 (:func:`born_probabilities` keeps the images it computes) and normalizes
 the chosen image.  A statistics run (:func:`empirical_conditionals`)
 applies no operator and builds no state besides those its sampler draws.
-It keeps a column table for the call, which lists, for each basis index
-the batch reads, where every term of every outcome sends that index
-(``opalgebra._column``).  It selects a chunk of trajectories at a time,
-in three phases: it draws each trajectory's state and two uniforms, as a
-trajectory-by-trajectory run would; it selects every first outcome with
-arrays over the distinct drawn states; then every second outcome, over
-the distinct post-states ``(state, first outcome)``.  Each image is
-summed from the table in the order ``apply`` sums it and each
-probability taken by ``norm_sq``'s rule, so every bit is ``apply``'s,
-and the batch raises the error that the earliest failing trajectory
-would.  Consecutive draws of one state object share its selections.
+It selects a chunk of trajectories at a time, in three phases: it draws
+each trajectory's state and two uniforms, as a trajectory-by-trajectory
+run would; it selects every first outcome with arrays over the distinct
+drawn states; then every second outcome, over the distinct post-states
+``(state, first outcome)``.  Each selection lists, for each basis index
+it reads, where every term of every outcome sends that index
+(``opalgebra._column``), sums each image from that list in the order
+``apply`` sums it and takes each probability by ``norm_sq``'s rule, so
+every bit is ``apply``'s, and the batch raises the error that the
+earliest failing trajectory would.  Consecutive draws of one state
+object share its selections.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from itertools import islice
@@ -59,7 +58,7 @@ class BornDistribution(dict):
 def born_probabilities(inst: Instrument, psi: StateVector) -> BornDistribution:
     """The Born distribution of ``psi``, one ``apply`` per outcome, each
     probability the image's ``norm_sq``.  Trajectory steps select through
-    it; a statistics run reads the same bits from its column table."""
+    it; a statistics run computes the same bits as arrays."""
     probs = BornDistribution()
     probs.images = {}
     for label, op in inst.items():
@@ -254,44 +253,22 @@ class ConditionalStats:
         n = self.first_counts.get(first, 0)
         return self.counts.get((first, second), 0) / n if n else 0.0
 
-    def frequencies(self) -> dict[tuple[Outcome, Outcome], float]:
-        return {pair: self.frequency(*pair) for pair in self.counts}
 
-
-class _Columns(dict):
-    """An instrument's column table, kept for one statistics run: basis index
-    ``i`` -> its slot.  Slot ``s`` holds rows ``bounds[s]`` to ``bounds[s +
-    1]`` of ``rows``, one ``(outcome position, row, coeff)`` for every term
-    of every outcome that holds column ``i`` (``opalgebra._column``), in
-    instrument order, then term order.  Each index is filled when first
-    read; :meth:`arrays` gives the rows as arrays."""
-
-    __slots__ = ("terms", "bounds", "rows", "_arrays")
-
-    def __init__(self, inst: Instrument):
-        super().__init__()
-        self.terms = [op.terms for _, op in inst.items()]
-        self.bounds = [0]
-        self.rows: list[tuple[int, int, complex]] = []
-        self._arrays = None
-
-    def __missing__(self, i: int) -> int:
-        self.rows += [(k, r, coeff) for k, terms in enumerate(self.terms)
-                      for r, coeff in oa._column(terms, i)]
-        self.bounds.append(len(self.rows))
-        self._arrays = None
-        slot = self[i] = len(self)
-        return slot
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """``bounds`` and the rows' outcome positions, rows and the real and
-        imaginary parts of their coefficients."""
-        if self._arrays is None:
-            k, r, coeff = zip(*self.rows) if self.rows else ((), (), ())
-            coeff = np.array(coeff, dtype=complex)
-            self._arrays = (np.array(self.bounds), np.array(k, dtype=np.intp),
-                            oa._indices(r), coeff.real.copy(), coeff.imag.copy())
-        return self._arrays
+def _columns(terms, read: list[int]) -> tuple[np.ndarray, ...]:
+    """The column table of the distinct basis indices ``read``, where
+    ``terms`` holds each outcome's terms in instrument order: ``bounds``,
+    and the outcome position, row and real and imaginary coefficient parts
+    of each row.  Index ``read[s]`` holds rows ``bounds[s]`` to ``bounds[s
+    + 1]``, one for every term of every outcome that holds that column
+    (``opalgebra._column``), in instrument order, then term order."""
+    bounds, found = [0], []
+    for i in read:
+        found += [(k, r, coeff) for k, ts in enumerate(terms) for r, coeff in oa._column(ts, i)]
+        bounds.append(len(found))
+    k, r, coeff = zip(*found) if found else ((), (), ())
+    coeff = np.array(coeff, dtype=complex)
+    return (np.array(bounds), np.array(k, dtype=np.intp), oa._indices(r),
+            coeff.real.copy(), coeff.imag.copy())
 
 
 # A batch holds a set of states as flat entries: ``owner`` (the state of each
@@ -304,42 +281,26 @@ def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
 
 
-def _square(m: float) -> float:
-    try:
-        return m ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _squares(moduli: list[float]) -> list[float]:
-    """``m ** 2`` of each modulus, by Python's float power as ``_norm_sq``
-    takes it, and ``inf`` where that overflows, as ``_norm_sq`` reads it."""
-    try:
-        return [m ** 2 for m in moduli]
-    except OverflowError:
-        return [_square(m) for m in moduli]
-
-
 def _norms(moduli: np.ndarray, sizes: np.ndarray) -> list[float]:
     """Per run of ``sizes[j]`` consecutive moduli, the ``sum`` of their
-    squares: ``_norm_sq``'s sum, in its order, on this Python (compensated
+    squares (``opalgebra._squares``, where ``abs`` of a modulus is the
+    modulus): ``_norm_sq``'s sum, in its order, on this Python (compensated
     from 3.12).  An empty run gives ``0.0``; on a nonempty one, ``sum``
     from ``0`` and from ``0.0`` agree."""
-    squares = iter(_squares(moduli.tolist()))
+    squares = iter(oa._squares(moduli.tolist()))
     return [sum(islice(squares, n)) if n else 0.0 for n in sizes.tolist()]
 
 
 def _normalized(owner, idx, re, im, norms):
     """The states, each divided by the square root of its ``norms`` entry as
     ``StateVector.normalized`` divides a state, then finished as
-    ``_finished`` finishes it: ``0.0 +`` each part (on CPython 3.14 the real
-    part only), zeros dropped.  A state of norm exactly 1.0 keeps its bits,
-    as ``normalized`` keeps it: ``x / 1.0`` is ``x``, and the finish leaves
-    finished amplitudes as they are."""
+    ``_finished`` finishes it: ``0.0 +`` each amplitude
+    (``opalgebra._plus_zero``), zeros dropped.  A state of norm exactly 1.0
+    keeps its bits, as ``normalized`` keeps it: ``x / 1.0`` is ``x``, and
+    the finish leaves finished amplitudes as they are."""
     n = np.sqrt(norms)[owner]
     with np.errstate(divide="ignore", invalid="ignore"):  # a norm of 0 is flagged
-        re = re / n + 0.0
-        im = im / n if oa._ADD_KEEPS_IMAG else im / n + 0.0
+        re, im = oa._plus_zero(re / n, im / n)
     kept = (re != 0) | (im != 0)
     return owner[kept], idx[kept], re[kept], im[kept]
 
@@ -360,11 +321,12 @@ class _Born(NamedTuple):
     im: np.ndarray
 
 
-def _sums(table: _Columns, owner, idx, re, im):
+def _sums(terms, owner, idx, re, im):
     """The summed images of a set of states: ``(group, row, re, im)`` per
     image entry, where the group of state ``s`` under outcome position
     ``k`` is ``s * outcomes + k``, ordered by group, then row.  Each product
-    of an amplitude and a table coefficient is formed in real arithmetic,
+    of an amplitude and a coefficient of the column table of the indices
+    the states hold (``_columns``) is formed in real arithmetic,
     as CPython forms a complex product, and added to its entry in
     ``apply``'s order (state, then outcome, then term) by ``np.add.at``,
     which adds one at a time.  A sum starts at ``0.0`` in its real part;
@@ -372,15 +334,14 @@ def _sums(table: _Columns, owner, idx, re, im):
     there from CPython 3.14, so it starts at the additive identity ``-0.0``
     on 3.14 and at ``0.0`` before."""
     read, inverse = np.unique(idx, return_inverse=True)
-    slots = np.array([table[i] for i in read.tolist()], dtype=np.intp)[inverse]
-    bounds, out_k, out_row, cre, cim = table.arrays()
-    lo, n = bounds[slots], bounds[slots + 1] - bounds[slots]
+    bounds, out_k, out_row, cre, cim = _columns(terms, read.tolist())
+    lo, n = bounds[inverse], np.diff(bounds)[inverse]
     entry = np.repeat(np.arange(len(idx)), n)
     at = _ranges(lo, n)
     ar, ai, br, bi = re[entry], im[entry], cre[at], cim[at]
     rows, rank = np.unique(out_row[at], return_inverse=True)
     span = max(len(rows), 1)
-    keys, cell = np.unique((owner[entry] * len(table.terms) + out_k[at]) * span + rank,
+    keys, cell = np.unique((owner[entry] * len(terms) + out_k[at]) * span + rank,
                            return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):  # _born flags them
         sum_re = np.zeros(len(keys))
@@ -390,22 +351,20 @@ def _sums(table: _Columns, owner, idx, re, im):
     return keys // span, rows[keys % span], sum_re, sum_im
 
 
-def _born(table: _Columns, owner, idx, re, im, count: int, tol: float) -> _Born:
+def _born(terms, owner, idx, re, im, count: int, tol: float) -> _Born:
     """The Born distributions of ``count`` states, with ``born_probabilities``'
     bits: each image summed by ``_sums``, then finished as ``_finished``
-    finishes it and its probability taken by ``_norm_sq``'s rule.  A state
+    finishes it (``opalgebra._plus_zero``), and its probability taken by
+    ``_norm_sq``'s rule, on moduli from ``opalgebra._moduli``.  A state
     is bad when an image entry is not finite, an image's norm overflows or
     the total is at most ``tol``: where ``born_probabilities`` or ``_pick``
     raises."""
-    outcomes = len(table.terms)
-    group, rows, sum_re, sum_im = _sums(table, owner, idx, re, im)
-    sum_re += 0.0
-    if not oa._ADD_KEEPS_IMAG:
-        sum_im += 0.0
+    outcomes = len(terms)
+    group, rows, sum_re, sum_im = _sums(terms, owner, idx, re, im)
+    sum_re, sum_im = oa._plus_zero(sum_re, sum_im)
     kept = (sum_re != 0) | (sum_im != 0)
     group, rows, sum_re, sum_im = group[kept], rows[kept], sum_re[kept], sum_im[kept]
-    with np.errstate(over="ignore"):  # an overflowing modulus is flagged below
-        moduli = np.hypot(sum_re, sum_im)
+    moduli = oa._moduli(sum_re, sum_im)  # an overflowing modulus is flagged below
     sizes = np.bincount(group, minlength=count * outcomes)
     probs = _norms(moduli, sizes)
     totals = np.array([sum(probs[s * outcomes:(s + 1) * outcomes]) for s in range(count)])
@@ -453,7 +412,7 @@ def _replay(inst: Instrument, psi: StateVector, u1: float, u2: float, tol: float
     raise AssertionError("the array selection refused a trajectory that _measure accepts")
 
 
-def _select_chunk(inst: Instrument, table: _Columns, drawn: list[StateVector],
+def _select_chunk(inst: Instrument, terms, drawn: list[StateVector],
                   state: list[int], u1: list[float], u2: list[float], tol: float) -> _Chunk:
     """Both selections of each trajectory of a chunk, where trajectory ``t``
     drew ``drawn[state[t]]`` and the uniforms ``u1[t]`` and ``u2[t]``.
@@ -470,9 +429,8 @@ def _select_chunk(inst: Instrument, table: _Columns, drawn: list[StateVector],
         amps += psi._amp.values()
     sizes = np.array([len(psi) for psi in drawn])
     amps = np.array(amps, dtype=complex)
-    with np.errstate(over="ignore"):  # an overflowed norm is flagged below
-        norms = _norms(np.hypot(amps.real, amps.imag), sizes)
-    first = _born(table, *_normalized(np.repeat(np.arange(len(drawn)), sizes),
+    norms = _norms(oa._moduli(amps.real, amps.imag), sizes)  # an overflow is flagged below
+    first = _born(terms, *_normalized(np.repeat(np.arange(len(drawn)), sizes),
                                       oa._indices(amp_idx), amps.real,
                                       amps.imag, norms),
                   len(drawn), tol)
@@ -484,13 +442,13 @@ def _select_chunk(inst: Instrument, table: _Columns, drawn: list[StateVector],
         _replay(inst, drawn[state[0]], u1[0], u2[0], tol)
     ok = state[:stop]
     first_pos = _picks(first, ok, np.array(u1[:stop]))
-    outcomes = len(table.terms)
+    outcomes = len(terms)
     groups, post = np.unique(ok * outcomes + first_pos, return_inverse=True)
     n = first.sizes[groups]
     at = _ranges((np.cumsum(first.sizes) - first.sizes)[groups], n)
     posts = _normalized(np.repeat(np.arange(len(groups)), n), first.rows[at],
                         first.re[at], first.im[at], first.probs.ravel()[groups])
-    second = _born(table, *posts, len(groups), tol)
+    second = _born(terms, *posts, len(groups), tol)
     bad = second.bad[post]
     if bad.any():
         stop = int(bad.argmax())
@@ -509,7 +467,7 @@ def _selections(inst: Instrument, state_sampler, trajectories: int, seed: int, t
     the batch after the chunk's earlier trajectories are selected, so an
     error of theirs is raised first, as a trajectory-by-trajectory run
     would."""
-    table = _Columns(inst)
+    terms = tuple(op.terms for _, op in inst.items())
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     pcg = {"state": 0, "inc": 0}
@@ -535,7 +493,7 @@ def _selections(inst: Instrument, state_sampler, trajectories: int, seed: int, t
             u1.append(rng.random())
             u2.append(rng.random())
         if state:
-            yield _select_chunk(inst, table, drawn, state, u1, u2, tol)
+            yield _select_chunk(inst, terms, drawn, state, u1, u2, tol)
         if failure is not None:
             raise failure
 

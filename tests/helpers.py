@@ -669,6 +669,8 @@ def ref_apply(op, psi):
 
 def ref_normalized(psi):
     n = math.sqrt(psi.norm_sq())
+    if n == 0:
+        raise ValueError("cannot normalize the zero vector")
     return StateVector({i: c / n for i, c in psi.items()})
 
 

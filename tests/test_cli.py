@@ -67,6 +67,12 @@ def test_instrument_parse_accepts_j_start():
     ({"schemaVersion": "1", "outcomes": [
         {"label": 1, "terms": [{"kind": "dyad", "coeff": [1], "out": 0, "in": 0}]}]},
      "coeff"),
+    ([{"schemaVersion": "1"}], "instrument file must hold a JSON object"),
+    ({"schemaVersion": "1", "outcomes": [[1, []]]}, ": must be an object"),
+    ({"schemaVersion": "1", "outcomes": [{"label": 1, "terms": {}}]},
+     "terms: terms must be a list"),
+    ({"schemaVersion": "1", "outcomes": [{"label": 1, "terms": []}, {"label": 1, "terms": []}]},
+     "duplicate label 1"),
 ])
 def test_instrument_parse_rejects_malformed_documents(doc, msg):
     with pytest.raises(ValueError, match=msg):
@@ -362,6 +368,7 @@ def test_certify_reports_a_file_that_is_not_utf8(runner, tmp_path):
     (["certify"], {"QREPEAT_OUTDIR": "F"}, "F/ex.report.json"),
     (["simulate", "--steps", "2", "--log", "F/t.jsonl"], {}, "F/t.jsonl"),
     (["demo", "ex1", "--outdir", "F"], {}, "F/ex1.instrument.json"),
+    (["simulate", "--steps", "2"], {"QREPEAT_OUTDIR": "F"}, "F/ex.trajectory.jsonl"),
 ])
 def test_an_output_path_under_a_regular_file_exits_2(runner, tmp_path, monkeypatch,
                                                       args, env, target):
@@ -471,6 +478,9 @@ def test_simulate_rejects_garbage_initial_state(runner, tmp_path):
                             tmp_path / "ex.json")
     r = runner.invoke(cli.main, ["simulate", path, "--initial", "zig"])
     assert r.exit_code == 2
+    r = runner.invoke(cli.main, ["simulate", path, "--initial", "0,0"])
+    assert r.exit_code == 2
+    assert r.output == "error: initial state has no amplitude\n"
 
 
 def test_simulate_rejects_an_initial_state_whose_norm_overflows(runner, tmp_path):

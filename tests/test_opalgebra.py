@@ -716,7 +716,8 @@ def test_a_block_adjoint_is_the_term_adjoint_bit_for_bit(op):
 
 
 # CI runs CPython 3.10 to 3.14, whose 0.0 + z differ in the sign of a zero
-# imaginary part; the block adjoint must follow whichever rule it runs under
+# imaginary part; _plus_zero, and the block adjoint and the sampling finish
+# through it, must follow whichever rule they run under
 @pytest.mark.parametrize("keeps_imag", [False, True])
 def test_the_adjoint_block_follows_either_rule_for_adding_a_float_to_a_complex(
         monkeypatch, keeps_imag):
@@ -725,10 +726,13 @@ def test_the_adjoint_block_follows_either_rule_for_adding_a_float_to_a_complex(
     z = [0.0, -0.0, 1.5, -2.0]
     block = np.array([[complex(x, y) for y in z] for x in z])
     got = oa._adjoint_block(block)
+    plus_re, plus_im = oa._plus_zero(block.real, block.imag)
     for i, x in enumerate(z):
         for j, y in enumerate(z):
             re, im = 0.0 + x, -y if keeps_imag else 0.0 + -y  # 0.0 + conj(x + iy)
             assert (got[j, i].real.hex(), got[j, i].imag.hex()) == (re.hex(), im.hex())
+            im = y if keeps_imag else 0.0 + y  # 0.0 + (x + iy)
+            assert (plus_re[i, j].hex(), plus_im[i, j].hex()) == (re.hex(), im.hex())
 
 
 @given(st.lists(block_sums(), min_size=1, max_size=3), st.integers(0, 2),
@@ -1005,14 +1009,31 @@ def test_is_diagonal_and_diagonal_part():
     assert np.allclose(mat(part), np.diag(np.diag(mat(op))))
 
 
-# A kept point block decides "not diagonal" on its own only where no
-# progression passes through the off-diagonal entry it finds.
-@given(crowded_operators() | dense_blocks())
-def test_is_diagonal_on_a_kept_block_agrees_with_the_terms(op):
-    for case in (op, oa.diagonal_part(op)):
-        want = oa.equals(case, oa.diagonal_part(case))
-        oa._kept(case, "_block")
-        assert oa.is_diagonal(case) == want
+# A block operator's point block decides "not diagonal" on its own only
+# where no progression passes through the off-diagonal entry it finds.
+@given(crowded_operators() | block_sums().map(lambda t: _summed(t, 1e-12)),
+       st.sampled_from([1e-12, 1.0, 1e4, 1e7]))
+@settings(deadline=None)
+def test_is_diagonal_on_a_kept_block_agrees_with_the_terms(op, tol):
+    with qrepeat.settings(tolerance=tol):
+        for case in (op, oa.diagonal_part(op)):
+            want = oa.equals(_plain(case), oa.diagonal_part(_plain(case)))
+            assert oa.is_diagonal(case) == want
+
+
+# An off-diagonal entry whose modulus is the tolerance: numpy's complex abs
+# gives 0x1.0870cea837714p-10 where abs gives 0x1.0870cea837713p-10, so a
+# block read through np.abs put it above the tolerance.
+_AT_ABS = -0.0007312715117751976 + 0.0006948674738744653j
+
+
+def test_is_diagonal_on_a_block_reads_each_modulus_as_abs_does():
+    op = oa._from_sums({}, {(i, j): 1.0 if i == j else _AT_ABS
+                            for i in range(8) for j in range(8)}, 1e-12)
+    assert type(op) is oa._BlockOperator
+    with qrepeat.settings(tolerance=abs(_AT_ABS)):
+        assert oa.is_diagonal(op)
+        assert oa.is_diagonal(StructuredOperator._canonical(op.terms))
 
 
 def test_projector_renders_indicator():

@@ -280,27 +280,20 @@ def test_memo_follows_a_sampler_that_alternates_two_states(run):
 
 # Counted, not timed: a batch computes the Born distribution of each distinct
 # state once, here |0> and the post-state of each of the two outcomes, where
-# a trajectory-by-trajectory run computes 2,000 for 1,000 trajectories; and
-# it fills the column of each basis index once.
+# a trajectory-by-trajectory run computes 2,000 for 1,000 trajectories.
 def test_conditionals_on_a_fixed_state_compute_each_transition_once(monkeypatch):
-    born, fill = sim._born, sim._Columns.__missing__
-    per_call, per_index = [], {}
+    born = sim._born
+    per_call = []
 
-    def counted_born(table, owner, idx, re, im, count, tol):
+    def counted_born(terms, owner, idx, re, im, count, tol):
         per_call.append(count)
-        return born(table, owner, idx, re, im, count, tol)
-
-    def counted_fill(table, i):
-        per_index[i] = per_index.get(i, 0) + 1
-        return fill(table, i)
+        return born(terms, owner, idx, re, im, count, tol)
 
     monkeypatch.setattr(sim, "_born", counted_born)
-    monkeypatch.setattr(sim._Columns, "__missing__", counted_fill)
     empirical_conditionals(EX, fixed_state_sampler(StateVector.basis(0)),
                            trajectories=1000, seed=0)
     # |0>, then the post-states of its two outcomes
     assert per_call == [1, 2]
-    assert per_index and set(per_index.values()) == {1}
 
 
 def _table_instruments(unread=st.booleans()):
@@ -313,10 +306,15 @@ def _table_instruments(unread=st.booleans()):
                      ops, unread)
 
 
+def _terms(inst):
+    """The term tuple of each outcome, as a batch reads the instrument."""
+    return tuple(op.terms for _, op in inst.items())
+
+
 def _born_of(inst, psi):
     """The array Born distribution of ``psi`` alone."""
     amps = np.array([c for _, c in psi.items()], dtype=complex)
-    return sim._born(sim._Columns(inst), np.zeros(len(psi), dtype=np.intp),
+    return sim._born(_terms(inst), np.zeros(len(psi), dtype=np.intp),
                      np.array(psi.support(), dtype=np.int64), amps.real.copy(),
                      amps.imag.copy(), 1, 1e-12)
 
@@ -448,8 +446,7 @@ def test_a_uniform_past_every_running_sum_picks_an_outcome_that_can_occur(
     psi = StateVector.basis(0)
     want = ref_select(FALL_THROUGH, psi, u, 1e-12)
     assert want[0] in ((1, 3) if total is sum else (3,))
-    chunk = sim._select_chunk(FALL_THROUGH, sim._Columns(FALL_THROUGH), [psi], [0], [u], [u],
-                              1e-12)
+    chunk = sim._select_chunk(FALL_THROUGH, _terms(FALL_THROUGH), [psi], [0], [u], [u], 1e-12)
     assert _chunk_bits(FALL_THROUGH, chunk)[0][0] == bits(*want)
     assert bits(*sim._measure(FALL_THROUGH, psi, u, 1e-12)) == bits(*want)
 
@@ -500,14 +497,18 @@ def test_a_batch_raises_the_error_of_its_earliest_failing_trajectory(script, err
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
-# The reference sampler's normalization passes an empty state on; the
-# library's refuses it, before that trajectory's selections.
+# A drawn empty state is refused by its normalization, before that
+# trajectory's selections.
 def test_a_batch_refuses_a_drawn_zero_vector_as_normalized_does():
+    script = [KEPT, StateVector({}), LOST, None]
     with pytest.raises(ValueError) as want:
         StateVector({}).normalized()
+    with pytest.raises(ValueError) as ref:
+        ref_conditionals(ERRORS, _scripted(script), 4, 0)
     with pytest.raises(ValueError) as got:
-        empirical_conditionals(ERRORS, _scripted([KEPT, StateVector({}), LOST, None]), 4, 0)
-    assert str(got.value) == str(want.value)
+        empirical_conditionals(ERRORS, _scripted(script), 4, 0)
+    assert type(got.value) is type(ref.value) is ValueError
+    assert str(got.value) == str(ref.value) == str(want.value)
 
 
 def test_a_batch_on_an_instrument_without_outcomes_raises_as_a_trajectory_does():

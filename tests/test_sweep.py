@@ -21,6 +21,13 @@ same output of another commit, written with ``--dump DIR``.
 
 Run ``PYTHONPATH=src python tests/test_sweep.py --write`` to rewrite the
 digests; do it only when an output change is intended.
+
+The relabeling gate needs no digest.  It maps every index of an instrument
+by ``i -> k*i + r`` and gives its first outcome the projector onto the
+other ``k - 1`` residues mod ``k``; the verdict, completeness,
+orthogonality, the witnesses (at mapped positions), the shift-orbit counts
+and the error a load raises must not change.  It runs on every corpus
+file for three fixed ``(k, r)`` and on drawn instruments.
 """
 
 import hashlib
@@ -31,8 +38,14 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qrepeat.cli as cli
+from helpers import operators, partitions
+from qrepeat import (Instrument, QRepeatError, build_example_family, certify_repeatable,
+                     projector)
+from qrepeat.wold import outcome_decompositions
 
 SWEEP = Path(__file__).parent / "sweep"
 DIGESTS = SWEEP / "digests.json"
@@ -96,6 +109,84 @@ def test_sweep_output_matches_its_digest(stem, cmd, expected, tmp_path):
 @pytest.mark.parametrize("stem", SIMULATED)
 def test_sweep_trajectory_log_matches_its_digest(stem, initial, expected, tmp_path):
     _check(f"{stem}.simulate.{initial}", expected, tmp_path)
+
+
+# -- the relabeling gate -------------------------------------------------------
+
+
+def _relabeled(doc: dict, k: int, r: int) -> dict:
+    """The instrument document ``doc`` with every index ``i`` sent to ``k*i +
+    r``, and the first outcome given the projector onto the other ``k - 1``
+    residues mod ``k``, one family each."""
+    def mapped(t):
+        t = dict(t)
+        if t["kind"] == "dyad":
+            t["out"], t["in"] = k * t["out"] + r, k * t["in"] + r
+            return t
+        for side in ("out", "in"):
+            t[f"{side}Stride"] *= k
+            t[f"{side}Offset"] = k * t[f"{side}Offset"] + r
+        return t
+
+    outcomes = [{**o, "terms": [mapped(t) for t in o["terms"]]} for o in doc["outcomes"]]
+    outcomes[0]["terms"] += [{"kind": "family", "coeff": [1.0, 0.0], "outStride": k,
+                              "outOffset": s, "inStride": k, "inOffset": s}
+                             for s in range(k) if s != r]
+    return {**doc, "outcomes": outcomes}
+
+
+def _facts(doc: dict, at=lambda pos: pos):
+    """What the relabeling keeps of the instrument in ``doc``, loaded as the
+    file commands load it: the error type of a failed load, else the
+    verdict, completeness, orthogonality and witnesses (each position
+    passed through ``at``, each deviation as ``float.hex``), or the error
+    type of a failed certification, and the shift-orbit count of each
+    outcome that decomposes."""
+    try:
+        inst = cli.instrument_from_doc(doc, check_completeness=False)
+    except (ValueError, QRepeatError) as e:
+        return type(e)
+    try:
+        rep = certify_repeatable(inst)
+    except (ValueError, QRepeatError) as e:
+        verdict = type(e)
+    else:
+        verdict = (rep.repeatable, rep.complete, rep.orthogonal,
+                   [(w.condition, w.position and at(w.position), w.deviation.hex())
+                    for w in rep.witnesses])
+    orbits = [(label, None if dec is None else len(dec.shift_orbits))
+              for label, _, dec, _ in outcome_decompositions(inst)]
+    return verdict, orbits
+
+
+def _assert_relabeling_keeps_the_facts(doc: dict, k: int, r: int, name: str = ""):
+    want = _facts(doc, lambda pos: (k * pos[0] + r, k * pos[1] + r))
+    assert _facts(_relabeled(doc, k, r)) == want, name
+
+
+@pytest.mark.parametrize("k, r", [(2, 1), (3, 0), (5, 4)])
+def test_relabeling_every_corpus_file_keeps_its_facts(k, r):
+    for stem in STEMS:
+        doc = json.loads((SWEEP / f"{stem}.instrument.json").read_text())
+        _assert_relabeling_keeps_the_facts(doc, k, r, stem)
+
+
+# drawn operators, mostly neither complete nor repeatable; projective
+# instruments on drawn partitions; and the example family
+_drawn_instruments = st.one_of(
+    st.lists(operators(), min_size=1, max_size=3).map(
+        lambda ops: Instrument(tuple(enumerate(ops, 1)))),
+    partitions().map(lambda parts: Instrument(tuple(enumerate(map(projector, parts), 1)))),
+    st.sampled_from([(0.5, 0.5), (0.3, 0.7), (0.25, 0.25, 0.5), (0.1, 0.2, 0.3, 0.4)]).map(
+        lambda p: build_example_family(len(p), p)))
+
+
+@given(_drawn_instruments, st.data())
+@settings(deadline=None, max_examples=60)
+def test_relabeling_a_drawn_instrument_keeps_its_facts(inst, data):
+    k = data.draw(st.integers(2, 7))
+    r = data.draw(st.integers(0, k - 1))
+    _assert_relabeling_keeps_the_facts(cli.instrument_doc(inst), k, r)
 
 
 if __name__ == "__main__":
