@@ -362,9 +362,11 @@ def _parse_initial(spec: str) -> StateVector:
     text = spec.strip()
     if "," not in text:
         try:
-            return StateVector.basis(int(text))
+            index = int(text)
         except ValueError:
             pass
+        else:  # a basis index, so a negative one is refused
+            return StateVector.basis(index)
     try:
         amps = [complex(part.strip().replace("i", "j"))
                 for part in text.split(",")]

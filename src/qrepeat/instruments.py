@@ -54,7 +54,7 @@ class Instrument(_Labeled):
     """Labeled measurement operators, ordered by outcome label."""
 
     # (tolerance, Povm): the effects composed under that tolerance, kept
-    _kept: tuple[float, "Povm"] | None = field(default=None, init=False, repr=False,
+    _povm: tuple[float, "Povm"] | None = field(default=None, init=False, repr=False,
                                                compare=False)
 
     operator = _Labeled._lookup
@@ -64,10 +64,10 @@ class Instrument(_Labeled):
         kept, as :class:`StructuredOperator` keeps the tolerance its terms are
         canonical under; under another tolerance they are composed afresh."""
         tol = current().tolerance
-        kept = self._kept
+        kept = self._povm
         if kept is None or kept[0] != tol:
             kept = (tol, povm(self))
-            object.__setattr__(self, "_kept", kept)
+            object.__setattr__(self, "_povm", kept)
         return kept[1]
 
 
@@ -113,7 +113,7 @@ def _contractive_by_completeness(inst: Instrument, tol: float) -> bool:
     column, and every entry is at most ``dev``, so a row or column holds at
     most ``K = 1 + (progressions) + (most points in one row or column)``
     entries, one more than ``opalgebra._schur`` counts from the effects'
-    kept progressions and point counts, and ``||D|| <= K dev + ||E||``.
+    progressions and point counts (``_parts``), and ``||D|| <= K dev + ||E||``.
     ``K dev + ||E|| <= tol`` makes every norm at most ``sqrt(1 + tol) <=
     1 + tol / 2``, leaving ``tol / 2`` for the rounding of the sums.  An
     instrument whose POVM or deviation cannot be built (a non-finite sum, a
@@ -128,8 +128,8 @@ def _contractive_by_completeness(inst: Instrument, tol: float) -> bool:
         dev, _ = pv.identity_deviation()
     except (ValueError, PeriodCapExceeded):
         return False
-    progs = [oa._kept(p, "_progs") for _, p in pv.entries]  # kept with the point counts
-    K = 1 + oa._schur(sum(map(len, progs)), [p._counts for _, p in pv.entries])
+    parts = [oa._parts(p) for _, p in pv.entries]
+    K = 1 + oa._schur(sum(len(progs) for progs, _ in parts), [counts for _, counts in parts])
     return K * dev + pv._lost <= tol
 
 
@@ -194,9 +194,9 @@ def _check_probability_vector(p: Iterable[float], n: int) -> tuple[float, ...]:
         raise BadProbabilityVector("n must be at least 1")
     p = tuple(float(x) for x in p)
     tol = current().tolerance
-    if any(x < -tol or x > 1.0 + tol for x in p):
+    if not all(-tol <= x <= 1.0 + tol for x in p):  # so nan fails
         raise BadProbabilityVector(f"entries must lie in [0, 1]: {p}")
-    if abs(sum(p) - 1.0) > tol:
+    if not abs(sum(p) - 1.0) <= tol:
         raise BadProbabilityVector(f"entries must sum to 1: {p}")
     if len(p) != n:
         raise BadProbabilityVector(f"expected {n} probabilities, got {len(p)}")
@@ -243,7 +243,7 @@ def build_nonrepeatable_sibling(n: int, p: Iterable[float]) -> Instrument:
 def build_binary_example(p1: float, p2: float) -> Instrument:
     """Two-outcome repeatable instrument with a two-dimensional deposit block.
 
-    Outcome 1 carries |0> to |2> and |1> to |4| with amplitudes
+    Outcome 1 carries |0> to |2> and |1> to |4> with amplitudes
     ``sqrt(p1), sqrt(p2)`` and shifts even indices >= 2 up by four; outcome 2
     mirrors this on odd indices with the complementary amplitudes.
     """

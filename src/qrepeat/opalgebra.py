@@ -25,17 +25,18 @@ answered exactly by one term index (``_term_index``).  ``compose``, ``is_monomia
 :mod:`qrepeat.wold` and ``_followers`` read it; the last maps the terms to their
 operators, so :mod:`qrepeat.certify` composes only the outcome pairs whose terms meet.
 
-Dense point blocks stay arrays.  An operator keeps what ``compose``'s
-numpy kernel reads: its progressions and its points' counts per row and
-column.  Only a block operator (``_BlockOperator``) holds a point block,
-from the start, and builds its point terms only when they are read: a
+Dense point blocks stay arrays.  ``compose``'s numpy kernel reads an
+operator's progressions and its points' counts per row and column
+(``_parts``).  Only a block operator (``_BlockOperator``) holds them, with a
+point block, from the start, and builds its point terms only when read: a
 kernel product, an operator summed from a dense table (``_from_sums``,
-which the instrument parser calls) and the adjoint of either.
-``max_deviation`` compares blocks where an operand holds one, and
-``is_monomial``, ``_followers`` and ``operator_norm`` read the kept
-counts, not the points.  ``adjoint`` keeps the adjoint it builds on the
-operator.  Each bit rule of the arrays has one helper: ``_moduli``,
-``_plus_zero`` and ``_squares``.  None of this changes a bit of any result.
+which the instrument parser calls) and the adjoint of either.  Any other
+operator keeps only its terms.  ``max_deviation`` compares blocks where an
+operand holds one, and ``is_monomial``, ``_followers`` and
+``operator_norm`` read a block operator's counts, not its points.
+``adjoint`` keeps the adjoint it builds on the operator.  Each bit rule of
+the arrays has one helper: ``_moduli``, ``_plus_zero`` and ``_squares``.
+None of this changes a bit of any result.
 """
 
 from __future__ import annotations
@@ -150,11 +151,10 @@ class StructuredOperator:
     entrywise realization.
     """
 
-    # _tol: the tolerance the terms are canonical under.  The other slots are
-    # caches, unset until first read and read with a plain getattr: what
-    # compose and max_deviation read (filled through _kept), and the adjoint,
-    # kept by adjoint under the tolerance the terms are canonical under.
-    __slots__ = ("terms", "_tol", "_progs", "_counts", "_adj")
+    # _tol: the tolerance the terms are canonical under.  _adj: the adjoint,
+    # kept by adjoint under that tolerance, unset until then and read with a
+    # plain getattr.  Only a block operator holds more (_parts).
+    __slots__ = ("terms", "_tol", "_adj")
 
     def __init__(self, terms: Iterable[Term] = ()):
         object.__setattr__(self, "_tol", current().tolerance)
@@ -202,7 +202,7 @@ class StructuredOperator:
 
     @property
     def families(self) -> tuple[Term, ...]:
-        return _kept(self, "_progs")
+        return _parts(self)[0]
 
     def is_zero(self) -> bool:
         return equals(self, StructuredOperator.zero())
@@ -361,9 +361,9 @@ def _schur(every: float,
            parts: Iterable[tuple[Mapping[int, float], Mapping[int, float]]]) -> float:
     """Schur-test bound on a norm: ``every``, the weight of parts with at
     most one entry per row and column, plus the largest row or column sum
-    of ``parts``, each given as its weights per row and per column, as an
-    operator keeps its point counts (``_counts``).  The sums run in the
-    given order."""
+    of ``parts``, each given as its weights per row and per column, as
+    ``_parts`` gives an operator's point counts.  The sums run in the given
+    order."""
     rows, cols = Counter(), Counter()
     for per_row, per_col in parts:
         for i, weight in per_row.items():
@@ -568,16 +568,16 @@ def adjoint(op: StructuredOperator) -> StructuredOperator:
     if adj is not None:
         return adj
     held = getattr(op, "_block", None)  # only a block operator holds one
+    terms, counts = (op.terms, None) if held is None else _parts(op)
     flipped = sorted(
         (Term._trusted(0.0 + t.coeff.conjugate(), t.in_stride, t.in_offset, t.out_stride,
-                       t.out_offset, t.length)
-         for t in (op.terms if held is None else _kept(op, "_progs"))),
+                       t.out_offset, t.length) for t in terms),
         key=lambda t: (t.length == 1, t.out_stride, t.out_offset, t.in_stride, t.in_offset))
     if held is None:
         adj = StructuredOperator._canonical(tuple(flipped))
     else:
         rows, cols, block = held
-        per_row, per_col = _kept(op, "_counts")
+        per_row, per_col = counts
         adj = _block_operator(op._tol, tuple(flipped), (per_col, per_row),
                               (cols, rows, _adjoint_block(block)))
     _setattr(op, "_adj", adj)
@@ -694,7 +694,7 @@ def _followers(firsts: Sequence[StructuredOperator],
 
     The input progressions of ``seconds`` are keyed once in the term index
     (``owner[n]`` is progression ``n``'s operator), and the columns of its
-    points, read from the kept counts, by owner.  A row of a point of ``a``
+    points, read from the point counts, by owner.  A row of a point of ``a``
     meets the points there and the progressions ``_holding`` it; an output
     progression, those ``_meeting`` lists and the points on it.  Each
     answer is exact, so ``k`` is listed exactly when two terms meet.
@@ -703,19 +703,20 @@ def _followers(firsts: Sequence[StructuredOperator],
     owner: list[int] = []
     owners: dict[int, set[int]] = {}
     for k, op in enumerate(seconds):
-        kept = _kept(op, "_progs")  # kept with the point counts
-        progs.extend(kept)
-        owner.extend([k] * len(kept))
-        for i in op._counts[1]:
+        own, (_, per_col) = _parts(op)
+        progs.extend(own)
+        owner.extend([k] * len(own))
+        for i in per_col:
             owners.setdefault(i, set()).add(k)
     index = _term_index(progs)
     follows = []
     for op in firsts:
         hits: set[int] = set()
-        for i in _kept(op, "_counts")[0]:
+        own, (per_row, _) = _parts(op)
+        for i in per_row:
             hits.update(owners.get(i, ()))
             hits.update(owner[n] for n in _holding(index, i))
-        for s, o in {(t.out_stride, t.out_offset) for t in op._progs}:
+        for s, o in {(t.out_stride, t.out_offset) for t in own}:
             hits.update(k for i, ks in owners.items() if i >= o and (i - o) % s == 0 for k in ks)
             hits.update(owner[n] for n in _meeting(index, s, o))
         follows.append(hits)
@@ -758,20 +759,12 @@ def _on_progression(indices: Iterable[int], progressions: list[tuple[int, int]])
     return any(i >= o and (i - o) % s == 0 for s, o in progressions for i in indices)
 
 
-# -- what an operator keeps for the dense kernel --------------------------
-#
-# The progressions and the point counts are read with a plain getattr and
-# filled from the terms on first read (_kept), except on a block operator,
-# which is made holding both and its block, and fills its terms from them.
-# The two are always kept together, so reading one through _kept keeps the
-# other.  An unset slot, and a block operator's __getattr__ for
-# any name but "terms", raise AttributeError: None is read.
-
-
-def _split(op: StructuredOperator) -> None:
-    """Keep ``op``'s progressions and its point counts ``(per_row,
-    per_col)``, how many points sit in each row and in each column, from
-    one walk of its terms."""
+def _parts(op: StructuredOperator) -> tuple[tuple[Term, ...], tuple[dict, dict]]:
+    """``op``'s progressions and its point counts ``(per_row, per_col)``,
+    how many points sit in each row and in each column: a block operator's
+    own, else from one walk of its terms, kept nowhere."""
+    if type(op) is _BlockOperator:
+        return op._progs, op._counts
     progs: list[Term] = []
     per_row: dict[int, int] = {}
     per_col: dict[int, int] = {}
@@ -781,8 +774,7 @@ def _split(op: StructuredOperator) -> None:
         else:
             per_row[t.out_offset] = per_row.get(t.out_offset, 0) + 1
             per_col[t.in_offset] = per_col.get(t.in_offset, 0) + 1
-    _setattr(op, "_progs", tuple(progs))
-    _setattr(op, "_counts", (per_row, per_col))
+    return tuple(progs), (per_row, per_col)
 
 
 class _BlockOperator(StructuredOperator):
@@ -793,7 +785,7 @@ class _BlockOperator(StructuredOperator):
     because a class with ``__getattr__`` reads every attribute, slots
     included, more slowly."""
 
-    __slots__ = ("_block",)
+    __slots__ = ("_progs", "_counts", "_block")
 
     def __getattr__(self, name):
         # reached only when normal lookup fails: unbuilt terms, or no such name
@@ -821,15 +813,6 @@ def _block_operator(tol: float, progs: tuple[Term, ...], counts: tuple,
     return op
 
 
-def _kept(op: StructuredOperator, name: str):
-    """What ``op`` keeps in slot ``name``, filled from its terms on first read."""
-    value = getattr(op, name, None)
-    if value is None:
-        _split(op)
-        value = getattr(op, name)
-    return value
-
-
 def _term_count(op: StructuredOperator) -> int:
     """``len(op.terms)``, without building a block operator's point terms."""
     held = type(op) is _BlockOperator  # its point count is in _counts, built or not
@@ -842,8 +825,8 @@ def _term_count(op: StructuredOperator) -> int:
 # column k) * (b's points in row k).  It runs when the matching pairs
 # number at least _KERNEL_MIN_PAIRS and fill at least 1/_KERNEL_FILL of
 # rows * inner * cols; _kernel_pays gives the timings behind both.  The
-# counts it reads are kept per operator, and a factor's block is built from
-# its terms unless it holds one (_point_block).  The product holds its own
+# counts it reads (_parts) and a factor's block (_point_block) are built
+# from its terms unless it holds them.  The product holds its own
 # block, and its point terms are built only when read (_finish_block), so a
 # chain of kernel products and the max_deviation that decides it stay
 # arrays.  An operator parsed from a table as dense holds its block from
@@ -895,7 +878,7 @@ def _kernel_pays(a_counts: tuple, b_counts: tuple) -> bool:
     """True when the point x point products of ``a @ b`` are dense enough
     for the kernel: at least ``_KERNEL_MIN_PAIRS`` matching pairs, filling
     at least ``1/_KERNEL_FILL`` of the kernel's rows * inner * cols.  Each
-    factor is given by its ``_counts``.
+    factor is given by its point counts (``_parts``).
 
     Timed on a 2-core x86-64 host, each factor a point block plus an
     identity tail, kernel time over join time: dense d x d blocks 1.3-1.4
@@ -918,7 +901,8 @@ def _kernel_pays(a_counts: tuple, b_counts: tuple) -> bool:
 def _point_product(a: StructuredOperator, b: StructuredOperator):
     """The point table of ``a @ b`` from the dense kernel: the sorted rows of
     ``a``'s points, the sorted columns of ``b``'s and the product block over
-    them; None when the dict join must build it.
+    them, with ``a``'s and ``b``'s progressions, as ``(table, a_progs,
+    b_progs)``; None when the dict join must build the table.
 
     The kernel applies when only point x point products reach the table:
     no column of a point of ``a`` lies on an output progression of ``b``
@@ -929,17 +913,17 @@ def _point_product(a: StructuredOperator, b: StructuredOperator):
     """
     if _term_count(a) * _term_count(b) < _KERNEL_MIN_PAIRS:  # bounds the matching pairs
         return None
-    a_counts, b_counts = _kept(a, "_counts"), _kept(b, "_counts")
+    (a_progs, a_counts), (b_progs, b_counts) = _parts(a), _parts(b)
     if not _kernel_pays(a_counts, b_counts):
         return None
-    b_outputs = [(t.out_stride, t.out_offset) for t in _kept(b, "_progs")]
-    a_inputs = [(t.in_stride, t.in_offset) for t in _kept(a, "_progs")]
+    b_outputs = [(t.out_stride, t.out_offset) for t in b_progs]
+    a_inputs = [(t.in_stride, t.in_offset) for t in a_progs]
     if _on_progression(a_counts[1], b_outputs) or _on_progression(b_counts[0], a_inputs):
         return None
     rows, a_cols, a_block = _point_block(a)
     b_rows, cols, b_block = _point_block(b)
     _, ia, ib = np.intersect1d(a_cols, b_rows, assume_unique=True, return_indices=True)
-    return rows, cols, _block_product(a_block[:, ia], b_block[ib])
+    return (rows, cols, _block_product(a_block[:, ia], b_block[ib])), a_progs, b_progs
 
 
 def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarray,
@@ -1059,15 +1043,14 @@ def compose(a: StructuredOperator, b: StructuredOperator,
     filter and absorptions leave out of the product.
     """
     tol = current().tolerance
-    table = _point_product(a, b)
-    kernel = table is not None
-    b_terms = b._progs if kernel else b.terms  # _point_product kept both factors' progressions
+    kernel = _point_product(a, b)
+    table, a_terms, b_terms = kernel if kernel else (None, a.terms, b.terms)
     # canonical: progressions first
     points = () if kernel else b_terms[sum(1 for t in b_terms if t.length is None):]
     index = _term_index(b_terms, outputs=True)
     fams: dict[tuple[int, int, int, int], complex] = {}
     dyds: dict[tuple[int, int], complex] = {}
-    for ta in a._progs if kernel else a.terms:
+    for ta in a_terms:
         ca, ai, ao = ta.coeff, ta.in_offset, ta.out_offset
         if ta.length == 1:
             for idx in _holding(index, ai):  # a point of b has strides 1
@@ -1156,17 +1139,20 @@ def _sum_deviation(firsts: Sequence[StructuredOperator], seconds: Sequence[Struc
     and the first largest in row-major order is at the least position; on
     a tie with the progressions' own, the least position wins.
     """
-    held = [op._block for op in (*firsts, *seconds) if getattr(op, "_block", None) is not None]
-    if held and all(getattr(op, "_block", None) is not None or not _kept(op, "_counts")[0]
-                    for op in (*firsts, *seconds)):
+    ops = (*firsts, *seconds)
+    held = [op._block for op in ops if type(op) is _BlockOperator]
+    parts = [_parts(op) for op in ops] if held else []
+    if held and all(type(op) is _BlockOperator or not counts[0]
+                    for op, (_, counts) in zip(ops, parts)):
         rows, cols = _union([r for r, _, _ in held]), _union([c for _, c, _ in held])
         row_list, at_col = rows.tolist(), dict(zip(cols.tolist(), count()))
         skip: set[tuple[int, int]] = set()
+        first, second = slice(len(firsts)), slice(len(firsts), None)
 
         def total(side):
             grid = np.zeros((len(rows), len(cols)), dtype=complex)
-            for op in side:
-                for t in _kept(op, "_progs"):
+            for op, (progs, _) in zip(ops[side], parts[side]):
+                for t in progs:
                     os_, oo, is_, io = t.out_stride, t.out_offset, t.in_stride, t.in_offset
                     for i, r in enumerate(row_list):
                         if r >= oo and (r - oo) % os_ == 0:
@@ -1175,7 +1161,7 @@ def _sum_deviation(firsts: Sequence[StructuredOperator], seconds: Sequence[Struc
                             if j is not None:
                                 grid[i, j] += t.coeff
                                 skip.add((r, c))
-                if getattr(op, "_block", None) is not None:
+                if type(op) is _BlockOperator:
                     r, c, block = op._block
                     if block.shape == grid.shape:  # its rows and columns are the grid's
                         grid += block
@@ -1184,11 +1170,11 @@ def _sum_deviation(firsts: Sequence[StructuredOperator], seconds: Sequence[Struc
             return grid
 
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = total(firsts) - total(seconds)
+            diff = total(first) - total(second)
         grid = _moduli(diff.real, diff.imag)
         if np.isfinite(grid).all():
-            found = [_term_deviation(tuple(t for op in firsts for t in op._progs),
-                                     tuple(t for op in seconds for t in op._progs), skip)]
+            found = [_term_deviation(tuple(t for progs, _ in parts[first] for t in progs),
+                                     tuple(t for progs, _ in parts[second] for t in progs), skip)]
             if grid.size:
                 i, j = divmod(int(grid.argmax()), grid.shape[1])
                 found.append((float(grid[i, j]), (int(rows[i]), int(cols[j]))))
@@ -1326,11 +1312,10 @@ def is_monomial(op: StructuredOperator) -> bool:
     Decided exactly: any clash between two terms lives on the intersection
     of their input progressions, which is itself a progression, and only
     the pairs that the term index lists as meeting there are solved.  A
-    column that the kept counts give two points answers first: points sit
-    at distinct positions, so two in one column are at different rows.
+    column that a block operator's counts give two points answers first:
+    points sit at distinct positions, so two in one column are at different rows.
     """
-    counts = getattr(op, "_counts", None)
-    if counts is not None and any(n > 1 for n in counts[1].values()):
+    if type(op) is _BlockOperator and any(n > 1 for n in op._counts[1].values()):
         return False
     return all(agree for _, _, agree in _meeting_pairs(op.terms))
 
@@ -1365,7 +1350,7 @@ def is_diagonal(op: StructuredOperator) -> bool:
     if held is not None:
         rows, cols, block = held
         r, c = np.nonzero(_moduli(block.real, block.imag) > current().tolerance)
-        progs = _kept(op, "_progs")
+        progs = _parts(op)[0]
         for i, j in zip(rows[r].tolist(), cols[c].tolist()):
             if i != j and all(row != i for row, _ in _column(progs, j)):
                 return False
@@ -1389,18 +1374,18 @@ def operator_norm(op: StructuredOperator) -> tuple[float, str]:
     operator is the direct sum of the finite block of its points, on exactly
     their rows and columns, and its progressions; the norm is the larger of
     the block's largest singular value and the progressions' norm.  The split
-    is decided on the progressions and the points' kept counts per row and
-    column, at a cost that follows them, not the largest index.  Any other
-    operator raises UnsupportedForm naming the reason.
+    is decided on the progressions and the points' counts per row and
+    column (``_parts``), at a cost that follows them, not the largest index.
+    Any other operator raises UnsupportedForm naming the reason.
     """
     if is_monomial(op):
         return _monomial_norm(op), "exact"
-    tail = StructuredOperator._canonical(op.families)
+    fams, (per_row, per_col) = _parts(op)
+    tail = StructuredOperator._canonical(fams)
     if not is_monomial(tail):
         raise UnsupportedForm("operator norm undecided: the progressions are not monomial")
     outputs = [(t.out_stride, t.out_offset) for t in tail.terms]
     inputs = [(t.in_stride, t.in_offset) for t in tail.terms]
-    per_row, per_col = _kept(op, "_counts")
     if _on_progression(per_row, outputs) or _on_progression(per_col, inputs):
         for t in op.dyads:  # name the first point, in canonical order, on one
             for kind, i, progs in (("row", t.out_offset, outputs),

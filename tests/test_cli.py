@@ -481,6 +481,10 @@ def test_simulate_rejects_garbage_initial_state(runner, tmp_path):
     r = runner.invoke(cli.main, ["simulate", path, "--initial", "0,0"])
     assert r.exit_code == 2
     assert r.output == "error: initial state has no amplitude\n"
+    # a text that parses as an int is a basis index, never an amplitude list
+    r = runner.invoke(cli.main, ["simulate", path, "--initial", "-1"])
+    assert r.exit_code == 2
+    assert r.output == "error: basis indices must be nonnegative\n"
 
 
 def test_simulate_rejects_an_initial_state_whose_norm_overflows(runner, tmp_path):
@@ -575,6 +579,10 @@ def test_demo_rejects_bad_probability_vector(runner, tmp_path):
     r = runner.invoke(cli.main, ["demo", "ex1", "--n", "2", "--p", "0.5,0.7",
                                  "--outdir", str(tmp_path)])
     assert r.exit_code == 2
+    r = runner.invoke(cli.main, ["demo", "ex1", "--p", "nan,1", "--outdir", str(tmp_path)])
+    assert r.exit_code == 2
+    assert "entries must lie in [0, 1]" in r.output
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("knobs,message", [

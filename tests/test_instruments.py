@@ -107,6 +107,14 @@ def test_example_family_validates_probabilities():
         build_example_family(2, (1.2, -0.2))
 
 
+@pytest.mark.parametrize("build", [build_example_family, build_nonrepeatable_sibling])
+@pytest.mark.parametrize("p", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+def test_a_nan_probability_is_refused(build, p):
+    # nan fails no < or > test, so the range check must be one it fails
+    with pytest.raises(BadProbabilityVector, match=r"entries must lie in \[0, 1\]"):
+        build(2, p)
+
+
 def test_sibling_shares_the_povm():
     p = (0.3, 0.7)
     a = build_example_family(2, p).povm()

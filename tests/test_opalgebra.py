@@ -12,6 +12,7 @@ import operator
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -772,6 +773,23 @@ _counted = st.one_of(operators(), dense_blocks(), block_sums().map(lambda t: _su
 
 
 @given(_counted)
+@settings(deadline=None, max_examples=150)
+def test_parts_read_a_blocks_fields_or_walk_the_terms_and_keep_nothing(op):
+    plain = _plain(op)
+    points = [t for t in plain.terms if t.length == 1]
+    assert oa._parts(op) == (tuple(t for t in plain.terms if t.length is None),
+                             (Counter(t.out_offset for t in points),
+                              Counter(t.in_offset for t in points)))
+    # the dense kernel's readers leave a term operator holding its terms alone
+    oa.compose(plain, plain)
+    oa._followers([plain], [plain])
+    oa.is_monomial(plain)
+    with contextlib.suppress(UnsupportedForm):
+        oa.operator_norm(plain)
+    assert not hasattr(plain, "_progs") and not hasattr(plain, "_counts")
+
+
+@given(_counted)
 @settings(deadline=None, max_examples=200)
 def test_a_blocks_kept_counts_decide_is_monomial_as_the_terms_do(op):
     assert oa.is_monomial(op) == ref_is_monomial(_plain(op))
@@ -1122,9 +1140,9 @@ def test_schur_adds_the_parts_at_none_to_the_largest_row_or_column_sum():
     assert oa._schur(0.125, [({2: 0.25}, {0: 0.25}), ({2: 0.5}, {5: 0.5})]) == 0.125 + 0.75
     assert oa._schur(0.0, [({2: 0.25}, {0: 0.25}), ({7: 0.5}, {0: 0.5})]) == 0.75  # column 0
     assert oa._schur(0.0, []) == 0.0
-    # an operator's kept point counts are its points at weight 1
+    # an operator's point counts are its points at weight 1
     op = StructuredOperator((Dyad(1.0, 0, 0), Dyad(1.0, 0, 1), Dyad(1.0, 1, 2)))
-    assert oa._schur(0, [oa._kept(op, "_counts")]) == 2  # row 0
+    assert oa._schur(0, [oa._parts(op)[1]]) == 2  # row 0
 
 
 @pytest.mark.parametrize("name,reason", [("toeplitz", "progressions are not monomial"),
