@@ -397,8 +397,9 @@ def main():
 
 def _settings(command):
     """Give ``command`` the --tolerance and --period-cap options and run it
-    under them; an invalid value, and any ValueError or QRepeatError the
-    command raises, exits 2."""
+    under them; an invalid value, any ValueError or QRepeatError the
+    command raises, and a MemoryError or OverflowError from an index too
+    large to hold, exits 2."""
     @click.option("--tolerance", type=float, default=None,
                   help="Comparison tolerance override.")
     @click.option("--period-cap", type=int, default=None,
@@ -410,6 +411,8 @@ def _settings(command):
             return command(**kwargs)
         except (ValueError, QRepeatError) as e:
             _fail(str(e))
+        except (MemoryError, OverflowError) as e:
+            _fail(f"too large to hold: {str(e) or 'out of memory'}")
     return run
 
 

@@ -395,9 +395,7 @@ class StateVector:
         amp: dict[int, complex] = {}
         for i, c in items:
             i = int(i)
-            c = complex(c)
-            if not cmath.isfinite(c):
-                raise ValueError("coefficients must be finite")
+            c = complex(c)  # _finished refuses a non-finite one: no sum makes it finite
             if i < 0:
                 raise ValueError("basis indices must be nonnegative")
             if c != 0:

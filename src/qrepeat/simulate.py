@@ -13,11 +13,11 @@ A trajectory step applies each outcome operator once
 (:func:`born_probabilities` keeps the images it computes) and normalizes
 the chosen image.  A statistics run (:func:`empirical_conditionals`)
 applies no operator and builds no state besides those its sampler draws.
-It selects a chunk of trajectories at a time, in three phases: it draws
+One loop selects a chunk of trajectories at a time: it seeds and draws
 each trajectory's state and two uniforms, as a trajectory-by-trajectory
-run would; it selects every first outcome with arrays over the distinct
-drawn states; then every second outcome, over the distinct post-states
-``(state, first outcome)``.  Each selection lists, for each basis index
+run would, then runs one selection stage twice, with arrays over the
+distinct drawn states, then over the distinct post-states
+``(state, first outcome)``.  The stage lists, for each basis index
 it reads, where every term of every outcome sends that index
 (``opalgebra._column``), sums each image from that list in the order
 ``apply`` sums it and takes each probability by ``norm_sq``'s rule, so
@@ -180,9 +180,24 @@ def _words(n: int) -> list[int]:
     return words
 
 
+def _hasher(init: int, mult: int):
+    """SeedSequence's hash round on uint32 arrays: its constant starts at
+    ``init`` and is multiplied by ``mult`` at each call."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
 def _pcg64_states(seed_words: list[int], start: int, stop: int) -> list[tuple[int, int]]:
     """PCG64 ``(state, inc)`` seeded by ``SeedSequence(seed_words + words(k))``
-    for ``k`` in ``[start, stop)``, an aligned chunk; one uint32 numpy pass.
+    for ``k`` in ``[start, stop)``, crossing no multiple of 2**32; one uint32 pass.
 
     Every numpy operation mixes a uint32 array with a uint32 scalar, so
     it wraps the same way before and after NEP 50, without a warning.
@@ -193,14 +208,7 @@ def _pcg64_states(seed_words: list[int], start: int, stop: int) -> list[tuple[in
     entropy = ([np.full(n, w, np.uint32) for w in seed_words] + [low]
                + [np.full(n, w, np.uint32) for w in high])
     entropy += [np.zeros(n, np.uint32)] * (_POOL - len(entropy))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
+    hashmix = _hasher(_INIT_A, _MULT_A)
 
     def mix(x, y):
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
@@ -216,26 +224,13 @@ def _pcg64_states(seed_words: list[int], start: int, stop: int) -> list[tuple[in
             pool[dst] = mix(pool[dst], hashmix(entropy[src]))
 
     # generate_state(4, uint64): eight uint32 words, read little-endian in pairs
-    hash_const = _INIT_B
-    out = []
-    for i in range(8):
-        value = pool[i % _POOL] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        out.append(value ^ (value >> _XSHIFT))
+    generate = _hasher(_INIT_B, _MULT_B)
+    out = [generate(pool[i % _POOL]) for i in range(8)]
     w = np.stack(out, axis=1).astype("<u4").view("<u8").T.astype(object)
     # PCG64 seeding: inc = seq << 1 | 1; state = step(step(0) + initstate)
     inc = (w[2] << 65 | w[3] << 1 | 1) & _MASK128
     state = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _MASK128
     return list(zip(state.tolist(), inc.tolist()))
-
-
-def _streams(seed: int, start: int, stop: int):
-    """PCG64 ``(state, inc)`` of ``default_rng([seed, k])`` for each ``k`` in
-    ``[start, stop)``, seeded ``_CHUNK`` at a time so memory stays flat."""
-    seed_words = _words(seed)
-    for chunk in range(start - start % _CHUNK, stop, _CHUNK):
-        yield from _pcg64_states(seed_words, max(chunk, start), min(chunk + _CHUNK, stop))
 
 
 # -- empirical statistics ----------------------------------------------------
@@ -391,17 +386,15 @@ def _picks(born: _Born, state: np.ndarray, u: np.ndarray) -> np.ndarray:
     return pos
 
 
-class _Chunk(NamedTuple):
-    """A chunk's selections, per trajectory: the outcome position and Born
-    probability of each selection, and the number of its first post-state
-    in ``posts``, the distinct first post-states as flat entries."""
+class _Stage(NamedTuple):
+    """One selection, per trajectory of a chunk: the outcome position, its
+    Born probability and the number of the state selected on in ``states``,
+    the distinct normalized states as flat entries."""
 
-    first: np.ndarray
-    first_prob: np.ndarray
-    post: np.ndarray
-    posts: tuple[np.ndarray, ...]
-    second: np.ndarray
-    second_prob: np.ndarray
+    pos: np.ndarray
+    prob: np.ndarray
+    at: np.ndarray
+    states: tuple[np.ndarray, ...]
 
 
 def _replay(inst: Instrument, psi: StateVector, u1: float, u2: float, tol: float):
@@ -413,14 +406,14 @@ def _replay(inst: Instrument, psi: StateVector, u1: float, u2: float, tol: float
 
 
 def _select_chunk(inst: Instrument, terms, drawn: list[StateVector],
-                  state: list[int], u1: list[float], u2: list[float], tol: float) -> _Chunk:
+                  state: list[int], u1: list[float], u2: list[float], tol: float) -> list[_Stage]:
     """Both selections of each trajectory of a chunk, where trajectory ``t``
     drew ``drawn[state[t]]`` and the uniforms ``u1[t]`` and ``u2[t]``.
 
-    The first selection runs as arrays over the drawn states, normalized,
-    and the second over the distinct first post-states ``(state, first
-    outcome)``, built as no ``StateVector``.  When a trajectory's selection
-    would raise, the first such trajectory is replayed through ``_replay``.
+    One stage runs as arrays over the drawn states, then over the distinct
+    post-states ``(state, first outcome)``, built as no ``StateVector``.  Each
+    selects only before the first trajectory refused so far, and the first
+    trajectory refused is replayed through ``_replay``.
     """
     amp_idx: list[int] = []
     amps: list[complex] = []
@@ -429,58 +422,58 @@ def _select_chunk(inst: Instrument, terms, drawn: list[StateVector],
         amps += psi._amp.values()
     sizes = np.array([len(psi) for psi in drawn])
     amps = np.array(amps, dtype=complex)
-    norms = _norms(oa._moduli(amps.real, amps.imag), sizes)  # an overflow is flagged below
-    first = _born(terms, *_normalized(np.repeat(np.arange(len(drawn)), sizes),
-                                      oa._indices(amp_idx), amps.real,
-                                      amps.imag, norms),
-                  len(drawn), tol)
-    norms = np.array(norms)
-    state = np.array(state, dtype=np.intp)
-    bad = (first.bad | (norms == 0) | np.isinf(norms))[state]
-    stop = int(bad.argmax()) if bad.any() else len(state)
-    if stop == 0:
-        _replay(inst, drawn[state[0]], u1[0], u2[0], tol)
-    ok = state[:stop]
-    first_pos = _picks(first, ok, np.array(u1[:stop]))
-    outcomes = len(terms)
-    groups, post = np.unique(ok * outcomes + first_pos, return_inverse=True)
-    n = first.sizes[groups]
-    at = _ranges((np.cumsum(first.sizes) - first.sizes)[groups], n)
-    posts = _normalized(np.repeat(np.arange(len(groups)), n), first.rows[at],
-                        first.re[at], first.im[at], first.probs.ravel()[groups])
-    second = _born(terms, *posts, len(groups), tol)
-    bad = second.bad[post]
-    if bad.any():
-        stop = int(bad.argmax())
+    norms = np.array(_norms(oa._moduli(amps.real, amps.imag), sizes))  # an inf is flagged below
+    entries = (np.repeat(np.arange(len(drawn)), sizes), oa._indices(amp_idx),
+               amps.real, amps.imag)
+    at = np.array(state, dtype=np.intp)
+    stages: list[_Stage] = []
+    for u in (u1, u2):
+        if stages:  # the distinct post-states (state, first outcome)
+            groups, at = np.unique(at * len(terms) + pos, return_inverse=True)
+            n = born.sizes[groups]
+            where = _ranges((np.cumsum(born.sizes) - born.sizes)[groups], n)
+            entries = (np.repeat(np.arange(len(groups)), n), born.rows[where],
+                       born.re[where], born.im[where])
+            norms = born.probs.ravel()[groups]
+        states = _normalized(*entries, norms)
+        born = _born(terms, *states, len(norms), tol)
+        bad = (born.bad | (norms == 0) | np.isinf(norms))[at]
+        if bad.any():
+            at = at[:int(bad.argmax())]
+            if not len(at):
+                break
+        pos = _picks(born, at, np.array(u[:len(at)]))
+        stages.append(_Stage(pos, born.probs[at, pos], at, states))
+    stop = len(at)
     if stop < len(state):
         _replay(inst, drawn[state[stop]], u1[stop], u2[stop], tol)
-    second_pos = _picks(second, post, np.array(u2))
-    return _Chunk(first_pos, first.probs[ok, first_pos], post, posts,
-                  second_pos, second.probs[post, second_pos])
+    return stages
 
 
 def _selections(inst: Instrument, state_sampler, trajectories: int, seed: int, tol: float):
-    """The ``_Chunk`` of each ``_CHUNK`` of trajectories in turn.  Trajectory
-    ``k`` loads the stream of ``default_rng([seed, k])``, calls the sampler
-    and draws its two uniforms; consecutive draws of one state object
-    share its selections.  A sampler that raises at trajectory ``k`` ends
-    the batch after the chunk's earlier trajectories are selected, so an
-    error of theirs is raised first, as a trajectory-by-trajectory run
+    """The two ``_Stage`` records of each aligned ``_CHUNK`` of trajectories
+    in turn, whose streams are seeded in one ``_pcg64_states`` pass.
+    Trajectory ``k`` loads the stream of ``default_rng([seed, k])``, calls
+    the sampler and draws its two uniforms; consecutive draws of one state
+    object share its selections.  A sampler that raises at trajectory ``k``
+    ends the batch after the chunk's earlier trajectories are selected, so
+    an error of theirs is raised first, as a trajectory-by-trajectory run
     would."""
     terms = tuple(op.terms for _, op in inst.items())
+    seed_words = _words(seed)
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     pcg = {"state": 0, "inc": 0}
     # a fresh PCG64 has no buffered 32-bit half, so neither may the reused one
     fresh = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    streams = _streams(seed, 0, trajectories)
-    for _ in range(0, trajectories, _CHUNK):
+    for start in range(0, trajectories, _CHUNK):
         drawn: list[StateVector] = []
         state: list[int] = []
         u1: list[float] = []
         u2: list[float] = []
         failure = None
-        for pcg["state"], pcg["inc"] in islice(streams, _CHUNK):
+        streams = _pcg64_states(seed_words, start, min(start + _CHUNK, trajectories))
+        for pcg["state"], pcg["inc"] in streams:
             bit_generator.state = fresh
             try:
                 psi = state_sampler(rng)
@@ -520,10 +513,10 @@ def empirical_conditionals(inst: Instrument, state_sampler, trajectories: int,
     labels = inst.outcomes
     first_counts: dict[Outcome, int] = {}
     counts: dict[tuple[Outcome, Outcome], int] = {}
-    for chunk in _selections(inst, state_sampler, trajectories, seed, current().tolerance):
-        for e, n in _tally(chunk.first):
+    for first, second in _selections(inst, state_sampler, trajectories, seed, current().tolerance):
+        for e, n in _tally(first.pos):
             first_counts[labels[e]] = first_counts.get(labels[e], 0) + n
-        for key, n in _tally(chunk.first * len(labels) + chunk.second):
+        for key, n in _tally(first.pos * len(labels) + second.pos):
             pair = labels[key // len(labels)], labels[key % len(labels)]
             counts[pair] = counts.get(pair, 0) + n
     return ConditionalStats(trajectories, first_counts, counts)

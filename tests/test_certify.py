@@ -306,6 +306,11 @@ def test_finite_dim_suite_smoke():
             assert finite_dim_corollary_suite(dim, seed)
 
 
+def test_finite_dim_suite_needs_two_dimensions():
+    with pytest.raises(ValueError, match="dim must be at least 2"):
+        finite_dim_corollary_suite(1, 0)
+
+
 def test_finite_dim_suite_decides_through_the_exact_certifier(monkeypatch):
     # one certificate per draw: the projective, square-root and rotated
     # instruments

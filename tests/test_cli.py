@@ -222,6 +222,32 @@ def test_a_file_whose_products_overflow_exits_2(runner, tmp_path, command):
     assert result.stdout == "" and not out.exists()
 
 
+# An index of 2**63 asks for a 2**60-byte mask (certify, wold) or a list of
+# 2**63 diagonal entries (classify): both requests fail at once, before any
+# memory is touched.
+HUGE = 2**63
+HUGE_FILES = {
+    "dyad": Instrument(((1, StructuredOperator([Dyad(1.0, HUGE, 0)])),)),
+    "complete": Instrument((
+        (1, StructuredOperator([Dyad(1.0, HUGE, HUGE)])),
+        (2, StructuredOperator([Family(1.0, 1, 0, 1, 0), Dyad(-1.0, HUGE, HUGE)])))),
+}
+
+
+# classify refuses the incomplete dyad before it reads an index
+@pytest.mark.parametrize("name, command", [
+    ("dyad", "certify"), ("dyad", "wold"),
+    ("complete", "certify"), ("complete", "classify"), ("complete", "wold")])
+def test_an_index_too_large_to_hold_exits_2(runner, tmp_path, name, command):
+    path = write_instrument(HUGE_FILES[name], tmp_path / "op.json")
+    out = tmp_path / "r.json"
+    result = runner.invoke(cli.main, [command, path, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: too large to hold: ")
+    assert result.stdout == "" and not out.exists()
+
+
 def test_knobs_last_for_one_command(tmp_path):
     knobs = ["--tolerance", "1e-3", "--period-cap", "50"]
     cli.main(["demo", "ex1", "--outdir", str(tmp_path), *knobs], standalone_mode=False)

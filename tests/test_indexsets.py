@@ -53,6 +53,10 @@ def test_constructor_rejects_contradiction():
         IndexSet((), 0, 3, {3})
     with pytest.raises(ValueError):
         IndexSet((), -1, 1, ())
+    with pytest.raises(ValueError, match="period must be at least 1"):
+        IndexSet((), 0, 0, ())
+    with pytest.raises(ValueError, match="transient indices must be nonnegative"):
+        IndexSet({-1}, 0, 1, ())
 
 
 def test_complement_and_full():
@@ -288,6 +292,16 @@ def test_from_parts_matches_a_union_fold(points, progressions):
     for stride, offset in progressions:
         ref = ref.union(RefIndexSet.from_progression(stride, offset))
     assert _fields(iss.from_parts(points, progressions)) == _fields(ref)
+
+
+@pytest.mark.parametrize("points, progressions, message", [
+    ([-1], [], "indices must be nonnegative"),
+    ([], [(0, 1)], "stride must be at least 1"),
+    ([], [(2, -1)], "offset must be nonnegative"),
+])
+def test_from_parts_rejects_an_invalid_part(points, progressions, message):
+    with pytest.raises(ValueError, match=message):
+        iss.from_parts(points, progressions)
 
 
 def test_period_cap_holds_for_from_parts_and_combine():

@@ -105,6 +105,8 @@ def test_example_family_validates_probabilities():
         build_example_family(0, ())
     with pytest.raises(BadProbabilityVector):
         build_example_family(2, (1.2, -0.2))
+    with pytest.raises(BadProbabilityVector, match="expected 3 probabilities, got 2"):
+        build_example_family(3, (0.5, 0.5))
 
 
 @pytest.mark.parametrize("build", [build_example_family, build_nonrepeatable_sibling])
@@ -260,6 +262,27 @@ def test_an_incomplete_instrument_still_decides_each_norm(monkeypatch):
     half = StructuredOperator((Family(1.0, 2, 0, 2, 0),))
     make_instrument({1: half, 2: half}, check_completeness=False)
     assert calls == [half, half]
+
+
+def test_outcomes_built_under_another_tolerance_decide_each_norm(monkeypatch):
+    # their adjoints would be canonicalized afresh, so completeness bounds
+    # no norm: each is taken
+    ops = dict(build_example_family(2, (0.5, 0.5)).items())
+    calls = _count_norms(monkeypatch)
+    make_instrument(ops)
+    assert calls == []
+    with qrepeat.settings(tolerance=1e-6):
+        make_instrument(ops)
+    assert calls == [ops[1], ops[2]]
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    ({}, ValueError, "an instrument needs at least one outcome"),
+    ({1: "not an operator"}, TypeError, "outcome 1 is not a StructuredOperator"),
+], ids=["empty", "not-an-operator"])
+def test_make_instrument_refuses_an_empty_or_non_operator_family(entries, error, message):
+    with pytest.raises(error, match=message):
+        make_instrument(entries, check_completeness=False)
 
 
 def test_an_instrument_whose_povm_deviation_is_over_the_cap_decides_each_norm(monkeypatch):

@@ -55,6 +55,24 @@ def test_family_rejects_bad_strides():
         Family(1.0, 1, 0, -2, 0)
     with pytest.raises(ValueError):
         Dyad(1.0, -1, 0)
+    with pytest.raises(ValueError, match="j_start must be nonnegative"):
+        Family(1.0, 1, 0, 1, 0, j_start=-1)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Dyad(math.inf, 0, 0), ValueError, "coefficients must be finite"),
+    (lambda: Family(complex(0, math.nan), 1, 0, 1, 0), ValueError, "coefficients must be finite"),
+    (lambda: oa.Term(1.0, 1, 0, 1, 0, 2), ValueError, "a term has length 1"),
+    (lambda: StructuredOperator([1.0]), TypeError, "not a structured term"),
+], ids=["infinite", "nan", "length-2", "not-a-term"])
+def test_terms_and_operators_refuse_invalid_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_an_operator_refuses_assignment():
+    with pytest.raises(AttributeError, match="immutable"):
+        StructuredOperator.identity().terms = ()
 
 
 def test_canonical_order_is_presentation_independent():
@@ -1183,6 +1201,13 @@ def test_state_vector_basics():
     phi = StateVector({2: 2.0}).normalized()
     assert phi.norm_sq() == pytest.approx(1.0)
     assert dict(phi.items()) == {2: pytest.approx(1.0)}
+
+
+def test_a_state_refuses_an_infinite_amplitude_and_assignment():
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        StateVector({0: math.inf})
+    with pytest.raises(AttributeError, match="immutable"):
+        StateVector.basis(0)._amp = {}
 
 
 def test_the_constructor_rejects_amplitudes_whose_sum_overflows():

@@ -62,6 +62,8 @@ def test_dense_oracle_rejects_leaky_window():
 def test_dense_state_and_probabilities():
     psi = StateVector({0: 0.6, 1: 0.8})
     assert np.allclose(dense_state(psi, 4), [0.6, 0.8, 0, 0])
+    with pytest.raises(WindowInvalid, match="index 4 outside dimension 4"):
+        dense_state(StateVector.basis(4), 4)
     probs = born_probabilities(EX, StateVector.basis(0))
     assert probs[1] == pytest.approx(0.3) and probs[2] == pytest.approx(0.7)
     assert sum(probs.values()) == pytest.approx(1.0)
@@ -191,14 +193,15 @@ def _chunk_bits(inst, chunk):
     """Each trajectory's selections in a chunk: ``bits`` of the first, with
     its post-state, and the outcome and probability bits of the second."""
     labels = inst.outcomes
-    owner, idx, re, im = (a.tolist() for a in chunk.posts)
+    first, second = chunk
+    owner, idx, re, im = (a.tolist() for a in second.states)
     posts = {}
     for p, i, r, m in zip(owner, idx, re, im):
         posts.setdefault(p, []).append((i, r.hex(), m.hex()))
     out = []
-    for e, pe, p, f, pf in zip(chunk.first.tolist(), chunk.first_prob.tolist(),
-                               chunk.post.tolist(), chunk.second.tolist(),
-                               chunk.second_prob.tolist()):
+    for e, pe, p, f, pf in zip(first.pos.tolist(), first.prob.tolist(),
+                               second.at.tolist(), second.pos.tolist(),
+                               second.prob.tolist()):
         out.append(((labels[e], pe.hex(), tuple(posts.get(p, ()))), (labels[f], pf.hex())))
     return out
 
@@ -577,17 +580,19 @@ def _numpy_states(seed, ks):
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_streams_match_numpys_seeding(seed):
-    assert list(sim._streams(seed, 0, 5001)) == _numpy_states(seed, range(5001))
-    # a start inside a chunk, and k on both sides of the first two-word k
-    for start, stop in ((sim._CHUNK - 3, sim._CHUNK + 3), (2**32 - 3, 2**32 + 3)):
-        assert list(sim._streams(seed, start, stop)) == _numpy_states(seed, range(start, stop))
+    seed_words = sim._words(seed)
+    assert sim._pcg64_states(seed_words, 0, 5001) == _numpy_states(seed, range(5001))
+    # a range across a chunk boundary, and k on both sides of the first two-word k
+    for start, stop in ((sim._CHUNK - 3, sim._CHUNK + 3), (2**32 - 3, 2**32), (2**32, 2**32 + 3)):
+        assert (sim._pcg64_states(seed_words, start, stop)
+                == _numpy_states(seed, range(start, stop)))
 
 
 def test_streams_reject_a_negative_seed_as_numpy_does():
     with pytest.raises(ValueError) as want:
         np.random.default_rng([-1, 0])
     with pytest.raises(ValueError) as got:
-        list(sim._streams(-1, 0, 1))
+        sim._words(-1)
     assert str(got.value) == str(want.value)
     with pytest.raises(ValueError, match=str(want.value)):
         empirical_conditionals(EX, fixed_state_sampler(StateVector.basis(0)), 1, -1)

@@ -27,11 +27,16 @@ by ``i -> k*i + r`` and gives its first outcome the projector onto the
 other ``k - 1`` residues mod ``k``; the verdict, completeness,
 orthogonality, the witnesses (at mapped positions), the shift-orbit counts
 and the error a load raises must not change.  It runs on every corpus
-file for three fixed ``(k, r)`` and on drawn instruments.
+file for three fixed ``(k, r)`` and on drawn instruments.  So do two more
+relations: permuting the outcome labels, and conjugating every outcome by
+a diagonal unitary of phases in {1, i, -1, -i}.  They keep the same facts
+with labels mapped, up to the order of the witnesses and the bits of
+their deviations.
 """
 
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -135,13 +140,20 @@ def _relabeled(doc: dict, k: int, r: int) -> dict:
     return {**doc, "outcomes": outcomes}
 
 
-def _facts(doc: dict, at=lambda pos: pos):
+def _renamed(condition: str, label) -> str:
+    """A witness condition with each integer outcome label ``e`` in it read
+    as ``label(e)``."""
+    return re.sub(r"-?\d+", lambda m: repr(label(int(m.group()))), condition)
+
+
+def _facts(doc: dict, at=lambda pos: pos, label=lambda e: e):
     """What the relabeling keeps of the instrument in ``doc``, loaded as the
     file commands load it: the error type of a failed load, else the
     verdict, completeness, orthogonality and witnesses (each position
-    passed through ``at``, each deviation as ``float.hex``), or the error
-    type of a failed certification, and the shift-orbit count of each
-    outcome that decomposes."""
+    passed through ``at``, each outcome label through ``label``, each
+    deviation as ``float.hex``), or the error type of a failed
+    certification, and the shift-orbit count of each outcome that
+    decomposes."""
     try:
         inst = cli.instrument_from_doc(doc, check_completeness=False)
     except (ValueError, QRepeatError) as e:
@@ -152,10 +164,10 @@ def _facts(doc: dict, at=lambda pos: pos):
         verdict = type(e)
     else:
         verdict = (rep.repeatable, rep.complete, rep.orthogonal,
-                   [(w.condition, w.position and at(w.position), w.deviation.hex())
-                    for w in rep.witnesses])
-    orbits = [(label, None if dec is None else len(dec.shift_orbits))
-              for label, _, dec, _ in outcome_decompositions(inst)]
+                   [(_renamed(w.condition, label), w.position and at(w.position),
+                     w.deviation.hex()) for w in rep.witnesses])
+    orbits = [(label(e), None if dec is None else len(dec.shift_orbits))
+              for e, _, dec, _ in outcome_decompositions(inst)]
     return verdict, orbits
 
 
@@ -164,10 +176,14 @@ def _assert_relabeling_keeps_the_facts(doc: dict, k: int, r: int, name: str = ""
     assert _facts(_relabeled(doc, k, r)) == want, name
 
 
+def _corpus():
+    for stem in STEMS:
+        yield stem, json.loads((SWEEP / f"{stem}.instrument.json").read_text())
+
+
 @pytest.mark.parametrize("k, r", [(2, 1), (3, 0), (5, 4)])
 def test_relabeling_every_corpus_file_keeps_its_facts(k, r):
-    for stem in STEMS:
-        doc = json.loads((SWEEP / f"{stem}.instrument.json").read_text())
+    for stem, doc in _corpus():
         _assert_relabeling_keeps_the_facts(doc, k, r, stem)
 
 
@@ -187,6 +203,102 @@ def test_relabeling_a_drawn_instrument_keeps_its_facts(inst, data):
     k = data.draw(st.integers(2, 7))
     r = data.draw(st.integers(0, k - 1))
     _assert_relabeling_keeps_the_facts(cli.instrument_doc(inst), k, r)
+
+
+# -- label permutations and diagonal phase conjugations ------------------------
+#
+# Both keep every fact but the order of the witnesses and orbit counts,
+# which a permutation changes with the outcome order, and the bits of the
+# deviations, which another order of summing may change: witnesses and
+# orbit counts are compared sorted, without deviations.
+
+
+def _unordered(facts):
+    """``facts`` with each witness's deviation dropped, and the witnesses and
+    orbit counts sorted."""
+    if not isinstance(facts, tuple):
+        return facts
+    verdict, orbits = facts
+    if isinstance(verdict, tuple):
+        *flags, witnesses = verdict
+        verdict = (*flags, sorted((c, pos) for c, pos, _ in witnesses))
+    return verdict, sorted(orbits)
+
+
+def _permuted(doc: dict, to: dict) -> dict:
+    """``doc`` with each outcome label ``e`` renamed ``to[e]``."""
+    return {**doc, "outcomes": [{**o, "label": to[o["label"]]} for o in doc["outcomes"]]}
+
+
+def _conjugated(doc: dict, powers) -> dict:
+    """``doc`` with every outcome ``M`` replaced by ``D M D*``, where ``D =
+    sum_r Family(1j**powers[r], m, r, m, r)`` and ``m = len(powers)``.  A
+    family is first split by ``j`` mod ``m``, so that each part meets one
+    residue on each side; a coefficient turned by a power of ``i`` is
+    exact."""
+    m = len(powers)
+
+    def turned(t, out, in_):
+        re, im = t["coeff"]
+        for _ in range((powers[out % m] - powers[in_ % m]) % 4):
+            re, im = -im, re
+        return {**t, "coeff": [re, im]}
+
+    def parts(t):
+        if t["kind"] == "dyad":
+            return [turned(t, t["out"], t["in"])]
+        split = [{**t, "outStride": m * t["outStride"],
+                  "outOffset": t["outOffset"] + s * t["outStride"],
+                  "inStride": m * t["inStride"], "inOffset": t["inOffset"] + s * t["inStride"]}
+                 for s in range(m)]
+        return [turned(u, u["outOffset"], u["inOffset"]) for u in split]
+
+    return {**doc, "outcomes": [{**o, "terms": [u for t in o["terms"] for u in parts(t)]}
+                                for o in doc["outcomes"]]}
+
+
+def _assert_permuting_keeps_the_facts(doc: dict, to: dict, name: str = ""):
+    want = _unordered(_facts(doc, label=to.__getitem__))
+    got = _unordered(_facts(_permuted(doc, to)))
+    if isinstance(want, type) and issubclass(want, QRepeatError):
+        # make_instrument raises for the first failing outcome in label order,
+        # so with two failing outcomes the error may be the other's
+        assert isinstance(got, type) and issubclass(got, QRepeatError), name
+    else:
+        assert got == want, name
+
+
+def _assert_conjugating_keeps_the_facts(doc: dict, powers, name: str = ""):
+    assert _unordered(_facts(_conjugated(doc, powers))) == _unordered(_facts(doc)), name
+
+
+@pytest.mark.parametrize("shift", [0, 1], ids=["reversed", "reversed-rotated"])
+def test_permuting_the_labels_of_every_corpus_file_keeps_its_facts(shift):
+    for stem, doc in _corpus():
+        labels = [o["label"] for o in doc["outcomes"]]
+        to = dict(zip(labels, (labels[::-1] * 2)[shift:]))
+        _assert_permuting_keeps_the_facts(doc, to, stem)
+
+
+@pytest.mark.parametrize("powers", [(1, 3), (0, 1, 2), (2, 0, 3, 1)])
+def test_conjugating_every_corpus_file_by_a_diagonal_phase_keeps_its_facts(powers):
+    for stem, doc in _corpus():
+        _assert_conjugating_keeps_the_facts(doc, powers, stem)
+
+
+@given(_drawn_instruments, st.data())
+@settings(deadline=None, max_examples=60)
+def test_permuting_the_labels_of_a_drawn_instrument_keeps_its_facts(inst, data):
+    doc = cli.instrument_doc(inst)
+    labels = [o["label"] for o in doc["outcomes"]]
+    to = dict(zip(labels, data.draw(st.permutations(labels))))
+    _assert_permuting_keeps_the_facts(doc, to)
+
+
+@given(_drawn_instruments, st.lists(st.integers(0, 3), min_size=2, max_size=4))
+@settings(deadline=None, max_examples=60)
+def test_conjugating_a_drawn_instrument_by_a_diagonal_phase_keeps_its_facts(inst, powers):
+    _assert_conjugating_keeps_the_facts(cli.instrument_doc(inst), powers)
 
 
 if __name__ == "__main__":
