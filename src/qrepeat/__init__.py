@@ -48,7 +48,7 @@ __all__ = [
     "IndexSet", "Instrument", "InvalidPovm", "MemoryReading",
     "NotIsometricOnSupport", "OutcomeChecks", "PairChecks",
     "PartsViolation", "PeriodCapExceeded", "Povm", "PovmClassification",
-    "QRepeatError", "Settings", "ShiftOrbit", "SplitInvariantViolation",
+    "QRepeatError", "Settings", "ShiftOrbit", "SplitInvariantViolation", "SplitParts",
     "StateVector", "StructuredOperator", "TrajectoryRecord", "TrajectoryStep",
     "TruncationWindow", "UnsupportedForm", "WindowInvalid", "Witness",
     "WoldDecomposition", "add", "adjoint", "apply", "born_probabilities",

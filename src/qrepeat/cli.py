@@ -8,7 +8,7 @@ are line-delimited: a header line, then one record per step.
 
 Exit codes: 0 a positive verdict (for ``certify``: repeatable), 1 a
 negative one, 2 parse or validation failure, a file whose products
-overflow, or a file that cannot be read or written.  The default output
+overflow, or a file that cannot be read, decoded or written.  The default output
 directory is the ``QREPEAT_OUTDIR`` environment variable, falling back to
 the current directory.
 """
@@ -36,11 +36,6 @@ from .wold import outcome_decompositions
 
 SCHEMA_VERSION = "1"
 _FLOAT_MAX = sys.float_info.max
-
-
-def _fail(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
 
 
 def _out_dir(explicit: str | None) -> Path:
@@ -236,24 +231,30 @@ def _write(doc: dict, path: Path) -> Path:
 
 
 def _save(write, doc, path: Path) -> Path:
-    """``write(doc, path)``; a path that cannot be written exits 2."""
+    """``write(doc, path)``; a path that cannot be written raises ValueError."""
     try:
         return write(doc, path)
     except OSError as e:
-        _fail(f"cannot write {path}: {e}")
+        raise ValueError(f"cannot write {path}: {e}") from e
 
 
 def _load_instrument(path: str, check_completeness: bool) -> Instrument:
+    """The instrument in the file at ``path``; a file that cannot be read,
+    decoded or validated raises ValueError with the path in its message."""
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
-        _fail(f"cannot read {path}: {e}")
+        raise ValueError(f"cannot read {path}: {e}") from e
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
-        _fail(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+        raise ValueError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # an integer too long, nesting too deep
+        raise ValueError(f"{path}: invalid JSON: {e}") from e
     try:
         return instrument_from_doc(doc, check_completeness=check_completeness)
     except (ValueError, QRepeatError) as e:
-        _fail(f"{path}: {e}")
+        raise ValueError(f"{path}: {e}") from e
 
 
 # -- report rendering --------------------------------------------------------
@@ -397,9 +398,11 @@ def main():
 
 def _settings(command):
     """Give ``command`` the --tolerance and --period-cap options and run it
-    under them; an invalid value, any ValueError or QRepeatError the
-    command raises, and a MemoryError or OverflowError from an index too
-    large to hold, exits 2."""
+    under them.  This is the command line's one mapping to exit 2: an
+    invalid value, any ValueError or QRepeatError the command raises (a
+    file that cannot be read, decoded, validated or written among them),
+    and a MemoryError or OverflowError from an index too large to hold,
+    print one ``error:`` line and exit 2."""
     @click.option("--tolerance", type=float, default=None,
                   help="Comparison tolerance override.")
     @click.option("--period-cap", type=int, default=None,
@@ -410,9 +413,11 @@ def _settings(command):
             click.get_current_context().with_resource(settings(tolerance, period_cap))
             return command(**kwargs)
         except (ValueError, QRepeatError) as e:
-            _fail(str(e))
+            message = str(e)
         except (MemoryError, OverflowError) as e:
-            _fail(f"too large to hold: {str(e) or 'out of memory'}")
+            message = f"too large to hold: {str(e) or 'out of memory'}"
+        click.echo(f"error: {message}", err=True)
+        sys.exit(2)
     return run
 
 

@@ -565,19 +565,18 @@ def adjoint(op: StructuredOperator) -> StructuredOperator:
     adj = getattr(op, "_adj", None)
     if adj is not None:
         return adj
-    held = getattr(op, "_block", None)  # only a block operator holds one
-    terms, counts = (op.terms, None) if held is None else _parts(op)
+    held = type(op) is _BlockOperator
     flipped = sorted(
         (Term._trusted(0.0 + t.coeff.conjugate(), t.in_stride, t.in_offset, t.out_stride,
-                       t.out_offset, t.length) for t in terms),
+                       t.out_offset, t.length) for t in (op._progs if held else op.terms)),
         key=lambda t: (t.length == 1, t.out_stride, t.out_offset, t.in_stride, t.in_offset))
-    if held is None:
-        adj = StructuredOperator._canonical(tuple(flipped))
-    else:
-        rows, cols, block = held
-        per_row, per_col = counts
+    if held:
+        rows, cols, block = op._block
+        per_row, per_col = op._counts
         adj = _block_operator(op._tol, tuple(flipped), (per_col, per_row),
                               (cols, rows, _adjoint_block(block)))
+    else:
+        adj = StructuredOperator._canonical(tuple(flipped))
     _setattr(op, "_adj", adj)
     return adj
 
@@ -926,15 +925,19 @@ def _point_product(a: StructuredOperator, b: StructuredOperator):
 
 def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarray,
                   cols: np.ndarray, prod: np.ndarray, tol: float,
-                  lost: list | None) -> StructuredOperator | None:
-    """``_finish`` of summed coefficients, the point sums given as a table
-    (a kernel product's, or a parsed operator's) and kept as arrays: the
-    canonical block operator, holding its progressions and its point block,
-    whose point terms are built on first read; or None, before anything is
-    appended to ``lost``, when ``_finish`` must run on the whole table: on
-    a point sum that is not finite or whose modulus overflows, or a point
-    that a family absorbs.  The progressions alone go through ``_finish``,
-    which raises as it would on the whole table once the points are finite.
+                  lost: list | None) -> StructuredOperator:
+    """``StructuredOperator._canonical(_finish(fams, dyds, tol, lost))``,
+    the point sums ``dyds`` given as a table (a kernel product's, or a
+    parsed operator's), with the bits of its terms, its ``lost`` list and
+    the error it raises.  The result is the canonical block operator,
+    holding its progressions and its point block, whose point terms are
+    built on first read.  Where the arrays cannot finish the table, on a
+    point sum that is not finite or whose modulus overflows, or a point
+    that a family absorbs, the table's nonzero entries go through
+    ``_finish`` as points instead, before anything is appended to
+    ``lost``; a nan is nonzero, so a sum that is not finite gets there.
+    Otherwise the progressions alone go through ``_finish``, which raises
+    as it would on the whole table once the points are finite.
 
     Short of those, ``_finish`` only filters and sorts, and the arrays do
     the same with its bits, each modulus taken by ``_moduli``.  A kernel
@@ -947,9 +950,14 @@ def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarr
     ``|c - cf| <= tol`` (the step before); when no point meets them
     against the families as filtered, no absorption happens at all.
     """
+    def as_points():
+        r, c = np.nonzero(prod)
+        dyds = dict(zip(zip(rows[r].tolist(), cols[c].tolist()), prod[r, c].tolist()))
+        return StructuredOperator._canonical(_finish(fams, dyds, tol, lost))
+
     mod = _moduli(prod.real, prod.imag)
     if not np.isfinite(mod).all():
-        return None
+        return as_points()
     fam_lost: list = []
     out = _finish(fams, {}, tol, fam_lost)
     keep = mod > tol
@@ -965,9 +973,9 @@ def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarr
                         continue
                     c = prod[i, j].item()
                     if abs(c + t.coeff if head else c - t.coeff) <= tol:
-                        return None
+                        return as_points()
         except OverflowError:
-            return None
+            return as_points()
     if lost is not None:
         r, c = np.nonzero(~keep & (prod != 0))
         lost.extend(zip(zip(rows[r].tolist(), cols[c].tolist()), mod[r, c].tolist()))
@@ -990,17 +998,14 @@ def _from_sums(fams: dict[tuple[int, int, int, int], complex],
     bits of its terms and the error it raises.  When the points are dense
     enough that composing the operator's adjoint with it pays for the
     kernel (``_kernel_pays``, on the counts of every summed point), they
-    are put in a table and finished as arrays (``_finish_block``): the
-    operator holds its block and builds its point terms only when read.
-    What that finish hands back goes through ``_finish``."""
+    are put in a table and finished by ``_finish_block``: the operator
+    holds its block and builds its point terms only when read."""
     if len(dyds) ** 2 >= _KERNEL_MIN_PAIRS:  # bounds the matching pairs
         per_row, per_col = Counter(o for o, _ in dyds), Counter(i for _, i in dyds)
         if _kernel_pays((per_col, per_row), (per_row, per_col)):
             rows, cols, table = _table([o for o, _ in dyds], [i for _, i in dyds],
                                        list(dyds.values()))
-            op = _finish_block(fams, rows, cols, table, tol, None)
-            if op is not None:
-                return op
+            return _finish_block(fams, rows, cols, table, tol, None)
     return StructuredOperator._canonical(_finish(fams, dyds, tol))
 
 
@@ -1033,12 +1038,11 @@ def compose(a: StructuredOperator, b: StructuredOperator,
     starts at ``+0.0`` never turns into ``-0.0`` (an exact zero sum is
     ``+0.0``).  Then only ``a``'s progressions go through the join, and
     they meet ``b``'s progressions alone.  ``_finish_block`` finishes the
-    kernel's table as arrays: the product keeps its point block and builds
-    its point terms only when they are read.  A table it hands back (a
-    point to absorb, a sum or modulus that is not finite) and the join's
-    table go through ``_finish``, which filters, absorbs and orders.
-    Either appends to ``lost``, when given, the entries its tolerance
-    filter and absorptions leave out of the product.
+    kernel's table: the product keeps its point block and builds its point
+    terms only when they are read.  The join's table goes through
+    ``_finish``, which filters, absorbs and orders.  Either appends to
+    ``lost``, when given, the entries its tolerance filter and absorptions
+    leave out of the product.
     """
     tol = current().tolerance
     kernel = _point_product(a, b)
@@ -1067,12 +1071,7 @@ def compose(a: StructuredOperator, b: StructuredOperator,
                 key = (os_ * (d // s1) + ao, tb.in_offset)
                 dyds[key] = dyds.get(key, 0j) + ca * tb.coeff
     if kernel:
-        product = _finish_block(fams, *table, tol, lost)
-        if product is not None:
-            return product
-        rows, cols, prod = table
-        r, c = np.nonzero(prod)  # nan is nonzero, so non-finite sums reach _finish
-        dyds = dict(zip(zip(rows[r].tolist(), cols[c].tolist()), prod[r, c].tolist()))
+        return _finish_block(fams, *table, tol, lost)
     return StructuredOperator._canonical(_finish(fams, dyds, tol, lost))
 
 
@@ -1114,7 +1113,7 @@ def max_deviation(a: StructuredOperator, b: StructuredOperator):
     points are compared as arrays with the same bits (``_sum_deviation``),
     which relies on both operands' canonical order.
     """
-    if getattr(a, "_block", None) is None and getattr(b, "_block", None) is None:
+    if type(a) is not _BlockOperator and type(b) is not _BlockOperator:
         return _term_deviation(a.terms, b.terms)
     return _sum_deviation([a], [b])
 
@@ -1339,19 +1338,7 @@ def diagonal_part(op: StructuredOperator) -> StructuredOperator:
 
 
 def is_diagonal(op: StructuredOperator) -> bool:
-    """Whether ``op`` equals its diagonal part.  A block operator's block
-    answers no at once when it holds an off-diagonal entry above the
-    tolerance at a position no progression passes through, as the
-    operator's entry there is that point's alone; a progression there could
-    cancel it."""
-    held = getattr(op, "_block", None)
-    if held is not None:
-        rows, cols, block = held
-        r, c = np.nonzero(_moduli(block.real, block.imag) > current().tolerance)
-        progs = _parts(op)[0]
-        for i, j in zip(rows[r].tolist(), cols[c].tolist()):
-            if i != j and all(row != i for row, _ in _column(progs, j)):
-                return False
+    """Whether ``op`` equals its diagonal part, decided by ``equals``."""
     return equals(op, diagonal_part(op))
 
 

@@ -812,3 +812,20 @@ def diagonal_povms(draw):
             if w:
                 terms[label].extend(oa.projector(part).scale(w).terms)
     return Povm(tuple((label, StructuredOperator(ts)) for label, ts in terms.items()))
+
+
+class ZeroNormalsFirst:
+    """A generator seeded as ``np.random.default_rng(seed)`` whose first
+    ``zeros`` calls of ``standard_normal`` give zeros without drawing."""
+
+    def __init__(self, seed, zeros):
+        self.rng, self.zeros = np.random.default_rng(seed), zeros
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_normal(self, size):
+        if self.zeros:
+            self.zeros -= 1
+            return np.zeros(size)
+        return self.rng.standard_normal(size)

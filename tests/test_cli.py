@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qrepeat.cli as cli
@@ -360,8 +360,17 @@ _json_values = st.recursive(
 
 
 @given(_json_values)
+@example(math.inf)
 def test_the_writer_lays_out_json_as_the_indented_encoder_does(doc):
     assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_the_writer_refuses_what_json_cannot_encode_as_json_does():
+    message = "^Object of type object is not JSON serializable$"
+    with pytest.raises(TypeError, match=message):
+        json.dumps({"a": [object()]}, indent=2, sort_keys=True)
+    with pytest.raises(TypeError, match=message):
+        cli._dumps({"a": [object()]})
 
 
 def test_the_writer_writes_the_indented_document_and_a_newline(tmp_path):
@@ -384,6 +393,29 @@ def test_certify_reports_a_file_that_is_not_utf8(runner, tmp_path):
     result = runner.invoke(cli.main, ["certify", str(path), "--out", str(tmp_path / "r.json")])
     assert result.exit_code == 2
     assert result.stderr.startswith(f"error: cannot read {path}: ")
+
+
+# Neither is a JSONDecodeError: the parser raises RecursionError on the first
+# and int() a ValueError on the second.
+_UNDECODABLE = {
+    "deep": "[" * 100000 + "]" * 100000,  # nested past the parser's stack
+    "long_int": ('{"schemaVersion": "1", "outcomes": [{"label": 1, "terms": [{"kind": "dyad", '
+                 '"coeff": [1, 0], "out": 1' + "0" * 4999 + ', "in": 0}]}]}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNDECODABLE))
+@pytest.mark.parametrize("command", ["certify", "povm", "classify", "wold", "simulate"])
+def test_a_file_that_cannot_be_decoded_exits_2_with_its_path(runner, tmp_path, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_text(_UNDECODABLE[name])
+    out = tmp_path / "r.json"
+    flag = "--log" if command == "simulate" else "--out"
+    result = runner.invoke(cli.main, [command, str(path), flag, str(out)])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: invalid JSON: ")
+    assert result.stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("args,env,target", [

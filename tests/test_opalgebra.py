@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 import qrepeat
 import qrepeat.cli as cli
 import qrepeat.opalgebra as oa
-from helpers import (NORM_DEFECT, UNDECIDED_NORMS, block_sums, boundary_sums,
-                     crowded_operators, dense, dense_blocks, dense_docs, dense_vec,
+from helpers import (NORM_DEFECT, UNDECIDED_NORMS, ZeroNormalsFirst, block_sums,
+                     boundary_sums, crowded_operators, dense, dense_blocks, dense_docs, dense_vec,
                      loose_operators, operators, point_products, ref_adjoint, ref_compose,
                      ref_finish, ref_followers, ref_is_monomial, ref_parse,
                      signed_zero_operators, states, step_at)
@@ -73,6 +73,19 @@ def test_terms_and_operators_refuse_invalid_input(build, error, message):
 def test_an_operator_refuses_assignment():
     with pytest.raises(AttributeError, match="immutable"):
         StructuredOperator.identity().terms = ()
+
+
+def test_an_operator_equals_no_number():
+    assert (StructuredOperator() == 0) is False
+
+
+def test_reprs_show_the_values():
+    assert repr(StructuredOperator.zero()) == "StructuredOperator(0)"
+    assert repr(StructuredOperator([Dyad(0.5, 1, 2), Family(1, 2, 0, 1, 3)])) == \
+        "StructuredOperator(1+0j*sum_j|2j+0><1j+3| + 0.5+0j|1><2|)"
+    assert repr(StateVector({0: 1.0, 3: 0.5j})) == "StateVector({0: 1+0j, 3: 0+0.5j})"
+    assert repr(IndexSet.from_indices([1, 4]) | IndexSet.from_progression(3, 2)) == \
+        "IndexSet(transient=[1, 2, 4], bound=5, period=3, residues=[2])"
 
 
 def test_canonical_order_is_presentation_independent():
@@ -584,6 +597,13 @@ def _outcome(fn, *args):
             return type(e).__name__, str(e)
 
 
+def _dict_finish(fams, rows, cols, prod, tol, lost):
+    """``_finish`` of a kernel table's nonzero entries as a dict of points."""
+    r, c = np.nonzero(prod)
+    dyds = dict(zip(zip(rows[r].tolist(), cols[c].tolist()), prod[r, c].tolist()))
+    return StructuredOperator._canonical(oa._finish(fams, dyds, tol, lost))
+
+
 def _finished(a, b, array_finish):
     """Bits of ``compose(a, b)``'s terms and ``lost`` list, with the array
     finish or with the dict ``_finish`` alone."""
@@ -593,7 +613,7 @@ def _finished(a, b, array_finish):
         return _bits(got), [(pos, m.hex()) for pos, m in lost]
     if array_finish:
         return _outcome(run)
-    with mock.patch.object(oa, "_finish_block", lambda *args: None):
+    with mock.patch.object(oa, "_finish_block", _dict_finish):
         return _outcome(run)
 
 
@@ -1318,6 +1338,10 @@ def test_random_state_keeps_the_public_constructors_bits():
                 assert hexes(psi) == hexes(want)
                 assert rng.random() == ref_rng.random()  # the same number of draws
                 assert psi.norm_sq().hex() == sum(abs(c) ** 2 for _, c in want.items()).hex()
+    for args in ((16,), (1, 1)):  # amplitudes of norm 0 are drawn again
+        rng, ref_rng = ZeroNormalsFirst(9, 2), ZeroNormalsFirst(9, 2)
+        assert hexes(oa.random_state(rng, *args)) == hexes(public(ref_rng, *args))
+        assert rng.zeros == 0 and rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("args, message", [

@@ -4,6 +4,7 @@ import inspect
 import math
 import sys
 import threading
+import types
 
 import pytest
 
@@ -140,3 +141,9 @@ def test_no_public_callable_takes_a_tolerance():
             continue
         offenders += [f"{name}({p})" for p in params if p in ("tol", "tolerance")]
     assert offenders == []
+
+
+def test_all_lists_every_public_name_the_package_imports():
+    imported = [name for name, obj in vars(qrepeat).items()
+                if not name.startswith("_") and not isinstance(obj, types.ModuleType)]
+    assert sorted(qrepeat.__all__) == sorted(imported)
