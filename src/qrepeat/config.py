@@ -3,15 +3,19 @@
 Both live in a frozen :class:`Settings` held in a context variable.  They
 change only inside a :func:`settings` block, and only for the thread or
 asyncio task that runs it; a new thread starts from the defaults.
+:func:`check_period` is the only reader of the cap.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator
+
+from .errors import PeriodCapExceeded
 
 
 @dataclass(frozen=True, slots=True)
@@ -22,12 +26,22 @@ class Settings:
     def __post_init__(self):
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise ValueError("tolerance must be positive and finite")
+        object.__setattr__(self, "period_cap", operator.index(self.period_cap))
         if self.period_cap < 1:
             raise ValueError("period cap must be positive")
 
 
 _active: ContextVar[Settings] = ContextVar("qrepeat.settings", default=Settings())
 current = _active.get  # the active Settings; each public entry point reads it once
+
+
+def check_period(period: int, message: str) -> int:
+    """``period``, if the active period cap allows it; otherwise
+    PeriodCapExceeded with ``message`` formatted with ``period`` and ``cap``."""
+    cap = _active.get().period_cap
+    if period > cap:
+        raise PeriodCapExceeded(message.format(period=period, cap=cap))
+    return period
 
 
 @contextmanager

@@ -10,9 +10,10 @@ class QRepeatError(Exception):
 class PeriodCapExceeded(QRepeatError):
     """A periodic structure grew past the configured cap.
 
-    Raised by index-set algebra when an lcm of periods explodes, and by
-    operator comparisons when the lcm of the row strides on one line of
-    parallel progressions does.
+    Raised by :func:`qrepeat.config.check_period` alone: for index-set
+    algebra when an lcm of periods explodes, for operator comparisons when
+    the lcm of the row strides on one line of parallel progressions does,
+    and for the orbit residue analysis of :mod:`qrepeat.wold`.
     """
 
 

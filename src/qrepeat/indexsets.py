@@ -21,11 +21,11 @@ operation, and the lcm of the strides passed to :func:`from_parts`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .config import current
-from .errors import PeriodCapExceeded
+from .config import check_period
 
 _setattr = object.__setattr__
 
@@ -49,17 +49,12 @@ class IndexSet:
 
     def __init__(self, transient: Iterable[int] = (), bound: int = 0,
                  period: int = 1, residues: Iterable[int] = ()):
-        transient = frozenset(int(i) for i in transient)
-        bound = int(bound)
-        period = int(period)
-        residues = frozenset(int(r) for r in residues)
-        if period < 1:
-            raise ValueError("period must be at least 1")
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
-        if any(i < 0 for i in transient):
-            raise ValueError("transient indices must be nonnegative")
-        if any(not 0 <= r < period for r in residues):
+        period = _index(period, 1, "period must be at least 1")
+        bound = _index(bound, 0, "bound must be nonnegative")
+        transient = frozenset(_index(i, 0, "transient indices must be nonnegative")
+                              for i in transient)
+        residues = frozenset(_index(r, 0, "residues must lie in [0, period)") for r in residues)
+        if any(r >= period for r in residues):
             raise ValueError("residues must lie in [0, period)")
         # Tolerate transient entries at or past the bound as long as they
         # agree with the periodic tail; a disagreement is a contradiction.
@@ -127,15 +122,9 @@ class IndexSet:
         return _bits(_lift_transient(self, max(limit, self.bound)) & ((1 << max(limit, 0)) - 1))
 
     def first(self) -> int | None:
-        """Smallest member, or None for the empty set."""
-        if self._tmask:  # every transient member lies below every tail member
-            return _low_bit(self._tmask)
-        if self._rmask:
-            # rotate the residues so that bit 0 stands for the bound's residue
-            p, k = self.period, self.bound % self.period
-            rot = (self._rmask >> k) | (self._rmask << (p - k))
-            return self.bound + _low_bit(rot)
-        return None
+        """Smallest member, or None for the empty set: a nonempty set has one
+        below ``bound + period``."""
+        return next(self.members_below(self.bound + self.period), None)
 
     def tail_progressions(self) -> list[tuple[int, int]]:
         """The periodic tail as ``(stride, offset)`` progressions, by residue."""
@@ -190,19 +179,14 @@ def from_parts(points: Iterable[int], progressions: Iterable[tuple[int, int]]) -
     transient mask, and the progression's residue bit, lifted to the lcm,
     into the residue mask.  One canonicalization follows.
     """
-    points = [int(i) for i in points]
-    if any(i < 0 for i in points):
-        raise ValueError("indices must be nonnegative")
+    points = [_index(i, 0, "indices must be nonnegative") for i in points]
     tmask, bound = _mask(points), max(points, default=-1) + 1
-    progressions = [(int(stride), int(offset)) for stride, offset in progressions]
+    progressions = [(_index(stride, 1, "stride must be at least 1"),
+                     _index(offset, 0, "offset must be nonnegative"))
+                    for stride, offset in progressions]
     period = 1
     for stride, offset in progressions:
-        if stride < 1:
-            raise ValueError("stride must be at least 1")
-        if offset < 0:
-            raise ValueError("offset must be nonnegative")
-        period = math.lcm(period, stride)
-        _check_cap(period)
+        period = check_period(math.lcm(period, stride), _CAP_MESSAGE)
         bound = max(bound, offset)
     rmask = 0
     for stride, offset in progressions:
@@ -215,18 +199,24 @@ def from_parts(points: Iterable[int], progressions: Iterable[tuple[int, int]]) -
 def _combine(a: IndexSet, b: IndexSet) -> tuple[int, int, int, int, int, int]:
     """Both sets' masks lifted to a common bound and period:
     ``(a transient, a residues, b transient, b residues, bound, period)``."""
-    period = math.lcm(a.period, b.period)
-    _check_cap(period)
+    period = check_period(math.lcm(a.period, b.period), _CAP_MESSAGE)
     bound = max(a.bound, b.bound)
     return (_lift_transient(a, bound), a._rmask * _repunit(period // a.period, a.period),
             _lift_transient(b, bound), b._rmask * _repunit(period // b.period, b.period),
             bound, period)
 
 
-def _check_cap(period: int) -> None:
-    cap = current().period_cap
-    if period > cap:
-        raise PeriodCapExceeded(f"combined period {period} exceeds cap {cap}")
+_CAP_MESSAGE = "combined period {period} exceeds cap {cap}"
+
+
+def _index(value, minimum: int, message: str) -> int:
+    """``value`` as an index: ``operator.index`` takes a Python or numpy
+    integer and refuses a float with TypeError; ValueError with ``message``
+    below ``minimum``."""
+    i = operator.index(value)
+    if i < minimum:
+        raise ValueError(message)
+    return i
 
 
 def _lift_transient(s: IndexSet, bound: int) -> int:
@@ -304,6 +294,3 @@ def _bits(mask: int) -> Iterator[int]:
         yield i
         i = digits.find("1", i + 1)
 
-
-def _low_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1

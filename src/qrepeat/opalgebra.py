@@ -52,9 +52,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import current
-from .errors import PeriodCapExceeded, UnsupportedForm
-from .indexsets import IndexSet, from_parts
+from .config import check_period, current
+from .errors import UnsupportedForm
+from .indexsets import IndexSet, _index, from_parts
 
 _setattr = object.__setattr__
 
@@ -84,10 +84,10 @@ class Term:
             raise ValueError("coefficients must be finite")
         if length not in (1, None):
             raise ValueError("a term has length 1 (a point) or None (a progression)")
-        if out_stride < 1 or in_stride < 1:
-            raise ValueError("family strides must be at least 1; use a Dyad for stride-0 terms")
-        if out_offset < 0 or in_offset < 0:
-            raise ValueError("term indices must be nonnegative")
+        out_stride = _index(out_stride, 1, _STRIDE_MESSAGE)
+        in_stride = _index(in_stride, 1, _STRIDE_MESSAGE)
+        out_offset = _index(out_offset, 0, "term indices must be nonnegative")
+        in_offset = _index(in_offset, 0, "term indices must be nonnegative")
         if length == 1:
             out_stride = in_stride = 1
         _setattr(self, "coeff", coeff)
@@ -119,6 +119,7 @@ class Term:
                              self.out_stride, self.out_offset, self.length)
 
 
+_STRIDE_MESSAGE = "family strides must be at least 1; use a Dyad for stride-0 terms"
 _new = object.__new__
 (_set_coeff, _set_out_stride, _set_out_offset, _set_in_stride, _set_in_offset,
  _set_length) = (Term.__dict__[f].__set__ for f in Term.__slots__)
@@ -126,7 +127,7 @@ _new = object.__new__
 
 def Dyad(coeff: complex, out: int, in_: int) -> Term:
     """Point term ``coeff * |out><in_|``."""
-    return Term(complex(coeff), 1, int(out), 1, int(in_), 1)
+    return Term(complex(coeff), 1, out, 1, in_, 1)
 
 
 def Family(coeff: complex, out_stride: int, out_offset: int,
@@ -135,11 +136,11 @@ def Family(coeff: complex, out_stride: int, out_offset: int,
 
     A nonzero ``j_start`` is folded into the offsets.
     """
-    if j_start < 0:
-        raise ValueError("j_start must be nonnegative")
-    return Term(complex(coeff),
-                int(out_stride), int(out_offset) + int(j_start) * int(out_stride),
-                int(in_stride), int(in_offset) + int(j_start) * int(in_stride))
+    j_start = _index(j_start, 0, "j_start must be nonnegative")
+    if j_start:  # fold as Python ints: numpy integers wrap past 2**63
+        out_offset = operator.index(out_offset) + j_start * operator.index(out_stride)
+        in_offset = operator.index(in_offset) + j_start * operator.index(in_stride)
+    return Term(complex(coeff), out_stride, out_offset, in_stride, in_offset)
 
 
 class StructuredOperator:
@@ -275,35 +276,41 @@ def _canonicalize(terms: Iterable[Term], tol: float) -> tuple[Term, ...]:
 def _finish(fams: dict[tuple[int, int, int, int], complex],
             dyds: dict[tuple[int, int], complex], tol: float,
             lost: list | None = None) -> tuple[Term, ...]:
-    """Canonical terms from summed coefficients.
-
-    ``fams`` maps progression signatures ``(os, oo, is, io)`` and ``dyds``
-    point positions ``(out, in)`` to their coefficient sums.  A sum that is
-    not finite, before the tolerance filter (which would drop a nan) or in a
-    merge, raises ValueError, and so does a finite sum whose modulus
-    overflows.  Sums within ``tol`` of zero are dropped.  The
-    least point that cancels a family head or extends a family one step
-    backward is absorbed, against its families in sorted order, until none
-    is left.  Only the points at a family head or one step before it are
-    indexed, once; an absorption re-indexes and re-queues only the family it
-    moved.  The progressions, then the points, are listed in sorted order.
-    With a ``lost`` list, every entry the result misses or changes is
-    appended as ``(position, |change|)``: a dropped point at its position, an
-    absorbed point's ``|c + cf|`` (cancelled head) or ``|c - cf|`` (backward
-    step) at the point, and a dropped progression with position None.
-    The progressions of a product from ``compose``'s dense kernel always
-    come here, its point table only when ``_finish_block`` cannot keep it
-    as arrays.
+    """Canonical terms from summed coefficients: the progressions, then the
+    points, of ``_absorb``'s result, each in sorted order.  A finite sum
+    whose modulus overflows raises ValueError.  A point table comes here
+    only when ``_finish_block`` cannot keep it as arrays.
     """
     try:
-        return _absorb(fams, dyds, tol, lost)
+        fams, dyds = _absorb(fams, dyds, tol, lost)
     except OverflowError:  # abs() of a finite coefficient past the largest float
         raise ValueError("coefficient moduli must be finite") from None
+    out = [Term._trusted(c, *sig, None) for sig, c in sorted(fams.items())]
+    out.extend(Term._trusted(c, 1, o, 1, i, 1) for (o, i), c in sorted(dyds.items()))
+    return tuple(out)
 
 
 def _absorb(fams: dict[tuple[int, int, int, int], complex],
             dyds: dict[tuple[int, int], complex], tol: float,
-            lost: list | None) -> tuple[Term, ...]:
+            lost: list | None) -> tuple[dict, dict]:
+    """The finished sums ``(fams, dyds)``, the one rule for when a point is
+    absorbed.
+
+    ``fams`` maps progression signatures ``(os, oo, is, io)`` and ``dyds``
+    point positions ``(out, in)`` to their coefficient sums.  A sum that is
+    not finite, before the tolerance filter (which would drop a nan) or in a
+    merge, raises ValueError; ``abs`` of a finite sum past the largest float
+    raises OverflowError.  Sums within ``tol`` of zero are dropped.  The
+    least point that cancels a family head (``|c + cf| <= tol``) or extends
+    a family one step backward (``|c - cf| <= tol``) is absorbed, against
+    its families in sorted order, until none is left.  Only the points at a
+    family head or one step before it are indexed, once; an absorption
+    re-indexes and re-queues only the family it moved.  With a ``lost``
+    list, every entry the result misses or changes is appended as
+    ``(position, |change|)``: a dropped point at its position, an absorbed
+    point's ``|c + cf|`` or ``|c - cf|`` at the point, and a dropped
+    progression with position None.
+    """
     for c in chain(fams.values(), dyds.values()):
         if not cmath.isfinite(c):
             raise ValueError("coefficients must be finite")
@@ -352,9 +359,7 @@ def _absorb(fams: dict[tuple[int, int, int, int], complex],
                 elif nsig in fams:
                     del fams[nsig]
                 break
-    out = [Term._trusted(c, *sig, None) for sig, c in sorted(fams.items())]
-    out.extend(Term._trusted(c, 1, o, 1, i, 1) for (o, i), c in sorted(dyds.items()))
-    return tuple(out)
+    return fams, dyds
 
 
 def _schur(every: float,
@@ -394,10 +399,8 @@ class StateVector:
         items = amplitudes.items() if isinstance(amplitudes, Mapping) else amplitudes
         amp: dict[int, complex] = {}
         for i, c in items:
-            i = int(i)
+            i = _index(i, 0, "basis indices must be nonnegative")
             c = complex(c)  # _finished refuses a non-finite one: no sum makes it finite
-            if i < 0:
-                raise ValueError("basis indices must be nonnegative")
             if c != 0:
                 amp[i] = amp.get(i, 0.0) + c
         _setattr(self, "_amp", _finished(amp))
@@ -503,10 +506,8 @@ def _moduli(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def random_state(rng: np.random.Generator, max_index: int, max_support: int = 8) -> StateVector:
     """Normalized state with small uniform support and Gaussian amplitudes.
     Raises ValueError, before any draw, when no index or no support is allowed."""
-    if max_index < 1:
-        raise ValueError(f"max_index must be at least 1, got {max_index}")
-    if max_support < 1:
-        raise ValueError(f"max_support must be at least 1, got {max_support}")
+    _index(max_index, 1, f"max_index must be at least 1, got {max_index}")
+    _index(max_support, 1, f"max_support must be at least 1, got {max_support}")
     size = min(int(rng.integers(1, max_support + 1)), max_index)
     idx = rng.choice(max_index, size=size, replace=False)
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -931,24 +932,20 @@ def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarr
     parsed operator's), with the bits of its terms, its ``lost`` list and
     the error it raises.  The result is the canonical block operator,
     holding its progressions and its point block, whose point terms are
-    built on first read.  Where the arrays cannot finish the table, on a
+    built on first read.  Only a point at a family's head or one step
+    before it can be absorbed, so ``_absorb`` gets the progressions and the
+    kept entries there.  Where the arrays cannot finish the table, on a
     point sum that is not finite or whose modulus overflows, or a point
-    that a family absorbs, the table's nonzero entries go through
+    that ``_absorb`` absorbs, the table's nonzero entries go through
     ``_finish`` as points instead, before anything is appended to
     ``lost``; a nan is nonzero, so a sum that is not finite gets there.
-    Otherwise the progressions alone go through ``_finish``, which raises
-    as it would on the whole table once the points are finite.
 
     Short of those, ``_finish`` only filters and sorts, and the arrays do
     the same with its bits, each modulus taken by ``_moduli``.  A kernel
     product's nonzero entries, in row-major order, are the join's points in
     its dict order, which ``lost`` follows, and the kept ones end up sorted
     by ``(row, col)``.  A zero entry is no point: ``_finish``
-    drops a zero sum.  Only
-    a point at a family's head or one step before it can be absorbed, and
-    only under ``_absorb``'s conditions ``|c + cf| <= tol`` (head) and
-    ``|c - cf| <= tol`` (the step before); when no point meets them
-    against the families as filtered, no absorption happens at all.
+    drops a zero sum.
     """
     def as_points():
         r, c = np.nonzero(prod)
@@ -958,24 +955,24 @@ def _finish_block(fams: dict[tuple[int, int, int, int], complex], rows: np.ndarr
     mod = _moduli(prod.real, prod.imag)
     if not np.isfinite(mod).all():
         return as_points()
-    fam_lost: list = []
-    out = _finish(fams, {}, tol, fam_lost)
     keep = mod > tol
-    if out:
+    near = {}
+    if fams:
         at_row = dict(zip(rows.tolist(), count()))
         at_col = dict(zip(cols.tolist(), count()))
-        try:
-            for t in out:
-                os_, oo, is_, io = t.out_stride, t.out_offset, t.in_stride, t.in_offset
-                for r, k, head in ((oo, io, True), (oo - os_, io - is_, False)):
-                    i, j = at_row.get(r), at_col.get(k)
-                    if i is None or j is None or not keep[i, j]:
-                        continue
-                    c = prod[i, j].item()
-                    if abs(c + t.coeff if head else c - t.coeff) <= tol:
-                        return as_points()
-        except OverflowError:
-            return as_points()
+        for os_, oo, is_, io in fams:
+            for r, k in ((oo, io), (oo - os_, io - is_)):
+                i, j = at_row.get(r), at_col.get(k)
+                if i is not None and j is not None and keep[i, j]:
+                    near[r, k] = prod[i, j].item()
+    fam_lost: list = []
+    try:
+        progs, kept = _absorb(fams, near, tol, fam_lost)
+    except OverflowError:
+        return as_points()
+    if len(kept) < len(near):
+        return as_points()
+    out = tuple(Term._trusted(c, *sig, None) for sig, c in sorted(progs.items()))
     if lost is not None:
         r, c = np.nonzero(~keep & (prod != 0))
         lost.extend(zip(zip(rows[r].tolist(), cols[c].tolist()), mod[r, c].tolist()))
@@ -1214,10 +1211,8 @@ def _term_deviation(a_terms: tuple[Term, ...], b_terms: tuple[Term, ...],
         tail[0] = max(tail[0], t.out_offset)
         tail[1] = math.lcm(tail[1], t.out_stride)
         by_dir.setdefault(line[:2], []).append(t)
-    cap = current().period_cap
     for _, period in tails.values():
-        if period > cap:
-            raise PeriodCapExceeded(f"stride lcm {period} on one line exceeds cap {cap}")
+        check_period(period, "stride lcm {period} on one line exceeds cap {cap}")
 
     fixed = {(t.out_offset, t.in_offset) for t in terms if t.length == 1}
     fixed |= skip

@@ -30,9 +30,9 @@ import math
 from dataclasses import dataclass
 
 from . import opalgebra as oa
-from .config import current
-from .errors import (NotIsometricOnSupport, PeriodCapExceeded, QRepeatError,
-                     SplitInvariantViolation, UnsupportedForm)
+from .config import check_period, current
+from .errors import (NotIsometricOnSupport, QRepeatError, SplitInvariantViolation,
+                     UnsupportedForm)
 from .indexsets import IndexSet, from_parts
 from .opalgebra import StateVector, StructuredOperator
 
@@ -323,10 +323,8 @@ def _tail_cycle_families(leftover: IndexSet, forward, modulus: int,
     tail = leftover.tail_progressions()
     if not tail:
         return ()
-    lam = math.lcm(modulus, leftover.period)
-    if lam > current().period_cap:
-        raise PeriodCapExceeded(
-            f"orbit residue analysis needs period {lam} beyond the cap")
+    lam = check_period(math.lcm(modulus, leftover.period),
+                       "orbit residue analysis needs period {period} beyond the cap")
     residues = set()
     for p, off in tail:
         for k in range(lam // p):

@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -302,6 +303,25 @@ def test_from_parts_matches_a_union_fold(points, progressions):
 def test_from_parts_rejects_an_invalid_part(points, progressions, message):
     with pytest.raises(ValueError, match=message):
         iss.from_parts(points, progressions)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IndexSet(transient=[2.9], bound=5),
+    lambda: IndexSet((), 0, 2.0, ()),
+    lambda: iss.from_parts([1.9], ()),
+    lambda: iss.from_parts([], [(2, 0.5)]),
+], ids=["transient", "period", "point", "offset"])
+def test_an_index_that_is_not_an_integer_is_refused(build):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build()  # never rounded down to an index
+
+
+def test_numpy_integers_build_what_python_integers_build():
+    n = np.int64
+    for got, want in [(IndexSet([n(1), n(6)], n(7), n(4), [n(2)]), IndexSet([1, 6], 7, 4, [2])),
+                      (iss.from_parts([n(3)], [(n(4), n(1))]), iss.from_parts([3], [(4, 1)]))]:
+        assert got == want
+        assert type(got.bound) is int and type(got.period) is int
 
 
 def test_period_cap_holds_for_from_parts_and_combine():

@@ -64,10 +64,34 @@ def test_family_rejects_bad_strides():
     (lambda: Family(complex(0, math.nan), 1, 0, 1, 0), ValueError, "coefficients must be finite"),
     (lambda: oa.Term(1.0, 1, 0, 1, 0, 2), ValueError, "a term has length 1"),
     (lambda: StructuredOperator([1.0]), TypeError, "not a structured term"),
-], ids=["infinite", "nan", "length-2", "not-a-term"])
+    (lambda: Dyad(1, 2.7, 0), TypeError, "cannot be interpreted as an integer"),
+    (lambda: Family(1, 1, -0.5, 1, 0), TypeError, "cannot be interpreted as an integer"),
+    (lambda: Family(1, 1, 0, 1, 0, j_start=1.5), TypeError, "cannot be interpreted as an integer"),
+    (lambda: oa.Term(1, 1.5, 0, 1, 0), TypeError, "cannot be interpreted as an integer"),
+    (lambda: StateVector({0.5: 1}), TypeError, "cannot be interpreted as an integer"),
+], ids=["infinite", "nan", "length-2", "not-a-term", "float-dyad-row", "float-family-offset",
+        "float-j-start", "float-term-stride", "float-state-index"])
 def test_terms_and_operators_refuse_invalid_input(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_numpy_integers_build_what_python_integers_build():
+    n = np.int64
+    index_fields = ("out_stride", "out_offset", "in_stride", "in_offset")
+    for got, want in [(Dyad(1, n(2), n(0)), Dyad(1, 2, 0)),
+                      (Family(1, n(2), n(1), n(3), n(0), n(2)), Family(1, 2, 1, 3, 0, 2)),
+                      # past 2**63 a numpy product would wrap
+                      (Family(1, n(2**40), n(1), 1, 0, n(2**30)), Family(1, 2**40, 1, 1, 0, 2**30)),
+                      (oa.Term(1, n(2), n(1), n(3), n(0)), oa.Term(1, 2, 1, 3, 0))]:
+        assert got == want
+        assert all(type(getattr(got, f)) is int for f in index_fields)
+    state = StateVector({n(3): 1.0, n(1): 0.5})
+    assert list(state.items()) == list(StateVector({3: 1.0, 1: 0.5}).items())
+    assert all(type(i) is int for i in state.support())
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    assert list(oa.random_state(rng, n(32), n(3)).items()) == \
+        list(oa.random_state(ref_rng, 32, 3).items())
 
 
 def test_an_operator_refuses_assignment():
@@ -1350,6 +1374,14 @@ def test_random_state_refuses_an_empty_draw_before_drawing(args, message):
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError, match=message):
         oa.random_state(rng, *args)  # max_index 0 looped forever
+    assert rng.random() == np.random.default_rng(5).random()
+
+
+@pytest.mark.parametrize("args", [(32, 2.5), (2.5,)])
+def test_random_state_refuses_a_bound_that_is_not_an_integer_before_drawing(args):
+    rng = np.random.default_rng(5)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        oa.random_state(rng, *args)
     assert rng.random() == np.random.default_rng(5).random()
 
 

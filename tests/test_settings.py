@@ -6,14 +6,18 @@ import sys
 import threading
 import types
 
+import numpy as np
 import pytest
 
 import qrepeat
+import qrepeat.config as config
+import qrepeat.indexsets as iss
 import qrepeat.instruments as ins
 import qrepeat.opalgebra as oa
+import qrepeat.wold as wold
 from helpers import near_complete_instrument
-from qrepeat import (Dyad, Settings, StructuredOperator, build_example_family,
-                     certify_repeatable, settings)
+from qrepeat import (Dyad, Family, PeriodCapExceeded, Settings, StructuredOperator,
+                     build_example_family, certify_repeatable, make_instrument, settings)
 from qrepeat.config import current
 
 
@@ -126,6 +130,59 @@ def test_settings_reject_non_positive_values(fields):
         with settings(**fields):
             pass
     assert current() == Settings()
+
+
+def test_the_period_cap_is_an_integer():
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Settings(period_cap=2.5)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        with settings(period_cap=2.5):
+            pass
+    assert current() == Settings()
+    assert Settings(period_cap=np.int64(50)) == Settings(period_cap=50)
+    assert type(Settings(period_cap=np.int64(50)).period_cap) is int
+
+
+def _tail_cycles_past_105():
+    # test_wold's tail cycle case: every set has period at most 105, the
+    # residue analysis runs modulo 210
+    def halves(out, in_):
+        return [Family(1.0, 10, out, 10, in_), Family(1.0, 10, out + 5, 10, in_ + 5)]
+    v = StructuredOperator([*halves(0, 5), *halves(1, 6), *halves(17, 2), *halves(38, 3),
+                            Family(1.0, 5, 4, 5, 4), Dyad(1.0, 2, 0), Dyad(1.0, 3, 1)])
+    with settings(period_cap=105):
+        wold.wold_decompose(v)
+
+
+def test_every_cap_refusal_goes_through_check_period(monkeypatch):
+    refusals = []
+
+    def counted(period, message):
+        try:
+            return config.check_period(period, message)
+        except PeriodCapExceeded as exc:
+            refusals.append(str(exc))
+            raise
+
+    coprime = make_instrument({1: StructuredOperator([Family(1.0, 1009, 0, 1009, 0)]),
+                               2: StructuredOperator([Family(1.0, 1013, 1, 1013, 1)])},
+                              check_completeness=False)
+    for module in (iss, oa, wold):
+        monkeypatch.setattr(module, "check_period", counted)
+
+    def from_parts_past_10():
+        with settings(period_cap=10):
+            iss.from_parts([1], [(7, 0), (5, 3)])
+
+    for run, message in [
+            (from_parts_past_10, "combined period 35 exceeds cap 10"),
+            (lambda: certify_repeatable(coprime),
+             "stride lcm 1022117 on one line exceeds cap 1000000"),
+            (_tail_cycles_past_105, "orbit residue analysis needs period 210 beyond the cap")]:
+        refusals.clear()
+        with pytest.raises(PeriodCapExceeded) as caught:
+            run()
+        assert refusals == [str(caught.value)] == [message]
 
 
 def test_no_public_callable_takes_a_tolerance():
